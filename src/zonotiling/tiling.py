@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -143,6 +145,13 @@ def tiling_from_tiles(n: int, tiles: Iterable[tuple[Iterable[int], tuple[int, in
 # ---------------------------------------------------------------------------
 # regular tilings from height vectors
 
+@lru_cache(maxsize=None)
+def _integer_coords(config: PointConfig) -> tuple[int, ...]:
+    """The coordinates times the lcm of their denominators."""
+    scale = lcm(*(a.denominator for a in config.coords))
+    return tuple(int(a * scale) for a in config.coords)
+
+
 def tiling_from_heights(config: PointConfig, heights: Sequence[int | str | Fraction]) -> Tiling:
     """Project the upper boundary of the lifted zonotope for heights h.
 
@@ -150,25 +159,36 @@ def tiling_from_heights(config: PointConfig, heights: Sequence[int | str | Fract
     the chord through (a_i, h_i) and (a_j, h_j); a point exactly on a chord
     means h is not generic and raises NonGenericHeightError.  The resulting
     tiling satisfies orientation_of(result) == sigma_h(config, h).
+
+    Point m lies above the chord exactly when
+    h_m (a_j - a_i) > h_i (a_j - a_m) + h_j (a_m - a_i), since a_j > a_i.
+    Scaling the coordinates and the heights by positive integers keeps the
+    sign of both sides' difference, so the test runs on integers.
     """
     h = as_heights(config, heights)
-    a = config.coords
+    hscale = lcm(*(x.denominator for x in h))
+    hs = [x.numerator * (hscale // x.denominator) for x in h]
+    a = _integer_coords(config)
+    n = config.n
     offsets = []
-    for i, j in colex_pairs(config.n):
+    for i, j in colex_pairs(n):
         ai, aj = a[i - 1], a[j - 1]
-        hi, hj = h[i - 1], h[j - 1]
-        slope = (hj - hi) / (aj - ai)
+        hi, hj = hs[i - 1], hs[j - 1]
+        span = aj - ai
+        # above(m) = h_m*span - (h_i*(a_j - a_m) + h_j*(a_m - a_i)), expanded
+        tilt = hi - hj
+        base = hj * ai - hi * aj
         mask = 0
-        for m in range(1, config.n + 1):
-            if m == i or m == j:
+        for m in range(n):
+            if m == i - 1 or m == j - 1:
                 continue
-            chord = hi + slope * (a[m - 1] - ai)
-            if h[m - 1] == chord:
-                raise NonGenericHeightError(tuple(sorted((i, m, j))))
-            if h[m - 1] > chord:
-                mask |= 1 << (m - 1)
+            above = hs[m] * span + tilt * a[m] + base
+            if above == 0:
+                raise NonGenericHeightError(tuple(sorted((i, m + 1, j))))
+            if above > 0:
+                mask |= 1 << m
         offsets.append(mask)
-    return Tiling(config.n, tuple(offsets))
+    return Tiling(n, tuple(offsets))
 
 
 def extremal_heights(config: PointConfig, which: str) -> HeightVector:

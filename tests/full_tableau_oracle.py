@@ -1,0 +1,132 @@
+"""Full-tableau fraction-free simplex, kept as a reference solver.
+
+Test-only reference for ``zonotiling.regularity.simplex_max_canonical``: the
+solver as it stood before the production code moved to a condensed tableau
+over the non-basic columns.  It carries the whole m x (nv + m + 1) tableau,
+slack identity columns included, scales every row by the lcm of its own
+denominators, and pivots with Bland's rule plus a lowest-basis-index tie
+break.  The condensed solver must return the same (status, x, value) on
+every input; see tests/test_regularity.py::TestFullTableauDifferential.
+"""
+
+from fractions import Fraction
+from math import lcm
+from typing import Sequence
+
+_ZERO = Fraction(0)
+
+
+def simplex_max_canonical(
+    objective: Sequence[Fraction | int],
+    lhs: Sequence[Sequence[Fraction | int]],
+    rhs: Sequence[Fraction | int],
+) -> tuple[str, list[Fraction], Fraction]:
+    """Maximize c.x subject to A.x <= b, x >= 0, b >= 0, exactly.
+
+    Requires the canonical feasible origin (all b nonnegative), which the
+    callers here arrange by variable splitting.  Returns (status, x, value)
+    with status 'optimal' or 'unbounded'.  Bland's entering rule plus a
+    lowest-basis-index tie break keeps the walk finite and deterministic.
+    """
+    m = len(lhs)
+    nv = len(objective)
+    width = nv + m + 1
+
+    rows: list[list[int]] = []
+    for r in range(m):
+        if len(lhs[r]) != nv:
+            raise ValueError("ragged constraint matrix")
+        coeffs = [Fraction(x) for x in lhs[r]]
+        b = Fraction(rhs[r])
+        if b < 0:
+            raise ValueError("canonical form needs nonnegative right-hand sides")
+        scale = lcm(b.denominator, *(c.denominator for c in coeffs)) if coeffs else b.denominator
+        row = [int(c * scale) for c in coeffs]
+        row.extend(1 if c == r else 0 for c in range(m))
+        row.append(int(b * scale))
+        rows.append(row)
+
+    cfr = [Fraction(c) for c in objective]
+    cscale = lcm(1, *(c.denominator for c in cfr))
+    obj = [int(c * cscale) for c in cfr] + [0] * m + [0]
+
+    det = 1
+    basis = list(range(nv, nv + m))
+
+    while True:
+        s = next((j for j in range(width - 1) if obj[j] > 0), -1)
+        if s < 0:
+            break
+        leave = -1
+        for r in range(m):
+            a = rows[r][s]
+            if a > 0:
+                if leave < 0:
+                    leave = r
+                else:
+                    diff = rows[r][width - 1] * rows[leave][s] - rows[leave][width - 1] * a
+                    if diff < 0 or (diff == 0 and basis[r] < basis[leave]):
+                        leave = r
+        if leave < 0:
+            return "unbounded", [], _ZERO
+        piv = rows[leave][s]
+        prow = rows[leave]
+        for i in range(m):
+            if i != leave:
+                row = rows[i]
+                a = row[s]
+                rows[i] = [(piv * row[j] - a * prow[j]) // det for j in range(width)]
+        a = obj[s]
+        obj = [(piv * obj[j] - a * prow[j]) // det for j in range(width)]
+        det = piv
+        basis[leave] = s
+
+    x = [_ZERO] * nv
+    for r, b in enumerate(basis):
+        if b < nv:
+            x[b] = Fraction(rows[r][width - 1], det)
+    value = Fraction(-obj[width - 1], det) / cscale
+    return "optimal", x, value
+
+
+def slack_lp(config, orientation):
+    """The regularity slack LP over Fractions, rows built per circuit.
+
+    Variables are w+_i, w-_i for i = 3..n (h_i = w+_i - w-_i in [-1, 1]),
+    then the slack t; returns (objective, lhs, rhs) for maximizing t.
+    """
+    from zonotiling import circuits
+
+    k = config.n - 2
+    nv = 2 * k + 1
+    t_col = nv - 1
+    lhs = []
+    rhs = []
+    for c in circuits(config):
+        sign = orientation.sign(c.rank)
+        row = [_ZERO] * nv
+        for point, coeff in zip(c.triple, c.alpha):
+            if point >= 3:
+                row[point - 3] = -sign * coeff
+                row[k + point - 3] = sign * coeff
+        row[t_col] = Fraction(1)
+        lhs.append(row)
+        rhs.append(_ZERO)
+    for i in range(nv):
+        row = [_ZERO] * nv
+        row[i] = Fraction(1)
+        lhs.append(row)
+        rhs.append(Fraction(1))
+    objective = [_ZERO] * nv
+    objective[t_col] = Fraction(1)
+    return objective, lhs, rhs
+
+
+def reference_certificate(config, orientation):
+    """(regular, witness, slack) as the full-tableau solver decides them."""
+    status, x, value = simplex_max_canonical(*slack_lp(config, orientation))
+    assert status == "optimal"
+    if value <= 0:
+        return False, None, _ZERO
+    k = config.n - 2
+    return True, (_ZERO, _ZERO) + tuple(x[i] - x[k + i] for i in range(k)), value

@@ -4,17 +4,21 @@ from itertools import combinations
 
 import pytest
 
+import full_tableau_oracle
 from fm_oracle import strictly_feasible
 from zonotiling import (
+    OrientationVector,
     circuits,
     classify,
+    enumerate_tilings,
     extremal_tiling,
+    make_config,
     orientation_of,
     sigma_h,
     standard_config,
     tiling_from_heights,
 )
-from zonotiling.regularity import simplex_max_canonical
+from zonotiling.regularity import classify_orientation, simplex_max_canonical
 
 
 def brute_lp_max(c, A, b):
@@ -62,6 +66,21 @@ def _solve(m, rhs):
     return rhs
 
 
+def random_lps(seed, count):
+    """Small canonical LPs (c, A, b) with rational data and b >= 0."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nv = rng.randint(1, 3)
+        m = rng.randint(1, 5)
+        c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nv)]
+        A = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nv)]
+            for _ in range(m)
+        ]
+        b = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(m)]
+        yield c, A, b
+
+
 class TestSimplex:
     def test_known_optimum(self):
         status, x, value = simplex_max_canonical([1, 1], [[1, 0], [0, 1]], [1, 2])
@@ -86,16 +105,7 @@ class TestSimplex:
             simplex_max_canonical([1, 1], [[1]], [1])
 
     def test_randomized_against_vertex_enumeration(self):
-        rng = random.Random(12)
-        for _ in range(120):
-            nv = rng.randint(1, 3)
-            m = rng.randint(1, 5)
-            c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nv)]
-            A = [
-                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nv)]
-                for _ in range(m)
-            ]
-            b = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(m)]
+        for c, A, b in random_lps(12, 120):
             status, x, value = simplex_max_canonical(c, A, b)
             if status != "optimal":
                 continue
@@ -160,12 +170,60 @@ class TestClassify:
         for n in (3, 4, 5):
             assert all(c.regular for c in certificates(n))
 
+    @pytest.mark.parametrize("count", [9, 11])
+    def test_orientation_length_checked(self, count):
+        # n = 5 has 10 circuits; a short or long sign vector is refused up front
+        with pytest.raises(ValueError, match=rf"{count} signs.* 10 circuits"):
+            classify_orientation(standard_config(5), OrientationVector(count, 0))
+
     def test_certificate_json(self):
         cfg = standard_config(3)
         data = classify(cfg, extremal_tiling(cfg, "min")).to_json()
         assert data["regular"] is True
         assert len(data["h"]) == 3
         assert all(isinstance(s, str) for s in data["h"])
+
+
+class TestFullTableauDifferential:
+    """The condensed solver against the full-tableau reference solver.
+
+    Both must agree on (status, x, value) and on every certificate, so the
+    row scaling may not move a pivot on configurations with denominators.
+    """
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            ["1", "2", "3", "4", "5"],
+            ["0", "1/2", "2", "7/3", "5"],
+            ["-3", "-5/2", "1/3", "4", "11/2"],
+        ],
+    )
+    def test_every_tiling_up_to_n5(self, points):
+        for n in (3, 4, 5):
+            cfg = make_config(points[:n])
+            for tiling in enumerate_tilings(cfg).nodes:
+                orientation = orientation_of(tiling)
+                lp = full_tableau_oracle.slack_lp(cfg, orientation)
+                assert simplex_max_canonical(*lp) == full_tableau_oracle.simplex_max_canonical(*lp)
+                cert = classify(cfg, tiling)
+                assert (cert.regular, cert.witness, cert.slack) == (
+                    full_tableau_oracle.reference_certificate(cfg, orientation)
+                )
+
+    def test_irregular_verdicts_n6(self, graphs, certificates):
+        cfg = standard_config(6)
+        nodes = graphs(6).nodes
+        for v, cert in enumerate(certificates(6)):
+            if not cert.regular:
+                expected = full_tableau_oracle.reference_certificate(cfg, orientation_of(nodes[v]))
+                assert (cert.regular, cert.witness, cert.slack) == expected
+
+    def test_random_lps(self):
+        for c, A, b in random_lps(31, 400):
+            assert simplex_max_canonical(c, A, b) == full_tableau_oracle.simplex_max_canonical(
+                c, A, b
+            )
 
 
 class TestFourierMotzkinCrossCheck:

@@ -21,6 +21,7 @@ from zonotiling import (
     tiling_to_svg,
     validate,
 )
+from zonotiling.core import circuit_for, colex_triples
 from zonotiling.tiling import FlipUnavailableError, Tiling
 
 
@@ -69,18 +70,35 @@ class TestFromHeights:
             tiling_from_heights(cfg, (0, 1, 2))
         assert exc.value.triple == (1, 2, 3)
 
-    @given(st.lists(st.integers(-40, 40), min_size=5, max_size=5))
-    def test_round_trip_and_oracles(self, heights):
-        cfg = standard_config(5)
+    @given(
+        st.lists(st.fractions(-20, 20, max_denominator=6), min_size=5, max_size=5, unique=True),
+        st.lists(st.fractions(-40, 40, max_denominator=7), min_size=5, max_size=5),
+        st.sampled_from(colex_triples(5)),
+    )
+    def test_round_trip_and_oracles(self, coords, heights, triple):
+        cfg = make_config(sorted(coords))
         try:
             sig = sigma_h(cfg, heights)
         except NonGenericHeightError:
-            return
-        t = tiling_from_heights(cfg, heights)
-        assert t == tiling_from_tiles(5, chord_offsets(cfg, heights))
-        assert orientation_of(t) == sig
-        assert orientation_by_vertices(t) == sig
-        assert validate(cfg, t).ok
+            with pytest.raises(NonGenericHeightError):
+                tiling_from_heights(cfg, heights)
+        else:
+            t = tiling_from_heights(cfg, heights)
+            assert t == tiling_from_tiles(5, chord_offsets(cfg, heights))
+            assert orientation_of(t) == sig
+            assert orientation_by_vertices(t) == sig
+            assert validate(cfg, t).ok
+        # lift point q onto the chord through points p and r
+        p, q, r = triple
+        a = cfg.coords
+        flat = list(heights)
+        flat[q - 1] = flat[p - 1] + (flat[r - 1] - flat[p - 1]) * (a[q - 1] - a[p - 1]) / (
+            a[r - 1] - a[p - 1]
+        )
+        for build in (sigma_h, tiling_from_heights):
+            with pytest.raises(NonGenericHeightError) as exc:
+                build(cfg, flat)
+            assert circuit_for(cfg, *exc.value.triple).dot(flat) == 0
 
 
 class TestExtremal:
