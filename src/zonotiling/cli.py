@@ -3,9 +3,9 @@
 Every subcommand works on one point configuration (from --points or the
 default a_i = i via --n), prints a short summary, and can write JSON / DOT /
 SVG artifacts into --out.  Outputs carry the coordinates in their header and
-are byte-stable for fixed inputs and seed regardless of --threads.  With
---strict the exit status is nonzero whenever a theorem check fails or a
-structural finding is recorded.
+are byte-stable for fixed inputs and seed.  With --strict the exit status is
+nonzero whenever a theorem check fails or a structural finding is recorded;
+out-of-range inputs exit with status 2.  --threads is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class RunConfig:
     config: PointConfig
     out: Path | None
     seed: int
-    threads: int
     cap: int
     strict: bool
     fmt: str
@@ -62,7 +61,7 @@ def _add_common(parser: argparse.ArgumentParser, needs_points: bool = True) -> N
         )
     parser.add_argument("--out", type=str, default=None, help="artifact directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument("--cap", type=int, default=8, help="enumeration cap on n")
     parser.add_argument("--strict", action="store_true")
     parser.add_argument(
@@ -84,7 +83,6 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
         config=config,
         out=Path(ns.out) if ns.out else None,
         seed=ns.seed,
-        threads=ns.threads,
         cap=ns.cap,
         strict=ns.strict,
         fmt=ns.fmt,
@@ -105,6 +103,23 @@ def _write(run: RunConfig, name: str, payload) -> None:
 
 def _graph(run: RunConfig) -> FlipGraph:
     return enumerate_tilings(run.config, cap=run.cap)
+
+
+def _levels(run: RunConfig, ns: argparse.Namespace) -> list[int]:
+    """Every level 1..n-2 under --all, else the --k level, checked to lie there."""
+    levels = list(range(1, run.config.n - 1))
+    if getattr(ns, "all", False):
+        return levels
+    if ns.k is None:
+        raise ValueError("provide --k K or --all")
+    if ns.k not in levels:
+        raise ValueError(f"level k={ns.k} is outside 1..{run.config.n - 2}")
+    return [ns.k]
+
+
+def _check_node(graph: FlipGraph, node: int) -> None:
+    if not 0 <= node < len(graph):
+        raise ValueError(f"node id {node} is outside 0..{len(graph) - 1}")
 
 
 def _header(run: RunConfig) -> dict:
@@ -147,17 +162,13 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 
 def cmd_diameters(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
+    ks = _levels(run, ns)
     graph = _graph(run)
     regs = regular_node_set(classify_graph(run.config, graph))
-    ks = range(1, run.config.n - 1) if ns.all else [ns.k]
-    if not ns.all and ns.k is None:
-        raise ValueError("provide --k K or --all")
     records = []
     print(" k | sigma_k: cls diam formula ok | sum: cls diam formula ok")
     for k in ks:
-        rep = diameter_report(
-            run.config, k, graph=graph, regular_nodes=regs, threads=run.threads
-        )
+        rep = diameter_report(run.config, k, graph=graph, regular_nodes=regs)
         records.append(rep)
         sk, ss = rep["sigma_k"], rep["sigma_k_plus_prev"]
         print(
@@ -185,10 +196,9 @@ def cmd_diameters(ns: argparse.Namespace) -> int:
 
 def cmd_hypertri(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
-    if ns.k is None:
-        raise ValueError("provide --k K")
+    _levels(run, ns)
     graph = _graph(run)
-    record = hypertri_diameters(run.config, ns.k, graph=graph, threads=run.threads)
+    record = hypertri_diameters(run.config, ns.k, graph=graph)
     lift, red = record["lifting"], record["reduced"]
     print(
         f"lifting level {ns.k}: {lift['classes']} classes, diameter "
@@ -237,10 +247,9 @@ def cmd_hypertri(ns: argparse.Namespace) -> int:
 
 def cmd_potential(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
-    if ns.k is None and not ns.all:
-        raise ValueError("provide --k K or --all")
+    ks = _levels(run, ns)
     graph = _graph(run)
-    ks = range(1, run.config.n - 1) if ns.all else [ns.k]
+    _check_node(graph, ns.ref)
     reports = []
     for k in ks:
         for maker, bound_levels in ((potential, {k - 1, k}), (modified_potential, {k})):
@@ -268,6 +277,8 @@ def cmd_potential(ns: argparse.Namespace) -> int:
 
 def cmd_chains(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
+    if ns.samples < 0:
+        raise ValueError(f"--samples {ns.samples} is negative")
     graph = _graph(run)
     n = run.config.n
     expected = expected_level_census(n)
@@ -310,7 +321,9 @@ def cmd_render(ns: argparse.Namespace) -> int:
         label = ns.tiling
     else:
         graph = _graph(run)
-        tiling = graph.nodes[int(ns.tiling)]
+        node = int(ns.tiling)
+        _check_node(graph, node)
+        tiling = graph.nodes[node]
         label = ns.tiling
     svg = tiling_to_svg(run.config, tiling)
     if run.out is None:

@@ -9,13 +9,17 @@ stable across runs.
 A raising edge adds one inversion (one circuit toggled from +1 to -1), so
 maximal chains are the length-C(n,3) raising walks from the minimal to the
 maximal tiling.
+
+Quotient skeletons rest on ``components_excluding_levels``, which labels and
+stores each level set's components once per graph, and ``graph_diameter``, a
+bit-parallel multi-source BFS.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -36,6 +40,7 @@ class FlipGraph:
     keys: list[int]
     index: dict[int, int]
     adj: list[list[tuple[int, int, bool]]]  # (neighbour id, level, raising)
+    labellings: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -71,12 +76,6 @@ class FlipGraph:
 
     def simple_adjacency(self) -> list[list[int]]:
         return [[v for v, _l, _r in nbrs] for nbrs in self.adj]
-
-    def adjacency_excluding(self, levels: Iterable[int]) -> list[list[int]]:
-        banned = set(levels)
-        return [
-            [v for v, level, _r in nbrs if level not in banned] for nbrs in self.adj
-        ]
 
 
 def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
@@ -144,92 +143,97 @@ def distance(graph: FlipGraph, u: int, v: int) -> int:
     return dist[v]
 
 
-def _eccentricity(adj: Sequence[Sequence[int]], source: int) -> tuple[int, int]:
-    """(eccentricity, smallest farthest node); raises if disconnected."""
-    dist = bfs_distances(adj, source)
-    ecc = -1
-    far = source
-    for v, d in enumerate(dist):
-        if d < 0:
-            raise ValueError("graph is disconnected")
-        if d > ecc:
-            ecc = d
-            far = v
-    return ecc, far
+# Sources per sweep; each per-node bitset array stays within V * _SOURCE_BATCH bits.
+_SOURCE_BATCH = 4096
 
 
-def _diameter_chunk(args: tuple[Sequence[Sequence[int]], Sequence[int]]):
-    adj, sources = args
-    best = (-1, -1, -1)
-    for s in sources:
-        ecc, far = _eccentricity(adj, s)
-        if ecc > best[0] or (ecc == best[0] and (s, far) < best[1:]):
-            best = (ecc, s, far)
-    return best
-
-
-def graph_diameter(
-    adj: Sequence[Sequence[int]], threads: int = 1
-) -> tuple[int, tuple[int, int]]:
+def graph_diameter(adj: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
     """All-pairs BFS diameter with a deterministic witness pair.
 
-    The reduction is order-independent (max eccentricity, ties broken by
-    smallest source then smallest farthest node), so the result does not
-    depend on the worker count.
+    Multi-source BFS (Then et al., "The More the Merrier", VLDB 2014): each
+    node holds a Python-int bitset of the batch's sources that have reached
+    it.  The witness is the smallest source of maximum eccentricity, then the
+    smallest node at that distance from it.
     """
-    if not adj:
+    size = len(adj)
+    if not size:
         raise ValueError("empty graph has no diameter")
-    if len(adj) == 1:
-        return 0, (0, 0)
-    sources = range(len(adj))
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(adj) // (threads * 4))
-        jobs = [
-            (adj, list(sources[i : i + chunk]))
-            for i in range(0, len(adj), chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_diameter_chunk, jobs))
-    else:
-        results = [_diameter_chunk((adj, list(sources)))]
-    best = (-1, -1, -1)
-    for ecc, s, far in results:
-        if ecc > best[0] or (ecc == best[0] and (s, far) < best[1:]):
-            best = (ecc, s, far)
+    best = (-1, -1, -1)  # (eccentricity, source, farthest node)
+    for first in range(0, size, _SOURCE_BATCH):
+        width = min(_SOURCE_BATCH, size - first)
+        full = (1 << width) - 1
+        seen = [0] * size
+        for i in range(width):
+            seen[first + i] = 1 << i
+        frontier = seen[:]
+        depth = 0
+        while True:
+            # each node not yet reached by every source pulls from its neighbours
+            reached = [0] * size
+            for v, bits in enumerate(seen):
+                if bits != full:
+                    new = 0
+                    for u in adj[v]:
+                        new |= frontier[u]
+                    new &= ~bits
+                    if new:
+                        reached[v] = new
+                        seen[v] = bits | new
+            if not any(reached):
+                break
+            frontier = reached
+            depth += 1
+        if any(bits != full for bits in seen):
+            raise ValueError("graph is disconnected")
+        if depth > best[0]:
+            # the last frontier holds exactly the sources of eccentricity depth
+            low = min(bits & -bits for bits in frontier if bits)
+            far = next(v for v, bits in enumerate(frontier) if bits & low)
+            best = (depth, first + low.bit_length() - 1, far)
     return best[0], (best[1], best[2])
 
 
-def diameter(graph: FlipGraph, threads: int = 1) -> tuple[int, tuple[int, int]]:
-    return graph_diameter(graph.simple_adjacency(), threads=threads)
+def diameter(graph: FlipGraph) -> tuple[int, tuple[int, int]]:
+    return graph_diameter(graph.simple_adjacency())
 
 
 # ---------------------------------------------------------------------------
 # components after deleting flip levels (k-equivalence machinery)
 
 def components_excluding_levels(
-    graph: FlipGraph, deleted_levels: Iterable[int]
+    graph: FlipGraph,
+    deleted_levels: Iterable[int],
+    within: frozenset[int] | None = None,
 ) -> list[int]:
     """Component label per node of the graph minus edges at deleted levels.
 
-    Labels are canonical: the label of a component is the smallest node id
-    it contains, so partitions compare across calls.
+    With ``within`` given, only the subgraph induced on those nodes is
+    labelled, and every other node reads -1.  Labels are canonical: the
+    label of a component is the smallest node id it contains, so partitions
+    compare across calls.  Each labelling is computed once per graph and
+    stored on it, so every call with the same levels and node set returns
+    the same list; callers must not mutate it.
     """
-    adj = graph.adjacency_excluding(deleted_levels)
-    label = [-1] * len(adj)
+    banned = frozenset(deleted_levels)
+    labels = graph.labellings.get((banned, within))
+    if labels is not None:
+        return labels
+    adj = graph.adj
+    allowed = range(len(adj)) if within is None else within
+    labels = [-1] * len(adj)
     for start in range(len(adj)):
-        if label[start] >= 0:
+        if labels[start] >= 0 or start not in allowed:
             continue
-        label[start] = start
+        labels[start] = start
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in adj[u]:
-                if label[v] < 0:
-                    label[v] = start
+            for v, level, _r in adj[u]:
+                if labels[v] < 0 and level not in banned and v in allowed:
+                    labels[v] = start
                     queue.append(v)
-    return label
+    graph.labellings[(banned, within)] = labels
+    return labels
 
 
 # ---------------------------------------------------------------------------

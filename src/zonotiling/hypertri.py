@@ -21,7 +21,12 @@ from functools import cmp_to_key
 from typing import Iterable
 
 from .core import Finding, PointConfig, mask_from, mask_points
-from .flipgraph import FlipGraph, enumerate_tilings, graph_diameter
+from .flipgraph import (
+    FlipGraph,
+    components_excluding_levels,
+    enumerate_tilings,
+    graph_diameter,
+)
 from .secondary import (
     skeleton,
     sigma_k_diameter_formula,
@@ -118,15 +123,6 @@ def cross_section(tiling: Tiling, k: int) -> MonotonePath:
     return _ordered_path(level_vertex_masks(tiling, k), k, tiling.n, reduced=False)
 
 
-def k_class_members(graph: FlipGraph, node: int, k: int) -> tuple[int, ...]:
-    """All tilings reachable from the node by flips avoiding level k."""
-    from .flipgraph import components_excluding_levels
-
-    labels = components_excluding_levels(graph, {k})
-    root = labels[node]
-    return tuple(v for v, lab in enumerate(labels) if lab == root)
-
-
 def reduced_cross_section(graph: FlipGraph, node: int, k: int) -> MonotonePath:
     """The reduced path at level k+1 shared by the node's k-class.
 
@@ -135,12 +131,12 @@ def reduced_cross_section(graph: FlipGraph, node: int, k: int) -> MonotonePath:
     exactly k-1 points.  A violation falsifies the construction and raises
     a Finding.
     """
-    members = k_class_members(graph, node, k)
-    common: frozenset[int] | None = None
-    for v in members:
-        masks = level_vertex_masks(graph.nodes[v], k + 1)
-        common = masks if common is None else common & masks
-    assert common is not None
+    labels = components_excluding_levels(graph, {k})
+    root = labels[node]  # the smallest member of the node's class
+    common = level_vertex_masks(graph.nodes[root], k + 1)
+    for v in range(root + 1, len(labels)):
+        if labels[v] == root:
+            common &= level_vertex_masks(graph.nodes[v], k + 1)
     try:
         path = _ordered_path(common, k + 1, graph.n, reduced=True)
     except (StrongSeparationError, ValueError) as exc:
@@ -171,7 +167,6 @@ def hypertri_diameters(
     config: PointConfig,
     k: int,
     graph: FlipGraph | None = None,
-    threads: int = 1,
 ) -> dict:
     """Diameters over ALL tilings plus the structural cross-checks.
 
@@ -187,11 +182,11 @@ def hypertri_diameters(
     findings: list[str] = []
 
     lifting = skeleton(graph, k, "lifting_all")
-    lifting_diam, _ = graph_diameter(lifting.adj, threads=threads)
+    lifting_diam, _ = graph_diameter(lifting.adj)
     lifting_formula = sum_skeleton_diameter_formula(n, k)
 
     reduced = skeleton(graph, k, "reduced_all")
-    reduced_diam, _ = graph_diameter(reduced.adj, threads=threads)
+    reduced_diam, _ = graph_diameter(reduced.adj)
     reduced_formula = sigma_k_diameter_formula(n, k)
 
     # grouping by the actual level-k path must reproduce the lifting quotient

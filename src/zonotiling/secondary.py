@@ -356,25 +356,10 @@ def restriction_agreement(
     through irregular tilings.
     """
     via_all = equivalence_classes(graph, {k}, regular_nodes)
-    allowed = regular_nodes
-    adj = graph.adjacency_excluding({k})
-    label: dict[int, int] = {}
-    for start in sorted(allowed):
-        if start in label:
-            continue
-        label[start] = start
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v in allowed and v not in label:
-                    label[v] = start
-                    stack.append(v)
-    groups: dict[int, list[int]] = {}
-    for node in sorted(allowed):
-        groups.setdefault(label[node], []).append(node)
-    via_regular = {tuple(members) for members in groups.values()}
-    return via_regular == set(via_all.classes)
+    via_regular = _partition_from_labels(
+        components_excluding_levels(graph, {k}, within=regular_nodes), regular_nodes
+    )
+    return via_regular.classes == via_all.classes
 
 
 def sigma_k_diameter_formula(n: int, k: int) -> int:
@@ -390,7 +375,6 @@ def diameter_report(
     k: int,
     graph: FlipGraph | None = None,
     regular_nodes: frozenset[int] | None = None,
-    threads: int = 1,
 ) -> dict:
     """Everything measured about sigma_k and sigma_k + sigma_(k-1) at one k."""
     if graph is None:
@@ -402,11 +386,11 @@ def diameter_report(
     n = config.n
 
     sk = skeleton(graph, k, "sigma_k", regular_nodes)
-    sk_diam, _ = graph_diameter(sk.adj, threads=threads)
+    sk_diam, _ = graph_diameter(sk.adj)
     sk_formula = sigma_k_diameter_formula(n, k)
 
     sum_sk = skeleton(graph, k, "sigma_k_plus_prev", regular_nodes)
-    sum_diam, _ = graph_diameter(sum_sk.adj, threads=threads)
+    sum_diam, _ = graph_diameter(sum_sk.adj)
     sum_formula = sum_skeleton_diameter_formula(n, k)
 
     duality = duality_check(graph, k, regular_nodes)

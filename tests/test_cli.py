@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zonotiling.cli import main
 
 
@@ -126,3 +128,31 @@ def test_invalid_points_exit_code(capsys):
 
 def test_cap_exceeded_is_an_input_error(capsys):
     assert run(["enumerate", "--n", "9"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        ("render --n 4 --tiling -1", 2),
+        ("render --n 4 --tiling 8", 2),
+        ("potential --n 4 --ref -1 --k 1", 2),
+        ("potential --n 4 --ref 8 --k 1", 2),
+        ("potential --n 4 --ref 0 --k 3", 2),
+        ("diameters --n 5 --k 0", 2),
+        ("diameters --n 5 --k 7", 2),
+        ("hypertri --n 5 --k 0", 2),
+        ("hypertri --n 5 --k 4", 2),
+        ("chains --n 4 --samples -3", 2),
+        ("diameters --n 5 --k 1", 0),
+        ("diameters --n 5 --k 3", 0),
+        ("hypertri --n 5 --k 1", 0),
+        ("hypertri --n 5 --k 3", 0),
+        ("potential --n 4 --ref 7 --k 2", 0),
+        ("render --n 4 --tiling 7", 0),
+    ],
+)
+def test_out_of_range_inputs_are_usage_errors(capsys, args, code):
+    assert run(args.split() + ["--strict"]) == code
+    captured = capsys.readouterr()
+    assert ("error:" in captured.err) == (code == 2)
+    assert "FINDING" not in captured.out

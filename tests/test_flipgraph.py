@@ -1,8 +1,10 @@
+import random
 from math import comb
 
 import pytest
 
 from zonotiling import (
+    diameter,
     distance,
     enumerate_tilings,
     expected_level_census,
@@ -14,13 +16,44 @@ from zonotiling import (
     max_chain_through,
     orientation_of,
     sample_chain,
+    skeleton,
     standard_config,
 )
+from zonotiling import flipgraph
 from zonotiling.flipgraph import (
     EnumerationCapError,
     bfs_distances,
     components_excluding_levels,
 )
+
+
+def reference_diameter(adj):
+    """One BFS per source: max eccentricity, ties to the smallest source,
+    then to the smallest farthest node."""
+    best = None
+    for s in range(len(adj)):
+        dist = bfs_distances(adj, s)
+        ecc = max(dist)
+        far = dist.index(ecc)
+        if best is None or ecc > best[0]:
+            best = (ecc, s, far)
+    return best[0], (best[1], best[2])
+
+
+def random_connected_graph(rng, size):
+    """A random spanning tree plus extra edges, node ids shuffled."""
+    edges = {(rng.randrange(v), v) for v in range(1, size)}
+    for _ in range(rng.randrange(2 * size)):
+        u, v = rng.randrange(size), rng.randrange(size)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    perm = list(range(size))
+    rng.shuffle(perm)
+    adj = [[] for _ in range(size)]
+    for u, v in edges:
+        adj[perm[u]].append(perm[v])
+        adj[perm[v]].append(perm[u])
+    return [sorted(nbrs) for nbrs in adj]
 
 
 @pytest.mark.parametrize("n,count", [(2, 1), (3, 2), (4, 8), (5, 62)])
@@ -106,9 +139,40 @@ class TestDiameter:
         with pytest.raises(ValueError, match="disconnected"):
             graph_diameter([[1], [0], []])
 
-    def test_threads_agree(self, graphs):
-        adj = graphs(5).simple_adjacency()
-        assert graph_diameter(adj, threads=1) == graph_diameter(adj, threads=2)
+    def test_random_graphs_match_reference(self):
+        rng = random.Random(2020)
+        for _ in range(200):
+            adj = random_connected_graph(rng, rng.randint(1, 40))
+            assert graph_diameter(adj) == reference_diameter(adj)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_skeletons_match_reference(self, graphs, regulars, n):
+        g = graphs(n)
+        adj = g.simple_adjacency()
+        assert graph_diameter(adj) == reference_diameter(adj)
+        for k in range(1, n - 1):
+            for mode in ("sigma_k", "sigma_k_plus_prev", "lifting_all", "reduced_all"):
+                sk = skeleton(g, k, mode, regulars(n))
+                assert graph_diameter(sk.adj) == reference_diameter(sk.adj)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7])
+    def test_source_batches_match_reference(self, graphs, monkeypatch, batch):
+        monkeypatch.setattr(flipgraph, "_SOURCE_BATCH", batch)
+        rng = random.Random(batch)
+        samples = [graphs(4).simple_adjacency(), graphs(5).simple_adjacency()]
+        samples += [random_connected_graph(rng, rng.randint(1, 30)) for _ in range(50)]
+        for adj in samples:
+            assert graph_diameter(adj) == reference_diameter(adj)
+
+    def test_disconnected_in_a_later_batch_rejected(self, monkeypatch):
+        monkeypatch.setattr(flipgraph, "_SOURCE_BATCH", 2)
+        with pytest.raises(ValueError, match="disconnected"):
+            graph_diameter([[1], [0, 2], [1], []])
+
+    @pytest.mark.slow
+    def test_full_graph_n7(self):
+        value, _ = diameter(enumerate_tilings(standard_config(7)))
+        assert value == comb(7, 3) == 35
 
 
 class TestChains:
@@ -209,6 +273,35 @@ class TestComponents:
     def test_deleting_every_level_isolates(self, graphs):
         labels = components_excluding_levels(graphs(4), {1, 2})
         assert labels == list(range(8))
+
+    def test_labelling_is_stored_once(self, graphs, regulars):
+        g = graphs(5)
+        labels = components_excluding_levels(g, [2])
+        assert components_excluding_levels(g, {2}) is labels
+        within = components_excluding_levels(g, {2}, within=regulars(5))
+        assert components_excluding_levels(g, (2,), frozenset(set(regulars(5)))) is within
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_within_matches_induced_subgraph(self, graphs, regulars, k):
+        g, allowed = graphs(6), regulars(6)
+        assert len(g) - len(allowed) == 20
+        expected = [-1] * len(g)
+        for start in sorted(allowed):
+            if expected[start] >= 0:
+                continue
+            expected[start] = start
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for v, level, _r in g.adj[u]:
+                    if level != k and v in allowed and expected[v] < 0:
+                        expected[v] = start
+                        stack.append(v)
+        plain = components_excluding_levels(g, {k})
+        labels = components_excluding_levels(g, {k}, within=allowed)
+        assert labels == expected
+        assert -1 not in plain
+        assert all(labels[v] == -1 for v in range(len(g)) if v not in allowed)
 
 
 class TestExports:
