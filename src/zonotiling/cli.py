@@ -29,7 +29,7 @@ from .flipgraph import (
 from .hypertri import cross_section, hypertri_diameters, reduced_cross_section
 from .oracle import commutation_census
 from .regularity import classify_graph, regular_node_set
-from .secondary import diameter_report, potential, modified_potential
+from .secondary import check_level, diameter_report, potential, modified_potential
 from .tiling import tiling_to_svg
 
 
@@ -107,13 +107,11 @@ def _graph(run: RunConfig) -> FlipGraph:
 
 def _levels(run: RunConfig, ns: argparse.Namespace) -> list[int]:
     """Every level 1..n-2 under --all, else the --k level, checked to lie there."""
-    levels = list(range(1, run.config.n - 1))
     if getattr(ns, "all", False):
-        return levels
+        return list(range(1, run.config.n - 1))
     if ns.k is None:
         raise ValueError("provide --k K or --all")
-    if ns.k not in levels:
-        raise ValueError(f"level k={ns.k} is outside 1..{run.config.n - 2}")
+    check_level(run.config.n, ns.k)
     return [ns.k]
 
 

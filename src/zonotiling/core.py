@@ -90,14 +90,6 @@ def mask_points(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_min(mask: int) -> int:
-    return (mask & -mask).bit_length()
-
-
-def mask_max(mask: int) -> int:
-    return mask.bit_length()
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -316,8 +308,3 @@ def as_heights(config: PointConfig, heights: Sequence[int | str | Fraction]) -> 
     if len(heights) != config.n:
         raise ValueError(f"expected {config.n} heights, got {len(heights)}")
     return tuple(to_rational(x) for x in heights)
-
-
-def is_generic_heights(config: PointConfig, heights: Sequence[int | str | Fraction]) -> bool:
-    h = as_heights(config, heights)
-    return all(c.dot(h) != 0 for c in circuits(config))

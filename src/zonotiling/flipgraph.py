@@ -57,9 +57,6 @@ class FlipGraph:
     def max_id(self) -> int:
         return self.index[full_mask(num_triples(self.n))]
 
-    def node_of(self, tiling: Tiling) -> int:
-        return self.index[orientation_of(tiling).bits]
-
     def opposite_node(self, node: int) -> int:
         """Node of the half-turn image; its key is the bitwise complement."""
         return self.index[self.keys[node] ^ full_mask(num_triples(self.n))]

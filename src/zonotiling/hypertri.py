@@ -28,6 +28,7 @@ from .flipgraph import (
     graph_diameter,
 )
 from .secondary import (
+    check_level,
     skeleton,
     sigma_k_diameter_formula,
     sum_skeleton_diameter_formula,
@@ -173,14 +174,18 @@ def hypertri_diameters(
     """Diameters over ALL tilings plus the structural cross-checks.
 
     Builds the simultaneous-(k-1,k) quotient (lifting paths at level k) and
-    the k-class quotient (reduced paths at level k+1), measures both
-    diameters against their closed forms, and verifies that the quotients
-    coincide with grouping tilings by their actual paths and that each
-    qualifying flip edge toggles exactly one path vertex.
+    the k-class quotient (reduced paths at level k+1) and measures both
+    diameters against their closed forms.  Each node's level-k slice is read
+    once: every distinct slice must be a monotone path, the lifting classes
+    must be exactly the groups of equal slices, and each qualifying flip
+    edge must toggle exactly one slice vertex.  Each k-class's reduced path
+    is computed once; distinct classes must have distinct reduced paths, and
+    a level-k flip between classes must change it.
     """
+    n = config.n
+    check_level(n, k)
     if graph is None:
         graph = enumerate_tilings(config)
-    n = config.n
     findings: list[str] = []
 
     lifting = skeleton(graph, k, "lifting_all")
@@ -191,29 +196,30 @@ def hypertri_diameters(
     reduced_diam, _ = graph_diameter(reduced.adj)
     reduced_formula = sigma_k_diameter_formula(n, k)
 
-    # grouping by the actual level-k path must reproduce the lifting quotient
-    by_path: dict[tuple, set[int]] = {}
-    for v in range(len(graph)):
-        key = cross_section(graph.nodes[v], k).vertices
-        by_path.setdefault(key, set()).add(v)
-    path_quotient_equal = {frozenset(m) for m in by_path.values()} == {
-        frozenset(m) for m in lifting.classes
-    }
+    # the lifting classes cover every node, so they equal the groups of
+    # equal slices when the slice is constant on each class and there are
+    # as many distinct slices as classes
+    slices = [level_vertex_masks(t, k) for t in graph.nodes]
+    distinct = dict.fromkeys(slices)  # first-seen order, for a stable error
+    for s in distinct:
+        _ordered_path(s, k, n, reduced=False)
+    path_quotient_equal = len(distinct) == len(lifting) and all(
+        len({slices[v] for v in members}) == 1 for members in lifting.classes
+    )
     if not path_quotient_equal:
         findings.append("equal-path grouping differs from the simultaneous quotient")
 
     # reduced paths are constant per k-class by construction; they must also
     # separate distinct classes
-    reduced_paths = {
-        members: reduced_cross_section(graph, members[0], k).vertices
+    reduced_masks = [
+        frozenset(reduced_cross_section(graph, members[0], k).vertex_masks())
         for members in reduced.classes
-    }
-    reduced_quotient_equal = len(set(reduced_paths.values())) == len(reduced.classes)
+    ]
+    reduced_quotient_equal = len(set(reduced_masks)) == len(reduced.classes)
     if not reduced_quotient_equal:
         findings.append("distinct k-classes share a reduced path")
 
     # each flip edge at level k or k-1 toggles exactly one slice vertex
-    slices = [level_vertex_masks(t, k) for t in graph.nodes]
     lifting_single = True
     for u, v, level in graph.undirected_edges():
         delta = len(slices[u] ^ slices[v])
@@ -228,13 +234,6 @@ def hypertri_diameters(
     # a level-k flip between classes changes the reduced path (at least one
     # vertex toggles; unlike the lifting slice the count is not always one)
     reduced_changes = True
-    reduced_masks = {
-        lab: frozenset(mask_from(v) for v in verts)
-        for lab, verts in (
-            (idx, reduced_paths[members])
-            for idx, members in enumerate(reduced.classes)
-        )
-    }
     for u, v, level in graph.undirected_edges():
         if level != k:
             continue

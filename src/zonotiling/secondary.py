@@ -58,7 +58,6 @@ class Partition:
     """Classes of nodes, canonically ordered by smallest member."""
 
     classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int | None, ...]  # node -> class index, None if excluded
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -67,19 +66,11 @@ class Partition:
 def _partition_from_labels(
     labels: Sequence[int], keep: frozenset[int] | None
 ) -> Partition:
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}  # first seen at, so ordered by, smallest member
     for node, root in enumerate(labels):
         if keep is None or node in keep:
             groups.setdefault(root, []).append(node)
-    roots = sorted(groups, key=lambda r: groups[r][0])
-    class_of: list[int | None] = [None] * len(labels)
-    classes = []
-    for idx, root in enumerate(roots):
-        members = tuple(groups[root])
-        classes.append(members)
-        for node in members:
-            class_of[node] = idx
-    return Partition(tuple(classes), tuple(class_of))
+    return Partition(tuple(tuple(members) for members in groups.values()))
 
 
 def equivalence_classes(
@@ -107,7 +98,6 @@ class QuotientSkeleton:
     mode: str
     k: int
     deleted_levels: frozenset[int]
-    edge_levels: frozenset[int]
     classes: tuple[tuple[int, ...], ...]
     component_of: tuple[int | None, ...]  # node -> class via its component
     adj: tuple[tuple[int, ...], ...]
@@ -146,7 +136,6 @@ def skeleton(
         deleted = frozenset({k})
     else:
         deleted = frozenset({k - 1, k}) - {0}
-    edge_levels = deleted
     restricted = mode in ("sigma_k", "sigma_k_plus_prev")
     if restricted and regular_nodes is None:
         raise ValueError(f"mode {mode!r} needs the regular node set")
@@ -162,7 +151,7 @@ def skeleton(
 
     neighbours: list[set[int]] = [set() for _ in partition.classes]
     for u, v, level in graph.undirected_edges():
-        if level not in edge_levels:
+        if level not in deleted:
             cu = component_of[u]
             cv = component_of[v]
             if cu != cv:
@@ -184,7 +173,7 @@ def skeleton(
 
     adj = tuple(tuple(sorted(nbrs)) for nbrs in neighbours)
     return QuotientSkeleton(
-        mode, k, deleted, edge_levels, partition.classes, component_of, adj
+        mode, k, deleted, partition.classes, component_of, adj
     )
 
 
@@ -215,47 +204,41 @@ class PotentialReport:
         }
 
 
-def _side_masks(graph: FlipGraph, k: int, thresholds: str) -> tuple[list[int], list[int]]:
+def _side_masks(tiling: Tiling, k: int, thresholds: str) -> tuple[int, int]:
     """Bitmasks over pair ranks: offset size >= hi (plus) and <= k-2 (minus)."""
     if thresholds == "definition":
         hi = k
     elif thresholds == "shifted":
-        hi = graph.n - k - 1
+        hi = tiling.n - k - 1
     else:
         raise ValueError("thresholds must be 'definition' or 'shifted'")
     lo = k - 2
-    plus = []
-    minus = []
-    for tiling in graph.nodes:
-        pmask = 0
-        mmask = 0
-        for rank, offset in enumerate(tiling.offsets):
-            size = offset.bit_count()
-            if size >= hi:
-                pmask |= 1 << rank
-            if size <= lo:
-                mmask |= 1 << rank
-        plus.append(pmask)
-        minus.append(mmask)
+    plus = minus = 0
+    for rank, offset in enumerate(tiling.offsets):
+        size = offset.bit_count()
+        if size >= hi:
+            plus |= 1 << rank
+        if size <= lo:
+            minus |= 1 << rank
     return plus, minus
+
+
+def _signed_count(
+    reference: tuple[int, int], node: tuple[int, int], modified: bool
+) -> int:
+    """Signed symmetric-difference count of the node's sides against the reference's."""
+    (rp, rm), (p, m) = reference, node
+    val = (rp & ~p).bit_count() - (p & ~rp).bit_count()
+    if not modified:
+        val -= (rm & ~m).bit_count() - (m & ~rm).bit_count()
+    return val
 
 
 def _potential_report(
     graph: FlipGraph, reference: int, k: int, thresholds: str, modified: bool
 ) -> PotentialReport:
-    plus, minus = _side_masks(graph, k, thresholds)
-    rp = plus[reference]
-    rm = minus[reference]
-
-    def value(node: int) -> int:
-        p = plus[node]
-        val = (rp & ~p).bit_count() - (p & ~rp).bit_count()
-        if not modified:
-            m = minus[node]
-            val -= (rm & ~m).bit_count() - (m & ~rm).bit_count()
-        return val
-
-    values = tuple(value(v) for v in range(len(graph)))
+    sides = [_side_masks(t, k, thresholds) for t in graph.nodes]
+    values = tuple(_signed_count(sides[reference], s, modified) for s in sides)
     by_level: dict[int, int] = {}
     overall = 0
     for u, v, level in graph.undirected_edges():
@@ -292,14 +275,11 @@ def modified_potential(
 def potential_between(
     graph: FlipGraph, reference: int, node: int, k: int, thresholds: str = "definition"
 ) -> int:
-    plus, minus = _side_masks(graph, k, thresholds)
-    rp, rm = plus[reference], minus[reference]
-    p, m = plus[node], minus[node]
-    return (
-        (rp & ~p).bit_count()
-        - (p & ~rp).bit_count()
-        - (rm & ~m).bit_count()
-        + (m & ~rm).bit_count()
+    """Level-k potential of one node against the reference tiling."""
+    return _signed_count(
+        _side_masks(graph.nodes[reference], k, thresholds),
+        _side_masks(graph.nodes[node], k, thresholds),
+        modified=False,
     )
 
 
@@ -329,21 +309,34 @@ def _skeleton_iso_via_opposite(
     return True
 
 
-def duality_check(
-    graph: FlipGraph, k: int, regular_nodes: frozenset[int]
+def _duality(
+    graph: FlipGraph,
+    left: QuotientSkeleton,
+    diam_left: int,
+    regular_nodes: frozenset[int],
 ) -> dict:
-    """Compare the sigma_k skeleton with sigma_(n-1-k) under the involution."""
-    n = graph.n
-    left = skeleton(graph, k, "sigma_k", regular_nodes)
-    right = skeleton(graph, n - 1 - k, "sigma_k", regular_nodes)
-    diam_left, _ = graph_diameter(left.adj)
-    diam_right, _ = graph_diameter(right.adj)
+    """Compare a sigma_k skeleton with sigma_(n-1-k) under the involution."""
+    mirror = graph.n - 1 - left.k
+    if mirror == left.k:
+        right, diam_right = left, diam_left
+    else:
+        right = skeleton(graph, mirror, "sigma_k", regular_nodes)
+        diam_right, _ = graph_diameter(right.adj)
     return {
         "classes_equal": len(left) == len(right),
         "degrees_equal": left.degree_multiset() == right.degree_multiset(),
         "diameters_equal": diam_left == diam_right,
         "isomorphic_via_opposite": _skeleton_iso_via_opposite(graph, left, right),
     }
+
+
+def duality_check(
+    graph: FlipGraph, k: int, regular_nodes: frozenset[int]
+) -> dict:
+    """Compare the sigma_k skeleton with sigma_(n-1-k) under the involution."""
+    left = skeleton(graph, k, "sigma_k", regular_nodes)
+    diam_left, _ = graph_diameter(left.adj)
+    return _duality(graph, left, diam_left, regular_nodes)
 
 
 def restriction_agreement(
@@ -370,6 +363,12 @@ def sum_skeleton_diameter_formula(n: int, k: int) -> int:
     return 2 * k * (n - k) - n
 
 
+def check_level(n: int, k: int) -> None:
+    """Refuse a level outside 1..n-2, where the quotient skeletons live."""
+    if not 1 <= k <= n - 2:
+        raise ValueError(f"level k={k} is outside 1..{n - 2}")
+
+
 def diameter_report(
     config: PointConfig,
     k: int,
@@ -377,13 +376,14 @@ def diameter_report(
     regular_nodes: frozenset[int] | None = None,
 ) -> dict:
     """Everything measured about sigma_k and sigma_k + sigma_(k-1) at one k."""
+    n = config.n
+    check_level(n, k)
     if graph is None:
         graph = enumerate_tilings(config)
     if regular_nodes is None:
         from .regularity import classify_graph, regular_node_set
 
         regular_nodes = regular_node_set(classify_graph(config, graph))
-    n = config.n
 
     sk = skeleton(graph, k, "sigma_k", regular_nodes)
     sk_diam, _ = graph_diameter(sk.adj)
@@ -393,7 +393,7 @@ def diameter_report(
     sum_diam, _ = graph_diameter(sum_sk.adj)
     sum_formula = sum_skeleton_diameter_formula(n, k)
 
-    duality = duality_check(graph, k, regular_nodes)
+    duality = _duality(graph, sk, sk_diam, regular_nodes)
 
     values = {}
     constant_on_classes = True

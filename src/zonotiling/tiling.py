@@ -59,7 +59,7 @@ class Tile:
 
 @dataclass(frozen=True)
 class FlipMove:
-    """A flip along one circuit: triple (p, q, r), offset A(F), direction."""
+    """A flip along one circuit: triple (p, q, r), offset A(F), raising or not."""
 
     triple: tuple[int, int, int]
     offset: int  # bitmask of A(F)
@@ -68,10 +68,6 @@ class FlipMove:
     @property
     def level(self) -> int:
         return self.offset.bit_count() + 1
-
-    @property
-    def direction(self) -> str:
-        return "raising" if self.raising else "lowering"
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +160,24 @@ def test_out_of_range_inputs_are_usage_errors(capsys, args, code):
     captured = capsys.readouterr()
     assert ("error:" in captured.err) == (code == 2)
     assert "FINDING" not in captured.out
+
+
+def test_reproduce_theorems_end_to_end(tmp_path):
+    # the scripted pipeline for n = 3..5: every stage runs --strict
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_theorems.py"),
+         "--max-n", "5", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [
+        "graph_n5.json", "classify_n5.json", "diameters_n5.json",
+        "hypertri_n5_k1.json", "hypertri_n5_k2.json", "hypertri_n5_k3.json",
+        "chains_n5.json", "potential_n5_ref0.json", "oracle_n5.json",
+    ]
+    assert all((tmp_path / "n5" / name).is_file() for name in names)

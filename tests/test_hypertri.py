@@ -12,6 +12,7 @@ from zonotiling import (
     standard_config,
     strongly_separated,
 )
+from zonotiling import hypertri
 from zonotiling.core import mask_from
 from zonotiling.hypertri import (
     StrongSeparationError,
@@ -19,6 +20,7 @@ from zonotiling.hypertri import (
     satisfies_triple_condition,
 )
 from zonotiling.flipgraph import components_excluding_levels
+from zonotiling.secondary import skeleton
 from zonotiling.tiling import Tiling
 
 
@@ -231,3 +233,91 @@ class TestHypertriDiameters:
         for u, v, level in g.undirected_edges():
             delta = len(slices[u] ^ slices[v])
             assert delta == (1 if level in (k - 1, k) else 0)
+
+    @pytest.mark.parametrize("k", [-1, 0, 4, 5])
+    def test_level_out_of_range(self, graphs, k):
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            hypertri_diameters(standard_config(5), k, graph=graphs(5))
+
+    def test_reads_each_slice_once(self, graphs, monkeypatch):
+        g = graphs(5)
+        k = 2
+        calls = {"slice": 0, "cross": 0, "reduced": 0}
+        real_slice = hypertri.level_vertex_masks
+        real_reduced = hypertri.reduced_cross_section
+
+        def counted_slice(tiling, level):
+            calls["slice"] += level == k
+            return real_slice(tiling, level)
+
+        def counted_cross(tiling, level):
+            calls["cross"] += 1
+            return cross_section(tiling, level)
+
+        def counted_reduced(graph, node, level):
+            calls["reduced"] += 1
+            return real_reduced(graph, node, level)
+
+        monkeypatch.setattr(hypertri, "level_vertex_masks", counted_slice)
+        monkeypatch.setattr(hypertri, "cross_section", counted_cross)
+        monkeypatch.setattr(hypertri, "reduced_cross_section", counted_reduced)
+        rec = hypertri_diameters(standard_config(5), k, graph=g)
+        assert rec["findings"] == []
+        assert calls == {"slice": len(g), "cross": 0, "reduced": rec["reduced"]["classes"]}
+
+
+def _replace_slices(monkeypatch, graph, k, replacement):
+    """Make the level-k slice of each node v in replacement read replacement[v]."""
+    real = hypertri.level_vertex_masks
+    node_of = {id(t): v for v, t in enumerate(graph.nodes)}
+
+    def fake(tiling, level):
+        v = node_of.get(id(tiling))
+        if level == k and v in replacement:
+            return replacement[v]
+        return real(tiling, level)
+
+    monkeypatch.setattr(hypertri, "level_vertex_masks", fake)
+
+
+class TestLiftingQuotientCheck:
+    """hypertri_diameters against slices corrupted behind its back (n = 5)."""
+
+    K = 2
+
+    def test_non_separated_slice_raises(self, graphs, monkeypatch):
+        g = graphs(5)
+        bad = frozenset({mask_from({1, 3}), mask_from({2, 4})})
+        _replace_slices(monkeypatch, g, self.K, {7: bad})
+        with pytest.raises(StrongSeparationError):
+            hypertri_diameters(standard_config(5), self.K, graph=g)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_swapped_slices_split_a_class(self, graphs, monkeypatch, k):
+        # the swapped slices are still valid paths and as many as before,
+        # but no longer constant on the larger class
+        g = graphs(5)
+        classes = skeleton(g, k, "lifting_all").classes
+        big = next(c for c in classes if len(c) > 1)
+        other = next(c for c in classes if c != big)
+        a, b = big[0], other[0]
+        _replace_slices(
+            monkeypatch,
+            g,
+            k,
+            {a: level_vertex_masks(g.nodes[b], k), b: level_vertex_masks(g.nodes[a], k)},
+        )
+        rec = hypertri_diameters(standard_config(5), k, graph=g)
+        assert rec["path_quotient_equal"] is False
+        assert "equal-path grouping differs from the simultaneous quotient" in rec["findings"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_two_classes_sharing_a_slice(self, graphs, monkeypatch, k):
+        # still constant on every class, but one distinct slice short
+        g = graphs(5)
+        first, second = skeleton(g, k, "lifting_all").classes[:2]
+        shared = level_vertex_masks(g.nodes[second[0]], k)
+        _replace_slices(monkeypatch, g, k, {v: shared for v in first})
+        rec = hypertri_diameters(standard_config(5), k, graph=g)
+        assert rec["path_quotient_equal"] is False
+        assert "equal-path grouping differs from the simultaneous quotient" in rec["findings"]

@@ -167,9 +167,21 @@ class TestPotential:
             rep = modified_potential(g, g.min_id, k)
             assert abs(rep.values[g.max_id]) == k * (5 - k - 1)
 
+    @pytest.mark.parametrize("points", [[1, 2, 3, 4, 5], ["-3", "-5/2", "1/3", "4", "11/2"]])
+    def test_between_matches_full_potential(self, points):
+        g = enumerate_tilings(make_config(points))
+        for ref in (g.min_id, 3, g.max_id):
+            for k in range(g.n + 1):
+                for thresholds in ("definition", "shifted"):
+                    values = potential(g, ref, k, thresholds).values
+                    for v in range(len(g)):
+                        assert potential_between(g, ref, v, k, thresholds) == values[v]
+
     def test_bad_thresholds(self, graphs):
         with pytest.raises(ValueError):
             potential(graphs(4), 0, 1, thresholds="proof")
+        with pytest.raises(ValueError):
+            potential_between(graphs(4), 0, 1, 1, thresholds="proof")
 
 
 class TestDiameterReport:
@@ -201,6 +213,18 @@ class TestDiameterReport:
             "diameters_equal": True,
             "isomorphic_via_opposite": True,
         }
+        # the report shares its sigma_k skeleton with the duality comparison
+        for n in (5, 6):
+            for k in range(1, n - 1):
+                rep = diameter_report(
+                    standard_config(n), k, graph=graphs(n), regular_nodes=regulars(n)
+                )
+                assert rep["duality"] == duality_check(graphs(n), k, regulars(n))
+
+    @pytest.mark.parametrize("k", [-1, 0, 4, 5])
+    def test_level_out_of_range(self, graphs, regulars, k):
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            diameter_report(standard_config(5), k, graph=graphs(5), regular_nodes=regulars(5))
 
     def test_opposite_node_key_complement(self, graphs):
         g = graphs(5)
