@@ -316,12 +316,8 @@ def _duality(
     regular_nodes: frozenset[int],
 ) -> dict:
     """Compare a sigma_k skeleton with sigma_(n-1-k) under the involution."""
-    mirror = graph.n - 1 - left.k
-    if mirror == left.k:
-        right, diam_right = left, diam_left
-    else:
-        right = skeleton(graph, mirror, "sigma_k", regular_nodes)
-        diam_right, _ = graph_diameter(right.adj)
+    right = skeleton(graph, graph.n - 1 - left.k, "sigma_k", regular_nodes)
+    diam_right, _ = graph_diameter(right.adj)
     return {
         "classes_equal": len(left) == len(right),
         "degrees_equal": left.degree_multiset() == right.degree_multiset(),

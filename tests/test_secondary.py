@@ -167,6 +167,20 @@ class TestPotential:
             rep = modified_potential(g, g.min_id, k)
             assert abs(rep.values[g.max_id]) == k * (5 - k - 1)
 
+    @staticmethod
+    def _reference_potential(ref_tiling, tiling, k, thresholds):
+        """The potential's definition written out on sets of pair ranks."""
+        hi = k if thresholds == "definition" else tiling.n - k - 1
+
+        def sides(t):
+            sizes = [offset.bit_count() for offset in t.offsets]
+            plus = {r for r, size in enumerate(sizes) if size >= hi}
+            minus = {r for r, size in enumerate(sizes) if size <= k - 2}
+            return plus, minus
+
+        (rp, rm), (p, m) = sides(ref_tiling), sides(tiling)
+        return len(rp - p) - len(p - rp) - len(rm - m) + len(m - rm)
+
     @pytest.mark.parametrize("points", [[1, 2, 3, 4, 5], ["-3", "-5/2", "1/3", "4", "11/2"]])
     def test_between_matches_full_potential(self, points):
         g = enumerate_tilings(make_config(points))
@@ -175,7 +189,11 @@ class TestPotential:
                 for thresholds in ("definition", "shifted"):
                     values = potential(g, ref, k, thresholds).values
                     for v in range(len(g)):
-                        assert potential_between(g, ref, v, k, thresholds) == values[v]
+                        expected = self._reference_potential(
+                            g.nodes[ref], g.nodes[v], k, thresholds
+                        )
+                        assert values[v] == expected
+                        assert potential_between(g, ref, v, k, thresholds) == expected
 
     def test_bad_thresholds(self, graphs):
         with pytest.raises(ValueError):
