@@ -67,7 +67,7 @@ def _add_common(parser: argparse.ArgumentParser, needs_points: bool = True) -> N
     parser.add_argument(
         "--format",
         dest="fmt",
-        choices=("json", "dot", "svg"),
+        choices=("json", "dot"),
         default="json",
     )
 
@@ -166,7 +166,7 @@ def cmd_diameters(ns: argparse.Namespace) -> int:
     records = []
     print(" k | sigma_k: cls diam formula ok | sum: cls diam formula ok")
     for k in ks:
-        rep = diameter_report(run.config, k, graph=graph, regular_nodes=regs)
+        rep = diameter_report(graph, k, regs)
         records.append(rep)
         sk, ss = rep["sigma_k"], rep["sigma_k_plus_prev"]
         print(
@@ -196,7 +196,7 @@ def cmd_hypertri(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     _levels(run, ns)
     graph = _graph(run)
-    record = hypertri_diameters(run.config, ns.k, graph=graph)
+    record = hypertri_diameters(graph, ns.k)
     lift, red = record["lifting"], record["reduced"]
     print(
         f"lifting level {ns.k}: {lift['classes']} classes, diameter "

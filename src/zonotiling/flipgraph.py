@@ -7,6 +7,7 @@ tiling with every layer processed in sorted key order, which makes node ids
 stable across runs.
 
 A raising edge adds one inversion (one circuit toggled from +1 to -1), so
+it runs toward the larger key, node ids are in inversion-count order, and
 maximal chains are the length-C(n,3) raising walks from the minimal to the
 maximal tiling.
 
@@ -39,7 +40,8 @@ class FlipGraph:
     nodes: list[Tiling]
     keys: list[int]
     index: dict[int, int]
-    adj: list[list[tuple[int, int, bool]]]  # (neighbour id, level, raising)
+    adj: list[list[int]]  # neighbour ids
+    levels: list[bytes]  # levels[u][i] is the flip level of the edge to adj[u][i]
     labellings: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -63,16 +65,14 @@ class FlipGraph:
 
     def undirected_edges(self) -> Iterator[tuple[int, int, int]]:
         """Each flip edge once as (u, v, level) with u < v."""
+        levels = self.levels
         for u, nbrs in enumerate(self.adj):
-            for v, level, _raising in nbrs:
+            for v, level in zip(nbrs, levels[u]):
                 if u < v:
                     yield (u, v, level)
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj) // 2
-
-    def simple_adjacency(self) -> list[list[int]]:
-        return [[v for v, _l, _r in nbrs] for nbrs in self.adj]
 
 
 def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
@@ -86,20 +86,23 @@ def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
     nodes = [start]
     keys = [start_key]
     index = {start_key: 0}
-    adj: list[list[tuple[int, int, bool]]] = [[]]
+    adj: list[list[int]] = [[]]
+    levels: list[bytes] = [b""]
 
     frontier = [0]
     while frontier:
-        pending: list[tuple[int, int, int, bool]] = []  # (u, vkey, level, raising)
+        pending: list[tuple[int, list[int]]] = []  # (u, neighbour keys)
         discovered: dict[int, Tiling] = {}
         for u in frontier:
             tiling = nodes[u]
             ukey = keys[u]
-            for move in available_flips(tiling):
-                vkey = ukey ^ (1 << triple_rank(*move.triple))
-                pending.append((u, vkey, move.level, move.raising))
+            moves = available_flips(tiling)
+            vkeys = [ukey ^ (1 << triple_rank(*move.triple)) for move in moves]
+            for move, vkey in zip(moves, vkeys):
                 if vkey not in index and vkey not in discovered:
                     discovered[vkey] = apply_flip(tiling, move)
+            pending.append((u, vkeys))
+            levels[u] = bytes(move.level for move in moves)
         next_frontier = []
         for vkey in sorted(discovered):
             vid = len(nodes)
@@ -107,12 +110,13 @@ def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
             keys.append(vkey)
             nodes.append(discovered[vkey])
             adj.append([])
+            levels.append(b"")
             next_frontier.append(vid)
-        for u, vkey, level, raising in pending:
-            adj[u].append((index[vkey], level, raising))
+        for u, vkeys in pending:
+            adj[u] = [index[vkey] for vkey in vkeys]
         frontier = next_frontier
 
-    return FlipGraph(config, nodes, keys, index, adj)
+    return FlipGraph(config, nodes, keys, index, adj, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +138,7 @@ def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
 
 def distance(graph: FlipGraph, u: int, v: int) -> int:
     """Edge distance in the unlabelled flip graph."""
-    dist = bfs_distances(graph.simple_adjacency(), u)
+    dist = bfs_distances(graph.adj, u)
     if dist[v] < 0:
         raise ValueError("nodes are not connected")
     return dist[v]
@@ -191,7 +195,7 @@ def graph_diameter(adj: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
 
 
 def diameter(graph: FlipGraph) -> tuple[int, tuple[int, int]]:
-    return graph_diameter(graph.simple_adjacency())
+    return graph_diameter(graph.adj)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +220,7 @@ def components_excluding_levels(
     if labels is not None:
         return labels
     adj = graph.adj
+    levels = graph.levels
     allowed = range(len(adj)) if within is None else within
     labels = [-1] * len(adj)
     for start in range(len(adj)):
@@ -225,7 +230,7 @@ def components_excluding_levels(
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v, level, _r in adj[u]:
+            for v, level in zip(adj[u], levels[u]):
                 if labels[v] < 0 and level not in banned and v in allowed:
                     labels[v] = start
                     queue.append(v)
@@ -269,11 +274,16 @@ def sample_chain(graph: FlipGraph, seed: int) -> Chain:
     """
     rng = random.Random(seed)
     target = comb(graph.n, 3)
+    keys = graph.keys
     node = graph.min_id
     nodes = [node]
     levels = []
     for _ in range(target):
-        raising = [(v, level) for v, level, r in graph.adj[node] if r]
+        raising = [
+            (v, level)
+            for v, level in zip(graph.adj[node], graph.levels[node])
+            if keys[v] > keys[node]
+        ]
         if not raising:
             raise Finding(
                 f"raising walk stuck at node {node} after {len(levels)} steps"
@@ -295,62 +305,50 @@ def max_chain_through(
     """A maximal chain from minimum to maximum passing through the node.
 
     With regular_nodes given, every chain node must belong to that set.
-    Raising edges only add inversions, so reachability is a DAG sweep by
-    inversion count; absence of a chain raises a Finding.
+    Raising edges only add inversions and node ids are in inversion-count
+    order, so reachability is one DAG sweep each way over the ids; absence
+    of a chain raises a Finding.
     """
     allowed = (lambda v: True) if regular_nodes is None else (lambda v: v in regular_nodes)
     if not allowed(node):
         raise ValueError(f"node {node} is outside the allowed node set")
+    keys = graph.keys
 
-    order = sorted(range(len(graph)), key=lambda v: graph.keys[v].bit_count())
+    def steps(v: int, up: bool) -> Iterator[tuple[int, int]]:
+        """Flips out of v toward the maximum (up) or the minimum, within the set."""
+        for w, level in zip(graph.adj[v], graph.levels[v]):
+            if (keys[w] > keys[v]) == up and allowed(w):
+                yield w, level
+
     reach_down = [False] * len(graph)
-    for v in order:
-        if not allowed(v):
-            continue
-        if v == graph.min_id:
-            reach_down[v] = True
-            continue
-        reach_down[v] = any(
-            not r and allowed(w) and reach_down[w] for w, _level, r in graph.adj[v]
-        )
+    for v in range(len(graph)):
+        if allowed(v):
+            reach_down[v] = v == graph.min_id or any(
+                reach_down[w] for w, _level in steps(v, up=False)
+            )
     reach_up = [False] * len(graph)
-    for v in reversed(order):
-        if not allowed(v):
-            continue
-        if v == graph.max_id:
-            reach_up[v] = True
-            continue
-        reach_up[v] = any(
-            r and allowed(w) and reach_up[w] for w, _level, r in graph.adj[v]
-        )
+    for v in reversed(range(len(graph))):
+        if allowed(v):
+            reach_up[v] = v == graph.max_id or any(
+                reach_up[w] for w, _level in steps(v, up=True)
+            )
     if not (reach_down[node] and reach_up[node]):
         raise Finding(f"no monotone chain through node {node} within the allowed set")
 
-    down_nodes = [node]
-    down_levels = []
-    v = node
-    while v != graph.min_id:
-        w, level = next(
-            (w, level)
-            for w, level, r in graph.adj[v]
-            if not r and allowed(w) and reach_down[w]
-        )
-        down_nodes.append(w)
-        down_levels.append(level)
-        v = w
-    up_nodes = []
-    up_levels = []
-    v = node
-    while v != graph.max_id:
-        w, level = next(
-            (w, level)
-            for w, level, r in graph.adj[v]
-            if r and allowed(w) and reach_up[w]
-        )
-        up_nodes.append(w)
-        up_levels.append(level)
-        v = w
-    nodes = tuple(reversed(down_nodes)) + tuple(up_nodes)
+    def walk(up: bool, reach: list[bool], end: int) -> tuple[list[int], list[int]]:
+        """Greedy walk from the node to the end, along flips whose target reaches it."""
+        nodes = []
+        levels = []
+        v = node
+        while v != end:
+            v, level = next((w, level) for w, level in steps(v, up) if reach[w])
+            nodes.append(v)
+            levels.append(level)
+        return nodes, levels
+
+    down_nodes, down_levels = walk(False, reach_down, graph.min_id)
+    up_nodes, up_levels = walk(True, reach_up, graph.max_id)
+    nodes = tuple(reversed(down_nodes)) + (node,) + tuple(up_nodes)
     levels = tuple(reversed(down_levels)) + tuple(up_levels)
     return Chain(nodes, levels)
 

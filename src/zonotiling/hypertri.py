@@ -20,13 +20,8 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable
 
-from .core import Finding, PointConfig, mask_from, mask_points
-from .flipgraph import (
-    FlipGraph,
-    components_excluding_levels,
-    enumerate_tilings,
-    graph_diameter,
-)
+from .core import Finding, mask_from, mask_points
+from .flipgraph import FlipGraph, components_excluding_levels, graph_diameter
 from .secondary import (
     check_level,
     skeleton,
@@ -124,6 +119,15 @@ def cross_section(tiling: Tiling, k: int) -> MonotonePath:
     return _ordered_path(level_vertex_masks(tiling, k), k, tiling.n, reduced=False)
 
 
+def satisfies_triple_condition(path: MonotonePath) -> bool:
+    """Do all consecutive triples intersect in exactly k-2 points?"""
+    masks = path.vertex_masks()
+    return all(
+        (a & b & c).bit_count() == path.k - 2
+        for a, b, c in zip(masks, masks[1:], masks[2:])
+    )
+
+
 def reduced_cross_section(graph: FlipGraph, node: int, k: int) -> MonotonePath:
     """The reduced path at level k+1 shared by the node's k-class.
 
@@ -144,33 +148,18 @@ def reduced_cross_section(graph: FlipGraph, node: int, k: int) -> MonotonePath:
         path = _ordered_path(common, k + 1, graph.n, reduced=True)
     except (StrongSeparationError, ValueError) as exc:
         raise Finding(f"reduced path at level {k + 1} is malformed: {exc}") from exc
-    masks = path.vertex_masks()
-    for a, b, c in zip(masks, masks[1:], masks[2:]):
-        if (a & b & c).bit_count() != k - 1:
-            raise Finding(
-                f"reduced path triple {path.vertices} violates the "
-                f"intersection-size condition at level {k + 1}"
-            )
+    if not satisfies_triple_condition(path):
+        raise Finding(
+            f"reduced path triple {path.vertices} violates the "
+            f"intersection-size condition at level {k + 1}"
+        )
     return path
-
-
-def satisfies_triple_condition(path: MonotonePath) -> bool:
-    """Do all consecutive triples intersect in exactly k-2 points?"""
-    masks = path.vertex_masks()
-    return all(
-        (a & b & c).bit_count() == path.k - 2
-        for a, b, c in zip(masks, masks[1:], masks[2:])
-    )
 
 
 # ---------------------------------------------------------------------------
 # flip-graph diameters for lifting and reduced paths
 
-def hypertri_diameters(
-    config: PointConfig,
-    k: int,
-    graph: FlipGraph | None = None,
-) -> dict:
+def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     """Diameters over ALL tilings plus the structural cross-checks.
 
     Builds the simultaneous-(k-1,k) quotient (lifting paths at level k) and
@@ -182,10 +171,8 @@ def hypertri_diameters(
     is computed once; distinct classes must have distinct reduced paths, and
     a level-k flip between classes must change it.
     """
-    n = config.n
+    n = graph.n
     check_level(n, k)
-    if graph is None:
-        graph = enumerate_tilings(config)
     findings: list[str] = []
 
     lifting = skeleton(graph, k, "lifting_all")
@@ -249,7 +236,7 @@ def hypertri_diameters(
     return {
         "n": n,
         "k": k,
-        "points": [str(a) for a in config.coords],
+        "points": [str(a) for a in graph.config.coords],
         "lifting": {
             "classes": len(lifting),
             "diameter": lifting_diam,

@@ -27,12 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import Finding, PointConfig, format_rational
-from .flipgraph import (
-    FlipGraph,
-    components_excluding_levels,
-    enumerate_tilings,
-    graph_diameter,
-)
+from .flipgraph import FlipGraph, components_excluding_levels, graph_diameter
 from .tiling import Tiling
 
 
@@ -366,20 +361,12 @@ def check_level(n: int, k: int) -> None:
 
 
 def diameter_report(
-    config: PointConfig,
-    k: int,
-    graph: FlipGraph | None = None,
-    regular_nodes: frozenset[int] | None = None,
+    graph: FlipGraph, k: int, regular_nodes: frozenset[int]
 ) -> dict:
     """Everything measured about sigma_k and sigma_k + sigma_(k-1) at one k."""
+    config = graph.config
     n = config.n
     check_level(n, k)
-    if graph is None:
-        graph = enumerate_tilings(config)
-    if regular_nodes is None:
-        from .regularity import classify_graph, regular_node_set
-
-        regular_nodes = regular_node_set(classify_graph(config, graph))
 
     sk = skeleton(graph, k, "sigma_k", regular_nodes)
     sk_diam, _ = graph_diameter(sk.adj)

@@ -30,6 +30,7 @@ from .core import (
     PointConfig,
     as_heights,
     colex_pairs,
+    colex_triples,
     full_mask,
     mask_from,
     mask_points,
@@ -97,15 +98,7 @@ class Tiling:
 
     def vertex_masks(self) -> frozenset[int]:
         """All vertices of the tiling as subset masks: A <= S <= A|B per tile."""
-        verts = set()
-        for (i, j), mask in zip(colex_pairs(self.n), self.offsets):
-            bi = 1 << (i - 1)
-            bj = 1 << (j - 1)
-            verts.add(mask)
-            verts.add(mask | bi)
-            verts.add(mask | bj)
-            verts.add(mask | bi | bj)
-        return frozenset(verts)
+        return _vertex_set(zip(self.offsets, colex_pairs(self.n)))
 
     def to_json(self) -> dict:
         tiles = sorted(self.tiles(), key=lambda t: t.pair)
@@ -115,6 +108,20 @@ class Tiling:
     def from_json(cls, data: dict) -> "Tiling":
         tiles = [(t["A"], tuple(t["B"])) for t in data["tiles"]]
         return tiling_from_tiles(data["n"], tiles)
+
+
+def _vertex_set(tiles: Iterable[tuple[int, tuple[int, int]]]) -> frozenset[int]:
+    """Vertices of (offset mask, pair) tiles as subset masks: A <= S <= A|B."""
+    verts = set()
+    add = verts.add
+    for mask, (i, j) in tiles:
+        bi = 1 << (i - 1)
+        bj = 1 << (j - 1)
+        add(mask)
+        add(mask | bi)
+        add(mask | bj)
+        add(mask | bi | bj)
+    return frozenset(verts)
 
 
 def tiling_from_tiles(n: int, tiles: Iterable[tuple[Iterable[int], tuple[int, int]]]) -> Tiling:
@@ -221,13 +228,20 @@ def extremal_tiling(config: PointConfig, which: str) -> Tiling:
 
 def orientation_of(tiling: Tiling) -> OrientationVector:
     """Circuit signs read off the offsets: +1 iff q misses the {p, r} tile."""
-    from .core import colex_triples
-
     signs = []
     for p, q, r in colex_triples(tiling.n):
         mask = tiling.offset_mask(p, r)
         signs.append(-1 if (mask >> (q - 1)) & 1 else 1)
     return OrientationVector.from_signs(signs)
+
+
+def _circuit_witnesses(verts: frozenset[int], p: int, q: int, r: int) -> tuple[bool, bool]:
+    """Is some vertex a positive witness (p and r, not q), and some a negative one (q alone)?"""
+    bp, bq, br = 1 << (p - 1), 1 << (q - 1), 1 << (r - 1)
+    support = bp | bq | br
+    pos = any(v & support == bp | br for v in verts)
+    neg = any(v & support == bq for v in verts)
+    return pos, neg
 
 
 def orientation_by_vertices(tiling: Tiling) -> OrientationVector:
@@ -237,15 +251,10 @@ def orientation_by_vertices(tiling: Tiling) -> OrientationVector:
     q, negatively when it contains q but neither p nor r.  Exactly one kind
     of witness must occur per circuit; anything else marks a corrupt tiling.
     """
-    from .core import colex_triples
-
     verts = tiling.vertex_masks()
     signs = []
     for p, q, r in colex_triples(tiling.n):
-        bp, bq, br = 1 << (p - 1), 1 << (q - 1), 1 << (r - 1)
-        support = bp | bq | br
-        pos = any(v & support == bp | br for v in verts)
-        neg = any(v & support == bq for v in verts)
+        pos, neg = _circuit_witnesses(verts, p, q, r)
         if pos == neg:
             kind = "both" if pos else "no"
             raise ValueError(
@@ -283,8 +292,6 @@ def flip_along(tiling: Tiling, p: int, q: int, r: int) -> FlipMove | None:
 
 def available_flips(tiling: Tiling) -> list[FlipMove]:
     """All available flips, at most one per circuit, in colex circuit order."""
-    from .core import colex_triples
-
     moves = []
     for p, q, r in colex_triples(tiling.n):
         move = flip_along(tiling, p, q, r)
@@ -366,8 +373,6 @@ def validate(
     Accepts either a Tiling or a raw iterable of (offset, pair) items, so
     malformed tile multisets can be diagnosed instead of rejected upfront.
     """
-    from .core import colex_triples
-
     n = config.n
     if isinstance(tiling, Tiling):
         items = [
@@ -421,10 +426,7 @@ def validate(
         )
     )
 
-    verts = set()
-    for mask, (i, j) in items:
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        verts.update((mask, mask | bi, mask | bj, mask | bi | bj))
+    verts = _vertex_set(items)
     want = num_pairs(n) + n + 1
     checks.append(
         CheckResult(
@@ -436,10 +438,7 @@ def validate(
 
     bad_circuits = []
     for p, q, r in colex_triples(n):
-        bp, bq, br = 1 << (p - 1), 1 << (q - 1), 1 << (r - 1)
-        support = bp | bq | br
-        pos = any(v & support == bp | br for v in verts)
-        neg = any(v & support == bq for v in verts)
+        pos, neg = _circuit_witnesses(verts, p, q, r)
         if pos == neg:
             bad_circuits.append((p, q, r))
     checks.append(

@@ -82,10 +82,9 @@ def test_c02_sum_skeleton_diameter_theorem(graphs, regulars):
 def test_c03_hypertriangulation_diameters(graphs):
     ok = True
     for n in (4, 5, 6):
-        cfg = standard_config(n)
         g = graphs(n)
         for k in range(1, n - 1):
-            rec = hypertri_diameters(cfg, k, graph=g)
+            rec = hypertri_diameters(g, k)
             ok = ok and rec["lifting"]["match"] and rec["reduced"]["match"]
     report(3, "lifting and reduced path-graph diameters over all tilings", ok)
 
@@ -155,7 +154,7 @@ def test_c07_regular_chain_lemma(graphs, regulars):
         ok = ok and set(chain.nodes) <= regs
 
     induced = [
-        [w for w, _level, _r in g.adj[v] if w in regs] if v in regs else []
+        [w for w in g.adj[v] if w in regs] if v in regs else []
         for v in range(len(g))
     ]
     from_min = bfs_distances(induced, g.min_id)

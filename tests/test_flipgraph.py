@@ -20,11 +20,13 @@ from zonotiling import (
     standard_config,
 )
 from zonotiling import flipgraph
+from zonotiling.core import colex_triples
 from zonotiling.flipgraph import (
     EnumerationCapError,
     bfs_distances,
     components_excluding_levels,
 )
+from zonotiling.tiling import flip_along
 
 
 def reference_diameter(adj):
@@ -79,10 +81,35 @@ def test_edges_symmetric_with_complementary_directions(graphs):
     g = graphs(5)
     directed = {}
     for u, nbrs in enumerate(g.adj):
-        for v, level, raising in nbrs:
-            directed[(u, v)] = (level, raising)
+        assert len(g.levels[u]) == len(nbrs)
+        for v, level in zip(nbrs, g.levels[u]):
+            directed[(u, v)] = (level, g.keys[v] > g.keys[u])
     for (u, v), (level, raising) in directed.items():
         assert directed[(v, u)] == (level, not raising)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [None, ["0", "1/2", "2", "7/3", "5", "11/2"]],
+    ids=["standard", "rational"],
+)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_edges_agree_with_flip_along(points, n):
+    # every stored edge against the tile-based flip it must come from:
+    # one key bit apart, with the level and direction of that circuit's flip
+    config = standard_config(n) if points is None else make_config(points[:n])
+    g = enumerate_tilings(config)
+    triples = colex_triples(n)
+    for u, nbrs in enumerate(g.adj):
+        for v, level in zip(nbrs, g.levels[u]):
+            bit = g.keys[u] ^ g.keys[v]
+            assert bit.bit_count() == 1
+            move = flip_along(g.nodes[u], *triples[bit.bit_length() - 1])
+            assert move is not None
+            assert move.level == level
+            assert move.raising == (g.keys[v] > g.keys[u])
+    ranks = [key.bit_count() for key in g.keys]
+    assert ranks == sorted(ranks)
 
 
 def test_deterministic_node_numbering():
@@ -90,6 +117,7 @@ def test_deterministic_node_numbering():
     b = enumerate_tilings(standard_config(5))
     assert a.keys == b.keys
     assert a.adj == b.adj
+    assert a.levels == b.levels
 
 
 def test_non_integer_coordinates_same_graph_size(graphs):
@@ -115,8 +143,8 @@ class TestDistance:
         # dist(min, T) + dist(T, max) = C(n,3): the flip graph is graded
         for n in (4, 5, 6):
             g = graphs(n)
-            from_min = bfs_distances(g.simple_adjacency(), g.min_id)
-            from_max = bfs_distances(g.simple_adjacency(), g.max_id)
+            from_min = bfs_distances(g.adj, g.min_id)
+            from_max = bfs_distances(g.adj, g.max_id)
             for v in range(len(g)):
                 assert from_min[v] == g.keys[v].bit_count()
                 assert from_min[v] + from_max[v] == comb(n, 3)
@@ -132,7 +160,7 @@ class TestDiameter:
         assert graph_diameter(adj) == (m, (0, m))
 
     def test_full_graph_n4(self, graphs):
-        value, (u, v) = graph_diameter(graphs(4).simple_adjacency())
+        value, (u, v) = graph_diameter(graphs(4).adj)
         assert value == 4
 
     def test_disconnected_rejected(self):
@@ -148,7 +176,7 @@ class TestDiameter:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_skeletons_match_reference(self, graphs, regulars, n):
         g = graphs(n)
-        adj = g.simple_adjacency()
+        adj = g.adj
         assert graph_diameter(adj) == reference_diameter(adj)
         for k in range(1, n - 1):
             for mode in ("sigma_k", "sigma_k_plus_prev", "lifting_all", "reduced_all"):
@@ -159,7 +187,7 @@ class TestDiameter:
     def test_source_batches_match_reference(self, graphs, monkeypatch, batch):
         monkeypatch.setattr(flipgraph, "_SOURCE_BATCH", batch)
         rng = random.Random(batch)
-        samples = [graphs(4).simple_adjacency(), graphs(5).simple_adjacency()]
+        samples = [graphs(4).adj, graphs(5).adj]
         samples += [random_connected_graph(rng, rng.randint(1, 30)) for _ in range(50)]
         for adj in samples:
             assert graph_diameter(adj) == reference_diameter(adj)
@@ -204,7 +232,11 @@ class TestChains:
         complete = 0
         while stack:
             node, levels = stack.pop()
-            raising = [(v, level) for v, level, r in g.adj[node] if r]
+            raising = [
+                (v, level)
+                for v, level in zip(g.adj[node], g.levels[node])
+                if g.keys[v] > g.keys[node]
+            ]
             if not raising:
                 assert node == g.max_id
                 assert len(levels) == 4
@@ -234,8 +266,8 @@ class TestChains:
                     continue
                 steps = [
                     (lo[w] + (level == k), hi[w] + (level == k))
-                    for w, level, r in g.adj[v]
-                    if not r and lo[w] is not None
+                    for w, level in zip(g.adj[v], g.levels[v])
+                    if g.keys[w] < g.keys[v] and lo[w] is not None
                 ]
                 lo[v] = min(s[0] for s in steps)
                 hi[v] = max(s[1] for s in steps)
@@ -293,7 +325,7 @@ class TestComponents:
             stack = [start]
             while stack:
                 u = stack.pop()
-                for v, level, _r in g.adj[u]:
+                for v, level in zip(g.adj[u], g.levels[u]):
                     if level != k and v in allowed and expected[v] < 0:
                         expected[v] = start
                         stack.append(v)

@@ -9,7 +9,6 @@ from zonotiling import (
     hypertri_diameters,
     make_config,
     reduced_cross_section,
-    standard_config,
     strongly_separated,
 )
 from zonotiling import hypertri
@@ -182,7 +181,7 @@ class TestReducedPaths:
                 lower = level_vertex_masks(g.nodes[u], k)
                 seen[c] = seen.get(c, frozenset()) | upper
                 level_k_meet[c] = level_k_meet.get(c, lower) & lower
-                for w, level, _r in g.adj[u]:
+                for w, level in zip(g.adj[u], g.levels[u]):
                     if level != k:
                         toggled[c] = toggled.get(c, frozenset()) | (
                             upper ^ level_vertex_masks(g.nodes[w], k + 1)
@@ -212,10 +211,9 @@ class TestReducedPaths:
 class TestHypertriDiameters:
     @pytest.mark.parametrize("n", [4, 5])
     def test_full_records(self, graphs, n):
-        cfg = standard_config(n)
         g = graphs(n)
         for k in range(1, n - 1):
-            rec = hypertri_diameters(cfg, k, graph=g)
+            rec = hypertri_diameters(g, k)
             assert rec["lifting"]["match"], rec
             assert rec["reduced"]["match"], rec
             assert rec["lifting"]["formula"] == 2 * k * (n - k) - n
@@ -237,7 +235,7 @@ class TestHypertriDiameters:
     @pytest.mark.parametrize("k", [-1, 0, 4, 5])
     def test_level_out_of_range(self, graphs, k):
         with pytest.raises(ValueError, match=r"outside 1\.\.3"):
-            hypertri_diameters(standard_config(5), k, graph=graphs(5))
+            hypertri_diameters(graphs(5), k)
 
     def test_reads_each_slice_once(self, graphs, monkeypatch):
         g = graphs(5)
@@ -261,7 +259,7 @@ class TestHypertriDiameters:
         monkeypatch.setattr(hypertri, "level_vertex_masks", counted_slice)
         monkeypatch.setattr(hypertri, "cross_section", counted_cross)
         monkeypatch.setattr(hypertri, "reduced_cross_section", counted_reduced)
-        rec = hypertri_diameters(standard_config(5), k, graph=g)
+        rec = hypertri_diameters(g, k)
         assert rec["findings"] == []
         assert calls == {"slice": len(g), "cross": 0, "reduced": rec["reduced"]["classes"]}
 
@@ -290,7 +288,7 @@ class TestLiftingQuotientCheck:
         bad = frozenset({mask_from({1, 3}), mask_from({2, 4})})
         _replace_slices(monkeypatch, g, self.K, {7: bad})
         with pytest.raises(StrongSeparationError):
-            hypertri_diameters(standard_config(5), self.K, graph=g)
+            hypertri_diameters(g, self.K)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_swapped_slices_split_a_class(self, graphs, monkeypatch, k):
@@ -307,7 +305,7 @@ class TestLiftingQuotientCheck:
             k,
             {a: level_vertex_masks(g.nodes[b], k), b: level_vertex_masks(g.nodes[a], k)},
         )
-        rec = hypertri_diameters(standard_config(5), k, graph=g)
+        rec = hypertri_diameters(g, k)
         assert rec["path_quotient_equal"] is False
         assert "equal-path grouping differs from the simultaneous quotient" in rec["findings"]
 
@@ -318,6 +316,6 @@ class TestLiftingQuotientCheck:
         first, second = skeleton(g, k, "lifting_all").classes[:2]
         shared = level_vertex_masks(g.nodes[second[0]], k)
         _replace_slices(monkeypatch, g, k, {v: shared for v in first})
-        rec = hypertri_diameters(standard_config(5), k, graph=g)
+        rec = hypertri_diameters(g, k)
         assert rec["path_quotient_equal"] is False
         assert "equal-path grouping differs from the simultaneous quotient" in rec["findings"]

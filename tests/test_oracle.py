@@ -1,6 +1,8 @@
 import pytest
 
+from zonotiling import oracle
 from zonotiling.oracle import (
+    ORACLE_MAX_N,
     apply_word,
     commutation_census,
     reduced_word_count_formula,
@@ -35,6 +37,17 @@ def test_commutation_class_counts(n, classes):
 def test_rejects_tiny_n():
     with pytest.raises(ValueError):
         commutation_census(1)
+
+
+def test_refuses_above_the_limit_before_building_a_word(monkeypatch):
+    # n = 7 would close over every one of 1,100,742,656 reduced words
+    def no_words(n):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(oracle, "staircase_word", no_words)
+    assert ORACLE_MAX_N == 6
+    with pytest.raises(ValueError, match=r"limit 6: .* 1,100,742,656 reduced words"):
+        commutation_census(7)
 
 
 @pytest.mark.slow

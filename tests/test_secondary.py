@@ -204,8 +204,7 @@ class TestPotential:
 
 class TestDiameterReport:
     def test_n5_k1_record(self, graphs, regulars):
-        cfg = standard_config(5)
-        rep = diameter_report(cfg, 1, graph=graphs(5), regular_nodes=regulars(5))
+        rep = diameter_report(graphs(5), 1, regulars(5))
         assert rep["sigma_k"] == {
             "classes": 8,
             "diameter": 3,
@@ -218,8 +217,7 @@ class TestDiameterReport:
         assert rep["potential_min_to_max"]["match_shifted"]
 
     def test_n6_k2_diameter(self, graphs, regulars):
-        cfg = standard_config(6)
-        rep = diameter_report(cfg, 2, graph=graphs(6), regular_nodes=regulars(6))
+        rep = diameter_report(graphs(6), 2, regulars(6))
         assert rep["sigma_k"]["diameter"] == 6 == rep["sigma_k"]["formula"]
         assert rep["sigma_k_plus_prev"]["diameter"] == 10
 
@@ -234,15 +232,13 @@ class TestDiameterReport:
         # the report shares its sigma_k skeleton with the duality comparison
         for n in (5, 6):
             for k in range(1, n - 1):
-                rep = diameter_report(
-                    standard_config(n), k, graph=graphs(n), regular_nodes=regulars(n)
-                )
+                rep = diameter_report(graphs(n), k, regulars(n))
                 assert rep["duality"] == duality_check(graphs(n), k, regulars(n))
 
     @pytest.mark.parametrize("k", [-1, 0, 4, 5])
     def test_level_out_of_range(self, graphs, regulars, k):
         with pytest.raises(ValueError, match=r"outside 1\.\.3"):
-            diameter_report(standard_config(5), k, graph=graphs(5), regular_nodes=regulars(5))
+            diameter_report(graphs(5), k, regulars(5))
 
     def test_opposite_node_key_complement(self, graphs):
         g = graphs(5)
