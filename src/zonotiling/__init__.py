@@ -80,6 +80,7 @@ from .tiling import (
     orientation_of,
     tiling_from_heights,
     tiling_from_tiles,
+    tiling_of_orientation,
     tiling_to_svg,
     validate,
 )

@@ -29,8 +29,8 @@ from .flipgraph import (
 from .hypertri import cross_section, hypertri_diameters, reduced_cross_section
 from .oracle import commutation_census
 from .regularity import classify_graph, regular_node_set
-from .secondary import check_level, diameter_report, potential, modified_potential
-from .tiling import tiling_to_svg
+from .secondary import check_level, diameter_report, modified_potential, potential, skeleton
+from .tiling import extremal_tiling, tiling_to_svg
 
 
 @dataclass
@@ -184,8 +184,6 @@ def cmd_diameters(ns: argparse.Namespace) -> int:
                 run.finding(f"k={k}: {label} check failed")
     _write(run, f"diameters_n{run.config.n}.json", _header(run) | {"reports": records})
     if run.fmt == "dot":
-        from .secondary import skeleton
-
         for k in ks:
             sk = skeleton(graph, k, "sigma_k", regs)
             _write(run, f"sigma_{k}_n{run.config.n}.dot", sk.to_dot(f"sigma_{k}"))
@@ -219,7 +217,7 @@ def cmd_hypertri(ns: argparse.Namespace) -> int:
 
     fixtures = {}
     if run.config.n == 4:
-        paths = {cross_section(t, 2).vertices for t in graph.nodes}
+        paths = {cross_section(t, 2).vertices for t in map(graph.tiling, range(len(graph)))}
         fixtures["nonlifting_path_absent"] = (
             (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)
         ) not in paths
@@ -229,7 +227,7 @@ def cmd_hypertri(ns: argparse.Namespace) -> int:
         nodes = [
             v
             for v in range(len(graph))
-            if cross_section(graph.nodes[v], 2).vertices == target
+            if cross_section(graph.tiling(v), 2).vertices == target
         ]
         if nodes:
             reduced_path = reduced_cross_section(graph, nodes[0], 1)
@@ -313,15 +311,13 @@ def cmd_chains(ns: argparse.Namespace) -> int:
 def cmd_render(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     if ns.tiling in ("min", "max"):
-        from .tiling import extremal_tiling
-
         tiling = extremal_tiling(run.config, ns.tiling)
         label = ns.tiling
     else:
         graph = _graph(run)
         node = int(ns.tiling)
         _check_node(graph, node)
-        tiling = graph.nodes[node]
+        tiling = graph.tiling(node)
         label = ns.tiling
     svg = tiling_to_svg(run.config, tiling)
     if run.out is None:

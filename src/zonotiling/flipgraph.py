@@ -1,10 +1,13 @@
 """Exhaustive flip-graph enumeration, distances, diameters, and chains.
 
-Nodes are tilings keyed by their orientation bitvector (tilings inject into
-orientation vectors, and a flip toggles exactly one bit, so neighbour keys
-come from a single XOR).  Enumeration is breadth-first from the minimal
-tiling with every layer processed in sorted key order, which makes node ids
-stable across runs.
+A node is stored only as its tiling's orientation bitvector, its key
+(tilings inject into orientation vectors, and a flip toggles exactly one
+bit, so neighbour keys come from a single XOR).  ``FlipGraph.tiling(v)``
+derives the Tiling from the key on demand: the flip along (p, q, r) toggles
+q in the {p, r} offset, p in {q, r} and r in {p, q}, so the offsets are the
+minimal tiling's XOR one such toggle per set bit.  Enumeration is
+breadth-first from the minimal tiling, key 0, with every layer processed in
+sorted key order, which makes node ids stable across runs.
 
 A raising edge adds one inversion (one circuit toggled from +1 to -1), so
 it runs toward the larger key, node ids are in inversion-count order, and
@@ -25,7 +28,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .core import Finding, PointConfig, full_mask, num_triples, triple_rank
-from .tiling import Tiling, apply_flip, available_flips, extremal_tiling, orientation_of
+from .tiling import Tiling, available_flips, tiling_of_orientation
 
 
 class EnumerationCapError(ValueError):
@@ -37,8 +40,7 @@ class FlipGraph:
     """The graph of all fine tilings with level-labelled flip edges."""
 
     config: PointConfig
-    nodes: list[Tiling]
-    keys: list[int]
+    keys: list[int]  # orientation key of each node
     index: dict[int, int]
     adj: list[list[int]]  # neighbour ids
     levels: list[bytes]  # levels[u][i] is the flip level of the edge to adj[u][i]
@@ -49,7 +51,11 @@ class FlipGraph:
         return self.config.n
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.keys)
+
+    def tiling(self, node: int) -> Tiling:
+        """The node's tiling, rebuilt from its orientation key."""
+        return tiling_of_orientation(self.n, self.keys[node])
 
     @property
     def min_id(self) -> int:
@@ -81,34 +87,30 @@ def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
         raise EnumerationCapError(
             f"n={config.n} exceeds the enumeration cap {cap}"
         )
-    start = extremal_tiling(config, "min")
-    start_key = orientation_of(start).bits
-    nodes = [start]
-    keys = [start_key]
-    index = {start_key: 0}
+    n = config.n
+    keys = [0]  # the minimal tiling orients every circuit +1
+    index = {0: 0}
     adj: list[list[int]] = [[]]
     levels: list[bytes] = [b""]
 
     frontier = [0]
     while frontier:
         pending: list[tuple[int, list[int]]] = []  # (u, neighbour keys)
-        discovered: dict[int, Tiling] = {}
+        discovered: set[int] = set()
         for u in frontier:
-            tiling = nodes[u]
             ukey = keys[u]
-            moves = available_flips(tiling)
+            moves = available_flips(tiling_of_orientation(n, ukey))
             vkeys = [ukey ^ (1 << triple_rank(*move.triple)) for move in moves]
-            for move, vkey in zip(moves, vkeys):
-                if vkey not in index and vkey not in discovered:
-                    discovered[vkey] = apply_flip(tiling, move)
+            for vkey in vkeys:
+                if vkey not in index:
+                    discovered.add(vkey)
             pending.append((u, vkeys))
             levels[u] = bytes(move.level for move in moves)
         next_frontier = []
         for vkey in sorted(discovered):
-            vid = len(nodes)
+            vid = len(keys)
             index[vkey] = vid
             keys.append(vkey)
-            nodes.append(discovered[vkey])
             adj.append([])
             levels.append(b"")
             next_frontier.append(vid)
@@ -116,7 +118,7 @@ def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
             adj[u] = [index[vkey] for vkey in vkeys]
         frontier = next_frontier
 
-    return FlipGraph(config, nodes, keys, index, adj, levels)
+    return FlipGraph(config, keys, index, adj, levels)
 
 
 # ---------------------------------------------------------------------------

@@ -140,10 +140,10 @@ def reduced_cross_section(graph: FlipGraph, node: int, k: int) -> MonotonePath:
     """
     labels = components_excluding_levels(graph, {k})
     root = labels[node]  # the smallest member of the node's class
-    common = level_vertex_masks(graph.nodes[root], k + 1)
+    common = level_vertex_masks(graph.tiling(root), k + 1)
     for v in range(root + 1, len(labels)):
         if labels[v] == root:
-            common &= level_vertex_masks(graph.nodes[v], k + 1)
+            common &= level_vertex_masks(graph.tiling(v), k + 1)
     try:
         path = _ordered_path(common, k + 1, graph.n, reduced=True)
     except (StrongSeparationError, ValueError) as exc:
@@ -186,7 +186,7 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     # the lifting classes cover every node, so they equal the groups of
     # equal slices when the slice is constant on each class and there are
     # as many distinct slices as classes
-    slices = [level_vertex_masks(t, k) for t in graph.nodes]
+    slices = [level_vertex_masks(t, k) for t in map(graph.tiling, range(len(graph)))]
     distinct = dict.fromkeys(slices)  # first-seen order, for a stable error
     for s in distinct:
         _ordered_path(s, k, n, reduced=False)

@@ -242,7 +242,7 @@ def classify_orientation(
 
 def classify_graph(config: PointConfig, graph) -> tuple[RegularityCertificate, ...]:
     """Certificates for every node of an enumerated flip graph."""
-    return tuple(classify(config, tiling) for tiling in graph.nodes)
+    return tuple(classify(config, tiling) for tiling in map(graph.tiling, range(len(graph))))
 
 
 def regular_node_set(certs: Sequence[RegularityCertificate]) -> frozenset[int]:

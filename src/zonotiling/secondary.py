@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Finding, PointConfig, format_rational
+from .core import Finding, PointConfig, colex_pairs, format_rational, mask_points
 from .flipgraph import FlipGraph, components_excluding_levels, graph_diameter
 from .tiling import Tiling
 
@@ -34,8 +34,6 @@ from .tiling import Tiling
 def vert_k(config: PointConfig, tiling: Tiling, k: int) -> tuple[Fraction, ...]:
     """Sum of tile area times offset indicator over offset-size-k tiles."""
     out = [Fraction(0)] * config.n
-    from .core import colex_pairs, mask_points
-
     for (i, j), mask in zip(colex_pairs(tiling.n), tiling.offsets):
         if mask.bit_count() != k:
             continue
@@ -232,7 +230,7 @@ def _signed_count(
 def _potential_report(
     graph: FlipGraph, reference: int, k: int, thresholds: str, modified: bool
 ) -> PotentialReport:
-    sides = [_side_masks(t, k, thresholds) for t in graph.nodes]
+    sides = [_side_masks(t, k, thresholds) for t in map(graph.tiling, range(len(graph)))]
     values = tuple(_signed_count(sides[reference], s, modified) for s in sides)
     by_level: dict[int, int] = {}
     overall = 0
@@ -272,8 +270,8 @@ def potential_between(
 ) -> int:
     """Level-k potential of one node against the reference tiling."""
     return _signed_count(
-        _side_masks(graph.nodes[reference], k, thresholds),
-        _side_masks(graph.nodes[node], k, thresholds),
+        _side_masks(graph.tiling(reference), k, thresholds),
+        _side_masks(graph.tiling(node), k, thresholds),
         modified=False,
     )
 
@@ -381,7 +379,7 @@ def diameter_report(
     values = {}
     constant_on_classes = True
     for members in sk.classes:
-        vals = {vert_k(config, graph.nodes[v], k) for v in members}
+        vals = {vert_k(config, graph.tiling(v), k) for v in members}
         if len(vals) != 1:
             constant_on_classes = False
         values[members[0]] = vals.pop()

@@ -13,6 +13,11 @@ circuit +1; the maximal tiling (concave heights, census n-1-ell) orients
 every circuit -1.  A *raising* flip toggles one circuit from +1 to -1, i.e.
 walks from the minimal toward the maximal tiling and increases the
 inversion count of the orientation vector by one.
+
+A tiling is fixed by its orientation key.  Whatever its offset A, the flip
+along (p, q, r) toggles q in the {p, r} offset, p in the {q, r} offset and r
+in the {p, q} offset, so ``tiling_of_orientation`` rebuilds the offsets as
+the minimal tiling's XOR that toggle for every set bit of the key.
 """
 
 from __future__ import annotations
@@ -235,6 +240,56 @@ def orientation_of(tiling: Tiling) -> OrientationVector:
     return OrientationVector.from_signs(signs)
 
 
+@lru_cache(maxsize=None)
+def _toggle_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...], int, int]:
+    """Packed offsets of the minimal tiling, and per key byte the XOR of its bits' toggles.
+
+    Offsets are packed little-endian, ``width`` bytes per pair in colex
+    order.  The minimal tiling gives the pair (i, j) the offset [n] \\ [i..j].
+    """
+    width = (n + 7) // 8
+    shift = 8 * width
+    packed = 0
+    for rank, (i, j) in enumerate(colex_pairs(n)):
+        packed |= (full_mask(n) ^ full_mask(j) ^ full_mask(i - 1)) << (shift * rank)
+    toggles = [
+        (1 << (q - 1) << (shift * pair_rank(p, r)))
+        | (1 << (p - 1) << (shift * pair_rank(q, r)))
+        | (1 << (r - 1) << (shift * pair_rank(p, q)))
+        for p, q, r in colex_triples(n)
+    ]
+    tables = []
+    for first in range(0, len(toggles), 8):
+        chunk = toggles[first:first + 8]
+        table = [0] * (1 << len(chunk))
+        for byte in range(1, len(table)):
+            low = byte & -byte
+            table[byte] = table[byte ^ low] ^ chunk[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return packed, tuple(tables), width, len(toggles)
+
+
+def tiling_of_orientation(n: int, bits: int) -> Tiling:
+    """The tiling with orientation key ``bits``: the inverse of orientation_of.
+
+    Starts from the minimal tiling (key 0) and XORs in, a key byte at a
+    time, the offset toggles of every set bit.  A key that orients no tiling
+    yields offsets that ``validate`` rejects.
+    """
+    packed, tables, width, count = _toggle_tables(n)
+    if bits < 0 or bits >> count:
+        raise ValueError(f"key {bits:#x} does not fit {count} circuits")
+    for table in tables:
+        packed ^= table[bits & 255]
+        bits >>= 8
+    raw = packed.to_bytes(width * num_pairs(n), "little")
+    if width == 1:  # n <= 8: one byte per offset
+        return Tiling(n, tuple(raw))
+    return Tiling(
+        n, tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
+    )
+
+
 def _circuit_witnesses(verts: frozenset[int], p: int, q: int, r: int) -> tuple[bool, bool]:
     """Is some vertex a positive witness (p and r, not q), and some a negative one (q alone)?"""
     bp, bq, br = 1 << (p - 1), 1 << (q - 1), 1 << (r - 1)
@@ -385,6 +440,9 @@ def validate(
         ]
     checks = []
 
+    # a pair outside 1 <= i < j <= n fails here and sits out the other checks
+    outside = [pair for _, pair in items if not 1 <= pair[0] < pair[1] <= n]
+    items = [(mask, pair) for mask, pair in items if 1 <= pair[0] < pair[1] <= n]
     seen: dict[tuple[int, int], int] = {}
     dups = []
     for _, pair in items:
@@ -392,14 +450,20 @@ def validate(
         if seen[pair] == 2:
             dups.append(pair)
     missing = [pair for pair in colex_pairs(n) if pair not in seen]
-    ok = not dups and not missing and len(items) == num_pairs(n)
+    problems = [
+        f"{label} {pairs}"
+        for label, pairs in (
+            ("duplicated", dups),
+            ("missing", missing),
+            (f"outside 1 <= i < j <= {n}:", outside),
+        )
+        if pairs
+    ]
     checks.append(
         CheckResult(
             "pair-uniqueness",
-            ok,
-            "each basis pair occurs exactly once"
-            if ok
-            else f"duplicated {dups}, missing {missing}",
+            not problems,
+            "; ".join(problems) or "each basis pair occurs exactly once",
         )
     )
 

@@ -184,13 +184,13 @@ def test_c08_regularity_soundness():
 def test_c09_strong_separation_and_lifting_fixtures(graphs):
     separated_ok = True
     for n in (2, 3, 4, 5):
-        for t in graphs(n).nodes:
+        for t in map(graphs(n).tiling, range(len(graphs(n)))):
             verts = sorted(t.vertex_masks())
             for i, a in enumerate(verts):
                 for b in verts[i + 1 :]:
                     separated_ok = separated_ok and strongly_separated(a, b)
 
-    paths4 = {cross_section(t, 2).vertices for t in graphs(4).nodes}
+    paths4 = {cross_section(t, 2).vertices for t in map(graphs(4).tiling, range(len(graphs(4))))}
     nonlifting_absent = ((1, 2), (1, 3), (1, 4), (2, 4), (3, 4)) not in paths4
     lifting_present = ((1, 2), (1, 3), (1, 4), (3, 4)) in paths4
 
@@ -198,7 +198,7 @@ def test_c09_strong_separation_and_lifting_fixtures(graphs):
     g = enumerate_tilings(cfg)
     target = ((1, 2), (1, 3), (3, 4), (3, 5), (4, 5))
     nodes = [
-        v for v in range(len(g)) if cross_section(g.nodes[v], 2).vertices == target
+        v for v in range(len(g)) if cross_section(g.tiling(v), 2).vertices == target
     ]
     slice_occurs = bool(nodes)
 
@@ -260,7 +260,7 @@ def test_c11_opposite_pair_at_distance_one(graphs, regulars):
 def test_c12_vert_k_transport_and_distinctness(graphs, regulars):
     cfg = standard_config(5)
     g = graphs(5)
-    vecs = {k: [vert_k(cfg, t, k) for t in g.nodes] for k in range(1, 4)}
+    vecs = {k: [vert_k(cfg, t, k) for t in map(g.tiling, range(len(g)))] for k in range(1, 4)}
     ok = True
     for u, v, level in g.undirected_edges():
         for k in range(1, 4):

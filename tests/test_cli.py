@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -210,3 +211,21 @@ def test_reproduce_theorems_end_to_end(tmp_path):
         "chains_n5.json", "potential_n5_ref0.json", "oracle_n5.json",
     ]
     assert all((tmp_path / "n5" / name).is_file() for name in names)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_artifacts_match_recorded_digests(tmp_path, n):
+    # the scripts/reproduce_theorems.py stages on a_i = i, byte for byte
+    # against perfbench/reference.json (oracle-count has no recorded digest)
+    root = Path(__file__).resolve().parents[1]
+    recorded = json.loads((root / "perfbench" / "reference.json").read_text())[str(n)]
+    base = [f"--points={','.join(map(str, range(1, n + 1)))}", "--out", str(tmp_path), "--strict"]
+    stages = [["enumerate"], ["classify"], ["diameters", "--all"]]
+    stages += [["hypertri", "--k", str(k)] for k in range(1, n - 1)]
+    stages += [["chains", "--samples", "200", "--seed", "0"], ["potential", "--ref", "0", "--all"]]
+    for stage in stages:
+        assert run(stage + base) == 0, stage
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+    }
+    assert digests == {name: d["sha256"] for name, d in recorded["artifacts"].items()}

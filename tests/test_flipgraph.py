@@ -26,7 +26,13 @@ from zonotiling.flipgraph import (
     bfs_distances,
     components_excluding_levels,
 )
-from zonotiling.tiling import flip_along
+from zonotiling.tiling import (
+    apply_flip,
+    available_flips,
+    extremal_tiling,
+    flip_along,
+    tiling_of_orientation,
+)
 
 
 def reference_diameter(adj):
@@ -74,7 +80,7 @@ def test_keys_match_orientations_and_min_max(graphs):
     assert g.keys[0] == 0
     assert g.keys[g.max_id] == (1 << 10) - 1
     for v in (0, 5, 30, 61):
-        assert orientation_of(g.nodes[v]).bits == g.keys[v]
+        assert orientation_of(g.tiling(v)).bits == g.keys[v]
 
 
 def test_edges_symmetric_with_complementary_directions(graphs):
@@ -104,12 +110,64 @@ def test_edges_agree_with_flip_along(points, n):
         for v, level in zip(nbrs, g.levels[u]):
             bit = g.keys[u] ^ g.keys[v]
             assert bit.bit_count() == 1
-            move = flip_along(g.nodes[u], *triples[bit.bit_length() - 1])
+            move = flip_along(g.tiling(u), *triples[bit.bit_length() - 1])
             assert move is not None
             assert move.level == level
             assert move.raising == (g.keys[v] > g.keys[u])
     ranks = [key.bit_count() for key in g.keys]
     assert ranks == sorted(ranks)
+
+
+def tile_route_graph(config):
+    """Breadth-first search over Tilings with available_flips and apply_flip.
+
+    Layers are numbered in sorted key order and neighbours listed in flip
+    order, as enumerate_tilings promises.  Returns keys, adj, levels and
+    the Tiling of every node.
+    """
+    start = extremal_tiling(config, "min")
+    tilings = {orientation_of(start).bits: start}
+    out = {}  # key -> [(neighbour key, level)]
+    order = []
+    layer = list(tilings)
+    while layer:
+        order += layer
+        found = {}
+        for key in layer:
+            tiling = tilings[key]
+            out[key] = []
+            for move in available_flips(tiling):
+                nxt = apply_flip(tiling, move)
+                nkey = orientation_of(nxt).bits
+                out[key].append((nkey, move.level))
+                if nkey not in tilings:
+                    found[nkey] = nxt
+        tilings.update(found)
+        layer = sorted(found)
+    index = {key: v for v, key in enumerate(order)}
+    adj = [[index[nkey] for nkey, _ in out[key]] for key in order]
+    levels = [bytes(level for _, level in out[key]) for key in order]
+    return order, adj, levels, [tilings[key] for key in order]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [None, ["0", "1/2", "2", "7/3", "5", "11/2"]],
+    ids=["standard", "rational"],
+)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_key_view_matches_tile_route(points, n):
+    config = standard_config(n) if points is None else make_config(points[:n])
+    g = enumerate_tilings(config)
+    keys, adj, levels, tilings = tile_route_graph(config)
+    assert g.keys == keys
+    assert g.adj == adj
+    assert g.levels == levels
+    assert [g.tiling(v) for v in range(len(g))] == tilings
+    assert g.tiling(0) == extremal_tiling(config, "min")
+    assert g.tiling(g.max_id) == extremal_tiling(config, "max")
+    for key in keys:
+        assert orientation_of(tiling_of_orientation(n, key)).bits == key
 
 
 def test_deterministic_node_numbering():

@@ -20,7 +20,7 @@ from zonotiling.hypertri import (
 )
 from zonotiling.flipgraph import components_excluding_levels
 from zonotiling.secondary import skeleton
-from zonotiling.tiling import Tiling
+from zonotiling.tiling import Tiling, orientation_of
 
 
 small_sets = st.frozensets(st.integers(1, 8), max_size=5)
@@ -58,27 +58,27 @@ class TestStrongSeparation:
 
 class TestCrossSection:
     def test_trivial_levels(self, graphs):
-        t = graphs(4).nodes[5]
+        t = graphs(4).tiling(5)
         assert cross_section(t, 0).vertices == ((),)
         assert cross_section(t, 4).vertices == ((1, 2, 3, 4),)
 
     def test_level_out_of_range(self, graphs):
         with pytest.raises(ValueError):
-            cross_section(graphs(4).nodes[0], 5)
+            cross_section(graphs(4).tiling(0), 5)
 
     def test_lifting_fixture_present_n4(self, graphs):
-        paths = {cross_section(t, 2).vertices for t in graphs(4).nodes}
+        paths = {cross_section(t, 2).vertices for t in map(graphs(4).tiling, range(len(graphs(4))))}
         assert ((1, 2), (1, 3), (1, 4), (3, 4)) in paths
 
     def test_non_lifting_path_never_occurs_n4(self, graphs):
         # {1,3} and {2,4} are not strongly separated, so this monotone path
         # cannot be a slice of any tiling
-        paths = {cross_section(t, 2).vertices for t in graphs(4).nodes}
+        paths = {cross_section(t, 2).vertices for t in map(graphs(4).tiling, range(len(graphs(4))))}
         assert ((1, 2), (1, 3), (1, 4), (2, 4), (3, 4)) not in paths
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_paths_well_formed_everywhere(self, graphs, n):
-        for t in graphs(n).nodes:
+        for t in map(graphs(n).tiling, range(len(graphs(n)))):
             total = 0
             for k in range(n + 1):
                 path = cross_section(t, k)
@@ -95,7 +95,7 @@ class TestCrossSection:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_vertex_sets_pairwise_separated(self, graphs, n):
-        for t in graphs(n).nodes:
+        for t in map(graphs(n).tiling, range(len(graphs(n)))):
             verts = sorted(t.vertex_masks())
             for i, a in enumerate(verts):
                 for b in verts[i + 1 :]:
@@ -124,7 +124,7 @@ class TestReducedPaths:
         g = enumerate_tilings(cfg)
         target = ((1, 2), (1, 3), (3, 4), (3, 5), (4, 5))
         nodes = [
-            v for v in range(len(g)) if cross_section(g.nodes[v], 2).vertices == target
+            v for v in range(len(g)) if cross_section(g.tiling(v), 2).vertices == target
         ]
         assert nodes
         for v in nodes:
@@ -137,7 +137,7 @@ class TestReducedPaths:
             g = graphs(n)
             for k in range(1, n - 1):
                 for v in range(len(g)):
-                    slice_path = cross_section(g.nodes[v], k + 1)
+                    slice_path = cross_section(g.tiling(v), k + 1)
                     if satisfies_triple_condition(slice_path):
                         assert (
                             reduced_cross_section(g, v, k).vertices
@@ -177,14 +177,14 @@ class TestReducedPaths:
             seen, toggled, level_k_meet = {}, {}, {}
             for u in range(len(g)):
                 c = labels[u]
-                upper = level_vertex_masks(g.nodes[u], k + 1)
-                lower = level_vertex_masks(g.nodes[u], k)
+                upper = level_vertex_masks(g.tiling(u), k + 1)
+                lower = level_vertex_masks(g.tiling(u), k)
                 seen[c] = seen.get(c, frozenset()) | upper
                 level_k_meet[c] = level_k_meet.get(c, lower) & lower
                 for w, level in zip(g.adj[u], g.levels[u]):
                     if level != k:
                         toggled[c] = toggled.get(c, frozenset()) | (
-                            upper ^ level_vertex_masks(g.nodes[w], k + 1)
+                            upper ^ level_vertex_masks(g.tiling(w), k + 1)
                         )
             for v in range(len(g)):
                 c = labels[v]
@@ -197,7 +197,7 @@ class TestReducedPaths:
         g = graphs(5)
         for v in range(0, len(g), 7):
             for k in (1, 2, 3):
-                slice_verts = cross_section(g.nodes[v], k + 1).vertices
+                slice_verts = cross_section(g.tiling(v), k + 1).vertices
                 reduced = reduced_cross_section(g, v, k).vertices
                 it = iter(slice_verts)
                 assert all(s in it for s in reduced)
@@ -227,7 +227,7 @@ class TestHypertriDiameters:
     def test_slice_toggle_counts(self, graphs):
         g = graphs(5)
         k = 2
-        slices = [level_vertex_masks(t, k) for t in g.nodes]
+        slices = [level_vertex_masks(t, k) for t in map(g.tiling, range(len(g)))]
         for u, v, level in g.undirected_edges():
             delta = len(slices[u] ^ slices[v])
             assert delta == (1 if level in (k - 1, k) else 0)
@@ -267,10 +267,9 @@ class TestHypertriDiameters:
 def _replace_slices(monkeypatch, graph, k, replacement):
     """Make the level-k slice of each node v in replacement read replacement[v]."""
     real = hypertri.level_vertex_masks
-    node_of = {id(t): v for v, t in enumerate(graph.nodes)}
 
     def fake(tiling, level):
-        v = node_of.get(id(tiling))
+        v = graph.index.get(orientation_of(tiling).bits)
         if level == k and v in replacement:
             return replacement[v]
         return real(tiling, level)
@@ -303,7 +302,7 @@ class TestLiftingQuotientCheck:
             monkeypatch,
             g,
             k,
-            {a: level_vertex_masks(g.nodes[b], k), b: level_vertex_masks(g.nodes[a], k)},
+            {a: level_vertex_masks(g.tiling(b), k), b: level_vertex_masks(g.tiling(a), k)},
         )
         rec = hypertri_diameters(g, k)
         assert rec["path_quotient_equal"] is False
@@ -314,7 +313,7 @@ class TestLiftingQuotientCheck:
         # still constant on every class, but one distinct slice short
         g = graphs(5)
         first, second = skeleton(g, k, "lifting_all").classes[:2]
-        shared = level_vertex_masks(g.nodes[second[0]], k)
+        shared = level_vertex_masks(g.tiling(second[0]), k)
         _replace_slices(monkeypatch, g, k, {v: shared for v in first})
         rec = hypertri_diameters(g, k)
         assert rec["path_quotient_equal"] is False

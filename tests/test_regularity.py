@@ -202,7 +202,8 @@ class TestFullTableauDifferential:
     def test_every_tiling_up_to_n5(self, points):
         for n in (3, 4, 5):
             cfg = make_config(points[:n])
-            for tiling in enumerate_tilings(cfg).nodes:
+            g = enumerate_tilings(cfg)
+            for tiling in map(g.tiling, range(len(g))):
                 orientation = orientation_of(tiling)
                 lp = full_tableau_oracle.slack_lp(cfg, orientation)
                 assert simplex_max_canonical(*lp) == full_tableau_oracle.simplex_max_canonical(*lp)
@@ -213,10 +214,10 @@ class TestFullTableauDifferential:
 
     def test_irregular_verdicts_n6(self, graphs, certificates):
         cfg = standard_config(6)
-        nodes = graphs(6).nodes
+        g = graphs(6)
         for v, cert in enumerate(certificates(6)):
             if not cert.regular:
-                expected = full_tableau_oracle.reference_certificate(cfg, orientation_of(nodes[v]))
+                expected = full_tableau_oracle.reference_certificate(cfg, orientation_of(g.tiling(v)))
                 assert (cert.regular, cert.witness, cert.slack) == expected
 
     def test_random_lps(self):
@@ -246,14 +247,14 @@ class TestFourierMotzkinCrossCheck:
         cfg = standard_config(n)
         g = graphs(n)
         for v, cert in enumerate(certificates(n)):
-            fm = strictly_feasible(self.rows_for(cfg, orientation_of(g.nodes[v])))
+            fm = strictly_feasible(self.rows_for(cfg, orientation_of(g.tiling(v))))
             assert fm == cert.regular
 
     def test_all_n6(self, graphs, certificates):
         cfg = standard_config(6)
         g = graphs(6)
         for v, cert in enumerate(certificates(6)):
-            fm = strictly_feasible(self.rows_for(cfg, orientation_of(g.nodes[v])))
+            fm = strictly_feasible(self.rows_for(cfg, orientation_of(g.tiling(v))))
             assert fm == cert.regular
 
 

@@ -30,12 +30,12 @@ class TestVertK:
 
     def test_out_of_range_level_gives_zero_vector(self):
         cfg = standard_config(4)
-        t = enumerate_tilings(cfg).nodes[3]
+        t = enumerate_tilings(cfg).tiling(3)
         assert vert_k(cfg, t, 9) == (0, 0, 0, 0)
 
     def test_integer_valued_on_integer_coords(self, graphs):
         cfg = standard_config(5)
-        for t in graphs(5).nodes[:10]:
+        for t in map(graphs(5).tiling, range(10)):
             for k in range(4):
                 assert all(v.denominator == 1 for v in vert_k(cfg, t, k))
 
@@ -44,7 +44,7 @@ class TestVertK:
         cfg = standard_config(5)
         g = graphs(5)
         vecs = {
-            k: [vert_k(cfg, t, k) for t in g.nodes] for k in range(1, 4)
+            k: [vert_k(cfg, t, k) for t in map(g.tiling, range(len(g)))] for k in range(1, 4)
         }
         for u, v, level in g.undirected_edges():
             for k in range(1, 4):
@@ -190,7 +190,7 @@ class TestPotential:
                     values = potential(g, ref, k, thresholds).values
                     for v in range(len(g)):
                         expected = self._reference_potential(
-                            g.nodes[ref], g.nodes[v], k, thresholds
+                            g.tiling(ref), g.tiling(v), k, thresholds
                         )
                         assert values[v] == expected
                         assert potential_between(g, ref, v, k, thresholds) == expected

@@ -18,10 +18,11 @@ from zonotiling import (
     standard_config,
     tiling_from_heights,
     tiling_from_tiles,
+    tiling_of_orientation,
     tiling_to_svg,
     validate,
 )
-from zonotiling.core import circuit_for, colex_triples
+from zonotiling.core import circuit_for, colex_triples, num_triples
 from zonotiling.tiling import FlipUnavailableError, Tiling
 
 
@@ -161,6 +162,31 @@ class TestOrientation:
         with pytest.raises(ValueError, match="corrupt"):
             orientation_by_vertices(t)
 
+    @pytest.mark.parametrize("n", [3, 5, 8, 9])
+    def test_key_rebuilds_the_tiling_along_a_flip_walk(self, n):
+        # n = 9 needs two bytes per offset
+        rng = random.Random(n)
+        t = extremal_tiling(standard_config(n), "min")
+        assert tiling_of_orientation(n, 0) == t
+        for _ in range(60):
+            t = apply_flip(t, rng.choice(available_flips(t)))
+            assert tiling_of_orientation(n, orientation_of(t).bits) == t
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 9])
+    def test_any_key_reads_back(self, n):
+        # orientation_of reads bit q of the {p, r} offset, which only the
+        # bit of (p, q, r) toggles, so even a key that orients no tiling
+        # reads back
+        rng = random.Random(n)
+        count = num_triples(n)
+        for key in (0, (1 << count) - 1, *(rng.getrandbits(count) for _ in range(50))):
+            assert orientation_of(tiling_of_orientation(n, key)).bits == key
+
+    @pytest.mark.parametrize("key", [-1, 1 << 10])
+    def test_key_out_of_range(self, key):
+        with pytest.raises(ValueError, match="10 circuits"):
+            tiling_of_orientation(5, key)
+
 
 class TestFlips:
     def test_no_flips_for_two_points(self):
@@ -266,6 +292,21 @@ class TestValidate:
         cfg = make_config([0, 1, 2])
         rep = validate(cfg, [([1], (1, 2)), ([2], (1, 3)), ([], (2, 3))])
         assert "offset-disjoint" in {c.name for c in rep.failures()}
+
+    @pytest.mark.parametrize("bad", [(0, 2), (1, 5), (2, 1)])
+    def test_pair_outside_range_fails_without_raising(self, bad):
+        cfg = make_config([0, 1, 2])
+        rep = validate(cfg, [(0, bad), (0, (1, 3)), (0, (2, 3))])
+        assert [c.name for c in rep.checks] == [
+            "pair-uniqueness",
+            "offset-disjoint",
+            "area-conservation",
+            "vertex-count",
+            "orientation-consistency",
+        ]
+        [uniqueness] = [c for c in rep.failures() if c.name == "pair-uniqueness"]
+        assert f"outside 1 <= i < j <= 3: [{bad}]" in uniqueness.detail
+        assert "missing [(1, 2)]" in uniqueness.detail
 
     def test_orientation_ambiguity_fails(self):
         cfg = make_config([0, 1, 2])
