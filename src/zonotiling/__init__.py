@@ -53,7 +53,6 @@ from .regularity import (
     regular_node_set,
 )
 from .secondary import (
-    Partition,
     PotentialReport,
     QuotientSkeleton,
     diameter_report,

@@ -19,6 +19,7 @@ from pathlib import Path
 from .core import Finding, PointConfig, make_config, standard_config
 from .flipgraph import (
     FlipGraph,
+    check_node,
     enumerate_tilings,
     expected_level_census,
     graph_to_dot,
@@ -29,7 +30,14 @@ from .flipgraph import (
 from .hypertri import cross_section, hypertri_diameters, reduced_cross_section
 from .oracle import commutation_census
 from .regularity import classify_graph, regular_node_set
-from .secondary import check_level, diameter_report, modified_potential, potential, skeleton
+from .secondary import (
+    check_level,
+    diameter_report,
+    equivalence_classes,
+    modified_potential,
+    potential,
+    skeleton,
+)
 from .tiling import extremal_tiling, tiling_to_svg
 
 
@@ -113,11 +121,6 @@ def _levels(run: RunConfig, ns: argparse.Namespace) -> list[int]:
         raise ValueError("provide --k K or --all")
     check_level(run.config.n, ns.k)
     return [ns.k]
-
-
-def _check_node(graph: FlipGraph, node: int) -> None:
-    if not 0 <= node < len(graph):
-        raise ValueError(f"node id {node} is outside 0..{len(graph) - 1}")
 
 
 def _header(run: RunConfig) -> dict:
@@ -230,7 +233,8 @@ def cmd_hypertri(ns: argparse.Namespace) -> int:
             if cross_section(graph.tiling(v), 2).vertices == target
         ]
         if nodes:
-            reduced_path = reduced_cross_section(graph, nodes[0], 1)
+            members = next(c for c in equivalence_classes(graph, {1}) if nodes[0] in c)
+            reduced_path = reduced_cross_section(graph, members, 1)
             fixtures["figure_path_nodes"] = nodes
             fixtures["figure_reduced_path"] = [list(v) for v in reduced_path.vertices]
     for name, ok in fixtures.items():
@@ -244,8 +248,7 @@ def cmd_hypertri(ns: argparse.Namespace) -> int:
 def cmd_potential(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     ks = _levels(run, ns)
-    graph = _graph(run)
-    _check_node(graph, ns.ref)
+    graph = _graph(run)  # potential() refuses a --ref outside the graph
     reports = []
     for k in ks:
         for maker, bound_levels in ((potential, {k - 1, k}), (modified_potential, {k})):
@@ -316,7 +319,7 @@ def cmd_render(ns: argparse.Namespace) -> int:
     else:
         graph = _graph(run)
         node = int(ns.tiling)
-        _check_node(graph, node)
+        check_node(graph, node)
         tiling = graph.tiling(node)
         label = ns.tiling
     svg = tiling_to_svg(run.config, tiling)

@@ -121,6 +121,12 @@ def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
     return FlipGraph(config, keys, index, adj, levels)
 
 
+def check_node(graph: FlipGraph, node: int) -> None:
+    """Refuse a node id outside 0..len(graph)-1 (a negative id would wrap)."""
+    if not 0 <= node < len(graph):
+        raise ValueError(f"node id {node} is outside 0..{len(graph) - 1}")
+
+
 # ---------------------------------------------------------------------------
 # BFS distances and diameters
 
@@ -140,6 +146,8 @@ def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
 
 def distance(graph: FlipGraph, u: int, v: int) -> int:
     """Edge distance in the unlabelled flip graph."""
+    check_node(graph, u)
+    check_node(graph, v)
     dist = bfs_distances(graph.adj, u)
     if dist[v] < 0:
         raise ValueError("nodes are not connected")
@@ -206,7 +214,7 @@ def diameter(graph: FlipGraph) -> tuple[int, tuple[int, int]]:
 def components_excluding_levels(
     graph: FlipGraph,
     deleted_levels: Iterable[int],
-    within: frozenset[int] | None = None,
+    within: frozenset[int] | set[int] | None = None,
 ) -> list[int]:
     """Component label per node of the graph minus edges at deleted levels.
 
@@ -218,7 +226,8 @@ def components_excluding_levels(
     the same list; callers must not mutate it.
     """
     banned = frozenset(deleted_levels)
-    labels = graph.labellings.get((banned, within))
+    key = (banned, None if within is None else frozenset(within))
+    labels = graph.labellings.get(key)
     if labels is not None:
         return labels
     adj = graph.adj
@@ -236,7 +245,7 @@ def components_excluding_levels(
                 if labels[v] < 0 and level not in banned and v in allowed:
                     labels[v] = start
                     queue.append(v)
-    graph.labellings[(banned, within)] = labels
+    graph.labellings[key] = labels
     return labels
 
 
@@ -311,6 +320,7 @@ def max_chain_through(
     order, so reachability is one DAG sweep each way over the ids; absence
     of a chain raises a Finding.
     """
+    check_node(graph, node)
     allowed = (lambda v: True) if regular_nodes is None else (lambda v: v in regular_nodes)
     if not allowed(node):
         raise ValueError(f"node {node} is outside the allowed node set")

@@ -11,17 +11,19 @@ vertex (the "lower" move); flips at other levels leave the slice alone.
 The reduced path at level k+1 is the invariant core of a k-equivalence
 class: the intersection of the level-(k+1) slices over every tiling in the
 class.  It satisfies the consecutive-triple condition
-|A1 & A2 & A3| = (k+1) - 2 and is in bijection with the k-classes.
+|A1 & A2 & A3| = (k+1) - 2 and is in bijection with the k-classes.  A class
+is a sorted tuple of node ids from the partition code in ``secondary``, and
+``reduced_cross_section`` reads exactly its members' slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
-from typing import Iterable
+from functools import cmp_to_key, reduce
+from typing import Iterable, Sequence
 
 from .core import Finding, mask_from, mask_points
-from .flipgraph import FlipGraph, components_excluding_levels, graph_diameter
+from .flipgraph import FlipGraph, graph_diameter
 from .secondary import (
     check_level,
     skeleton,
@@ -128,22 +130,19 @@ def satisfies_triple_condition(path: MonotonePath) -> bool:
     )
 
 
-def reduced_cross_section(graph: FlipGraph, node: int, k: int) -> MonotonePath:
-    """The reduced path at level k+1 shared by the node's k-class.
+def reduced_cross_section(graph: FlipGraph, members: Sequence[int], k: int) -> MonotonePath:
+    """The reduced path at level k+1 shared by one k-class, given its members.
 
-    Intersects the level-(k+1) slices over every class member; the result
+    Intersects the level-(k+1) slices of exactly the members (a whole
+    k-class, as ``equivalence_classes(graph, {k})`` holds it); the result
     must again be a monotone path whose consecutive triples intersect in
     exactly k-1 points.  A violation falsifies the construction and raises
     a Finding.  The other reduction fixed on a class, the meet of the
     k-class's level-k slices, is the complement in [n] of the reduced path
     of the half-turn image's (n-1-k)-class.
     """
-    labels = components_excluding_levels(graph, {k})
-    root = labels[node]  # the smallest member of the node's class
-    common = level_vertex_masks(graph.tiling(root), k + 1)
-    for v in range(root + 1, len(labels)):
-        if labels[v] == root:
-            common &= level_vertex_masks(graph.tiling(v), k + 1)
+    slices = (level_vertex_masks(graph.tiling(v), k + 1) for v in members)
+    common = reduce(frozenset.intersection, slices)
     try:
         path = _ordered_path(common, k + 1, graph.n, reduced=True)
     except (StrongSeparationError, ValueError) as exc:
@@ -199,7 +198,7 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     # reduced paths are constant per k-class by construction; they must also
     # separate distinct classes
     reduced_masks = [
-        frozenset(reduced_cross_section(graph, members[0], k).vertex_masks())
+        frozenset(reduced_cross_section(graph, members, k).vertex_masks())
         for members in reduced.classes
     ]
     reduced_quotient_equal = len(set(reduced_masks)) == len(reduced.classes)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import Finding, PointConfig, colex_pairs, format_rational, mask_points
-from .flipgraph import FlipGraph, components_excluding_levels, graph_diameter
+from .flipgraph import FlipGraph, check_node, components_excluding_levels, graph_diameter
 from .tiling import Tiling
 
 
@@ -46,36 +46,27 @@ def vert_k(config: PointConfig, tiling: Tiling, k: int) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 # equivalence classes and quotient skeletons
 
-@dataclass(frozen=True)
-class Partition:
-    """Classes of nodes, canonically ordered by smallest member."""
-
-    classes: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
 def _partition_from_labels(
     labels: Sequence[int], keep: frozenset[int] | None
-) -> Partition:
+) -> tuple[tuple[int, ...], ...]:
     groups: dict[int, list[int]] = {}  # first seen at, so ordered by, smallest member
     for node, root in enumerate(labels):
         if keep is None or node in keep:
             groups.setdefault(root, []).append(node)
-    return Partition(tuple(tuple(members) for members in groups.values()))
+    return tuple(tuple(members) for members in groups.values())
 
 
 def equivalence_classes(
     graph: FlipGraph,
     deleted_levels: Sequence[int] | frozenset[int],
     regular_nodes: frozenset[int] | None = None,
-) -> Partition:
+) -> tuple[tuple[int, ...], ...]:
     """Components of the flip graph minus edges at the deleted levels.
 
-    Connectivity always runs over all tilings; with regular_nodes given the
-    resulting classes are intersected with that set and empty intersections
-    are dropped.
+    Each class is a sorted tuple of node ids, and the classes are ordered by
+    smallest member.  Connectivity always runs over all tilings; with
+    regular_nodes given the resulting classes are intersected with that set
+    and empty intersections are dropped.
     """
     labels = components_excluding_levels(graph, deleted_levels)
     return _partition_from_labels(labels, regular_nodes)
@@ -134,15 +125,15 @@ def skeleton(
         raise ValueError(f"mode {mode!r} needs the regular node set")
 
     labels = components_excluding_levels(graph, deleted)
-    partition = _partition_from_labels(labels, regular_nodes if restricted else None)
+    classes = _partition_from_labels(labels, regular_nodes if restricted else None)
 
     # component -> class index (components whose intersection died map to None)
     comp_class: dict[int, int] = {}
-    for idx, members in enumerate(partition.classes):
+    for idx, members in enumerate(classes):
         comp_class[labels[members[0]]] = idx
     component_of = tuple(comp_class.get(labels[v]) for v in range(len(graph)))
 
-    neighbours: list[set[int]] = [set() for _ in partition.classes]
+    neighbours: list[set[int]] = [set() for _ in classes]
     for u, v, level in graph.undirected_edges():
         if level not in deleted:
             cu = component_of[u]
@@ -165,9 +156,7 @@ def skeleton(
         neighbours[cv].add(cu)
 
     adj = tuple(tuple(sorted(nbrs)) for nbrs in neighbours)
-    return QuotientSkeleton(
-        mode, k, deleted, partition.classes, component_of, adj
-    )
+    return QuotientSkeleton(mode, k, deleted, classes, component_of, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +219,7 @@ def _signed_count(
 def _potential_report(
     graph: FlipGraph, reference: int, k: int, thresholds: str, modified: bool
 ) -> PotentialReport:
+    check_node(graph, reference)
     sides = [_side_masks(t, k, thresholds) for t in map(graph.tiling, range(len(graph)))]
     values = tuple(_signed_count(sides[reference], s, modified) for s in sides)
     by_level: dict[int, int] = {}
@@ -269,6 +259,8 @@ def potential_between(
     graph: FlipGraph, reference: int, node: int, k: int, thresholds: str = "definition"
 ) -> int:
     """Level-k potential of one node against the reference tiling."""
+    check_node(graph, reference)
+    check_node(graph, node)
     return _signed_count(
         _side_masks(graph.tiling(reference), k, thresholds),
         _side_masks(graph.tiling(node), k, thresholds),
@@ -328,22 +320,6 @@ def duality_check(
     return _duality(graph, left, diam_left, regular_nodes)
 
 
-def restriction_agreement(
-    graph: FlipGraph, k: int, regular_nodes: frozenset[int]
-) -> bool:
-    """Do all-tilings k-classes, restricted, equal regular-only k-classes?
-
-    The alternative definition deletes irregular nodes before taking
-    components; disagreement means some k-class is glued together only
-    through irregular tilings.
-    """
-    via_all = equivalence_classes(graph, {k}, regular_nodes)
-    via_regular = _partition_from_labels(
-        components_excluding_levels(graph, {k}, within=regular_nodes), regular_nodes
-    )
-    return via_regular.classes == via_all.classes
-
-
 def sigma_k_diameter_formula(n: int, k: int) -> int:
     return k * (n - k - 1)
 
@@ -359,7 +335,7 @@ def check_level(n: int, k: int) -> None:
 
 
 def diameter_report(
-    graph: FlipGraph, k: int, regular_nodes: frozenset[int]
+    graph: FlipGraph, k: int, regular_nodes: frozenset[int] | set[int]
 ) -> dict:
     """Everything measured about sigma_k and sigma_k + sigma_(k-1) at one k."""
     config = graph.config
@@ -385,6 +361,13 @@ def diameter_report(
         values[members[0]] = vals.pop()
     distinct_ok = constant_on_classes and len(set(values.values())) == len(sk.classes)
 
+    # sigma_k's classes, restricted to the regular nodes, against the classes
+    # taken after deleting the irregular nodes; disagreement means some
+    # k-class is glued together only through irregular tilings
+    via_regular = _partition_from_labels(
+        components_excluding_levels(graph, {k}, within=regular_nodes), regular_nodes
+    )
+
     pot_def = potential_between(graph, graph.min_id, graph.max_id, k, "definition")
     pot_shift = potential_between(graph, graph.min_id, graph.max_id, k, "shifted")
 
@@ -407,7 +390,7 @@ def diameter_report(
         "duality_ok": all(duality.values()),
         "duality": duality,
         "vertk_distinct_ok": distinct_ok,
-        "restriction_agreement": restriction_agreement(graph, k, regular_nodes),
+        "restriction_agreement": via_regular == sk.classes,
         "potential_min_to_max": {
             "definition": abs(pot_def),
             "shifted": abs(pot_shift),

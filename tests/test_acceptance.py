@@ -17,6 +17,7 @@ from zonotiling import (
     cross_section,
     duality_check,
     enumerate_tilings,
+    equivalence_classes,
     expected_level_census,
     extremal_tiling,
     graph_diameter,
@@ -44,6 +45,11 @@ def report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num:02d} {name}: {status}")
     assert ok, f"criterion {num} ({name}) failed {detail}"
+
+
+def k_class(graph, node, k):
+    """The node's k-class, as the partition code holds it."""
+    return next(c for c in equivalence_classes(graph, {k}) if node in c)
 
 
 def random_generic_heights(cfg, rng):
@@ -206,7 +212,8 @@ def test_c09_strong_separation_and_lifting_fixtures(graphs):
         # Meet of the level-2 slices over v's level-2 class: the half-turn
         # maps it to the reduced path of the (n-1-2)-class of the opposite
         # node, so complement that path's vertices (which reverses the order).
-        image = reduced_cross_section(g, g.opposite_node(v), cfg.n - 1 - 2)
+        w = g.opposite_node(v)
+        image = reduced_cross_section(g, k_class(g, w, cfg.n - 1 - 2), cfg.n - 1 - 2)
         points = set(range(1, cfg.n + 1))
         return MonotonePath(
             2,

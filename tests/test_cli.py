@@ -213,19 +213,32 @@ def test_reproduce_theorems_end_to_end(tmp_path):
     assert all((tmp_path / "n5" / name).is_file() for name in names)
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_artifacts_match_recorded_digests(tmp_path, n):
-    # the scripts/reproduce_theorems.py stages on a_i = i, byte for byte
-    # against perfbench/reference.json (oracle-count has no recorded digest)
+def _digests_match_reference(out: Path, n: int, stages: list[list[str]]) -> None:
+    """Run the stages on a_i = i into out; compare with perfbench/reference.json."""
     root = Path(__file__).resolve().parents[1]
     recorded = json.loads((root / "perfbench" / "reference.json").read_text())[str(n)]
-    base = [f"--points={','.join(map(str, range(1, n + 1)))}", "--out", str(tmp_path), "--strict"]
-    stages = [["enumerate"], ["classify"], ["diameters", "--all"]]
-    stages += [["hypertri", "--k", str(k)] for k in range(1, n - 1)]
-    stages += [["chains", "--samples", "200", "--seed", "0"], ["potential", "--ref", "0", "--all"]]
+    base = [f"--points={','.join(map(str, range(1, n + 1)))}", "--out", str(out), "--strict"]
     for stage in stages:
         assert run(stage + base) == 0, stage
     digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
     }
     assert digests == {name: d["sha256"] for name, d in recorded["artifacts"].items()}
+
+
+# n = 6 is the first size with irregular tilings (20 of 908), where the
+# diameters artifact's restriction agreement compares two different labellings
+@pytest.mark.parametrize("n", [4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_artifacts_match_recorded_digests(tmp_path, n):
+    # the scripts/reproduce_theorems.py stages, byte for byte (oracle-count
+    # has no recorded digest)
+    stages = [["enumerate"], ["classify"], ["diameters", "--all"]]
+    stages += [["hypertri", "--k", str(k)] for k in range(1, n - 1)]
+    stages += [["chains", "--samples", "200", "--seed", "0"], ["potential", "--ref", "0", "--all"]]
+    _digests_match_reference(tmp_path, n, stages)
+
+
+@pytest.mark.slow
+def test_hypertri_n7_matches_recorded_digest(tmp_path):
+    # the benchmark's hypertri-n7 stage on a_i = i: 24,698 tilings, 384 k-classes
+    _digests_match_reference(tmp_path, 7, [["hypertri", "--k", "3"]])

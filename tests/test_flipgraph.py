@@ -14,7 +14,9 @@ from zonotiling import (
     level_census,
     make_config,
     max_chain_through,
+    modified_potential,
     orientation_of,
+    potential,
     sample_chain,
     skeleton,
     standard_config,
@@ -26,6 +28,7 @@ from zonotiling.flipgraph import (
     bfs_distances,
     components_excluding_levels,
 )
+from zonotiling.secondary import potential_between
 from zonotiling.tiling import (
     apply_flip,
     available_flips,
@@ -206,6 +209,33 @@ class TestDistance:
             for v in range(len(g)):
                 assert from_min[v] == g.keys[v].bit_count()
                 assert from_min[v] + from_max[v] == comb(n, 3)
+
+
+@pytest.mark.parametrize("bad", ["negative", "past_end"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, x: distance(g, x, 0),
+        lambda g, x: distance(g, 0, x),
+        lambda g, x: potential(g, x, 1),
+        lambda g, x: modified_potential(g, x, 1),
+        lambda g, x: potential_between(g, x, 0, 1),
+        lambda g, x: potential_between(g, 0, x, 1),
+        lambda g, x: max_chain_through(g, x),
+        lambda g, x: max_chain_through(g, x, regular_nodes=set(range(len(g)))),
+    ],
+    ids=[
+        "distance-from", "distance-to", "potential", "modified_potential",
+        "potential_between-reference", "potential_between-node",
+        "max_chain_through", "max_chain_through-regular",
+    ],
+)
+def test_node_ids_outside_the_graph_are_refused(graphs, call, bad):
+    # a negative id must not wrap around to the last nodes
+    g = graphs(4)
+    node = -1 if bad == "negative" else len(g)
+    with pytest.raises(ValueError, match=rf"node id {node} is outside 0\.\.7"):
+        call(g, node)
 
 
 class TestDiameter:

@@ -19,11 +19,16 @@ from zonotiling.hypertri import (
     satisfies_triple_condition,
 )
 from zonotiling.flipgraph import components_excluding_levels
-from zonotiling.secondary import skeleton
+from zonotiling.secondary import equivalence_classes, skeleton
 from zonotiling.tiling import Tiling, orientation_of
 
 
 small_sets = st.frozensets(st.integers(1, 8), max_size=5)
+
+
+def k_class(graph, node, k):
+    """The node's k-class, as the partition code holds it."""
+    return next(c for c in equivalence_classes(graph, {k}) if node in c)
 
 
 class TestStrongSeparation:
@@ -128,7 +133,7 @@ class TestReducedPaths:
         ]
         assert nodes
         for v in nodes:
-            reduced = reduced_cross_section(g, v, 1)
+            reduced = reduced_cross_section(g, k_class(g, v, 1), 1)
             assert reduced.vertices == ((1, 2), (1, 3), (3, 5), (4, 5))
             assert reduced.reduced
 
@@ -140,7 +145,7 @@ class TestReducedPaths:
                     slice_path = cross_section(g.tiling(v), k + 1)
                     if satisfies_triple_condition(slice_path):
                         assert (
-                            reduced_cross_section(g, v, k).vertices
+                            reduced_cross_section(g, k_class(g, v, k), k).vertices
                             == slice_path.vertices
                         )
 
@@ -151,7 +156,7 @@ class TestReducedPaths:
             labels = components_excluding_levels(g, {k})
             by_class = {}
             for v in range(len(g)):
-                path = reduced_cross_section(g, v, k)
+                path = reduced_cross_section(g, k_class(g, v, k), k)
                 assert satisfies_triple_condition(path)
                 by_class.setdefault(labels[v], set()).add(path.vertices)
             assert all(len(paths) == 1 for paths in by_class.values())
@@ -188,9 +193,10 @@ class TestReducedPaths:
                         )
             for v in range(len(g)):
                 c = labels[v]
-                reduced = reduced_cross_section(g, v, k).vertex_masks()
+                reduced = reduced_cross_section(g, k_class(g, v, k), k).vertex_masks()
                 assert set(reduced) == seen[c] - toggled.get(c, frozenset())
-                image = reduced_cross_section(g, g.opposite_node(v), n - 1 - k)
+                w = g.opposite_node(v)
+                image = reduced_cross_section(g, k_class(g, w, n - 1 - k), n - 1 - k)
                 assert {full ^ m for m in image.vertex_masks()} == level_k_meet[c]
 
     def test_reduced_is_subsequence_of_slice(self, graphs):
@@ -198,12 +204,43 @@ class TestReducedPaths:
         for v in range(0, len(g), 7):
             for k in (1, 2, 3):
                 slice_verts = cross_section(g.tiling(v), k + 1).vertices
-                reduced = reduced_cross_section(g, v, k).vertices
+                reduced = reduced_cross_section(g, k_class(g, v, k), k).vertices
                 it = iter(slice_verts)
                 assert all(s in it for s in reduced)
 
+    @pytest.mark.parametrize("points", [[1, 2, 3, 4, 5], [-2, -1, 0, 1, 2]])
+    def test_reads_exactly_the_members(self, points, monkeypatch):
+        # each member's tiling once, and no component labelling
+        from zonotiling import enumerate_tilings, flipgraph, secondary
+        from zonotiling.flipgraph import FlipGraph
+
+        g = enumerate_tilings(make_config(points))
+        classes = {k: equivalence_classes(g, {k}) for k in range(1, g.n - 1)}
+        stored = dict(g.labellings)
+        read = []
+        real_tiling = FlipGraph.tiling
+
+        def counted_tiling(graph, node):
+            read.append(node)
+            return real_tiling(graph, node)
+
+        def no_labelling(*args, **kwargs):
+            raise AssertionError("reduced_cross_section labelled components")
+
+        monkeypatch.setattr(FlipGraph, "tiling", counted_tiling)
+        for module in (flipgraph, secondary, hypertri):
+            monkeypatch.setattr(
+                module, "components_excluding_levels", no_labelling, raising=False
+            )
+        for k, members_of_k in classes.items():
+            for members in members_of_k:
+                read.clear()
+                reduced_cross_section(g, members, k)
+                assert read == list(members)
+        assert g.labellings == stored
+
     def test_json_flags_reduced(self, graphs):
-        data = reduced_cross_section(graphs(4), 0, 1).to_json()
+        data = reduced_cross_section(graphs(4), k_class(graphs(4), 0, 1), 1).to_json()
         assert data["reduced"] is True
         assert data["k"] == 2
 
@@ -241,6 +278,7 @@ class TestHypertriDiameters:
         g = graphs(5)
         k = 2
         calls = {"slice": 0, "cross": 0, "reduced": 0}
+        passed = []
         real_slice = hypertri.level_vertex_masks
         real_reduced = hypertri.reduced_cross_section
 
@@ -252,9 +290,10 @@ class TestHypertriDiameters:
             calls["cross"] += 1
             return cross_section(tiling, level)
 
-        def counted_reduced(graph, node, level):
+        def counted_reduced(graph, members, level):
             calls["reduced"] += 1
-            return real_reduced(graph, node, level)
+            passed.append(members)
+            return real_reduced(graph, members, level)
 
         monkeypatch.setattr(hypertri, "level_vertex_masks", counted_slice)
         monkeypatch.setattr(hypertri, "cross_section", counted_cross)
@@ -262,6 +301,7 @@ class TestHypertriDiameters:
         rec = hypertri_diameters(g, k)
         assert rec["findings"] == []
         assert calls == {"slice": len(g), "cross": 0, "reduced": rec["reduced"]["classes"]}
+        assert passed == list(skeleton(g, k, "reduced_all").classes)  # whole classes
 
 
 def _replace_slices(monkeypatch, graph, k, replacement):

@@ -56,7 +56,7 @@ class TestEquivalenceClasses:
     def test_no_deleted_levels_single_class(self, graphs):
         part = equivalence_classes(graphs(5), frozenset())
         assert len(part) == 1
-        assert part.classes[0] == tuple(range(62))
+        assert part[0] == tuple(range(62))
 
     def test_all_levels_deleted_singletons(self, graphs):
         part = equivalence_classes(graphs(4), {1, 2})
@@ -70,7 +70,7 @@ class TestEquivalenceClasses:
         g = graphs(5)
         full = equivalence_classes(g, {2})
         restricted = equivalence_classes(g, {2}, regulars(5))
-        assert full.classes == restricted.classes
+        assert full == restricted
 
 
 class TestSkeleton:
@@ -220,6 +220,13 @@ class TestDiameterReport:
         rep = diameter_report(graphs(6), 2, regulars(6))
         assert rep["sigma_k"]["diameter"] == 6 == rep["sigma_k"]["formula"]
         assert rep["sigma_k_plus_prev"]["diameter"] == 10
+
+    def test_plain_set_of_regular_nodes(self, graphs, regulars):
+        # a fresh graph, so the set-keyed labellings are computed, not reused
+        g = enumerate_tilings(standard_config(6))
+        regs = regulars(6)
+        for k in range(1, 5):
+            assert diameter_report(g, k, set(regs)) == diameter_report(graphs(6), k, regs)
 
     def test_duality_explicit(self, graphs, regulars):
         result = duality_check(graphs(5), 1, regulars(5))
