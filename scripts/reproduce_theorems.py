@@ -3,8 +3,8 @@
 
 Enumerates the flip graph for each n, classifies regularity, measures every
 quotient-skeleton diameter against its closed form, samples maximal chains,
-and writes the JSON artifacts into the output directory (default: out/).
-The reduced-word oracle runs only up to ORACLE_MAX_N (6).
+counts commutation classes with the reduced-word oracle, and writes
+the JSON artifacts into the output directory (default: out/).
 
 Usage:
     python scripts/reproduce_theorems.py [--max-n 6] [--out out]
@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from zonotiling.cli import main as cli
-from zonotiling.oracle import ORACLE_MAX_N
 
 
 def run(argv):
@@ -42,10 +41,7 @@ def main():
             run(["hypertri", "--k", str(k), *base])
         run(["chains", "--samples", "200", "--seed", "0", *base])
         run(["potential", "--ref", "0", "--all", *base])
-        if n <= ORACLE_MAX_N:
-            run(["oracle-count", *base])
-        else:
-            print(f"oracle-count skipped: n={n} exceeds the oracle limit {ORACLE_MAX_N}")
+        run(["oracle-count", *base])
     print("all checks passed; artifacts in", out)
 
 

@@ -19,7 +19,6 @@ from pathlib import Path
 from .core import Finding, PointConfig, make_config, standard_config
 from .flipgraph import (
     FlipGraph,
-    check_node,
     enumerate_tilings,
     expected_level_census,
     graph_to_dot,
@@ -318,9 +317,7 @@ def cmd_render(ns: argparse.Namespace) -> int:
         label = ns.tiling
     else:
         graph = _graph(run)
-        node = int(ns.tiling)
-        check_node(graph, node)
-        tiling = graph.tiling(node)
+        tiling = graph.tiling(int(ns.tiling))
         label = ns.tiling
     svg = tiling_to_svg(run.config, tiling)
     if run.out is None:

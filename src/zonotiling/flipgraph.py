@@ -55,6 +55,7 @@ class FlipGraph:
 
     def tiling(self, node: int) -> Tiling:
         """The node's tiling, rebuilt from its orientation key."""
+        check_node(self, node)
         return tiling_of_orientation(self.n, self.keys[node])
 
     @property
@@ -67,6 +68,7 @@ class FlipGraph:
 
     def opposite_node(self, node: int) -> int:
         """Node of the half-turn image; its key is the bitwise complement."""
+        check_node(self, node)
         return self.index[self.keys[node] ^ full_mask(num_triples(self.n))]
 
     def undirected_edges(self) -> Iterator[tuple[int, int, int]]:

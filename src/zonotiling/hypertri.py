@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 from .core import Finding, mask_from, mask_points
 from .flipgraph import FlipGraph, graph_diameter
 from .secondary import (
-    check_level,
     skeleton,
     sigma_k_diameter_formula,
     sum_skeleton_diameter_formula,
@@ -171,7 +170,6 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     a level-k flip between classes must change it.
     """
     n = graph.n
-    check_level(n, k)
     findings: list[str] = []
 
     lifting = skeleton(graph, k, "lifting_all")

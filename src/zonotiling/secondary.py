@@ -116,6 +116,7 @@ def skeleton(
     """Build one of the four quotient skeletons at level k."""
     if mode not in _SKELETON_MODES:
         raise ValueError(f"unknown skeleton mode {mode!r}")
+    check_level(graph.n, k)
     if mode in ("sigma_k", "reduced_all"):
         deleted = frozenset({k})
     else:
@@ -259,8 +260,6 @@ def potential_between(
     graph: FlipGraph, reference: int, node: int, k: int, thresholds: str = "definition"
 ) -> int:
     """Level-k potential of one node against the reference tiling."""
-    check_node(graph, reference)
-    check_node(graph, node)
     return _signed_count(
         _side_masks(graph.tiling(reference), k, thresholds),
         _side_masks(graph.tiling(node), k, thresholds),
@@ -340,7 +339,6 @@ def diameter_report(
     """Everything measured about sigma_k and sigma_k + sigma_(k-1) at one k."""
     config = graph.config
     n = config.n
-    check_level(n, k)
 
     sk = skeleton(graph, k, "sigma_k", regular_nodes)
     sk_diam, _ = graph_diameter(sk.adj)

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -123,31 +122,14 @@ def test_oracle_count(capsys):
 
 
 def test_oracle_count_above_the_limit_is_an_input_error(capsys):
-    assert run(["oracle-count", "--n", "7"]) == 2
-    assert "error: n=7 exceeds the oracle limit 6" in capsys.readouterr().err
+    assert run(["oracle-count", "--n", "9"]) == 2
+    assert "error: n=9 exceeds the oracle limit 8" in capsys.readouterr().err
 
 
 def test_format_svg_not_offered(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["enumerate", "--n", "3", "--format", "svg"])
     assert exc.value.code == 2
-
-
-def test_reproduce_theorems_skips_the_oracle_above_its_limit(monkeypatch, capsys):
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "reproduce_theorems", root / "scripts" / "reproduce_theorems.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    calls = []
-    monkeypatch.setattr(script, "cli", lambda argv: calls.append(argv) or 0)
-    monkeypatch.setattr(script, "ORACLE_MAX_N", 4)
-    monkeypatch.setattr(sys, "argv", ["reproduce_theorems.py", "--max-n", "5"])
-    script.main()
-    oracle_ns = [argv[2] for argv in calls if argv[0] == "oracle-count"]
-    assert oracle_ns == ["3", "4"]
-    assert "oracle-count skipped: n=5 exceeds the oracle limit 4" in capsys.readouterr().out
 
 
 def test_points_flag_with_fractions(capsys):

@@ -223,11 +223,14 @@ class TestDistance:
         lambda g, x: potential_between(g, 0, x, 1),
         lambda g, x: max_chain_through(g, x),
         lambda g, x: max_chain_through(g, x, regular_nodes=set(range(len(g)))),
+        lambda g, x: g.tiling(x),
+        lambda g, x: g.opposite_node(x),
     ],
     ids=[
         "distance-from", "distance-to", "potential", "modified_potential",
         "potential_between-reference", "potential_between-node",
         "max_chain_through", "max_chain_through-regular",
+        "tiling", "opposite_node",
     ],
 )
 def test_node_ids_outside_the_graph_are_refused(graphs, call, bad):

@@ -3,27 +3,24 @@ import pytest
 from zonotiling import oracle
 from zonotiling.oracle import (
     ORACLE_MAX_N,
-    apply_word,
     commutation_census,
+    reduced_word_count,
     reduced_word_count_formula,
-    staircase_word,
 )
 
 
-def test_staircase_word_sorts_the_longest_element():
-    for n in (2, 3, 4, 5, 6):
-        word = staircase_word(n)
-        assert len(word) == n * (n - 1) // 2
-        assert apply_word(n, word) == tuple(range(n, 0, -1))
-
-
 def test_word_counts_match_hook_formula():
-    # independent arithmetic check on the closure size
+    # independent arithmetic check on the weak-order chain count
     assert reduced_word_count_formula(3) == 2
     assert reduced_word_count_formula(4) == 16
     assert reduced_word_count_formula(5) == 768
     for n in (2, 3, 4, 5):
         assert commutation_census(n).reduced_words == reduced_word_count_formula(n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_weak_order_chains_match_hook_formula(n):
+    assert reduced_word_count(n) == reduced_word_count_formula(n)
 
 
 @pytest.mark.parametrize(
@@ -40,18 +37,25 @@ def test_rejects_tiny_n():
 
 
 def test_refuses_above_the_limit_before_building_a_word(monkeypatch):
-    # n = 7 would close over every one of 1,100,742,656 reduced words
-    def no_words(n):
-        raise AssertionError("a word was built")
+    # n = 9 would walk 112,018,190 commutation classes
+    def no_walk(n):
+        raise AssertionError("the walk started")
 
-    monkeypatch.setattr(oracle, "staircase_word", no_words)
-    assert ORACLE_MAX_N == 6
-    with pytest.raises(ValueError, match=r"limit 6: .* 1,100,742,656 reduced words"):
-        commutation_census(7)
+    monkeypatch.setattr(oracle, "commutation_class_count", no_walk)
+    monkeypatch.setattr(oracle, "reduced_word_count", no_walk)
+    assert ORACLE_MAX_N == 8
+    with pytest.raises(ValueError, match=r"limit 8: .* 112,018,190 at n = 9"):
+        commutation_census(9)
 
 
-@pytest.mark.slow
 def test_commutation_classes_n6():
     result = commutation_census(6)
     assert result.reduced_words == reduced_word_count_formula(6)
     assert result.commutation_classes == 908
+
+
+@pytest.mark.slow
+def test_commutation_classes_n8():
+    result = commutation_census(8)
+    assert result.reduced_words == reduced_word_count_formula(8)
+    assert result.commutation_classes == 1232944

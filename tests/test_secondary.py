@@ -103,6 +103,15 @@ class TestSkeleton:
         with pytest.raises(ValueError, match="unknown skeleton mode"):
             skeleton(graphs(4), 1, "sigma")
 
+    @pytest.mark.parametrize("k", [-1, 0, 4, 5])
+    @pytest.mark.parametrize(
+        "mode", ["sigma_k", "sigma_k_plus_prev", "lifting_all", "reduced_all"]
+    )
+    def test_level_out_of_range(self, graphs, regulars, mode, k):
+        # flips have levels 1..n-2 only; elsewhere a skeleton would be meaningless
+        with pytest.raises(ValueError, match=r"level k=-?\d is outside 1\.\.3"):
+            skeleton(graphs(5), k, mode, regulars(5))
+
     def test_component_map_consistent(self, graphs, regulars):
         sk = skeleton(graphs(5), 2, "sigma_k", regulars(5))
         for idx, members in enumerate(sk.classes):
