@@ -48,9 +48,11 @@ from .hypertri import (
 from .oracle import OracleCount, commutation_census, reduced_word_count_formula
 from .regularity import (
     RegularityCertificate,
+    RegularSet,
     classify,
     classify_graph,
     regular_node_set,
+    regular_set,
 )
 from .secondary import (
     PotentialReport,

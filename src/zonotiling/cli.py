@@ -27,8 +27,8 @@ from .flipgraph import (
     sample_chain,
 )
 from .hypertri import cross_section, hypertri_diameters, reduced_cross_section
-from .oracle import commutation_census
-from .regularity import classify_graph, regular_node_set
+from .oracle import commutation_census, reduced_word_count_formula
+from .regularity import classify_graph, regular_set
 from .secondary import (
     check_level,
     diameter_report,
@@ -164,7 +164,12 @@ def cmd_diameters(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     ks = _levels(run, ns)
     graph = _graph(run)
-    regs = regular_node_set(classify_graph(run.config, graph))
+    verdicts = regular_set(graph)
+    regs = verdicts.nodes
+    print(
+        f"{len(regs)} of {len(graph)} tilings regular; verdicts: {verdicts.by_lp} by LP, "
+        f"{verdicts.by_probe} by probe, {verdicts.by_half_turn} by half-turn"
+    )
     records = []
     print(" k | sigma_k: cls diam formula ok | sum: cls diam formula ok")
     for k in ks:
@@ -334,6 +339,14 @@ def cmd_oracle_count(ns: argparse.Namespace) -> int:
         f"n={result.n}: {result.reduced_words} reduced words, "
         f"{result.commutation_classes} commutation classes"
     )
+    formula = reduced_word_count_formula(result.n)
+    if result.reduced_words != formula:
+        run.finding(f"{result.reduced_words} reduced words, but the hook formula gives {formula}")
+    tilings = len(_graph(run))
+    if result.commutation_classes != tilings:
+        run.finding(
+            f"{result.commutation_classes} commutation classes, but {tilings} tilings enumerated"
+        )
     _write(
         run,
         f"oracle_n{result.n}.json",

@@ -109,6 +109,15 @@ def level_vertex_masks(tiling: Tiling, k: int) -> frozenset[int]:
     return frozenset(v for v in tiling.vertex_masks() if v.bit_count() == k)
 
 
+def _level_slices(tiling: Tiling, k: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The level-k and level-(k+1) slices, from one pass over the vertices."""
+    verts = tiling.vertex_masks()
+    return (
+        frozenset(v for v in verts if v.bit_count() == k),
+        frozenset(v for v in verts if v.bit_count() == k + 1),
+    )
+
+
 def cross_section(tiling: Tiling, k: int) -> MonotonePath:
     """The tiling's level-k slice as a monotone path.
 
@@ -141,9 +150,13 @@ def reduced_cross_section(graph: FlipGraph, members: Sequence[int], k: int) -> M
     of the half-turn image's (n-1-k)-class.
     """
     slices = (level_vertex_masks(graph.tiling(v), k + 1) for v in members)
-    common = reduce(frozenset.intersection, slices)
+    return _reduced_path(reduce(frozenset.intersection, slices), k, graph.n)
+
+
+def _reduced_path(common: Iterable[int], k: int, n: int) -> MonotonePath:
+    """The level-(k+1) meet of a k-class as a checked reduced path."""
     try:
-        path = _ordered_path(common, k + 1, graph.n, reduced=True)
+        path = _ordered_path(common, k + 1, n, reduced=True)
     except (StrongSeparationError, ValueError) as exc:
         raise Finding(f"reduced path at level {k + 1} is malformed: {exc}") from exc
     if not satisfies_triple_condition(path):
@@ -162,12 +175,13 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
 
     Builds the simultaneous-(k-1,k) quotient (lifting paths at level k) and
     the k-class quotient (reduced paths at level k+1) and measures both
-    diameters against their closed forms.  Each node's level-k slice is read
-    once: every distinct slice must be a monotone path, the lifting classes
-    must be exactly the groups of equal slices, and each qualifying flip
-    edge must toggle exactly one slice vertex.  Each k-class's reduced path
-    is computed once; distinct classes must have distinct reduced paths, and
-    a level-k flip between classes must change it.
+    diameters against their closed forms.  Each node's tiling is built once,
+    for its level-k and level-(k+1) slices.  Every distinct level-k slice
+    must be a monotone path, the lifting classes must be exactly the groups
+    of equal slices, and each qualifying flip edge must toggle exactly one
+    slice vertex.  Each k-class's reduced path is computed once, from its
+    members' level-(k+1) slices; distinct classes must have distinct reduced
+    paths, and a level-k flip between classes must change it.
     """
     n = graph.n
     findings: list[str] = []
@@ -180,11 +194,20 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     reduced_diam, _ = graph_diameter(reduced.adj)
     reduced_formula = sigma_k_diameter_formula(n, k)
 
+    # every node's level-k and level-(k+1) slices from one tiling; equal
+    # slices are interned, so a node holds references, not vertex sets
+    distinct: dict[frozenset[int], frozenset[int]] = {}  # first-seen order
+    uppers: dict[frozenset[int], frozenset[int]] = {}
+    slices = []
+    upper = []
+    for v in range(len(graph)):
+        lower, above = _level_slices(graph.tiling(v), k)
+        slices.append(distinct.setdefault(lower, lower))
+        upper.append(uppers.setdefault(above, above))
+
     # the lifting classes cover every node, so they equal the groups of
     # equal slices when the slice is constant on each class and there are
     # as many distinct slices as classes
-    slices = [level_vertex_masks(t, k) for t in map(graph.tiling, range(len(graph)))]
-    distinct = dict.fromkeys(slices)  # first-seen order, for a stable error
     for s in distinct:
         _ordered_path(s, k, n, reduced=False)
     path_quotient_equal = len(distinct) == len(lifting) and all(
@@ -195,10 +218,10 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
 
     # reduced paths are constant per k-class by construction; they must also
     # separate distinct classes
-    reduced_masks = [
-        frozenset(reduced_cross_section(graph, members, k).vertex_masks())
-        for members in reduced.classes
-    ]
+    reduced_masks = []
+    for members in reduced.classes:
+        common = reduce(frozenset.intersection, {upper[v] for v in members})
+        reduced_masks.append(frozenset(_reduced_path(common, k, n).vertex_masks()))
     reduced_quotient_equal = len(set(reduced_masks)) == len(reduced.classes)
     if not reduced_quotient_equal:
         findings.append("distinct k-classes share a reduced path")

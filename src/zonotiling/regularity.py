@@ -31,6 +31,13 @@ Positive row scaling changes neither B^-1 b nor the reduced costs' signs,
 and the entering rule looks at the *original* variable index of each
 non-basic column, so the pivots, the optimal vertex, the witness and the
 slack are exactly those of the uncondensed tableau over the unscaled rows.
+
+``regular_set`` decides the regular nodes of a whole flip graph with few LPs.
+A flip toggles one circuit, so a certified neighbour's witness pushed just
+across that circuit's hyperplane often certifies the node, once an exact
+integer sign check accepts it; the LP decides the rest.  Negating the
+heights swaps upper and lower faces, so the half-turn image of a node has
+the same verdict, certified by the negated witness.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .core import (
@@ -247,3 +254,106 @@ def classify_graph(config: PointConfig, graph) -> tuple[RegularityCertificate, .
 
 def regular_node_set(certs: Sequence[RegularityCertificate]) -> frozenset[int]:
     return frozenset(i for i, c in enumerate(certs) if c.regular)
+
+
+# ---------------------------------------------------------------------------
+# the regular set of a flip graph
+
+# Factors 1 + eps, as (numerator, denominator), for eps = 1/8 and then 1:
+# a probe replaces h by h - (1 + eps) (<h, alpha> / <alpha, alpha>) alpha.
+_PUSHES = ((9, 8), (2, 1))
+
+
+@dataclass(frozen=True)
+class RegularSet:
+    """The regular node ids, and how many verdicts each route gave."""
+
+    nodes: frozenset[int]
+    by_lp: int
+    by_probe: int
+    by_half_turn: int
+
+
+@lru_cache(maxsize=None)
+def _integer_circuits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """(p, q, r, alpha) of every circuit in rank order: points 0-based, alpha
+    scaled by the lcm of the coordinate denominators, as in ``_slack_rows``."""
+    scale = lcm(*(a.denominator for a in config.coords))
+    return tuple(
+        (c.p - 1, c.q - 1, c.r - 1, *(int(x * scale) for x in c.alpha))
+        for c in circuits(config)
+    )
+
+
+def _realizes(h: Sequence[int], key: int, table) -> bool:
+    """Does h give every circuit a nonzero sign, and exactly the signs of key?"""
+    for p, q, r, ap, aq, ar in table:
+        d = ap * h[p] + aq * h[q] + ar * h[r]
+        if d == 0 or (d < 0) != (key & 1):
+            return False
+        key >>= 1
+    return True
+
+
+def _probe(h: tuple[int, ...], circuit, key: int, table) -> tuple[int, ...] | None:
+    """A witness for key from h pushed across the circuit's hyperplane, or None.
+
+    The push is scaled by den * <alpha, alpha> > 0 to stay integral, and an
+    accepted witness is divided by its content, neither of which moves a sign.
+    """
+    p, q, r, ap, aq, ar = circuit
+    d = ap * h[p] + aq * h[q] + ar * h[r]
+    norm = ap * ap + aq * aq + ar * ar
+    for num, den in _PUSHES:
+        g = [den * norm * x for x in h]
+        g[p] -= num * d * ap
+        g[q] -= num * d * aq
+        g[r] -= num * d * ar
+        if _realizes(g, key, table):
+            content = gcd(*g)
+            return tuple(x // content for x in g)
+    return None
+
+
+def regular_set(graph) -> RegularSet:
+    """The regular nodes of an enumerated flip graph, without an LP per node.
+
+    Walks the nodes in id order, skipping decided ones.  An undecided node is
+    first probed from the witness of each certified neighbour; when no probe
+    passes the exact sign check, ``classify_orientation`` solves its LP.
+    Either way its half-turn image gets the same verdict: sigma_h(-h) is the
+    complement key, so -h certifies the image, and an image of an irregular
+    node is irregular.  Every regular verdict rests on an exact integer sign
+    check of a witness, every irregular one on an exact LP.
+    """
+    config = graph.config
+    table = _integer_circuits(config)
+    keys = graph.keys
+    witness: list[tuple[int, ...] | None] = [None] * len(keys)
+    decided = bytearray(len(keys))
+    by_lp = by_probe = by_half_turn = 0
+    for v, key in enumerate(keys):
+        if decided[v]:
+            continue
+        h = None
+        for u in graph.adj[v]:
+            if witness[u] is not None:
+                flipped = table[(key ^ keys[u]).bit_length() - 1]
+                h = _probe(witness[u], flipped, key, table)
+                if h is not None:
+                    by_probe += 1
+                    break
+        if h is None:
+            by_lp += 1
+            cert = classify_orientation(config, OrientationVector(len(table), key))
+            if cert.regular:
+                scale = lcm(*(x.denominator for x in cert.witness))
+                h = tuple(int(x * scale) for x in cert.witness)
+        image = graph.opposite_node(v)
+        decided[v] = decided[image] = 1
+        witness[v] = h
+        if image != v:
+            by_half_turn += 1
+            witness[image] = None if h is None else tuple(-x for x in h)
+    nodes = frozenset(v for v, h in enumerate(witness) if h is not None)
+    return RegularSet(nodes, by_lp, by_probe, by_half_turn)

@@ -44,6 +44,12 @@ def test_diameters_table_strict(capsys):
     assert "True" in out and "FINDING" not in out
 
 
+def test_diameters_reports_verdict_routes(capsys):
+    assert run(["diameters", "--n", "6", "--k", "2", "--strict"]) == 0
+    out = capsys.readouterr().out
+    assert "888 of 908 tilings regular; verdicts: 99 by LP, 355 by probe, 454 by half-turn" in out
+
+
 def test_diameters_requires_k_or_all(capsys):
     assert run(["diameters", "--n", "4"]) == 2
 
@@ -121,6 +127,22 @@ def test_oracle_count(capsys):
     assert "8 commutation classes" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("broken", ["formula", "classes"])
+def test_oracle_count_mismatch_is_a_finding(monkeypatch, capsys, broken):
+    from zonotiling import cli
+    from zonotiling.oracle import OracleCount, reduced_word_count_formula
+
+    if broken == "formula":
+        monkeypatch.setattr(cli, "reduced_word_count_formula", lambda n: 1 + reduced_word_count_formula(n))
+        message = "768 reduced words, but the hook formula gives 769"
+    else:
+        monkeypatch.setattr(cli, "commutation_census", lambda n: OracleCount(n, 768, 63))
+        message = "63 commutation classes, but 62 tilings enumerated"
+    assert run(["oracle-count", "--n", "5"]) == 0
+    assert run(["oracle-count", "--n", "5", "--strict"]) == 1
+    assert f"FINDING: {message}" in capsys.readouterr().out
+
+
 def test_oracle_count_above_the_limit_is_an_input_error(capsys):
     assert run(["oracle-count", "--n", "9"]) == 2
     assert "error: n=9 exceeds the oracle limit 8" in capsys.readouterr().err
@@ -187,6 +209,7 @@ def test_reproduce_theorems_end_to_end(tmp_path):
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in proc.stdout
     names = [
         "graph_n5.json", "classify_n5.json", "diameters_n5.json",
         "hypertri_n5_k1.json", "hypertri_n5_k2.json", "hypertri_n5_k3.json",

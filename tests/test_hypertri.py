@@ -279,42 +279,63 @@ class TestHypertriDiameters:
         k = 2
         calls = {"slice": 0, "cross": 0, "reduced": 0}
         passed = []
-        real_slice = hypertri.level_vertex_masks
-        real_reduced = hypertri.reduced_cross_section
+        real_slices = hypertri._level_slices
+        real_reduced = hypertri._reduced_path
 
-        def counted_slice(tiling, level):
+        def counted_slices(tiling, level):
             calls["slice"] += level == k
-            return real_slice(tiling, level)
+            return real_slices(tiling, level)
 
         def counted_cross(tiling, level):
             calls["cross"] += 1
             return cross_section(tiling, level)
 
-        def counted_reduced(graph, members, level):
+        def counted_reduced(common, level, n):
             calls["reduced"] += 1
-            passed.append(members)
-            return real_reduced(graph, members, level)
+            passed.append(common)
+            return real_reduced(common, level, n)
 
-        monkeypatch.setattr(hypertri, "level_vertex_masks", counted_slice)
+        monkeypatch.setattr(hypertri, "_level_slices", counted_slices)
         monkeypatch.setattr(hypertri, "cross_section", counted_cross)
-        monkeypatch.setattr(hypertri, "reduced_cross_section", counted_reduced)
+        monkeypatch.setattr(hypertri, "_reduced_path", counted_reduced)
         rec = hypertri_diameters(g, k)
         assert rec["findings"] == []
         assert calls == {"slice": len(g), "cross": 0, "reduced": rec["reduced"]["classes"]}
-        assert passed == list(skeleton(g, k, "reduced_all").classes)  # whole classes
+        # each meet is over a whole class
+        classes = skeleton(g, k, "reduced_all").classes
+        assert passed == [
+            frozenset.intersection(*(level_vertex_masks(g.tiling(v), k + 1) for v in members))
+            for members in classes
+        ]
+
+    def test_builds_each_tiling_once(self, graphs, monkeypatch):
+        from zonotiling.flipgraph import FlipGraph
+
+        g = graphs(5)
+        built = []
+        real_tiling = FlipGraph.tiling
+
+        def counted_tiling(graph, node):
+            built.append(node)
+            return real_tiling(graph, node)
+
+        monkeypatch.setattr(FlipGraph, "tiling", counted_tiling)
+        assert hypertri_diameters(g, 2)["findings"] == []
+        assert sorted(built) == list(range(len(g))) and len(built) == 62
 
 
 def _replace_slices(monkeypatch, graph, k, replacement):
     """Make the level-k slice of each node v in replacement read replacement[v]."""
-    real = hypertri.level_vertex_masks
+    real = hypertri._level_slices
 
     def fake(tiling, level):
+        lower, upper = real(tiling, level)
         v = graph.index.get(orientation_of(tiling).bits)
         if level == k and v in replacement:
-            return replacement[v]
-        return real(tiling, level)
+            return replacement[v], upper
+        return lower, upper
 
-    monkeypatch.setattr(hypertri, "level_vertex_masks", fake)
+    monkeypatch.setattr(hypertri, "_level_slices", fake)
 
 
 class TestLiftingQuotientCheck:

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import full_tableau_oracle
 from fm_oracle import strictly_feasible
@@ -10,14 +12,18 @@ from zonotiling import (
     OrientationVector,
     circuits,
     classify,
+    classify_graph,
     enumerate_tilings,
     extremal_tiling,
     make_config,
     orientation_of,
+    regular_node_set,
+    regular_set,
     sigma_h,
     standard_config,
     tiling_from_heights,
 )
+from zonotiling import regularity
 from zonotiling.regularity import classify_orientation, simplex_max_canonical
 
 
@@ -256,6 +262,110 @@ class TestFourierMotzkinCrossCheck:
         for v, cert in enumerate(certificates(6)):
             fm = strictly_feasible(self.rows_for(cfg, orientation_of(g.tiling(v))))
             assert fm == cert.regular
+
+
+def _points(start, gaps):
+    points = [Fraction(start)]
+    for gap in gaps:
+        points.append(points[-1] + gap)
+    return points
+
+
+def configurations(n):
+    """Rational configurations: random spacings, a_i = i^2, near-degenerate gaps."""
+    spacing = st.fractions(min_value=Fraction(1, 7), max_value=6, max_denominator=7)
+    tiny = st.integers(100, 1000).map(lambda d: Fraction(1, d))
+    start = st.integers(-3, 3)
+    return st.one_of(
+        st.builds(_points, start, st.lists(spacing, min_size=n - 1, max_size=n - 1)),
+        start.map(lambda s: [s + i * i for i in range(1, n + 1)]),
+        st.builds(
+            _points, start, st.lists(st.one_of(tiny, spacing), min_size=n - 1, max_size=n - 1)
+        ),
+    ).map(make_config)
+
+
+class TestRegularSet:
+    """regular_set (probes, half-turn images, LP fallback) against one LP per node."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_equals_the_lp_census(self, graphs, regulars, n):
+        assert regular_set(graphs(n)).nodes == regulars(n)
+
+    @staticmethod
+    def check_against_lps(cfg):
+        g = enumerate_tilings(cfg)
+        lp = regular_node_set(classify_graph(cfg, g))
+        assert {g.opposite_node(v) for v in lp} == lp  # the half-turn keeps the LP census
+        assert regular_set(g).nodes == lp
+
+    @settings(max_examples=15)
+    @given(configurations(5))
+    def test_equals_the_lp_census_n5(self, cfg):
+        self.check_against_lps(cfg)
+
+    @settings(max_examples=4)
+    @given(configurations(6))
+    def test_equals_the_lp_census_n6(self, cfg):
+        self.check_against_lps(cfg)
+
+    def test_closed_under_the_half_turn(self, graphs, regulars):
+        g = graphs(6)
+        assert {g.opposite_node(v) for v in regulars(6)} == regulars(6)
+        nodes = regular_set(g).nodes
+        assert {g.opposite_node(v) for v in nodes} == nodes
+
+    def test_fewer_lps_than_nodes_n6(self, graphs, monkeypatch):
+        g = graphs(6)
+        solved = []
+        real = regularity.classify_orientation
+
+        def counted(config, orientation, tiling=None):
+            solved.append(orientation.bits)
+            return real(config, orientation, tiling)
+
+        monkeypatch.setattr(regularity, "classify_orientation", counted)
+        result = regular_set(g)
+        assert len(solved) == result.by_lp < len(g)
+        assert len(set(solved)) == len(solved)
+        assert result.by_lp + result.by_probe + result.by_half_turn == len(g)
+        assert result.by_half_turn == len(g) // 2
+
+    def test_probe_witnesses_check_exactly(self, graphs, monkeypatch):
+        # every accepted probe reproduces its node's key under sigma_h
+        g = graphs(5)
+        cfg = standard_config(5)
+        accepted = []
+        real = regularity._probe
+
+        def recorded(h, circuit, key, table):
+            found = real(h, circuit, key, table)
+            if found is not None:
+                accepted.append((found, key))
+            return found
+
+        monkeypatch.setattr(regularity, "_probe", recorded)
+        result = regular_set(g)
+        assert len(accepted) == result.by_probe > 0
+        for h, key in accepted:
+            assert sigma_h(cfg, h).bits == key
+
+    def test_sign_check_refuses_a_zero_sign(self):
+        # heights affine in a_i put every point on every chord: all signs 0
+        cfg = standard_config(4)
+        table = regularity._integer_circuits(cfg)
+        minimal = tuple(int(a * a) for a in cfg.coords)
+        assert regularity._realizes(minimal, 0, table)
+        assert not regularity._realizes(minimal, 1, table)
+        for key in (0, 0b1111):
+            assert not regularity._realizes((0, 0, 0, 0), key, table)
+            assert not regularity._realizes((1, 2, 3, 4), key, table)
+
+
+@pytest.mark.slow
+def test_regular_set_n7(graphs):
+    result = regular_set(graphs(7))
+    assert (len(result.nodes), len(graphs(7))) == (22_408, 24_698)
 
 
 @pytest.mark.slow

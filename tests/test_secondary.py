@@ -277,11 +277,12 @@ class TestDiameterReport:
 
 @pytest.mark.slow
 def test_sigma_k_diameters_n7():
-    from zonotiling import classify_graph, regular_node_set
+    from zonotiling import classify_graph, regular_node_set, regular_set
 
     cfg = standard_config(7)
     g = enumerate_tilings(cfg)
     regs = regular_node_set(classify_graph(cfg, g))
+    assert regular_set(g).nodes == regs  # the diameters route, against one LP per node
     for k in range(1, 6):
         sk = skeleton(g, k, "sigma_k", regs)
         assert graph_diameter(sk.adj)[0] == k * (7 - k - 1)
