@@ -15,22 +15,44 @@ the solver is an exact simplex.  Writing h = w+ - w- with w+, w- in [0, 1]
 makes the origin a basic feasible point, so no feasibility phase is needed.
 
 The simplex works on integers only.  Each constraint row is scaled by a
-positive integer so that its entries are integral; the slack LP's rows are
-built once per configuration from the circuits, one row per sign, and only
-selected per tiling.  Pivoting is fraction-free (Bareiss): after every pivot
-the tableau equals det(B) * B^-1 [A | b] for the current basis B, each
-update divides exactly by the previous pivot, and no rational is formed
-until the optimum is read off.  The tableau is condensed to the non-basic
-columns plus b, m x (nv + 1), instead of also carrying the m columns of the
-basic variables, which are always det(B) times a unit vector.  A pivot on
-row r and non-basic column s swaps the entering and leaving variables, and
-column s takes the leaving variable's column, -T[i][s] off the pivot row and
-det on it.
+positive integer so that its entries are integral.  Pivoting is
+fraction-free (Bareiss): after every pivot the tableau equals
+det(B) * B^-1 [A | b] for the current basis B, each update divides exactly
+by the previous pivot, and no rational is formed until the optimum is read
+off.  The tableau is condensed to the non-basic columns plus b,
+m x (nv + 1), instead of also carrying the m columns of the basic
+variables, which are always det(B) times a unit vector.  A pivot on row r
+and non-basic column s swaps the entering and leaving variables, and column
+s takes the leaving variable's column, -T[i][s] off the pivot row and det on
+it.
+
+Each tableau row is packed into one Python int of nv + 1 signed fields,
+W bits apart: row = sum_j T[i][j] << (j * W).  Packing is linear, so a
+Bareiss update of a whole row is one big-int expression,
+(piv * row - a * prow) // det, and the division is exact on the packed int
+because it is exact on every field: the packed numerator is det times the
+packed quotient, whatever carries its fields make on the way.  Only the
+results must fit.  Every tableau entry is, up to sign, a minor of [A | b]
+with at most min(m, nv + 1) rows, so by Hadamard's inequality it is bounded
+by the product of the min(m, nv + 1) largest row norms, each taken as at
+least 1 so that zero rows and short LPs cannot shrink the bound.  W is that
+bound's bit length plus 2: one bit for the sign and one to spare.  A field
+is read back by adding the offset sum_j 2^(W-1) << (j * W), which makes
+every field nonnegative, then shifting and masking.  The objective row
+stays a list of ints.
 
 Positive row scaling changes neither B^-1 b nor the reduced costs' signs,
 and the entering rule looks at the *original* variable index of each
 non-basic column, so the pivots, the optimal vertex, the witness and the
 slack are exactly those of the uncondensed tableau over the unscaled rows.
+Packing changes no value either: every field reads back exactly, so
+Bland's rule and the tie break see the same numbers and make the same
+pivots as on an unpacked tableau.
+
+The slack LP's rows are packed once per configuration from the circuits,
+one row per sign, and only selected per tiling.  Both signs of a circuit
+give rows of the same norm, so one field width serves every tiling of a
+configuration.
 
 ``regular_set`` decides the regular nodes of a whole flip graph with few LPs.
 A flip toggles one circuit, so a certified neighbour's witness pushed just
@@ -45,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
 from .core import (
@@ -65,17 +87,42 @@ class SimplexError(RuntimeError):
     pass
 
 
-def _maximize(obj: list[int], rows: list[list[int]]) -> tuple[list[int], int, int] | None:
+def _field_width(rows: Sequence[Sequence[int]], nv: int) -> int:
+    """Bits per packed field for the integer rows [A_r | b_r] of an LP in nv variables.
+
+    The Hadamard bound over the min(m, nv + 1) largest row norms, each taken
+    as at least 1, bounds every tableau entry; see the module docstring.
+    """
+    norms = sorted((max(sum(v * v for v in row), 1) for row in rows), reverse=True)
+    return isqrt(prod(norms[: nv + 1])).bit_length() + 2
+
+
+def _pack(row: Sequence[int], width: int) -> int:
+    """One int holding row[j] in the signed field j of the given width."""
+    return sum(v << (j * width) for j, v in enumerate(row))
+
+
+def _maximize(obj: list[int], rows: list[int], width: int) -> tuple[list[int], int, int] | None:
     """Maximize c.x subject to A.x <= b, x >= 0 on integer data, b >= 0.
 
-    ``rows[r]`` is row r of A followed by b_r, and ``obj`` is c followed by
-    0; ``rows`` is updated in place.  Returns None when the LP is unbounded, otherwise
+    ``rows[r]`` is row r of A followed by b_r, packed by ``_pack`` into
+    fields ``width`` bits wide, which must hold every tableau entry (see
+    ``_field_width``); ``obj`` is c followed by 0, as a list.  ``rows`` is
+    updated in place.  Returns None when the LP is unbounded, otherwise
     (x, value, det) with the optimum at x_i = x[i] / det and c.x = value / det.
-    Bland's entering rule plus a lowest-basis-index tie break keeps the walk
-    finite and deterministic.
+
+    Each pivot reads column s and b of every row with one offset-shift-mask,
+    in the pass that runs the ratio test, and then updates each row with one
+    exact big-int Bareiss step.  Bland's entering rule plus a
+    lowest-basis-index tie break keeps the walk finite and deterministic;
+    fields read back exactly, so the pivots are those of the unpacked tableau.
     """
     m = len(rows)
     nv = len(obj) - 1
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    offset = sum(half << (j * width) for j in range(nv + 1))
+    top = nv * width
     nonbasic = list(range(nv))  # original variable index of each column
     basis = list(range(nv, nv + m))  # slack r starts basic in row r
     det = 1
@@ -86,41 +133,46 @@ def _maximize(obj: list[int], rows: list[list[int]]) -> tuple[list[int], int, in
                 s = j
         if s < 0:
             break
+        shift = s * width
+        above = top - shift
+        column = []
         leave = -1
-        for r in range(m):
-            a = rows[r][s]
+        for r, row in enumerate(rows):
+            fields = (row + offset) >> shift
+            a = (fields & mask) - half
+            column.append(a)
             if a > 0:
+                b = (fields >> above) - half
                 if leave < 0:
-                    leave = r
+                    leave, piv, pb = r, a, b
                 else:
-                    diff = rows[r][nv] * rows[leave][s] - rows[leave][nv] * a
+                    diff = b * piv - pb * a
                     if diff < 0 or (diff == 0 and basis[r] < basis[leave]):
-                        leave = r
+                        leave, piv, pb = r, a, b
         if leave < 0:
             return None
         prow = rows[leave]
-        piv = prow[s]
-        for i in range(m):
-            if i != leave:
-                row = rows[i]
-                a = row[s]
-                if a:
-                    row = [(piv * x - a * y) // det for x, y in zip(row, prow)]
-                    row[s] = -a
-                    rows[i] = row
-                elif piv != det:
-                    rows[i] = [piv * x // det for x in row]
+        for i, a in enumerate(column):
+            if a:
+                if i != leave:
+                    rows[i] = (piv * rows[i] - a * prow) // det - (a << shift)
+            elif piv != det:
+                rows[i] = piv * rows[i] // det
+        packed = prow + offset
         a = obj[s]
-        obj = [(piv * x - a * y) // det for x, y in zip(obj, prow)]
+        obj = [
+            (piv * x - a * ((packed >> (j * width) & mask) - half)) // det
+            for j, x in enumerate(obj)
+        ]
         obj[s] = -a
-        prow[s] = det
+        rows[leave] = prow + ((det - piv) << shift)
         nonbasic[s], basis[leave] = basis[leave], nonbasic[s]
         det = piv
 
     x = [0] * nv
     for r, b in enumerate(basis):
         if b < nv:
-            x[b] = rows[r][nv]
+            x[b] = ((rows[r] + offset) >> top) - half
     return x, -obj[nv], det
 
 
@@ -148,9 +200,12 @@ def simplex_max_canonical(
         scale = lcm(b.denominator, *(c.denominator for c in coeffs))
         rows.append([int(c * scale) for c in coeffs] + [int(b * scale)])
 
+    width = _field_width(rows, nv)
     cfr = [Fraction(c) for c in objective]
     cscale = lcm(1, *(c.denominator for c in cfr))
-    solved = _maximize([int(c * cscale) for c in cfr] + [0], rows)
+    solved = _maximize(
+        [int(c * cscale) for c in cfr] + [0], [_pack(row, width) for row in rows], width
+    )
     if solved is None:
         return "unbounded", [], _ZERO
     x, value, det = solved
@@ -180,15 +235,15 @@ def classify(config: PointConfig, tiling: Tiling) -> RegularityCertificate:
 
 
 @lru_cache(maxsize=None)
-def _slack_rows(
-    config: PointConfig,
-) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], tuple[tuple[int, ...], ...]]:
-    """Integer rows of the slack LP, built once per configuration.
+def _slack_rows(config: PointConfig) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]:
+    """Packed integer rows of the slack LP, built once per configuration.
 
     Columns are w+_i, w-_i for i = 3..n (h_i = w+_i - w-_i), then t, then
     the right-hand side.  For every circuit, in rank order, the pair holds
     its row under sign +1 and under sign -1, scaled by the lcm of the
     coordinate denominators; then come the bound rows w+_i, w-_i, t <= 1.
+    The last item is the field width: both signs of a circuit give rows of
+    the same norm, so every tiling's LP has the same Hadamard bound.
     """
     k = config.n - 2
     nv = 2 * k + 1
@@ -203,13 +258,18 @@ def _slack_rows(
                 row[k + point - 3] = v
         row[nv - 1] = scale
         negative = [-v for v in row[: 2 * k]] + row[2 * k :]
-        circuit_rows.append((tuple(row), tuple(negative)))
+        circuit_rows.append((row, negative))
     bounds = []
     for i in range(nv):
         row = [0] * (nv + 1)
         row[i] = row[nv] = 1
-        bounds.append(tuple(row))
-    return tuple(circuit_rows), tuple(bounds)
+        bounds.append(row)
+    width = _field_width([pair[0] for pair in circuit_rows] + bounds, nv)
+    return (
+        tuple((_pack(row, width), _pack(negative, width)) for row, negative in circuit_rows),
+        tuple(_pack(row, width) for row in bounds),
+        width,
+    )
 
 
 def classify_orientation(
@@ -223,14 +283,14 @@ def classify_orientation(
             f"orientation has {orientation.count} signs, "
             f"but n = {n} points have {num_triples(n)} circuits"
         )
-    circuit_rows, bounds = _slack_rows(config)
+    circuit_rows, bounds, width = _slack_rows(config)
     bits = orientation.bits
-    rows = [list(pair[bits >> rank & 1]) for rank, pair in enumerate(circuit_rows)]
-    rows.extend(list(row) for row in bounds)
+    rows = [pair[bits >> rank & 1] for rank, pair in enumerate(circuit_rows)]
+    rows.extend(bounds)
     k = n - 2
     objective = [0] * (2 * k + 2)
     objective[2 * k] = 1  # maximize t
-    solved = _maximize(objective, rows)
+    solved = _maximize(objective, rows, width)
     if solved is None:
         raise SimplexError("slack LP ended with status unbounded")
     x, value, det = solved

@@ -2,10 +2,10 @@
 
 Test-only reference for ``zonotiling.regularity.simplex_max_canonical``: the
 solver as it stood before the production code moved to a condensed tableau
-over the non-basic columns.  It carries the whole m x (nv + m + 1) tableau,
-slack identity columns included, scales every row by the lcm of its own
-denominators, and pivots with Bland's rule plus a lowest-basis-index tie
-break.  The condensed solver must return the same (status, x, value) on
+over the non-basic columns, with each row packed into one int.  It carries
+the whole m x (nv + m + 1) tableau as lists, slack identity columns
+included, scales every row by the lcm of its own denominators, and pivots
+with Bland's rule plus a lowest-basis-index tie break.  The production solver must return the same (status, x, value) on
 every input; see tests/test_regularity.py::TestFullTableauDifferential.
 """
 

@@ -190,11 +190,39 @@ class TestClassify:
         assert all(isinstance(s, str) for s in data["h"])
 
 
-class TestFullTableauDifferential:
-    """The condensed solver against the full-tableau reference solver.
+def _points(start, gaps):
+    points = [Fraction(start)]
+    for gap in gaps:
+        points.append(points[-1] + gap)
+    return points
 
-    Both must agree on (status, x, value) and on every certificate, so the
-    row scaling may not move a pivot on configurations with denominators.
+
+def configurations(n):
+    """Rational configurations: random spacings, a_i = i^2, near-degenerate
+    gaps, and gaps with large prime denominators such as 1/997."""
+    spacing = st.fractions(min_value=Fraction(1, 7), max_value=6, max_denominator=7)
+    tiny = st.integers(100, 1000).map(lambda d: Fraction(1, d))
+    prime = st.sampled_from([983, 991, 997])
+    large = st.builds(Fraction, st.integers(1, 2000), prime)
+    start = st.integers(-3, 3)
+
+    def gaps(*kinds):
+        return st.lists(st.one_of(*kinds), min_size=n - 1, max_size=n - 1)
+
+    return st.one_of(
+        st.builds(_points, start, gaps(spacing)),
+        start.map(lambda s: [s + i * i for i in range(1, n + 1)]),
+        st.builds(_points, start, gaps(tiny, spacing)),
+        st.builds(_points, start, gaps(large, tiny)),
+    ).map(make_config)
+
+
+class TestFullTableauDifferential:
+    """The condensed, packed-row solver against the full-tableau reference solver.
+
+    Both must agree on (status, x, value) and on every certificate, so
+    neither the row scaling nor the packing may move a pivot, also on
+    configurations with large denominators.
     """
 
     @pytest.mark.parametrize(
@@ -226,11 +254,127 @@ class TestFullTableauDifferential:
                 expected = full_tableau_oracle.reference_certificate(cfg, orientation_of(g.tiling(v)))
                 assert (cert.regular, cert.witness, cert.slack) == expected
 
+    @staticmethod
+    def check_certificate(cfg, tiling):
+        cert = classify(cfg, tiling)
+        assert (cert.regular, cert.witness, cert.slack) == (
+            full_tableau_oracle.reference_certificate(cfg, orientation_of(tiling))
+        )
+
+    @settings(max_examples=10)
+    @given(configurations(5))
+    def test_every_tiling_on_drawn_configurations_n5(self, cfg):
+        g = enumerate_tilings(cfg)
+        for tiling in map(g.tiling, range(len(g))):
+            self.check_certificate(cfg, tiling)
+
+    @settings(max_examples=4)
+    @given(configurations(6))
+    def test_sampled_tilings_on_drawn_configurations_n6(self, cfg):
+        g = enumerate_tilings(cfg)
+        for v in random.Random(6).sample(range(len(g)), 60):
+            self.check_certificate(cfg, g.tiling(v))
+
     def test_random_lps(self):
         for c, A, b in random_lps(31, 400):
             assert simplex_max_canonical(c, A, b) == full_tableau_oracle.simplex_max_canonical(
                 c, A, b
             )
+
+
+def _beale():
+    """Beale's LP: degenerate ratio-test ties on which the textbook rule cycles."""
+    c = [Fraction(3, 4), -20, Fraction(1, 2), -6]
+    A = [
+        [Fraction(1, 4), -8, -1, 9],
+        [Fraction(1, 2), -12, Fraction(-1, 2), 3],
+        [0, 0, 1, 0],
+    ]
+    return c, A, [0, 0, 1]
+
+
+def huge_lps(seed, count):
+    """Canonical LPs mixing entries above 2**64 with small ones and zeros."""
+    rng = random.Random(seed)
+
+    def entry(sign_range):
+        size = rng.choice((0, 1, 3, 2**64 + 13, 2**80, 3**50))
+        numerator = rng.randint(*sign_range) * size + rng.randint(0, 2)
+        return Fraction(numerator, rng.choice((1, 1, 7, 2**65)))
+
+    for _ in range(count):
+        nv = rng.randint(1, 4)
+        m = rng.randint(1, 5)
+        c = [entry((-1, 1)) for _ in range(nv)]
+        A = [[entry((-1, 1)) for _ in range(nv)] for _ in range(m)]
+        b = [entry((0, 1)) for _ in range(m)]
+        yield c, A, b
+
+
+class TestPackedRows:
+    """Packed-row solver against the full-tableau reference on adversarial LPs."""
+
+    @pytest.mark.parametrize(
+        "lp",
+        [
+            # zero rows, with b = 0 and with b > 0
+            ([1, 2], [[0, 0], [1, 1], [0, 0]], [0, 3, 5]),
+            ([1, 1], [[0, 0]], [0]),
+            ([Fraction(1, 3)], [[0], [0]], [0, 0]),
+            # fewer rows than nv + 1, and no rows at all
+            ([1, 1, 1, 1], [[1, 2, 3, 4], [4, 3, 2, 1]], [10, 10]),
+            ([3, -1, 2], [[1, 1, 1]], [7]),
+            ([-1, -2], [], []),
+            # unbounded, also after a pivot
+            ([1, 1], [[1, -1]], [2]),
+            ([1], [], []),
+            ([2, 1], [[1, 0], [-1, 1]], [4, 0]),
+            # degenerate ratio-test ties
+            ([1, 1], [[1, 0], [0, 1], [1, 1], [1, -1]], [0, 0, 0, 0]),
+            ([1, 1], [[1, 0], [2, 0], [1, 1]], [1, 2, 1]),
+            ([1, 2, 3], [[1, 1, 1], [2, 2, 2], [3, 3, 3], [1, 0, 0]], [1, 2, 3, 1]),
+            _beale(),
+            # coefficients above 2**64, beside small ones
+            ([2**70, 1], [[2**66 + 1, 3], [1, 2**65]], [2**64 * 3, 7]),
+            ([1, 1], [[Fraction(1, 2**70), 1], [1, Fraction(2**67, 3)]], [2**90, 1]),
+        ],
+    )
+    def test_against_full_tableau(self, lp):
+        assert simplex_max_canonical(*lp) == full_tableau_oracle.simplex_max_canonical(*lp)
+
+    def test_huge_random_lps(self):
+        for c, A, b in huge_lps(7, 300):
+            assert simplex_max_canonical(c, A, b) == full_tableau_oracle.simplex_max_canonical(
+                c, A, b
+            )
+
+    def test_beale_reaches_its_optimum(self):
+        status, x, value = simplex_max_canonical(*_beale())
+        assert (status, value) == ("optimal", Fraction(5, 4))
+
+    def test_width_has_no_spare_two_bits(self):
+        # max x1 + x2 s.t. c x1 + c x2 <= 2c, c x1 - c x2 <= 0 reaches a
+        # tableau entry of 2c^2 = 2^41, which needs more bits than any input
+        c = 2**20
+        rows = [[c, c, 2 * c], [c, -c, 0]]
+        width = regularity._field_width(rows, 2)
+
+        def solve(w):
+            return regularity._maximize([1, 1, 0], [regularity._pack(r, w) for r in rows], w)
+
+        assert solve(width) == ([2 * c * c, 2 * c * c], 4 * c * c, 2 * c * c)
+        assert simplex_max_canonical([1, 1], [r[:2] for r in rows], [2 * c, 0]) == (
+            "optimal",
+            [1, 1],
+            2,
+        )
+        assert solve(width - 2) != solve(width)
+
+    def test_zero_rows_keep_a_usable_width(self):
+        # a zero row counts as norm 1, so it cannot zero the Hadamard bound
+        assert regularity._field_width([[0, 0, 0]], 2) == 3
+        assert regularity._field_width([], 3) == 3
+        assert regularity._field_width([[0, 0], [2**40, 0]], 1) == 43
 
 
 class TestFourierMotzkinCrossCheck:
@@ -262,27 +406,6 @@ class TestFourierMotzkinCrossCheck:
         for v, cert in enumerate(certificates(6)):
             fm = strictly_feasible(self.rows_for(cfg, orientation_of(g.tiling(v))))
             assert fm == cert.regular
-
-
-def _points(start, gaps):
-    points = [Fraction(start)]
-    for gap in gaps:
-        points.append(points[-1] + gap)
-    return points
-
-
-def configurations(n):
-    """Rational configurations: random spacings, a_i = i^2, near-degenerate gaps."""
-    spacing = st.fractions(min_value=Fraction(1, 7), max_value=6, max_denominator=7)
-    tiny = st.integers(100, 1000).map(lambda d: Fraction(1, d))
-    start = st.integers(-3, 3)
-    return st.one_of(
-        st.builds(_points, start, st.lists(spacing, min_size=n - 1, max_size=n - 1)),
-        start.map(lambda s: [s + i * i for i in range(1, n + 1)]),
-        st.builds(
-            _points, start, st.lists(st.one_of(tiny, spacing), min_size=n - 1, max_size=n - 1)
-        ),
-    ).map(make_config)
 
 
 class TestRegularSet:
