@@ -94,6 +94,24 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+def byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Per byte of a bitvector, the OR of the images of its set bits.
+
+    Bit b of the input maps to ``images[b]``; table ``i`` covers bits
+    8i .. 8i+7, so the image of a whole bitvector is the OR of one table
+    entry per byte.
+    """
+    tables = []
+    for first in range(0, len(images), 8):
+        chunk = images[first:first + 8]
+        table = [0] * (1 << len(chunk))
+        for byte in range(1, len(table)):
+            low = byte & -byte
+            table[byte] = table[byte ^ low] | chunk[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 # ---------------------------------------------------------------------------
 # colexicographic pair/triple indexing
 

@@ -9,6 +9,16 @@ minimal tiling's XOR one such toggle per set bit.  Enumeration is
 breadth-first from the minimal tiling, key 0, with every layer processed in
 sorted key order, which makes node ids stable across runs.
 
+Enumeration never builds a tiling: ``key_flips`` reads a node's flips and
+their levels off its key.  The key is a rank-3 signotope, and a circuit
+flips exactly when toggling it keeps the signs of every 4-subset monotone
+(Felsner and Weil, "Sweeps, arrangements and signotopes", 2001).  With
+c12, c23, c34 the sign changes between the neighbouring triples abc, abd,
+acd, bcd of a 4-subset a < b < c < d, a flip at position 1 is blocked by
+~c12 & (c23 | c34), at 2 by ~(c12 | c23), at 3 by ~(c23 | c34) and at 4 by
+~c34 & (c12 | c23); byte tables gather the key into one C(n,4)-bit word
+per position, so each test covers every 4-subset at once.
+
 A raising edge adds one inversion (one circuit toggled from +1 to -1), so
 it runs toward the larger key, node ids are in inversion-count order, and
 maximal chains are the length-C(n,3) raising walks from the minimal to the
@@ -24,11 +34,21 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .core import Finding, PointConfig, full_mask, num_triples, triple_rank
-from .tiling import Tiling, available_flips, tiling_of_orientation
+from .core import (
+    Finding,
+    PointConfig,
+    byte_tables,
+    colex_triples,
+    full_mask,
+    num_triples,
+    triple_rank,
+)
+from .tiling import Tiling, tiling_of_orientation
 
 
 class EnumerationCapError(ValueError):
@@ -83,8 +103,89 @@ class FlipGraph:
         return sum(len(nbrs) for nbrs in self.adj) // 2
 
 
+# ---------------------------------------------------------------------------
+# flips read off the orientation key
+
+@lru_cache(maxsize=None)
+def _flip_tables(n: int):
+    """Byte tables and per-circuit masks for ``key_flips``, built once per n.
+
+    The Q = C(n,4) 4-subsets a < b < c < d are numbered s = 0 .. Q-1, and
+    bit i*Q + s of a *position word* stands for the triple at position i of
+    subset s, in the order abc, abd, acd, bcd.  A circuit's *image* marks
+    every position it holds, and ``gather`` maps each key byte to the OR of
+    its set bits' images.  For the circuit (p, q, r), ``outer`` holds the
+    key bits of the triples {x, p, r} with x outside [p, r], and ``span``
+    those of every triple {x, p, r} with x other than q.
+    """
+    triples = colex_triples(n)
+    count = comb(n, 4)
+    images = [0] * len(triples)
+    for s, (a, b, c, d) in enumerate(combinations(range(1, n + 1), 4)):
+        for i, triple in enumerate(((a, b, c), (a, b, d), (a, c, d), (b, c, d))):
+            images[triple_rank(*triple)] |= 1 << (i * count + s)
+    circuits = []
+    for (p, q, r), image in zip(triples, images):
+        outer = inner = 0
+        for x in range(1, n + 1):
+            if x < p or x > r:
+                outer |= 1 << triple_rank(*sorted((x, p, r)))
+            elif p < x < r and x != q:
+                inner |= 1 << triple_rank(p, x, r)
+        circuits.append((1 << triple_rank(p, q, r), image, outer, outer | inner))
+    return byte_tables(images), count, tuple(circuits)
+
+
+def key_flips(n: int, key: int) -> tuple[list[int], bytes]:
+    """The flips of the tiling with orientation key ``key``, from the key alone.
+
+    Returns the key bit each flip toggles, in colex circuit order, and the
+    level of each.  The key is a rank-3 signotope: on every 4-subset
+    a < b < c < d its signs on abc, abd, acd, bcd change at most once.  A
+    circuit flips exactly when toggling it keeps every 4-subset monotone
+    (Felsner and Weil, "Sweeps, arrangements and signotopes", 2001).  With
+    c12, c23, c34 the sign changes between neighbouring positions of a
+    monotone 4-subset, toggling position
+      1 (abc) is blocked by  ~c12 & (c23 | c34),
+      2 (abd) is blocked by  ~(c12 | c23),
+      3 (acd) is blocked by  ~(c23 | c34),
+      4 (bcd) is blocked by  ~c34 & (c12 | c23),
+    evaluated for all 4-subsets at once on Q-bit words, Q = C(n,4); a
+    circuit flips when none of its positions is blocked.  The flip along
+    (p, q, r) has level |A| + 1 for the offset A of its {p, r} tile without
+    q: the x outside [p, r] with {x, p, r} oriented +1, and the x strictly
+    between p and r, other than q, with {p, x, r} oriented -1.  The key
+    must orient a tiling; for n < 4 every circuit flips.
+    """
+    gather, count, circuits = _flip_tables(n)
+    words = 0
+    for table, byte in zip(gather, key.to_bytes(len(gather), "little")):
+        words |= table[byte]
+    low = (1 << count) - 1
+    change = words ^ (words >> count)
+    c12 = change & low
+    c23 = change >> count & low
+    c34 = change >> 2 * count & low
+    blocked = (
+        ~c12 & (c23 | c34)
+        | (low & ~(c12 | c23)) << count
+        | (low & ~(c23 | c34)) << 2 * count
+        | (~c34 & (c12 | c23)) << 3 * count
+    )
+    bits = []
+    levels = []
+    for bit, image, outer, span in circuits:
+        if not blocked & image:
+            bits.append(bit)
+            levels.append(((key ^ outer) & span).bit_count() + 1)
+    return bits, bytes(levels)
+
+
 def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
-    """BFS over all tilings from the minimal one, deduped by orientation key."""
+    """BFS over all tilings from the minimal one, deduped by orientation key.
+
+    Each node's flips and levels come from ``key_flips``; no tiling is built.
+    """
     if config.n > cap:
         raise EnumerationCapError(
             f"n={config.n} exceeds the enumeration cap {cap}"
@@ -92,33 +193,29 @@ def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
     n = config.n
     keys = [0]  # the minimal tiling orients every circuit +1
     index = {0: 0}
-    adj: list[list[int]] = [[]]
-    levels: list[bytes] = [b""]
+    adj: list[list[int]] = []
+    levels: list[bytes] = []
 
-    frontier = [0]
-    while frontier:
-        pending: list[tuple[int, list[int]]] = []  # (u, neighbour keys)
+    # A flip moves the inversion count by one and every tiling but the
+    # minimal one has a lowering flip, so layer d holds the keys of d
+    # inversions: a node's lowering neighbours are numbered already and its
+    # raising ones are new.  Each layer's ids are consecutive, and its
+    # neighbours' ids are known once the next layer is numbered.
+    start = 0
+    while start < len(keys):
+        pending: list[list[int]] = []  # neighbour keys of each node in the layer
         discovered: set[int] = set()
-        for u in frontier:
-            ukey = keys[u]
-            moves = available_flips(tiling_of_orientation(n, ukey))
-            vkeys = [ukey ^ (1 << triple_rank(*move.triple)) for move in moves]
-            for vkey in vkeys:
-                if vkey not in index:
-                    discovered.add(vkey)
-            pending.append((u, vkeys))
-            levels[u] = bytes(move.level for move in moves)
-        next_frontier = []
+        for ukey in keys[start:]:
+            bits, node_levels = key_flips(n, ukey)
+            vkeys = [ukey ^ bit for bit in bits]
+            discovered.update([vkey for vkey in vkeys if vkey > ukey])
+            pending.append(vkeys)
+            levels.append(node_levels)
+        start = len(keys)
         for vkey in sorted(discovered):
-            vid = len(keys)
-            index[vkey] = vid
+            index[vkey] = len(keys)
             keys.append(vkey)
-            adj.append([])
-            levels.append(b"")
-            next_frontier.append(vid)
-        for u, vkeys in pending:
-            adj[u] = [index[vkey] for vkey in vkeys]
-        frontier = next_frontier
+        adj.extend([index[vkey] for vkey in vkeys] for vkeys in pending)
 
     return FlipGraph(config, keys, index, adj, levels)
 

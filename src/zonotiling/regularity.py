@@ -50,8 +50,9 @@ Bland's rule and the tie break see the same numbers and make the same
 pivots as on an unpacked tableau.
 
 The slack LP's rows are packed once per configuration from the circuits,
-one row per sign, and only selected per tiling.  Both signs of a circuit
-give rows of the same norm, so one field width serves every tiling of a
+one row per sign, and only selected per tiling.  Its structure gives a
+tighter bound than the generic one (see ``_slack_rows``), the same for
+both signs of every circuit, so one field width serves every tiling of a
 configuration.
 
 ``regular_set`` decides the regular nodes of a whole flip graph with few LPs.
@@ -242,13 +243,26 @@ def _slack_rows(config: PointConfig) -> tuple[tuple[tuple[int, int], ...], tuple
     the right-hand side.  For every circuit, in rank order, the pair holds
     its row under sign +1 and under sign -1, scaled by the lcm of the
     coordinate denominators; then come the bound rows w+_i, w-_i, t <= 1.
-    The last item is the field width: both signs of a circuit give rows of
-    the same norm, so every tiling's LP has the same Hadamard bound.
+
+    The last item is the field width, one for every tiling of the
+    configuration and tighter than ``_field_width``.  Every tableau entry is,
+    up to sign, a minor of [A | b].  Column b is zero on the circuit rows
+    and 1 on the nv bound rows, so a minor through it expands into at most
+    nv minors of A.  A bound row is a unit row, so expanding along it costs
+    a factor of +-1.  What is left is a minor of circuit rows only, and on
+    those the column of w-_i is minus that of w+_i, so a nonzero one keeps
+    at most one of each pair: at most k + 1 columns (h_3..h_n and t) and so
+    at most k + 1 rows.  With N_c = scale^2 + sum over points i >= 3 of
+    (scale * alpha_i)^2, the squared norm of circuit c's row on those
+    columns under either sign, Hadamard's inequality bounds every entry by
+    nv * isqrt(product of the k + 1 largest N_c).  W is that bound's bit
+    length plus 2, as in ``_field_width``.
     """
     k = config.n - 2
     nv = 2 * k + 1
     scale = lcm(*(a.denominator for a in config.coords))
     circuit_rows = []
+    norms = []
     for c in circuits(config):
         row = [0] * (nv + 1)
         for point, coeff in zip(c.triple, c.alpha):
@@ -259,12 +273,14 @@ def _slack_rows(config: PointConfig) -> tuple[tuple[tuple[int, int], ...], tuple
         row[nv - 1] = scale
         negative = [-v for v in row[: 2 * k]] + row[2 * k :]
         circuit_rows.append((row, negative))
+        norms.append(scale * scale + sum(v * v for v in row[:k]))
     bounds = []
     for i in range(nv):
         row = [0] * (nv + 1)
         row[i] = row[nv] = 1
         bounds.append(row)
-    width = _field_width([pair[0] for pair in circuit_rows] + bounds, nv)
+    norms.sort(reverse=True)
+    width = (nv * isqrt(prod(norms[: k + 1]))).bit_length() + 2
     return (
         tuple((_pack(row, width), _pack(negative, width)) for row, negative in circuit_rows),
         tuple(_pack(row, width) for row in bounds),

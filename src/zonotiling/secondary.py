@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .core import Finding, PointConfig, colex_pairs, format_rational, mask_points
 from .flipgraph import FlipGraph, check_node, components_excluding_levels, graph_diameter
-from .tiling import Tiling
+from .tiling import Tiling, _integer_coords
 
 
 def vert_k(config: PointConfig, tiling: Tiling, k: int) -> tuple[Fraction, ...]:
@@ -40,6 +40,17 @@ def vert_k(config: PointConfig, tiling: Tiling, k: int) -> tuple[Fraction, ...]:
         area = config.coord(j) - config.coord(i)
         for m in mask_points(mask):
             out[m - 1] += area
+    return tuple(out)
+
+
+def _scaled_vert_k(coords: Sequence[int], tiling: Tiling, k: int) -> tuple[int, ...]:
+    """``vert_k`` times the common positive scale of the integer coordinates."""
+    out = [0] * tiling.n
+    for (i, j), mask in zip(colex_pairs(tiling.n), tiling.offsets):
+        if mask.bit_count() == k:
+            area = coords[j - 1] - coords[i - 1]
+            for m in mask_points(mask):
+                out[m - 1] += area
     return tuple(out)
 
 
@@ -333,6 +344,24 @@ def check_level(n: int, k: int) -> None:
         raise ValueError(f"level k={k} is outside 1..{n - 2}")
 
 
+def _vert_k_distinct(
+    graph: FlipGraph, classes: Sequence[tuple[int, ...]], k: int
+) -> bool:
+    """Is vert_k constant on every class, and different between classes?
+
+    Compares ``vert_k`` on the integer coordinates: one positive scale moves
+    no equality between vectors.
+    """
+    coords = _integer_coords(graph.config)
+    values = set()
+    for members in classes:
+        vals = {_scaled_vert_k(coords, graph.tiling(v), k) for v in members}
+        if len(vals) != 1:
+            return False
+        values |= vals
+    return len(values) == len(classes)
+
+
 def diameter_report(
     graph: FlipGraph, k: int, regular_nodes: frozenset[int] | set[int]
 ) -> dict:
@@ -350,14 +379,7 @@ def diameter_report(
 
     duality = _duality(graph, sk, sk_diam, regular_nodes)
 
-    values = {}
-    constant_on_classes = True
-    for members in sk.classes:
-        vals = {vert_k(config, graph.tiling(v), k) for v in members}
-        if len(vals) != 1:
-            constant_on_classes = False
-        values[members[0]] = vals.pop()
-    distinct_ok = constant_on_classes and len(set(values.values())) == len(sk.classes)
+    distinct_ok = _vert_k_distinct(graph, sk.classes, k)
 
     # sigma_k's classes, restricted to the regular nodes, against the classes
     # taken after deleting the irregular nodes; disagreement means some

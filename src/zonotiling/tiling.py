@@ -34,6 +34,7 @@ from .core import (
     OrientationVector,
     PointConfig,
     as_heights,
+    byte_tables,
     colex_pairs,
     colex_triples,
     full_mask,
@@ -258,15 +259,8 @@ def _toggle_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...], int, int]:
         | (1 << (r - 1) << (shift * pair_rank(p, q)))
         for p, q, r in colex_triples(n)
     ]
-    tables = []
-    for first in range(0, len(toggles), 8):
-        chunk = toggles[first:first + 8]
-        table = [0] * (1 << len(chunk))
-        for byte in range(1, len(table)):
-            low = byte & -byte
-            table[byte] = table[byte ^ low] ^ chunk[low.bit_length() - 1]
-        tables.append(tuple(table))
-    return packed, tuple(tables), width, len(toggles)
+    # distinct circuits toggle distinct offset bits, so OR-ing toggles XORs them
+    return packed, byte_tables(toggles), width, len(toggles)
 
 
 def tiling_of_orientation(n: int, bits: int) -> Tiling:

@@ -5,8 +5,11 @@ solver as it stood before the production code moved to a condensed tableau
 over the non-basic columns, with each row packed into one int.  It carries
 the whole m x (nv + m + 1) tableau as lists, slack identity columns
 included, scales every row by the lcm of its own denominators, and pivots
-with Bland's rule plus a lowest-basis-index tie break.  The production solver must return the same (status, x, value) on
-every input; see tests/test_regularity.py::TestFullTableauDifferential.
+with Bland's rule plus a lowest-basis-index tie break.  The production
+solver must return the same (status, x, value) on every input; see
+tests/test_regularity.py::TestFullTableauDifferential.  ``largest_entry``
+replays the pivots on given integer rows and reports how large the tableau
+grows, which the packed solver's field width must cover.
 """
 
 from fractions import Fraction
@@ -28,12 +31,9 @@ def simplex_max_canonical(
     with status 'optimal' or 'unbounded'.  Bland's entering rule plus a
     lowest-basis-index tie break keeps the walk finite and deterministic.
     """
-    m = len(lhs)
     nv = len(objective)
-    width = nv + m + 1
-
     rows: list[list[int]] = []
-    for r in range(m):
+    for r in range(len(lhs)):
         if len(lhs[r]) != nv:
             raise ValueError("ragged constraint matrix")
         coeffs = [Fraction(x) for x in lhs[r]]
@@ -41,17 +41,44 @@ def simplex_max_canonical(
         if b < 0:
             raise ValueError("canonical form needs nonnegative right-hand sides")
         scale = lcm(b.denominator, *(c.denominator for c in coeffs)) if coeffs else b.denominator
-        row = [int(c * scale) for c in coeffs]
-        row.extend(1 if c == r else 0 for c in range(m))
-        row.append(int(b * scale))
-        rows.append(row)
+        rows.append([int(c * scale) for c in coeffs] + [int(b * scale)])
 
     cfr = [Fraction(c) for c in objective]
     cscale = lcm(1, *(c.denominator for c in cfr))
-    obj = [int(c * cscale) for c in cfr] + [0] * m + [0]
+    solved = _solve([int(c * cscale) for c in cfr], rows)
+    if solved is None:
+        return "unbounded", [], _ZERO
+    x, value, det, _peak = solved
+    return "optimal", [Fraction(v, det) for v in x], Fraction(value, det) / cscale
+
+
+def largest_entry(objective: Sequence[int], rows: Sequence[Sequence[int]]) -> int:
+    """The largest |entry| the constraint rows of the tableau reach on the way
+    to the optimum, for integer rows [A_r | b_r]; the LP must be bounded."""
+    solved = _solve(list(objective), [list(row) for row in rows])
+    assert solved is not None
+    return solved[3]
+
+
+def _solve(objective: list[int], int_rows: list[list[int]]):
+    """Pivot the full tableau over integer rows [A_r | b_r] to the optimum.
+
+    Returns None when the LP is unbounded, otherwise (x, value, det, peak)
+    with the optimum at x_i = x[i] / det, c.x = value / det, and peak the
+    largest |entry| of any constraint row of any tableau on the way.
+    """
+    m = len(int_rows)
+    nv = len(objective)
+    width = nv + m + 1
+    rows = [
+        row[:nv] + [1 if c == r else 0 for c in range(m)] + row[nv:]
+        for r, row in enumerate(int_rows)
+    ]
+    obj = objective + [0] * m + [0]
 
     det = 1
     basis = list(range(nv, nv + m))
+    peak = max((abs(v) for row in rows for v in row), default=0)
 
     while True:
         s = next((j for j in range(width - 1) if obj[j] > 0), -1)
@@ -68,7 +95,7 @@ def simplex_max_canonical(
                     if diff < 0 or (diff == 0 and basis[r] < basis[leave]):
                         leave = r
         if leave < 0:
-            return "unbounded", [], _ZERO
+            return None
         piv = rows[leave][s]
         prow = rows[leave]
         for i in range(m):
@@ -80,13 +107,13 @@ def simplex_max_canonical(
         obj = [(piv * obj[j] - a * prow[j]) // det for j in range(width)]
         det = piv
         basis[leave] = s
+        peak = max(peak, max((abs(v) for row in rows for v in row), default=0))
 
-    x = [_ZERO] * nv
+    x = [0] * nv
     for r, b in enumerate(basis):
         if b < nv:
-            x[b] = Fraction(rows[r][width - 1], det)
-    value = Fraction(-obj[width - 1], det) / cscale
-    return "optimal", x, value
+            x[b] = rows[r][width - 1]
+    return x, -obj[width - 1], det, peak
 
 
 def slack_lp(config, orientation):

@@ -22,14 +22,17 @@ from zonotiling import (
     standard_config,
 )
 from zonotiling import flipgraph
-from zonotiling.core import colex_triples
+from zonotiling.core import colex_triples, triple_rank
 from zonotiling.flipgraph import (
     EnumerationCapError,
     bfs_distances,
     components_excluding_levels,
+    key_flips,
 )
 from zonotiling.secondary import potential_between
 from zonotiling.tiling import (
+    FlipMove,
+    Tiling,
     apply_flip,
     available_flips,
     extremal_tiling,
@@ -155,10 +158,10 @@ def tile_route_graph(config):
 
 @pytest.mark.parametrize(
     "points",
-    [None, ["0", "1/2", "2", "7/3", "5", "11/2"]],
+    [None, ["0", "1/2", "2", "7/3", "5", "11/2", "10969/1994"]],
     ids=["standard", "rational"],
 )
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
 def test_key_view_matches_tile_route(points, n):
     config = standard_config(n) if points is None else make_config(points[:n])
     g = enumerate_tilings(config)
@@ -171,6 +174,52 @@ def test_key_view_matches_tile_route(points, n):
     assert g.tiling(g.max_id) == extremal_tiling(config, "max")
     for key in keys:
         assert orientation_of(tiling_of_orientation(n, key)).bits == key
+
+
+def tile_flips(tiling):
+    """(key bit, level) of every available flip, read off the tiles."""
+    return [(1 << triple_rank(*move.triple), move.level) for move in available_flips(tiling)]
+
+
+def key_route_flips(n, key):
+    bits, levels = key_flips(n, key)
+    return list(zip(bits, levels))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_key_flips_match_the_tiles_at_every_node(graphs, n):
+    for key in graphs(n).keys:
+        assert key_route_flips(n, key) == tile_flips(tiling_of_orientation(n, key))
+
+
+@pytest.mark.parametrize("n,steps", [(7, 3000), (8, 3000)])
+def test_key_flips_match_the_tiles_along_random_walks(n, steps):
+    # the walk itself runs on tiles, so it leans on no part of the key route
+    rng = random.Random(n)
+    tiling = extremal_tiling(standard_config(n), "min")
+    for _ in range(steps):
+        moves = available_flips(tiling)
+        key = orientation_of(tiling).bits
+        assert key_route_flips(n, key) == tile_flips(tiling)
+        tiling = apply_flip(tiling, moves[rng.randrange(len(moves))])
+
+
+def test_enumeration_builds_no_tiling_or_flip_move(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration built a Tiling or a FlipMove")
+
+    monkeypatch.setattr(Tiling, "__init__", refuse)
+    monkeypatch.setattr(FlipMove, "__init__", refuse)
+    assert len(enumerate_tilings(standard_config(6))) == 908
+
+
+@pytest.mark.slow
+def test_full_enumeration_n8():
+    g = enumerate_tilings(standard_config(8))
+    assert len(g) == 1_232_944
+    assert g.edge_count() == 5_295_168
+    # ids run through the inversion-count layers, each in sorted key order
+    assert g.keys == sorted(g.keys, key=lambda key: (key.bit_count(), key))
 
 
 def test_deterministic_node_numbering():

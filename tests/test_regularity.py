@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import full_tableau_oracle
 from fm_oracle import strictly_feasible
+from strategies import configurations
 from zonotiling import (
     OrientationVector,
     circuits,
@@ -190,33 +191,6 @@ class TestClassify:
         assert all(isinstance(s, str) for s in data["h"])
 
 
-def _points(start, gaps):
-    points = [Fraction(start)]
-    for gap in gaps:
-        points.append(points[-1] + gap)
-    return points
-
-
-def configurations(n):
-    """Rational configurations: random spacings, a_i = i^2, near-degenerate
-    gaps, and gaps with large prime denominators such as 1/997."""
-    spacing = st.fractions(min_value=Fraction(1, 7), max_value=6, max_denominator=7)
-    tiny = st.integers(100, 1000).map(lambda d: Fraction(1, d))
-    prime = st.sampled_from([983, 991, 997])
-    large = st.builds(Fraction, st.integers(1, 2000), prime)
-    start = st.integers(-3, 3)
-
-    def gaps(*kinds):
-        return st.lists(st.one_of(*kinds), min_size=n - 1, max_size=n - 1)
-
-    return st.one_of(
-        st.builds(_points, start, gaps(spacing)),
-        start.map(lambda s: [s + i * i for i in range(1, n + 1)]),
-        st.builds(_points, start, gaps(tiny, spacing)),
-        st.builds(_points, start, gaps(large, tiny)),
-    ).map(make_config)
-
-
 class TestFullTableauDifferential:
     """The condensed, packed-row solver against the full-tableau reference solver.
 
@@ -375,6 +349,51 @@ class TestPackedRows:
         assert regularity._field_width([[0, 0, 0]], 2) == 3
         assert regularity._field_width([], 3) == 3
         assert regularity._field_width([[0, 0], [2**40, 0]], 1) == 43
+
+
+class TestSlackWidth:
+    """Every slack LP's tableau fits the field width ``_slack_rows`` proves.
+
+    The pivots are replayed on the unpacked rows with the full-tableau
+    reference solver, which reports the largest entry of any tableau.
+    """
+
+    @staticmethod
+    def check_keys(cfg, keys):
+        circuit_rows, bounds, width = regularity._slack_rows(cfg)
+        k = cfg.n - 2
+        nv = 2 * k + 1
+        half = 1 << (width - 1)
+        mask = (1 << width) - 1
+        offset = sum(half << (j * width) for j in range(nv + 1))
+
+        def unpack(row):
+            return [((row + offset) >> (j * width) & mask) - half for j in range(nv + 1)]
+
+        objective = [0] * nv
+        objective[2 * k] = 1
+        for key in keys:
+            rows = [pair[key >> rank & 1] for rank, pair in enumerate(circuit_rows)]
+            peak = full_tableau_oracle.largest_entry(objective, map(unpack, rows + list(bounds)))
+            assert peak < half
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_every_lp_up_to_n5(self, n, data):
+        cfg = data.draw(configurations(n))
+        self.check_keys(cfg, enumerate_tilings(cfg).keys)
+
+    @settings(max_examples=4)
+    @given(configurations(6))
+    def test_sampled_lps_n6(self, cfg):
+        keys = enumerate_tilings(cfg).keys
+        self.check_keys(cfg, random.Random(6).sample(keys, 60))
+
+    def test_pinned_widths(self):
+        cfg = make_config(["0", "1/3", "2", "7/3", "5", "11/2", "10969/1994"])
+        assert regularity._slack_rows(cfg)[2] == 99
+        assert regularity._slack_rows(standard_config(7))[2] == 23
 
 
 class TestFourierMotzkinCrossCheck:

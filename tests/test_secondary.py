@@ -1,8 +1,11 @@
 import random
-from math import comb
+from math import comb, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import configurations
 from zonotiling import (
     enumerate_tilings,
     diameter_report,
@@ -12,13 +15,15 @@ from zonotiling import (
     make_config,
     modified_potential,
     potential,
+    regular_set,
     skeleton,
     standard_config,
     tiling_from_tiles,
     vert_k,
 )
 from zonotiling.flipgraph import components_excluding_levels
-from zonotiling.secondary import potential_between
+from zonotiling.secondary import _scaled_vert_k, _vert_k_distinct, potential_between
+from zonotiling.tiling import _integer_coords
 
 
 class TestVertK:
@@ -50,6 +55,50 @@ class TestVertK:
             for k in range(1, 4):
                 changed = vecs[k][u] != vecs[k][v]
                 assert changed == (level == k)
+
+
+class TestIntegerVertK:
+    """diameter_report compares vert_k on the integer coordinates."""
+
+    @staticmethod
+    def check(cfg):
+        g = enumerate_tilings(cfg)
+        regs = regular_set(g).nodes
+        coords = _integer_coords(cfg)
+        scale = lcm(*(a.denominator for a in cfg.coords))
+        rng = random.Random(len(g))
+        for k in range(1, cfg.n - 1):
+            fractions = [vert_k(cfg, g.tiling(v), k) for v in range(len(g))]
+            integers = [_scaled_vert_k(coords, g.tiling(v), k) for v in range(len(g))]
+            assert integers == [tuple(scale * x for x in vec) for vec in fractions]
+            shuffled = list(range(len(g)))
+            rng.shuffle(shuffled)
+            partitions = [
+                skeleton(g, k, "sigma_k", regs).classes,  # vert_k distinct
+                equivalence_classes(g, {k - 1, k} - {0}),  # repeats across classes
+                equivalence_classes(g, {k + 1}),  # not constant on a class
+                [tuple(shuffled[i:i + 3]) for i in range(0, len(g), 3)],
+            ]
+            for classes in partitions:
+                per_class = [
+                    (len({fractions[v] for v in members}), len({integers[v] for v in members}))
+                    for members in classes
+                ]
+                assert all(a == b for a, b in per_class)
+                constant = all(a == 1 for a, _ in per_class)
+                distinct = len({fractions[members[0]] for members in classes}) == len(classes)
+                assert _vert_k_distinct(g, classes, k) == (constant and distinct)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_same_verdicts_as_fractions(self, n, data):
+        self.check(data.draw(configurations(n)))
+
+    @settings(max_examples=2)
+    @given(configurations(6))
+    def test_same_verdicts_as_fractions_n6(self, cfg):
+        self.check(cfg)
 
 
 class TestEquivalenceClasses:
