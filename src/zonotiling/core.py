@@ -61,7 +61,11 @@ def to_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"coordinate {text!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

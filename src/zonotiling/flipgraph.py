@@ -31,6 +31,7 @@ bit-parallel multi-source BFS.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,7 +53,38 @@ from .tiling import Tiling, tiling_of_orientation
 
 
 class EnumerationCapError(ValueError):
-    """Requested configuration exceeds the enumeration cap."""
+    """Requested configuration exceeds the enumeration cap or the memory."""
+
+
+# Number of tilings for n = 1 .. 10 (OEIS A006245), and the bytes a graph
+# takes per node, measured at n = 8 (about 430 MB for 1,232,944 nodes).
+_TILING_COUNTS = (1, 1, 2, 8, 62, 908, 24_698, 1_232_944, 112_018_190, 18_410_581_880)
+_BYTES_PER_NODE = 430_000_000 / 1_232_944
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_memory(n: int) -> None:
+    """Refuse an n whose flip graph would not fit in physical memory."""
+    if n > len(_TILING_COUNTS):
+        raise EnumerationCapError(
+            f"n={n}: no tiling count is known above n={len(_TILING_COUNTS)}, "
+            "so the flip graph's memory cannot be estimated"
+        )
+    estimate = _TILING_COUNTS[n - 1] * _BYTES_PER_NODE
+    memory = _physical_memory()
+    if memory is not None and estimate > memory:
+        raise EnumerationCapError(
+            f"n={n} has {_TILING_COUNTS[n - 1]:,} tilings; their flip graph needs "
+            f"about {estimate / 1e9:,.1f} GB, more than the {memory / 1e9:,.1f} GB "
+            "of physical memory"
+        )
 
 
 @dataclass
@@ -185,11 +217,14 @@ def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
     """BFS over all tilings from the minimal one, deduped by orientation key.
 
     Each node's flips and levels come from ``key_flips``; no tiling is built.
+    An n above ``cap``, or one whose graph would not fit in physical memory
+    (``_check_memory``), is refused before anything is allocated.
     """
     if config.n > cap:
         raise EnumerationCapError(
             f"n={config.n} exceeds the enumeration cap {cap}"
         )
+    _check_memory(config.n)
     n = config.n
     keys = [0]  # the minimal tiling orients every circuit +1
     index = {0: 0}

@@ -14,15 +14,30 @@ class.  It satisfies the consecutive-triple condition
 |A1 & A2 & A3| = (k+1) - 2 and is in bijection with the k-classes.  A class
 is a sorted tuple of node ids from the partition code in ``secondary``, and
 ``reduced_cross_section`` reads exactly its members' slices.
+
+Graph nodes never build a Tiling for their slices: ``key_slices`` reads the
+level-k and level-(k+1) slices off the orientation key, because a subset is
+a vertex exactly when no circuit forbids its trace on the circuit's triple
+(the chamber-set condition, proved there).  ``level_vertex_masks`` and
+``cross_section`` read the same slices off a Tiling's tiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key, lru_cache, reduce
+from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
-from .core import Finding, mask_from, mask_points
+from .core import (
+    Finding,
+    byte_tables,
+    colex_triples,
+    full_mask,
+    mask_from,
+    mask_points,
+)
 from .flipgraph import FlipGraph, graph_diameter
 from .secondary import (
     skeleton,
@@ -109,13 +124,84 @@ def level_vertex_masks(tiling: Tiling, k: int) -> frozenset[int]:
     return frozenset(v for v in tiling.vertex_masks() if v.bit_count() == k)
 
 
-def _level_slices(tiling: Tiling, k: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The level-k and level-(k+1) slices, from one pass over the vertices."""
-    verts = tiling.vertex_masks()
-    return (
-        frozenset(v for v in verts if v.bit_count() == k),
-        frozenset(v for v in verts if v.bit_count() == k + 1),
+@lru_cache(maxsize=None)
+def _slice_tables(n: int, k: int):
+    """Byte tables and subset order for ``key_slices``, built once per (n, k).
+
+    Bit i of a slice word stands for ``subsets[i]``: the k-subsets of [n]
+    in bits 0 .. C(n,k)-1, then the (k+1)-subsets.  Key bit c, the circuit
+    (p, q, r), has the image ``minus[c]``, the subsets meeting {p, q, r} in
+    {p, r}, and the image ``plus[c]``, those meeting it in {q}.
+    """
+    subsets = tuple(
+        mask_from(points)
+        for size in (k, k + 1)
+        for points in combinations(range(1, n + 1), size)
     )
+    minus = []
+    plus = []
+    for p, q, r in colex_triples(n):
+        outer = (1 << (p - 1)) | (1 << (r - 1))
+        middle = 1 << (q - 1)
+        traces = [s & (outer | middle) for s in subsets]
+        minus.append(sum(1 << i for i, t in enumerate(traces) if t == outer))
+        plus.append(sum(1 << i for i, t in enumerate(traces) if t == middle))
+    return byte_tables(minus), byte_tables(plus), full_mask(len(minus)), subsets
+
+
+def key_slices(n: int, key: int, k: int) -> int:
+    """The level-k and level-(k+1) slices of the tiling with orientation key ``key``.
+
+    Returns one word over the k- and (k+1)-subsets of [n]: bit i is set when
+    the i-th of them is a vertex, the k-subsets first, each size in
+    lexicographic order (``slice_masks`` decodes it).  A subset S of [n] is
+    a vertex of the tiling exactly when, for every circuit p < q < r,
+
+      S & {p, q, r} != {q}     if the circuit is oriented +1, and
+      S & {p, q, r} != {p, r}  if it is oriented -1.
+
+    Necessity: deleting every pseudoline but p, q and r restricts the
+    tiling to a tiling of the hexagon on v_p, v_q, v_r, and a vertex S
+    restricts to its vertex S & {p, q, r}.  A hexagon tiling has every
+    subset of {p, q, r} as a vertex but one, the complement of its interior
+    vertex: {q} when the circuit is oriented +1 and {p, r} when -1.
+
+    Sufficiency: let S satisfy every condition and let X be any vertex.
+    If S and X were not strongly separated, S \\ X and X \\ S would both be
+    non-empty and interleave, so some a < b < c would have
+    S & {a, b, c} = {a, c} and X & {a, b, c} = {b}, or the reverse.  In the
+    first case necessity for X rules out +1 on abc, and -1 forbids {a, c}
+    for S; in the reverse case X rules out -1, and +1 forbids {b} for S.
+    So S is strongly separated from every vertex, and since the vertex set
+    of a rhombus tiling is a maximal strongly separated collection (Leclerc
+    and Zelevinsky, "Quasicommuting families of quantum Pluecker
+    coordinates", 1998), S is a vertex.
+
+    Byte tables gather the key once for the -1 patterns and once, through
+    its complement, for the +1 patterns; the slice is the complement of the
+    forbidden subsets.
+    """
+    minus, plus, full, subsets = _slice_tables(n, k)
+    width = len(minus)
+    forbidden = 0
+    for table, byte in zip(minus, key.to_bytes(width, "little")):
+        forbidden |= table[byte]
+    for table, byte in zip(plus, (key ^ full).to_bytes(width, "little")):
+        forbidden |= table[byte]
+    return full_mask(len(subsets)) & ~forbidden
+
+
+def slice_masks(n: int, k: int, word: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The level-k and level-(k+1) vertex masks marked in a ``key_slices`` word."""
+    subsets = _slice_tables(n, k)[3]
+    lower = comb(n, k)
+    masks: tuple[list[int], list[int]] = ([], [])
+    while word:
+        low = word & -word
+        i = low.bit_length() - 1
+        masks[i >= lower].append(subsets[i])
+        word ^= low
+    return frozenset(masks[0]), frozenset(masks[1])
 
 
 def cross_section(tiling: Tiling, k: int) -> MonotonePath:
@@ -149,8 +235,9 @@ def reduced_cross_section(graph: FlipGraph, members: Sequence[int], k: int) -> M
     k-class's level-k slices, is the complement in [n] of the reduced path
     of the half-turn image's (n-1-k)-class.
     """
-    slices = (level_vertex_masks(graph.tiling(v), k + 1) for v in members)
-    return _reduced_path(reduce(frozenset.intersection, slices), k, graph.n)
+    n = graph.n
+    meet = reduce(int.__and__, (key_slices(n, graph.keys[v], k) for v in members))
+    return _reduced_path(slice_masks(n, k, meet)[1], k, n)
 
 
 def _reduced_path(common: Iterable[int], k: int, n: int) -> MonotonePath:
@@ -175,13 +262,15 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
 
     Builds the simultaneous-(k-1,k) quotient (lifting paths at level k) and
     the k-class quotient (reduced paths at level k+1) and measures both
-    diameters against their closed forms.  Each node's tiling is built once,
-    for its level-k and level-(k+1) slices.  Every distinct level-k slice
-    must be a monotone path, the lifting classes must be exactly the groups
-    of equal slices, and each qualifying flip edge must toggle exactly one
-    slice vertex.  Each k-class's reduced path is computed once, from its
-    members' level-(k+1) slices; distinct classes must have distinct reduced
-    paths, and a level-k flip between classes must change it.
+    diameters against their closed forms.  Each node's level-k and
+    level-(k+1) slices are read once off its orientation key by
+    ``key_slices``, as one word; no Tiling is built.  Every distinct level-k
+    slice must be a monotone path, the lifting classes must be exactly the
+    groups of equal slices, and each qualifying flip edge must toggle exactly
+    one slice vertex.  Each k-class's reduced path is computed once, from
+    the meet of its members' level-(k+1) slices; distinct classes must have
+    distinct reduced paths, and a level-k flip between classes must change
+    it.  Only the distinct slices and the meets are decoded into vertex sets.
     """
     n = graph.n
     findings: list[str] = []
@@ -194,22 +283,25 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     reduced_diam, _ = graph_diameter(reduced.adj)
     reduced_formula = sigma_k_diameter_formula(n, k)
 
-    # every node's level-k and level-(k+1) slices from one tiling; equal
-    # slices are interned, so a node holds references, not vertex sets
-    distinct: dict[frozenset[int], frozenset[int]] = {}  # first-seen order
-    uppers: dict[frozenset[int], frozenset[int]] = {}
+    # one slice word per node: its low C(n,k) bits, the level-k slice, are
+    # kept per node (interned, so equal slices share one int), and the word
+    # is ANDed into its k-class's meet
+    lower = full_mask(comb(n, k))
+    component_of = reduced.component_of
+    meets = [-1] * len(reduced)
+    distinct: dict[int, int] = {}  # first-seen order
     slices = []
-    upper = []
-    for v in range(len(graph)):
-        lower, above = _level_slices(graph.tiling(v), k)
-        slices.append(distinct.setdefault(lower, lower))
-        upper.append(uppers.setdefault(above, above))
+    for v, key in enumerate(graph.keys):
+        word = key_slices(n, key, k)
+        meets[component_of[v]] &= word
+        s = word & lower
+        slices.append(distinct.setdefault(s, s))
 
     # the lifting classes cover every node, so they equal the groups of
     # equal slices when the slice is constant on each class and there are
     # as many distinct slices as classes
     for s in distinct:
-        _ordered_path(s, k, n, reduced=False)
+        _ordered_path(slice_masks(n, k, s)[0], k, n, reduced=False)
     path_quotient_equal = len(distinct) == len(lifting) and all(
         len({slices[v] for v in members}) == 1 for members in lifting.classes
     )
@@ -217,41 +309,40 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
         findings.append("equal-path grouping differs from the simultaneous quotient")
 
     # reduced paths are constant per k-class by construction; they must also
-    # separate distinct classes
-    reduced_masks = []
-    for members in reduced.classes:
-        common = reduce(frozenset.intersection, {upper[v] for v in members})
-        reduced_masks.append(frozenset(_reduced_path(common, k, n).vertex_masks()))
-    reduced_quotient_equal = len(set(reduced_masks)) == len(reduced.classes)
+    # separate distinct classes.  A path holds every vertex of its class's
+    # meet, so equal meets mean equal paths.
+    meets = [meet & ~lower for meet in meets]
+    for meet in meets:
+        _reduced_path(slice_masks(n, k, meet)[1], k, n)
+    reduced_quotient_equal = len(set(meets)) == len(reduced.classes)
     if not reduced_quotient_equal:
         findings.append("distinct k-classes share a reduced path")
 
-    # each flip edge at level k or k-1 toggles exactly one slice vertex
-    lifting_single = True
-    for u, v, level in graph.undirected_edges():
-        delta = len(slices[u] ^ slices[v])
-        expect = 1 if level in (k - 1, k) else 0
-        if delta != expect:
-            lifting_single = False
-            findings.append(
-                f"edge ({u}, {v}) at level {level} changes {delta} slice vertices"
-            )
-            break
-
+    # each flip edge at level k or k-1 toggles exactly one slice vertex, and
     # a level-k flip between classes changes the reduced path (at least one
     # vertex toggles; unlike the lifting slice the count is not always one)
-    reduced_changes = True
+    single_finding = change_finding = None
     for u, v, level in graph.undirected_edges():
-        if level != k:
-            continue
-        cu = reduced.component_of[u]
-        cv = reduced.component_of[v]
-        if not reduced_masks[cu] ^ reduced_masks[cv]:
-            reduced_changes = False
-            findings.append(
+        if single_finding is None:
+            delta = (slices[u] ^ slices[v]).bit_count()
+            expect = 1 if level in (k - 1, k) else 0
+            if delta != expect:
+                single_finding = (
+                    f"edge ({u}, {v}) at level {level} changes {delta} slice vertices"
+                )
+        if (
+            change_finding is None
+            and level == k
+            and meets[component_of[u]] == meets[component_of[v]]
+        ):
+            change_finding = (
                 f"level-{k} edge ({u}, {v}) leaves the reduced path unchanged"
             )
+        if single_finding is not None and change_finding is not None:
             break
+    lifting_single = single_finding is None
+    reduced_changes = change_finding is None
+    findings.extend(f for f in (single_finding, change_finding) if f is not None)
 
     return {
         "n": n,

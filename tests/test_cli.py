@@ -168,6 +168,11 @@ def test_cap_exceeded_is_an_input_error(capsys):
     assert run(["enumerate", "--n", "9"]) == 2
 
 
+def test_zero_denominator_is_an_input_error(capsys):
+    assert run(["enumerate", "--points=1,2,1/0"]) == 2
+    assert "error: coordinate '1/0' has a zero denominator" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "args,code",
     [

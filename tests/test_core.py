@@ -72,6 +72,10 @@ class TestMakeConfig:
         with pytest.raises(TypeError):
             to_rational(0.5)
 
+    def test_zero_denominator_names_the_coordinate(self):
+        with pytest.raises(ValueError, match="'3/0' has a zero denominator"):
+            make_config(["1", "2", " 3/0"])
+
 
 class TestCircuits:
     def test_single_circuit_alpha(self):

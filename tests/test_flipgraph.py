@@ -80,6 +80,41 @@ def test_cap_enforced():
         enumerate_tilings(standard_config(5), cap=4)
 
 
+class TestMemoryRefusal:
+    """An n whose graph would not fit is refused before enumeration starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(flipgraph, "key_flips", refuse)
+
+    def test_n9_refused_on_a_7gb_machine(self, monkeypatch):
+        monkeypatch.setattr(flipgraph, "_physical_memory", lambda: 7 * 10**9)
+        with pytest.raises(EnumerationCapError, match=r"39\.1 GB.*7\.0 GB"):
+            enumerate_tilings(standard_config(9), cap=20)
+
+    def test_n8_fits_a_7gb_machine(self, monkeypatch):
+        monkeypatch.setattr(flipgraph, "_physical_memory", lambda: 7 * 10**9)
+        with pytest.raises(AssertionError, match="enumeration started"):
+            enumerate_tilings(standard_config(8))
+
+    def test_n11_refused_without_a_count(self):
+        with pytest.raises(EnumerationCapError, match="no tiling count"):
+            enumerate_tilings(standard_config(11), cap=20)
+
+    def test_cap_checked_first(self, monkeypatch):
+        monkeypatch.setattr(flipgraph, "_physical_memory", lambda: 10**15)
+        with pytest.raises(EnumerationCapError, match="enumeration cap 8"):
+            enumerate_tilings(standard_config(9))
+
+    def test_unknown_memory_refuses_only_beyond_the_counts(self, monkeypatch):
+        monkeypatch.setattr(flipgraph, "_physical_memory", lambda: None)
+        with pytest.raises(AssertionError, match="enumeration started"):
+            enumerate_tilings(standard_config(10), cap=20)
+
+
 def test_keys_match_orientations_and_min_max(graphs):
     g = graphs(5)
     assert g.min_id == 0

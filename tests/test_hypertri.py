@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -12,15 +13,23 @@ from zonotiling import (
     strongly_separated,
 )
 from zonotiling import hypertri
-from zonotiling.core import mask_from
+from zonotiling.core import full_mask, mask_from, standard_config
 from zonotiling.hypertri import (
     StrongSeparationError,
+    key_slices,
     level_vertex_masks,
     satisfies_triple_condition,
+    slice_masks,
 )
 from zonotiling.flipgraph import components_excluding_levels
 from zonotiling.secondary import equivalence_classes, skeleton
-from zonotiling.tiling import Tiling, orientation_of
+from zonotiling.tiling import (
+    Tiling,
+    apply_flip,
+    available_flips,
+    extremal_tiling,
+    orientation_of,
+)
 
 
 small_sets = st.frozensets(st.integers(1, 8), max_size=5)
@@ -210,24 +219,27 @@ class TestReducedPaths:
 
     @pytest.mark.parametrize("points", [[1, 2, 3, 4, 5], [-2, -1, 0, 1, 2]])
     def test_reads_exactly_the_members(self, points, monkeypatch):
-        # each member's tiling once, and no component labelling
+        # each member's key once, no tiling, and no component labelling
         from zonotiling import enumerate_tilings, flipgraph, secondary
-        from zonotiling.flipgraph import FlipGraph
 
         g = enumerate_tilings(make_config(points))
         classes = {k: equivalence_classes(g, {k}) for k in range(1, g.n - 1)}
         stored = dict(g.labellings)
         read = []
-        real_tiling = FlipGraph.tiling
+        real_slices = hypertri.key_slices
 
-        def counted_tiling(graph, node):
-            read.append(node)
-            return real_tiling(graph, node)
+        def counted_slices(n, key, level):
+            read.append(key)
+            return real_slices(n, key, level)
 
         def no_labelling(*args, **kwargs):
             raise AssertionError("reduced_cross_section labelled components")
 
-        monkeypatch.setattr(FlipGraph, "tiling", counted_tiling)
+        def no_tiling(*args, **kwargs):
+            raise AssertionError("reduced_cross_section built a Tiling")
+
+        monkeypatch.setattr(hypertri, "key_slices", counted_slices)
+        monkeypatch.setattr(Tiling, "__init__", no_tiling)
         for module in (flipgraph, secondary, hypertri):
             monkeypatch.setattr(
                 module, "components_excluding_levels", no_labelling, raising=False
@@ -236,7 +248,7 @@ class TestReducedPaths:
             for members in members_of_k:
                 read.clear()
                 reduced_cross_section(g, members, k)
-                assert read == list(members)
+                assert read == [g.keys[v] for v in members]
         assert g.labellings == stored
 
     def test_json_flags_reduced(self, graphs):
@@ -279,12 +291,12 @@ class TestHypertriDiameters:
         k = 2
         calls = {"slice": 0, "cross": 0, "reduced": 0}
         passed = []
-        real_slices = hypertri._level_slices
+        real_slices = hypertri.key_slices
         real_reduced = hypertri._reduced_path
 
-        def counted_slices(tiling, level):
+        def counted_slices(n, key, level):
             calls["slice"] += level == k
-            return real_slices(tiling, level)
+            return real_slices(n, key, level)
 
         def counted_cross(tiling, level):
             calls["cross"] += 1
@@ -295,47 +307,97 @@ class TestHypertriDiameters:
             passed.append(common)
             return real_reduced(common, level, n)
 
-        monkeypatch.setattr(hypertri, "_level_slices", counted_slices)
+        monkeypatch.setattr(hypertri, "key_slices", counted_slices)
         monkeypatch.setattr(hypertri, "cross_section", counted_cross)
         monkeypatch.setattr(hypertri, "_reduced_path", counted_reduced)
         rec = hypertri_diameters(g, k)
         assert rec["findings"] == []
         assert calls == {"slice": len(g), "cross": 0, "reduced": rec["reduced"]["classes"]}
-        # each meet is over a whole class
+        # each meet is over a whole class, and equals the meet of its tiles' slices
         classes = skeleton(g, k, "reduced_all").classes
         assert passed == [
             frozenset.intersection(*(level_vertex_masks(g.tiling(v), k + 1) for v in members))
             for members in classes
         ]
 
-    def test_builds_each_tiling_once(self, graphs, monkeypatch):
-        from zonotiling.flipgraph import FlipGraph
-
+    def test_builds_no_tiling(self, graphs, monkeypatch):
         g = graphs(5)
-        built = []
-        real_tiling = FlipGraph.tiling
 
-        def counted_tiling(graph, node):
-            built.append(node)
-            return real_tiling(graph, node)
+        def refuse(*args, **kwargs):
+            raise AssertionError("hypertri_diameters built a Tiling")
 
-        monkeypatch.setattr(FlipGraph, "tiling", counted_tiling)
-        assert hypertri_diameters(g, 2)["findings"] == []
-        assert sorted(built) == list(range(len(g))) and len(built) == 62
+        monkeypatch.setattr(Tiling, "__init__", refuse)
+        for k in range(1, g.n - 1):
+            assert hypertri_diameters(g, k)["findings"] == []
+
+
+class TestKeySlices:
+    """Slices read off the orientation key against the tiles' vertex sets."""
+
+    @staticmethod
+    def assert_key_route_matches(n, key, tiling):
+        for k in range(n):
+            lower, upper = slice_masks(n, k, key_slices(n, key, k))
+            assert lower == level_vertex_masks(tiling, k)
+            assert upper == level_vertex_masks(tiling, k + 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_node_and_level(self, graphs, n):
+        g = graphs(n)
+        for v in range(len(g)):
+            self.assert_key_route_matches(n, g.keys[v], g.tiling(v))
+
+    def test_extremal_slices(self):
+        # key 0 orients every circuit +1, so no vertex meets a triple in its
+        # middle point alone: the slices hold the prefix-plus-suffix sets
+        n = 5
+        lower, upper = slice_masks(n, 2, key_slices(n, 0, 2))
+        assert lower == {mask_from(s) for s in [(1, 2), (1, 5), (4, 5)]}
+        assert upper == {mask_from(s) for s in [(1, 2, 3), (1, 2, 5), (1, 4, 5), (3, 4, 5)]}
+
+    def test_word_layout(self):
+        n, k = 6, 2
+        word = key_slices(n, 0, k)
+        assert word >> (comb(n, k) + comb(n, k + 1)) == 0
+        low = full_mask(comb(n, k))
+        assert slice_masks(n, k, word & low)[1] == frozenset()
+        assert slice_masks(n, k, word & ~low)[0] == frozenset()
+
+    @pytest.mark.slow
+    def test_every_node_and_level_n7(self, graphs):
+        g = graphs(7)
+        for v in range(len(g)):
+            self.assert_key_route_matches(7, g.keys[v], g.tiling(v))
+
+    @pytest.mark.slow
+    def test_flip_walk_n8(self):
+        n = 8
+        rng = random.Random(8)
+        t = extremal_tiling(standard_config(n), "min")
+        for _ in range(3000):
+            t = apply_flip(t, rng.choice(available_flips(t)))
+            self.assert_key_route_matches(n, orientation_of(t).bits, t)
+
+
+def _slice_word(n, k, masks):
+    """The key_slices word whose level-k bits mark exactly the given masks."""
+    subsets = hypertri._slice_tables(n, k)[3]
+    return sum(1 << subsets.index(m) for m in masks)
 
 
 def _replace_slices(monkeypatch, graph, k, replacement):
     """Make the level-k slice of each node v in replacement read replacement[v]."""
-    real = hypertri._level_slices
+    real = hypertri.key_slices
+    lower = full_mask(comb(graph.n, k))
 
-    def fake(tiling, level):
-        lower, upper = real(tiling, level)
-        v = graph.index.get(orientation_of(tiling).bits)
+    def fake(n, key, level):
+        word = real(n, key, level)
+        v = graph.index.get(key)
         if level == k and v in replacement:
-            return replacement[v], upper
-        return lower, upper
+            return word & ~lower | _slice_word(n, k, replacement[v])
+        return word
 
-    monkeypatch.setattr(hypertri, "_level_slices", fake)
+    monkeypatch.setattr(hypertri, "key_slices", fake)
 
 
 class TestLiftingQuotientCheck:
