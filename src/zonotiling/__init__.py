@@ -49,9 +49,7 @@ from .oracle import OracleCount, commutation_census, reduced_word_count_formula
 from .regularity import (
     RegularityCertificate,
     RegularSet,
-    classify,
-    classify_graph,
-    regular_node_set,
+    classify_orientation,
     regular_set,
 )
 from .secondary import (

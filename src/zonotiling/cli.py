@@ -28,7 +28,7 @@ from .flipgraph import (
 )
 from .hypertri import cross_section, hypertri_diameters, reduced_cross_section
 from .oracle import commutation_census, reduced_word_count_formula
-from .regularity import classify_graph, regular_set
+from .regularity import classify_orientation, regular_set
 from .secondary import (
     check_level,
     diameter_report,
@@ -146,7 +146,7 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
 def cmd_classify(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     graph = _graph(run)
-    certs = classify_graph(run.config, graph)
+    certs = [classify_orientation(run.config, key) for key in graph.keys]
     regular = sum(c.regular for c in certs)
     irregular = len(certs) - regular
     print(f"{len(certs)} tilings: {regular} regular, {irregular} irregular")
@@ -425,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (ValueError, KeyError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

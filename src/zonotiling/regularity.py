@@ -9,10 +9,12 @@ remaining heights into [-1, 1], and maximize the uniform slack t subject to
     t <= 1.
 
 The tiling is regular exactly when the optimum is positive; the optimal h
-is the witness and is verified to reproduce the tiling before the verdict
-is returned.  Strict-inequality feasibility leaves no room for rounding, so
-the solver is an exact simplex.  Writing h = w+ - w- with w+, w- in [0, 1]
-makes the origin a basic feasible point, so no feasibility phase is needed.
+is the witness, and before the verdict is returned ``_realizes`` checks on
+integers that it gives every circuit a nonzero sign equal to the circuit's
+bit of the tiling's orientation key.  Strict-inequality feasibility leaves
+no room for rounding, so the solver is an exact simplex.  Writing
+h = w+ - w- with w+, w- in [0, 1] makes the origin a basic feasible point,
+so no feasibility phase is needed.
 
 The simplex works on integers only.  Each constraint row is scaled by a
 positive integer so that its entries are integral.  Pivoting is
@@ -71,15 +73,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
-from .core import (
-    HeightVector,
-    OrientationVector,
-    PointConfig,
-    circuits,
-    format_rational,
-    num_triples,
-)
-from .tiling import Tiling, orientation_of, tiling_from_heights
+from .core import HeightVector, PointConfig, circuits, format_rational
 
 _ZERO = Fraction(0)
 
@@ -230,9 +224,25 @@ class RegularityCertificate:
         return out
 
 
-def classify(config: PointConfig, tiling: Tiling) -> RegularityCertificate:
-    """Decide regularity by exact slack maximization; verify any witness."""
-    return classify_orientation(config, orientation_of(tiling), tiling)
+@lru_cache(maxsize=None)
+def _integer_circuits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """(p, q, r, alpha) of every circuit in rank order: points 0-based, alpha
+    scaled by the lcm of the coordinate denominators."""
+    scale = lcm(*(a.denominator for a in config.coords))
+    return tuple(
+        (c.p - 1, c.q - 1, c.r - 1, *(int(x * scale) for x in c.alpha))
+        for c in circuits(config)
+    )
+
+
+def _realizes(h: Sequence[int], key: int, table) -> bool:
+    """Does h give every circuit a nonzero sign, and exactly the signs of key?"""
+    for p, q, r, ap, aq, ar in table:
+        d = ap * h[p] + aq * h[q] + ar * h[r]
+        if d == 0 or (d < 0) != (key & 1):
+            return False
+        key >>= 1
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -241,8 +251,8 @@ def _slack_rows(config: PointConfig) -> tuple[tuple[tuple[int, int], ...], tuple
 
     Columns are w+_i, w-_i for i = 3..n (h_i = w+_i - w-_i), then t, then
     the right-hand side.  For every circuit, in rank order, the pair holds
-    its row under sign +1 and under sign -1, scaled by the lcm of the
-    coordinate denominators; then come the bound rows w+_i, w-_i, t <= 1.
+    its row under sign +1 and under sign -1, on the scaled alpha of
+    ``_integer_circuits``; then come the bound rows w+_i, w-_i, t <= 1.
 
     The last item is the field width, one for every tiling of the
     configuration and tighter than ``_field_width``.  Every tableau entry is,
@@ -263,13 +273,12 @@ def _slack_rows(config: PointConfig) -> tuple[tuple[tuple[int, int], ...], tuple
     scale = lcm(*(a.denominator for a in config.coords))
     circuit_rows = []
     norms = []
-    for c in circuits(config):
+    for p, q, r, *alpha in _integer_circuits(config):
         row = [0] * (nv + 1)
-        for point, coeff in zip(c.triple, c.alpha):
-            if point >= 3:
-                v = int(coeff * scale)
-                row[point - 3] = -v
-                row[k + point - 3] = v
+        for point, v in zip((p, q, r), alpha):
+            if point >= 2:  # 0-based; h_1 = h_2 = 0 have no column
+                row[point - 2] = -v
+                row[k + point - 2] = v
         row[nv - 1] = scale
         negative = [-v for v in row[: 2 * k]] + row[2 * k :]
         circuit_rows.append((row, negative))
@@ -288,22 +297,22 @@ def _slack_rows(config: PointConfig) -> tuple[tuple[tuple[int, int], ...], tuple
     )
 
 
-def classify_orientation(
-    config: PointConfig,
-    orientation: OrientationVector,
-    tiling: Tiling | None = None,
-) -> RegularityCertificate:
-    n = config.n
-    if orientation.count != num_triples(n):
-        raise ValueError(
-            f"orientation has {orientation.count} signs, "
-            f"but n = {n} points have {num_triples(n)} circuits"
-        )
+def classify_orientation(config: PointConfig, key: int) -> RegularityCertificate:
+    """The regularity certificate of the tiling with orientation key ``key``.
+
+    ``key`` is a ``FlipGraph`` key: bit c is set iff the circuit of rank c
+    is oriented -1.  A positive slack optimum is returned only after
+    ``_realizes`` accepts its integer heights, taken before the division by
+    det > 0, which moves no sign.  Raises ValueError for a key outside
+    0 .. 2**C(n,3) - 1, and AssertionError for a witness that fails.
+    """
+    table = _integer_circuits(config)
+    if key < 0 or key >> len(table):
+        raise ValueError(f"key {key:#x} does not fit {len(table)} circuits")
     circuit_rows, bounds, width = _slack_rows(config)
-    bits = orientation.bits
-    rows = [pair[bits >> rank & 1] for rank, pair in enumerate(circuit_rows)]
+    rows = [pair[key >> rank & 1] for rank, pair in enumerate(circuit_rows)]
     rows.extend(bounds)
-    k = n - 2
+    k = config.n - 2
     objective = [0] * (2 * k + 2)
     objective[2 * k] = 1  # maximize t
     solved = _maximize(objective, rows, width)
@@ -312,24 +321,10 @@ def classify_orientation(
     x, value, det = solved
     if value <= 0:
         return RegularityCertificate(False, None, _ZERO)
-    witness: HeightVector = (_ZERO, _ZERO) + tuple(
-        Fraction(x[i] - x[k + i], det) for i in range(k)
-    )
-    reproduced = tiling_from_heights(config, witness)
-    if tiling is not None and reproduced != tiling:
-        raise AssertionError("regularity witness does not reproduce the tiling")
-    if orientation_of(reproduced) != orientation:
-        raise AssertionError("regularity witness does not reproduce the orientation")
-    return RegularityCertificate(True, witness, Fraction(value, det))
-
-
-def classify_graph(config: PointConfig, graph) -> tuple[RegularityCertificate, ...]:
-    """Certificates for every node of an enumerated flip graph."""
-    return tuple(classify(config, tiling) for tiling in map(graph.tiling, range(len(graph))))
-
-
-def regular_node_set(certs: Sequence[RegularityCertificate]) -> frozenset[int]:
-    return frozenset(i for i, c in enumerate(certs) if c.regular)
+    h = (0, 0, *(x[i] - x[k + i] for i in range(k)))
+    if not _realizes(h, key, table):
+        raise AssertionError(f"regularity witness does not realize key {key:#x}")
+    return RegularityCertificate(True, tuple(Fraction(v, det) for v in h), Fraction(value, det))
 
 
 # ---------------------------------------------------------------------------
@@ -348,27 +343,6 @@ class RegularSet:
     by_lp: int
     by_probe: int
     by_half_turn: int
-
-
-@lru_cache(maxsize=None)
-def _integer_circuits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int], ...]:
-    """(p, q, r, alpha) of every circuit in rank order: points 0-based, alpha
-    scaled by the lcm of the coordinate denominators, as in ``_slack_rows``."""
-    scale = lcm(*(a.denominator for a in config.coords))
-    return tuple(
-        (c.p - 1, c.q - 1, c.r - 1, *(int(x * scale) for x in c.alpha))
-        for c in circuits(config)
-    )
-
-
-def _realizes(h: Sequence[int], key: int, table) -> bool:
-    """Does h give every circuit a nonzero sign, and exactly the signs of key?"""
-    for p, q, r, ap, aq, ar in table:
-        d = ap * h[p] + aq * h[q] + ar * h[r]
-        if d == 0 or (d < 0) != (key & 1):
-            return False
-        key >>= 1
-    return True
 
 
 def _probe(h: tuple[int, ...], circuit, key: int, table) -> tuple[int, ...] | None:
@@ -421,7 +395,7 @@ def regular_set(graph) -> RegularSet:
                     break
         if h is None:
             by_lp += 1
-            cert = classify_orientation(config, OrientationVector(len(table), key))
+            cert = classify_orientation(config, key)
             if cert.regular:
                 scale = lcm(*(x.denominator for x in cert.witness))
                 h = tuple(int(x * scale) for x in cert.witness)

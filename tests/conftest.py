@@ -1,12 +1,7 @@
 import hypothesis
 import pytest
 
-from zonotiling import (
-    classify_graph,
-    enumerate_tilings,
-    regular_node_set,
-    standard_config,
-)
+from zonotiling import classify_orientation, enumerate_tilings, standard_config
 
 hypothesis.settings.register_profile(
     "default", max_examples=40, deadline=None
@@ -34,7 +29,8 @@ def certificates(graphs):
 
     def get(n):
         if n not in cache:
-            cache[n] = classify_graph(standard_config(n), graphs(n))
+            cfg = standard_config(n)
+            cache[n] = tuple(classify_orientation(cfg, key) for key in graphs(n).keys)
         return cache[n]
 
     return get
@@ -46,7 +42,7 @@ def regulars(certificates):
 
     def get(n):
         if n not in cache:
-            cache[n] = regular_node_set(certificates(n))
+            cache[n] = frozenset(v for v, c in enumerate(certificates(n)) if c.regular)
         return cache[n]
 
     return get

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from zonotiling import (
-    classify,
+    classify_orientation,
     cross_section,
     duality_check,
     enumerate_tilings,
@@ -26,6 +26,7 @@ from zonotiling import (
     make_config,
     max_chain_through,
     MonotonePath,
+    orientation_of,
     potential,
     reduced_cross_section,
     sample_chain,
@@ -178,13 +179,14 @@ def test_c08_regularity_soundness():
         cfg = standard_config(n)
         for _ in range(100):
             _h, tiling = random_generic_heights(cfg, rng)
-            cert = classify(cfg, tiling)
+            cert = classify_orientation(cfg, orientation_of(tiling).bits)
             ok = ok and cert.regular
             ok = ok and tiling_from_heights(cfg, cert.witness) == tiling
     for n in range(2, 8):
         cfg = standard_config(n)
         for which in ("min", "max"):
-            ok = ok and classify(cfg, extremal_tiling(cfg, which)).regular
+            key = orientation_of(extremal_tiling(cfg, which)).bits
+            ok = ok and classify_orientation(cfg, key).regular
     report(8, "random regular tilings certified with reproducing witnesses", ok)
 
 

@@ -173,6 +173,19 @@ def test_zero_denominator_is_an_input_error(capsys):
     assert "error: coordinate '1/0' has a zero denominator" in capsys.readouterr().err
 
 
+def test_internal_fault_is_not_a_usage_error(monkeypatch):
+    # every input check raises ValueError, so a KeyError can only be a bug:
+    # it must surface, not print as "error: ..." with exit status 2
+    from zonotiling import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "enumerate_tilings", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run(["enumerate", "--n", "4"])
+
+
 @pytest.mark.parametrize(
     "args,code",
     [
@@ -223,17 +236,41 @@ def test_reproduce_theorems_end_to_end(tmp_path):
     assert all((tmp_path / "n5" / name).is_file() for name in names)
 
 
-def _digests_match_reference(out: Path, n: int, stages: list[list[str]]) -> None:
-    """Run the stages on a_i = i into out; compare with perfbench/reference.json."""
+def _recorded_digests(n: int) -> dict[str, str]:
+    """The sha256 of every artifact perfbench/reference.json records at n on a_i = i."""
     root = Path(__file__).resolve().parents[1]
     recorded = json.loads((root / "perfbench" / "reference.json").read_text())[str(n)]
+    return {name: d["sha256"] for name, d in recorded["artifacts"].items()}
+
+
+def _digests_match_reference(out: Path, n: int, stages: list[list[str]]) -> None:
+    """Run the stages on a_i = i into out; compare with perfbench/reference.json."""
     base = [f"--points={','.join(map(str, range(1, n + 1)))}", "--out", str(out), "--strict"]
     for stage in stages:
         assert run(stage + base) == 0, stage
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
     }
-    assert digests == {name: d["sha256"] for name, d in recorded["artifacts"].items()}
+    assert digests == _recorded_digests(n)
+
+
+def test_classify_n6_matches_recorded_digest(tmp_path):
+    # the only tier-1 guard on irregular certificates: 20 of the 908 tilings
+    assert run(["classify", "--n", "6", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "classify_n6.json").read_bytes()).hexdigest()
+    assert digest == _recorded_digests(6)["classify_n6.json"]
+
+
+def test_classify_builds_no_tiling(monkeypatch, capsys):
+    # every verdict is decided and checked on the orientation key alone
+    from zonotiling.tiling import Tiling
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify built a Tiling")
+
+    monkeypatch.setattr(Tiling, "__init__", refuse)
+    assert run(["classify", "--n", "6"]) == 0
+    assert "908 tilings: 888 regular, 20 irregular" in capsys.readouterr().out
 
 
 # n = 6 is the first size with irregular tilings (20 of 908), where the

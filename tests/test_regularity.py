@@ -10,22 +10,19 @@ import full_tableau_oracle
 from fm_oracle import strictly_feasible
 from strategies import configurations
 from zonotiling import (
-    OrientationVector,
     circuits,
-    classify,
-    classify_graph,
+    classify_orientation,
     enumerate_tilings,
     extremal_tiling,
     make_config,
     orientation_of,
-    regular_node_set,
     regular_set,
     sigma_h,
     standard_config,
     tiling_from_heights,
 )
 from zonotiling import regularity
-from zonotiling.regularity import classify_orientation, simplex_max_canonical
+from zonotiling.regularity import simplex_max_canonical
 
 
 def brute_lp_max(c, A, b):
@@ -129,7 +126,7 @@ class TestClassify:
     def test_extremal_tilings_regular(self, n):
         cfg = standard_config(n)
         for which in ("min", "max"):
-            cert = classify(cfg, extremal_tiling(cfg, which))
+            cert = classify_orientation(cfg, orientation_of(extremal_tiling(cfg, which)).bits)
             assert cert.regular
             if n > 2:
                 assert cert.slack > 0
@@ -137,7 +134,7 @@ class TestClassify:
     def test_witness_reproduces_tiling(self):
         cfg = standard_config(5)
         t = tiling_from_heights(cfg, (4, 0, 1, -3, 9))
-        cert = classify(cfg, t)
+        cert = classify_orientation(cfg, orientation_of(t).bits)
         assert cert.regular
         assert tiling_from_heights(cfg, cert.witness) == t
         assert sigma_h(cfg, cert.witness) == orientation_of(t)
@@ -154,7 +151,7 @@ class TestClassify:
                 except ValueError:
                     continue
                 done += 1
-                cert = classify(cfg, t)
+                cert = classify_orientation(cfg, orientation_of(t).bits)
                 assert cert.regular
                 assert tiling_from_heights(cfg, cert.witness) == t
 
@@ -177,15 +174,35 @@ class TestClassify:
         for n in (3, 4, 5):
             assert all(c.regular for c in certificates(n))
 
-    @pytest.mark.parametrize("count", [9, 11])
-    def test_orientation_length_checked(self, count):
-        # n = 5 has 10 circuits; a short or long sign vector is refused up front
-        with pytest.raises(ValueError, match=rf"{count} signs.* 10 circuits"):
-            classify_orientation(standard_config(5), OrientationVector(count, 0))
+    @pytest.mark.parametrize("key", [1 << 10, -1])
+    def test_key_range_checked(self, key):
+        # n = 5 has 10 circuits; a key with bit 10 set, or a negative one, is
+        # refused up front instead of having its high bits ignored
+        with pytest.raises(ValueError, match=rf"key {key:#x} does not fit 10 circuits"):
+            classify_orientation(standard_config(5), key)
+
+    def test_witness_sign_check_is_live(self, monkeypatch):
+        # swapping w+_3 and w-_3 in a regular optimum negates h_3, which flips
+        # the sign of circuit (1, 2, 3): the witness check must refuse it
+        cfg = standard_config(5)
+        k = cfg.n - 2
+        real = regularity._maximize
+
+        def corrupted(obj, rows, width):
+            x, value, det = real(obj, rows, width)
+            if value > 0:
+                x[0], x[k] = x[k], x[0]
+            return x, value, det
+
+        assert classify_orientation(cfg, 0).witness[2] != 0
+        monkeypatch.setattr(regularity, "_maximize", corrupted)
+        with pytest.raises(AssertionError, match="does not realize"):
+            classify_orientation(cfg, 0)
 
     def test_certificate_json(self):
         cfg = standard_config(3)
-        data = classify(cfg, extremal_tiling(cfg, "min")).to_json()
+        key = orientation_of(extremal_tiling(cfg, "min")).bits
+        data = classify_orientation(cfg, key).to_json()
         assert data["regular"] is True
         assert len(data["h"]) == 3
         assert all(isinstance(s, str) for s in data["h"])
@@ -215,7 +232,7 @@ class TestFullTableauDifferential:
                 orientation = orientation_of(tiling)
                 lp = full_tableau_oracle.slack_lp(cfg, orientation)
                 assert simplex_max_canonical(*lp) == full_tableau_oracle.simplex_max_canonical(*lp)
-                cert = classify(cfg, tiling)
+                cert = classify_orientation(cfg, orientation_of(tiling).bits)
                 assert (cert.regular, cert.witness, cert.slack) == (
                     full_tableau_oracle.reference_certificate(cfg, orientation)
                 )
@@ -230,7 +247,7 @@ class TestFullTableauDifferential:
 
     @staticmethod
     def check_certificate(cfg, tiling):
-        cert = classify(cfg, tiling)
+        cert = classify_orientation(cfg, orientation_of(tiling).bits)
         assert (cert.regular, cert.witness, cert.slack) == (
             full_tableau_oracle.reference_certificate(cfg, orientation_of(tiling))
         )
@@ -437,7 +454,7 @@ class TestRegularSet:
     @staticmethod
     def check_against_lps(cfg):
         g = enumerate_tilings(cfg)
-        lp = regular_node_set(classify_graph(cfg, g))
+        lp = {v for v, key in enumerate(g.keys) if classify_orientation(cfg, key).regular}
         assert {g.opposite_node(v) for v in lp} == lp  # the half-turn keeps the LP census
         assert regular_set(g).nodes == lp
 
@@ -462,9 +479,9 @@ class TestRegularSet:
         solved = []
         real = regularity.classify_orientation
 
-        def counted(config, orientation, tiling=None):
-            solved.append(orientation.bits)
-            return real(config, orientation, tiling)
+        def counted(config, key):
+            solved.append(key)
+            return real(config, key)
 
         monkeypatch.setattr(regularity, "classify_orientation", counted)
         result = regular_set(g)

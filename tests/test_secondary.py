@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from math import comb, lcm
 
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import configurations
+from zonotiling import cli
 from zonotiling import (
     enumerate_tilings,
     diameter_report,
@@ -325,12 +328,18 @@ class TestDiameterReport:
 
 
 @pytest.mark.slow
-def test_sigma_k_diameters_n7():
-    from zonotiling import classify_graph, regular_node_set, regular_set
-
-    cfg = standard_config(7)
-    g = enumerate_tilings(cfg)
-    regs = regular_node_set(classify_graph(cfg, g))
+def test_sigma_k_diameters_n7(tmp_path):
+    # one LP per node through the classify command, byte for byte as recorded
+    # at a_i = i; its census is the reference for the diameters route
+    assert cli.main(["classify", "--n", "7", "--out", str(tmp_path)]) == 0
+    artifact = (tmp_path / "classify_n7.json").read_bytes()
+    assert hashlib.sha256(artifact).hexdigest() == (
+        "17d21ace9c3788fc5200961cee15b146cfc096c81713c0c744210bceeeaed86c"
+    )
+    certs = json.loads(artifact)["certificates"]
+    regs = frozenset(v for v, cert in enumerate(certs) if cert["regular"])
+    g = enumerate_tilings(standard_config(7))
+    assert len(certs) == len(g)
     assert regular_set(g).nodes == regs  # the diameters route, against one LP per node
     for k in range(1, 6):
         sk = skeleton(g, k, "sigma_k", regs)
