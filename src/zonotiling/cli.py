@@ -6,6 +6,8 @@ SVG artifacts into --out.  Outputs carry the coordinates in their header and
 are byte-stable for fixed inputs and seed.  With --strict the exit status is
 nonzero whenever a theorem check fails or a structural finding is recorded;
 out-of-range inputs exit with status 2.  --threads is accepted and ignored.
+Each subcommand takes only the options it reads: --format (json or dot) is
+offered by enumerate and diameters, --seed by chains.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from pathlib import Path
 
 from .core import Finding, PointConfig, make_config, standard_config
 from .flipgraph import (
-    FlipGraph,
     enumerate_tilings,
     expected_level_census,
     graph_to_dot,
@@ -46,10 +47,7 @@ class RunConfig:
 
     config: PointConfig
     out: Path | None
-    seed: int
-    cap: int
     strict: bool
-    fmt: str
     findings: list[str] = field(default_factory=list)
 
     def finding(self, message: str) -> None:
@@ -57,26 +55,17 @@ class RunConfig:
         print(f"FINDING: {message}")
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_points: bool = True) -> None:
-    if needs_points:
-        group = parser.add_mutually_exclusive_group(required=True)
-        group.add_argument("--n", type=int, help="use the configuration a_i = i")
-        group.add_argument(
-            "--points",
-            type=str,
-            help="comma-separated exact coordinates, e.g. -1,0,1/2,2",
-        )
-    parser.add_argument("--out", type=str, default=None, help="artifact directory")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    parser.add_argument("--cap", type=int, default=8, help="enumeration cap on n")
-    parser.add_argument("--strict", action="store_true")
-    parser.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("json", "dot"),
-        default="json",
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n", type=int, help="use the configuration a_i = i")
+    group.add_argument(
+        "--points",
+        type=str,
+        help="comma-separated exact coordinates, e.g. -1,0,1/2,2",
     )
+    parser.add_argument("--out", type=str, default=None, help="artifact directory")
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+    parser.add_argument("--strict", action="store_true")
 
 
 def _resolve(ns: argparse.Namespace) -> RunConfig:
@@ -89,10 +78,7 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(
         config=config,
         out=Path(ns.out) if ns.out else None,
-        seed=ns.seed,
-        cap=ns.cap,
         strict=ns.strict,
-        fmt=ns.fmt,
     )
 
 
@@ -106,10 +92,6 @@ def _write(run: RunConfig, name: str, payload) -> None:
     else:
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
-
-
-def _graph(run: RunConfig) -> FlipGraph:
-    return enumerate_tilings(run.config, cap=run.cap)
 
 
 def _levels(run: RunConfig, ns: argparse.Namespace) -> list[int]:
@@ -134,9 +116,9 @@ def _header(run: RunConfig) -> dict:
 
 def cmd_enumerate(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
-    graph = _graph(run)
+    graph = enumerate_tilings(run.config)
     print(f"{len(graph)} tilings, {graph.edge_count()} flip edges")
-    if run.fmt == "dot":
+    if ns.fmt == "dot":
         _write(run, f"graph_n{run.config.n}.dot", graph_to_dot(graph))
     else:
         _write(run, f"graph_n{run.config.n}.json", graph_to_json(graph))
@@ -145,7 +127,7 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
 
 def cmd_classify(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
-    graph = _graph(run)
+    graph = enumerate_tilings(run.config)
     certs = [classify_orientation(run.config, key) for key in graph.keys]
     regular = sum(c.regular for c in certs)
     irregular = len(certs) - regular
@@ -163,7 +145,7 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 def cmd_diameters(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     ks = _levels(run, ns)
-    graph = _graph(run)
+    graph = enumerate_tilings(run.config)
     verdicts = regular_set(graph)
     regs = verdicts.nodes
     print(
@@ -190,7 +172,7 @@ def cmd_diameters(ns: argparse.Namespace) -> int:
             if not ok:
                 run.finding(f"k={k}: {label} check failed")
     _write(run, f"diameters_n{run.config.n}.json", _header(run) | {"reports": records})
-    if run.fmt == "dot":
+    if ns.fmt == "dot":
         for k in ks:
             sk = skeleton(graph, k, "sigma_k", regs)
             _write(run, f"sigma_{k}_n{run.config.n}.dot", sk.to_dot(f"sigma_{k}"))
@@ -200,7 +182,7 @@ def cmd_diameters(ns: argparse.Namespace) -> int:
 def cmd_hypertri(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     _levels(run, ns)
-    graph = _graph(run)
+    graph = enumerate_tilings(run.config)
     record = hypertri_diameters(graph, ns.k)
     lift, red = record["lifting"], record["reduced"]
     print(
@@ -252,7 +234,7 @@ def cmd_hypertri(ns: argparse.Namespace) -> int:
 def cmd_potential(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     ks = _levels(run, ns)
-    graph = _graph(run)  # potential() refuses a --ref outside the graph
+    graph = enumerate_tilings(run.config)  # potential() refuses a --ref outside the graph
     reports = []
     for k in ks:
         for maker, bound_levels in ((potential, {k - 1, k}), (modified_potential, {k})):
@@ -282,14 +264,14 @@ def cmd_chains(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     if ns.samples < 0:
         raise ValueError(f"--samples {ns.samples} is negative")
-    graph = _graph(run)
+    graph = enumerate_tilings(run.config)
     n = run.config.n
     expected = expected_level_census(n)
     censuses: dict[tuple[int, ...], int] = {}
     first = None
     for s in range(ns.samples):
         try:
-            chain = sample_chain(graph, seed=run.seed + s)
+            chain = sample_chain(graph, seed=ns.seed + s)
         except Finding as exc:
             run.finding(str(exc))
             continue
@@ -304,7 +286,7 @@ def cmd_chains(ns: argparse.Namespace) -> int:
         print(f"  census {census}: {count} chains")
     payload = _header(run) | {
         "samples": ns.samples,
-        "seed": run.seed,
+        "seed": ns.seed,
         "expected_census": list(expected),
         "censuses": [
             {"census": list(c), "chains": m} for c, m in sorted(censuses.items())
@@ -321,7 +303,7 @@ def cmd_render(ns: argparse.Namespace) -> int:
         tiling = extremal_tiling(run.config, ns.tiling)
         label = ns.tiling
     else:
-        graph = _graph(run)
+        graph = enumerate_tilings(run.config)
         tiling = graph.tiling(int(ns.tiling))
         label = ns.tiling
     svg = tiling_to_svg(run.config, tiling)
@@ -342,7 +324,7 @@ def cmd_oracle_count(ns: argparse.Namespace) -> int:
     formula = reduced_word_count_formula(result.n)
     if result.reduced_words != formula:
         run.finding(f"{result.reduced_words} reduced words, but the hook formula gives {formula}")
-    tilings = len(_graph(run))
+    tilings = len(enumerate_tilings(run.config))
     if result.commutation_classes != tilings:
         run.finding(
             f"{result.commutation_classes} commutation classes, but {tilings} tilings enumerated"
@@ -376,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate all tilings into a flip graph")
     _add_common(p)
+    p.add_argument("--format", dest="fmt", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="regularity census with certificates")
@@ -384,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diameters", help="quotient-skeleton diameters vs closed forms")
     _add_common(p)
+    p.add_argument("--format", dest="fmt", choices=("json", "dot"), default="json")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--all", action="store_true")
     p.set_defaults(func=cmd_diameters)
@@ -406,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chains", help="sample maximal chains and their level censuses")
     _add_common(p)
     p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser("render", help="draw one tiling as SVG")

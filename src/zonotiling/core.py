@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
@@ -199,6 +199,16 @@ def make_config(coords: Iterable[int | str | Fraction]) -> PointConfig:
 def standard_config(n: int) -> PointConfig:
     """The default configuration a_i = i."""
     return make_config(range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def integer_coords(config: PointConfig) -> tuple[int, tuple[int, ...]]:
+    """(scale, coordinates times scale), scale the lcm of their denominators.
+
+    Every integer computation on a configuration runs on these coordinates.
+    """
+    scale = lcm(*(a.denominator for a in config.coords))
+    return scale, tuple(a.numerator * (scale // a.denominator) for a in config.coords)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ derives the Tiling from the key on demand: the flip along (p, q, r) toggles
 q in the {p, r} offset, p in {q, r} and r in {p, q}, so the offsets are the
 minimal tiling's XOR one such toggle per set bit.  Enumeration is
 breadth-first from the minimal tiling, key 0, with every layer processed in
-sorted key order, which makes node ids stable across runs.
+sorted key order, so node ids are sorted by (inversion count, key) and stable
+across runs.
 
 Enumeration never builds a tiling: ``key_flips`` reads a node's flips and
 their levels off its key.  The key is a rank-3 signotope, and a circuit
@@ -20,9 +21,11 @@ acd, bcd of a 4-subset a < b < c < d, a flip at position 1 is blocked by
 per position, so each test covers every 4-subset at once.
 
 A raising edge adds one inversion (one circuit toggled from +1 to -1), so
-it runs toward the larger key, node ids are in inversion-count order, and
-maximal chains are the length-C(n,3) raising walks from the minimal to the
-maximal tiling.
+it runs toward the larger key and a later id, and maximal chains are the
+length-C(n,3) raising walks from the minimal to the maximal tiling.  The
+half-turn complements the key, which reverses both the inversion count and
+the key order, so the image of node v is node len(graph) - 1 - v and no
+key-to-id map outlives enumeration.
 
 Quotient skeletons rest on ``components_excluding_levels``, which labels and
 stores each level set's components once per graph, and ``graph_diameter``, a
@@ -45,7 +48,6 @@ from .core import (
     PointConfig,
     byte_tables,
     colex_triples,
-    full_mask,
     num_triples,
     triple_rank,
 )
@@ -53,7 +55,7 @@ from .tiling import Tiling, tiling_of_orientation
 
 
 class EnumerationCapError(ValueError):
-    """Requested configuration exceeds the enumeration cap or the memory."""
+    """The requested n's flip graph would not fit in memory, or its size is unknown."""
 
 
 # Number of tilings for n = 1 .. 10 (OEIS A006245), and the bytes a graph
@@ -89,11 +91,14 @@ def _check_memory(n: int) -> None:
 
 @dataclass
 class FlipGraph:
-    """The graph of all fine tilings with level-labelled flip edges."""
+    """The graph of all fine tilings with level-labelled flip edges.
+
+    Node ids are sorted by (inversion count, key).  Raising flips lead to
+    later ids, and the half-turn image of node v is len(graph) - 1 - v.
+    """
 
     config: PointConfig
     keys: list[int]  # orientation key of each node
-    index: dict[int, int]
     adj: list[list[int]]  # neighbour ids
     levels: list[bytes]  # levels[u][i] is the flip level of the edge to adj[u][i]
     labellings: dict = field(default_factory=dict, repr=False, compare=False)
@@ -116,12 +121,16 @@ class FlipGraph:
 
     @property
     def max_id(self) -> int:
-        return self.index[full_mask(num_triples(self.n))]
+        return len(self) - 1
 
     def opposite_node(self, node: int) -> int:
-        """Node of the half-turn image; its key is the bitwise complement."""
+        """Node of the half-turn image, whose key is the bitwise complement.
+
+        Complementing reverses the (inversion count, key) order of the ids,
+        so the image is the mirror id.
+        """
         check_node(self, node)
-        return self.index[self.keys[node] ^ full_mask(num_triples(self.n))]
+        return len(self) - 1 - node
 
     def undirected_edges(self) -> Iterator[tuple[int, int, int]]:
         """Each flip edge once as (u, v, level) with u < v."""
@@ -213,17 +222,13 @@ def key_flips(n: int, key: int) -> tuple[list[int], bytes]:
     return bits, bytes(levels)
 
 
-def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
+def enumerate_tilings(config: PointConfig) -> FlipGraph:
     """BFS over all tilings from the minimal one, deduped by orientation key.
 
     Each node's flips and levels come from ``key_flips``; no tiling is built.
-    An n above ``cap``, or one whose graph would not fit in physical memory
-    (``_check_memory``), is refused before anything is allocated.
+    An n whose graph would not fit in physical memory (``_check_memory``) is
+    refused before anything is allocated.
     """
-    if config.n > cap:
-        raise EnumerationCapError(
-            f"n={config.n} exceeds the enumeration cap {cap}"
-        )
     _check_memory(config.n)
     n = config.n
     keys = [0]  # the minimal tiling orients every circuit +1
@@ -252,7 +257,7 @@ def enumerate_tilings(config: PointConfig, cap: int = 8) -> FlipGraph:
             keys.append(vkey)
         adj.extend([index[vkey] for vkey in vkeys] for vkeys in pending)
 
-    return FlipGraph(config, keys, index, adj, levels)
+    return FlipGraph(config, keys, adj, levels)
 
 
 def check_node(graph: FlipGraph, node: int) -> None:
@@ -366,19 +371,23 @@ def components_excluding_levels(
         return labels
     adj = graph.adj
     levels = graph.levels
-    allowed = range(len(adj)) if within is None else within
-    labels = [-1] * len(adj)
+    # nodes outside ``within`` read -2 until the BFS over the -1 nodes ends
+    labels = [-1 if within is None else -2] * len(adj)
+    for v in within or ():
+        labels[v] = -1
     for start in range(len(adj)):
-        if labels[start] >= 0 or start not in allowed:
+        if labels[start] != -1:
             continue
         labels[start] = start
         queue = deque([start])
         while queue:
             u = queue.popleft()
             for v, level in zip(adj[u], levels[u]):
-                if labels[v] < 0 and level not in banned and v in allowed:
+                if labels[v] == -1 and level not in banned:
                     labels[v] = start
                     queue.append(v)
+    if within is not None:
+        labels = [max(label, -1) for label in labels]
     graph.labellings[key] = labels
     return labels
 
@@ -419,7 +428,6 @@ def sample_chain(graph: FlipGraph, seed: int) -> Chain:
     """
     rng = random.Random(seed)
     target = comb(graph.n, 3)
-    keys = graph.keys
     node = graph.min_id
     nodes = [node]
     levels = []
@@ -427,7 +435,7 @@ def sample_chain(graph: FlipGraph, seed: int) -> Chain:
         raising = [
             (v, level)
             for v, level in zip(graph.adj[node], graph.levels[node])
-            if keys[v] > keys[node]
+            if v > node
         ]
         if not raising:
             raise Finding(
@@ -450,20 +458,19 @@ def max_chain_through(
     """A maximal chain from minimum to maximum passing through the node.
 
     With regular_nodes given, every chain node must belong to that set.
-    Raising edges only add inversions and node ids are in inversion-count
-    order, so reachability is one DAG sweep each way over the ids; absence
-    of a chain raises a Finding.
+    Raising edges add an inversion and so lead to later ids, so reachability
+    is one DAG sweep each way over the ids; absence of a chain raises a
+    Finding.
     """
     check_node(graph, node)
     allowed = (lambda v: True) if regular_nodes is None else (lambda v: v in regular_nodes)
     if not allowed(node):
         raise ValueError(f"node {node} is outside the allowed node set")
-    keys = graph.keys
 
     def steps(v: int, up: bool) -> Iterator[tuple[int, int]]:
         """Flips out of v toward the maximum (up) or the minimum, within the set."""
         for w, level in zip(graph.adj[v], graph.levels[v]):
-            if (keys[w] > keys[v]) == up and allowed(w):
+            if (w > v) == up and allowed(w):
                 yield w, level
 
     reach_down = [False] * len(graph)

@@ -73,7 +73,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
-from .core import HeightVector, PointConfig, circuits, format_rational
+from .core import HeightVector, PointConfig, colex_triples, format_rational, integer_coords
 
 _ZERO = Fraction(0)
 
@@ -227,11 +227,11 @@ class RegularityCertificate:
 @lru_cache(maxsize=None)
 def _integer_circuits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int], ...]:
     """(p, q, r, alpha) of every circuit in rank order: points 0-based, alpha
-    scaled by the lcm of the coordinate denominators."""
-    scale = lcm(*(a.denominator for a in config.coords))
+    on the integer coordinates of ``integer_coords``."""
+    _, a = integer_coords(config)
     return tuple(
-        (c.p - 1, c.q - 1, c.r - 1, *(int(x * scale) for x in c.alpha))
-        for c in circuits(config)
+        (p - 1, q - 1, r - 1, a[r - 1] - a[q - 1], a[p - 1] - a[r - 1], a[q - 1] - a[p - 1])
+        for p, q, r in colex_triples(config.n)
     )
 
 
@@ -270,7 +270,7 @@ def _slack_rows(config: PointConfig) -> tuple[tuple[tuple[int, int], ...], tuple
     """
     k = config.n - 2
     nv = 2 * k + 1
-    scale = lcm(*(a.denominator for a in config.coords))
+    scale, _ = integer_coords(config)
     circuit_rows = []
     norms = []
     for p, q, r, *alpha in _integer_circuits(config):
@@ -368,10 +368,11 @@ def _probe(h: tuple[int, ...], circuit, key: int, table) -> tuple[int, ...] | No
 def regular_set(graph) -> RegularSet:
     """The regular nodes of an enumerated flip graph, without an LP per node.
 
-    Walks the nodes in id order, skipping decided ones.  An undecided node is
+    Walks the first half of the ids, through the middle one.  Each node is
     first probed from the witness of each certified neighbour; when no probe
     passes the exact sign check, ``classify_orientation`` solves its LP.
-    Either way its half-turn image gets the same verdict: sigma_h(-h) is the
+    Either way its half-turn image, the mirror id len(graph) - 1 - v, which
+    the walk never reaches first, gets the same verdict: sigma_h(-h) is the
     complement key, so -h certifies the image, and an image of an irregular
     node is irregular.  Every regular verdict rests on an exact integer sign
     check of a witness, every irregular one on an exact LP.
@@ -380,11 +381,9 @@ def regular_set(graph) -> RegularSet:
     table = _integer_circuits(config)
     keys = graph.keys
     witness: list[tuple[int, ...] | None] = [None] * len(keys)
-    decided = bytearray(len(keys))
     by_lp = by_probe = by_half_turn = 0
-    for v, key in enumerate(keys):
-        if decided[v]:
-            continue
+    for v in range((len(keys) + 1) // 2):
+        key = keys[v]
         h = None
         for u in graph.adj[v]:
             if witness[u] is not None:
@@ -400,7 +399,6 @@ def regular_set(graph) -> RegularSet:
                 scale = lcm(*(x.denominator for x in cert.witness))
                 h = tuple(int(x * scale) for x in cert.witness)
         image = graph.opposite_node(v)
-        decided[v] = decided[image] = 1
         witness[v] = h
         if image != v:
             by_half_turn += 1

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Finding, PointConfig, colex_pairs, format_rational, mask_points
+from .core import Finding, PointConfig, colex_pairs, format_rational, integer_coords, mask_points
 from .flipgraph import FlipGraph, check_node, components_excluding_levels, graph_diameter
-from .tiling import Tiling, _integer_coords
+from .tiling import Tiling
 
 
 def vert_k(config: PointConfig, tiling: Tiling, k: int) -> tuple[Fraction, ...]:
@@ -352,7 +352,7 @@ def _vert_k_distinct(
     Compares ``vert_k`` on the integer coordinates: one positive scale moves
     no equality between vectors.
     """
-    coords = _integer_coords(graph.config)
+    _, coords = integer_coords(graph.config)
     values = set()
     for members in classes:
         vals = {_scaled_vert_k(coords, graph.tiling(v), k) for v in members}

@@ -38,6 +38,7 @@ from .core import (
     colex_pairs,
     colex_triples,
     full_mask,
+    integer_coords,
     mask_from,
     mask_points,
     num_pairs,
@@ -154,13 +155,6 @@ def tiling_from_tiles(n: int, tiles: Iterable[tuple[Iterable[int], tuple[int, in
 # ---------------------------------------------------------------------------
 # regular tilings from height vectors
 
-@lru_cache(maxsize=None)
-def _integer_coords(config: PointConfig) -> tuple[int, ...]:
-    """The coordinates times the lcm of their denominators."""
-    scale = lcm(*(a.denominator for a in config.coords))
-    return tuple(int(a * scale) for a in config.coords)
-
-
 def tiling_from_heights(config: PointConfig, heights: Sequence[int | str | Fraction]) -> Tiling:
     """Project the upper boundary of the lifted zonotope for heights h.
 
@@ -177,7 +171,7 @@ def tiling_from_heights(config: PointConfig, heights: Sequence[int | str | Fract
     h = as_heights(config, heights)
     hscale = lcm(*(x.denominator for x in h))
     hs = [x.numerator * (hscale // x.denominator) for x in h]
-    a = _integer_coords(config)
+    _, a = integer_coords(config)
     n = config.n
     offsets = []
     for i, j in colex_pairs(n):

@@ -106,6 +106,8 @@ def test_c04_enumeration_matches_oracle(graphs):
     g7 = enumerate_tilings(standard_config(7))
     elapsed = time.monotonic() - start
     ok = ok and len(g7) == 24698 and elapsed < 600
+    full = (1 << comb(7, 3)) - 1  # the half-turn image is the mirror id
+    ok = ok and all(g7.keys[g7.opposite_node(v)] == g7.keys[v] ^ full for v in range(len(g7)))
     ok = ok and commutation_census(7).commutation_classes == 24698
     report(4, "node counts match the commutation-class oracle", ok,
            detail=f"(n=7 enumeration took {elapsed:.1f}s)")

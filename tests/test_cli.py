@@ -154,6 +154,15 @@ def test_format_svg_not_offered(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args", ["classify --n 4 --seed 1", "classify --n 4 --format dot", "enumerate --n 4 --cap 9"]
+)
+def test_options_a_command_does_not_read_are_refused(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run(args.split())
+    assert exc.value.code == 2
+
+
 def test_points_flag_with_fractions(capsys):
     assert run(["enumerate", "--points=-1,0,1/2,2"]) == 0
     assert "8 tilings" in capsys.readouterr().out
@@ -164,8 +173,13 @@ def test_invalid_points_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cap_exceeded_is_an_input_error(capsys):
+def test_cap_exceeded_is_an_input_error(monkeypatch, capsys):
+    # the memory check is the only size guard; fix the memory it reads
+    from zonotiling import flipgraph
+
+    monkeypatch.setattr(flipgraph, "_physical_memory", lambda: 7 * 10**9)
     assert run(["enumerate", "--n", "9"]) == 2
+    assert "error: n=9 has 112,018,190 tilings" in capsys.readouterr().err
 
 
 def test_zero_denominator_is_an_input_error(capsys):

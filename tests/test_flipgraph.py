@@ -75,11 +75,6 @@ def test_node_counts(graphs, n, count):
     assert len(graphs(n)) == count
 
 
-def test_cap_enforced():
-    with pytest.raises(EnumerationCapError):
-        enumerate_tilings(standard_config(5), cap=4)
-
-
 class TestMemoryRefusal:
     """An n whose graph would not fit is refused before enumeration starts."""
 
@@ -93,7 +88,7 @@ class TestMemoryRefusal:
     def test_n9_refused_on_a_7gb_machine(self, monkeypatch):
         monkeypatch.setattr(flipgraph, "_physical_memory", lambda: 7 * 10**9)
         with pytest.raises(EnumerationCapError, match=r"39\.1 GB.*7\.0 GB"):
-            enumerate_tilings(standard_config(9), cap=20)
+            enumerate_tilings(standard_config(9))
 
     def test_n8_fits_a_7gb_machine(self, monkeypatch):
         monkeypatch.setattr(flipgraph, "_physical_memory", lambda: 7 * 10**9)
@@ -102,17 +97,12 @@ class TestMemoryRefusal:
 
     def test_n11_refused_without_a_count(self):
         with pytest.raises(EnumerationCapError, match="no tiling count"):
-            enumerate_tilings(standard_config(11), cap=20)
-
-    def test_cap_checked_first(self, monkeypatch):
-        monkeypatch.setattr(flipgraph, "_physical_memory", lambda: 10**15)
-        with pytest.raises(EnumerationCapError, match="enumeration cap 8"):
-            enumerate_tilings(standard_config(9))
+            enumerate_tilings(standard_config(11))
 
     def test_unknown_memory_refuses_only_beyond_the_counts(self, monkeypatch):
         monkeypatch.setattr(flipgraph, "_physical_memory", lambda: None)
         with pytest.raises(AssertionError, match="enumeration started"):
-            enumerate_tilings(standard_config(10), cap=20)
+            enumerate_tilings(standard_config(10))
 
 
 def test_keys_match_orientations_and_min_max(graphs):
@@ -133,6 +123,15 @@ def test_edges_symmetric_with_complementary_directions(graphs):
             directed[(u, v)] = (level, g.keys[v] > g.keys[u])
     for (u, v), (level, raising) in directed.items():
         assert directed[(v, u)] == (level, not raising)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_raising_edges_lead_to_later_ids(graphs, n):
+    # sample_chain and max_chain_through read a flip's direction off the ids
+    g = graphs(n)
+    for u, nbrs in enumerate(g.adj):
+        for v in nbrs:
+            assert (v > u) == (g.keys[v] > g.keys[u])
 
 
 @pytest.mark.parametrize(

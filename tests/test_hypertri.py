@@ -389,10 +389,11 @@ def _replace_slices(monkeypatch, graph, k, replacement):
     """Make the level-k slice of each node v in replacement read replacement[v]."""
     real = hypertri.key_slices
     lower = full_mask(comb(graph.n, k))
+    ids = {key: v for v, key in enumerate(graph.keys)}
 
     def fake(n, key, level):
         word = real(n, key, level)
-        v = graph.index.get(key)
+        v = ids.get(key)
         if level == k and v in replacement:
             return word & ~lower | _slice_word(n, k, replacement[v])
         return word

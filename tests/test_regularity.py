@@ -490,6 +490,14 @@ class TestRegularSet:
         assert result.by_lp + result.by_probe + result.by_half_turn == len(g)
         assert result.by_half_turn == len(g) // 2
 
+    @pytest.mark.parametrize(
+        "n,counts", [(2, (1, 1, 0, 0)), (3, (2, 1, 0, 1)), (6, (888, 99, 355, 454))]
+    )
+    def test_verdict_routes(self, graphs, n, counts):
+        # (regular nodes, by_lp, by_probe, by_half_turn) on a_i = i
+        result = regular_set(graphs(n))
+        assert (len(result.nodes), result.by_lp, result.by_probe, result.by_half_turn) == counts
+
     def test_probe_witnesses_check_exactly(self, graphs, monkeypatch):
         # every accepted probe reproduces its node's key under sigma_h
         g = graphs(5)

@@ -24,9 +24,9 @@ from zonotiling import (
     tiling_from_tiles,
     vert_k,
 )
+from zonotiling.core import integer_coords
 from zonotiling.flipgraph import components_excluding_levels
 from zonotiling.secondary import _scaled_vert_k, _vert_k_distinct, potential_between
-from zonotiling.tiling import _integer_coords
 
 
 class TestVertK:
@@ -67,8 +67,9 @@ class TestIntegerVertK:
     def check(cfg):
         g = enumerate_tilings(cfg)
         regs = regular_set(g).nodes
-        coords = _integer_coords(cfg)
-        scale = lcm(*(a.denominator for a in cfg.coords))
+        scale, coords = integer_coords(cfg)
+        assert scale == lcm(*(a.denominator for a in cfg.coords))
+        assert coords == tuple(int(a * scale) for a in cfg.coords)
         rng = random.Random(len(g))
         for k in range(1, cfg.n - 1):
             fractions = [vert_k(cfg, g.tiling(v), k) for v in range(len(g))]
@@ -309,10 +310,12 @@ class TestDiameterReport:
             diameter_report(graphs(5), k, regulars(5))
 
     def test_opposite_node_key_complement(self, graphs):
-        g = graphs(5)
-        full = (1 << comb(5, 3)) - 1
-        for v in (0, 7, 44):
-            assert g.keys[g.opposite_node(v)] == g.keys[v] ^ full
+        # the half-turn image is the mirror id, on every node
+        for n in range(2, 7):
+            g = graphs(n)
+            full = (1 << comb(n, 3)) - 1
+            for v in range(len(g)):
+                assert g.keys[g.opposite_node(v)] == g.keys[v] ^ full
 
     def test_opposite_pair_adjacent_in_sigma1(self, graphs, regulars):
         # a fully reversed pair of tilings whose level-1 classes are neighbours
