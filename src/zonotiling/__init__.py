@@ -1,7 +1,7 @@
 """Exact combinatorial engine for fine zonotopal tilings of 2D zonotopes.
 
-Builds tilings of the zonotope of n generic points on a line, flips them,
-enumerates the full flip graph, classifies regularity with exact
+Builds tilings of the zonotope of n generic points on a line, enumerates
+the full flip graph from orientation keys, classifies regularity with exact
 height-vector certificates, and measures the diameters of the quotient
 skeletons that realize the higher secondary polytopes and the lifting /
 reduced hypertriangulation flip graphs.
@@ -40,7 +40,6 @@ from .flipgraph import (
 from .hypertri import (
     MonotonePath,
     StrongSeparationError,
-    cross_section,
     hypertri_diameters,
     reduced_cross_section,
     strongly_separated,
@@ -66,22 +65,14 @@ from .secondary import (
     vert_k,
 )
 from .tiling import (
-    FlipMove,
-    FlipUnavailableError,
     Tile,
     Tiling,
-    ValidationReport,
-    apply_flip,
-    available_flips,
     extremal_tiling,
-    opposite,
-    orientation_by_vertices,
     orientation_of,
     tiling_from_heights,
     tiling_from_tiles,
     tiling_of_orientation,
     tiling_to_svg,
-    validate,
 )
 
 __version__ = "0.1.0"

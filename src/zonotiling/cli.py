@@ -27,7 +27,13 @@ from .flipgraph import (
     level_census,
     sample_chain,
 )
-from .hypertri import cross_section, hypertri_diameters, reduced_cross_section
+from .hypertri import (
+    _ordered_path,
+    hypertri_diameters,
+    key_slices,
+    reduced_cross_section,
+    slice_masks,
+)
 from .oracle import commutation_census, reduced_word_count_formula
 from .regularity import classify_orientation, regular_set
 from .secondary import (
@@ -205,19 +211,19 @@ def cmd_hypertri(ns: argparse.Namespace) -> int:
         run.finding("hypertri diameter mismatch")
 
     fixtures = {}
-    if run.config.n == 4:
-        paths = {cross_section(t, 2).vertices for t in map(graph.tiling, range(len(graph)))}
+    n = run.config.n
+    if n == 4 or (n == 5 and ns.k == 1):
+        # each node's level-2 slice, read off its key
+        slices = (slice_masks(n, 2, key_slices(n, key, 2))[0] for key in graph.keys)
+        paths = [_ordered_path(s, 2, n, reduced=False).vertices for s in slices]
+    if n == 4:
         fixtures["nonlifting_path_absent"] = (
             (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)
         ) not in paths
         fixtures["lifting_path_present"] = ((1, 2), (1, 3), (1, 4), (3, 4)) in paths
-    if run.config.n == 5 and ns.k == 1:
+    if n == 5 and ns.k == 1:
         target = ((1, 2), (1, 3), (3, 4), (3, 5), (4, 5))
-        nodes = [
-            v
-            for v in range(len(graph))
-            if cross_section(graph.tiling(v), 2).vertices == target
-        ]
+        nodes = [v for v, path in enumerate(paths) if path == target]
         if nodes:
             members = next(c for c in equivalence_classes(graph, {1}) if nodes[0] in c)
             reduced_path = reduced_cross_section(graph, members, 1)
@@ -227,7 +233,7 @@ def cmd_hypertri(ns: argparse.Namespace) -> int:
         if ok is False:
             run.finding(f"fixture {name} failed")
     record = record | {"fixtures": fixtures}
-    _write(run, f"hypertri_n{run.config.n}_k{ns.k}.json", record)
+    _write(run, f"hypertri_n{n}_k{ns.k}.json", record)
     return _exit(run)
 
 

@@ -358,11 +358,12 @@ def components_excluding_levels(
     """Component label per node of the graph minus edges at deleted levels.
 
     With ``within`` given, only the subgraph induced on those nodes is
-    labelled, and every other node reads -1.  Labels are canonical: the
-    label of a component is the smallest node id it contains, so partitions
-    compare across calls.  Each labelling is computed once per graph and
-    stored on it, so every call with the same levels and node set returns
-    the same list; callers must not mutate it.
+    labelled, and every other node reads -1; a node id in ``within`` outside
+    the graph raises ValueError.  Labels are canonical: the label of a
+    component is the smallest node id it contains, so partitions compare
+    across calls.  Each labelling is computed once per graph and stored on
+    it, so every call with the same levels and node set returns the same
+    list; callers must not mutate it.
     """
     banned = frozenset(deleted_levels)
     key = (banned, None if within is None else frozenset(within))
@@ -374,6 +375,7 @@ def components_excluding_levels(
     # nodes outside ``within`` read -2 until the BFS over the -1 nodes ends
     labels = [-1 if within is None else -2] * len(adj)
     for v in within or ():
+        check_node(graph, v)
         labels[v] = -1
     for start in range(len(adj)):
         if labels[start] != -1:

@@ -15,11 +15,10 @@ class.  It satisfies the consecutive-triple condition
 is a sorted tuple of node ids from the partition code in ``secondary``, and
 ``reduced_cross_section`` reads exactly its members' slices.
 
-Graph nodes never build a Tiling for their slices: ``key_slices`` reads the
-level-k and level-(k+1) slices off the orientation key, because a subset is
-a vertex exactly when no circuit forbids its trace on the circuit's triple
-(the chamber-set condition, proved there).  ``level_vertex_masks`` and
-``cross_section`` read the same slices off a Tiling's tiles.
+No Tiling is built for a slice: ``key_slices`` reads the level-k and
+level-(k+1) slices off the orientation key, because a subset is a vertex
+exactly when no circuit forbids its trace on the circuit's triple (the
+chamber-set condition, proved there).
 """
 
 from __future__ import annotations
@@ -38,13 +37,13 @@ from .core import (
     mask_from,
     mask_points,
 )
-from .flipgraph import FlipGraph, graph_diameter
+from .flipgraph import FlipGraph, check_node, graph_diameter
 from .secondary import (
+    check_level,
     skeleton,
     sigma_k_diameter_formula,
     sum_skeleton_diameter_formula,
 )
-from .tiling import Tiling
 
 
 class StrongSeparationError(ValueError):
@@ -117,11 +116,6 @@ def _ordered_path(masks: Iterable[int], k: int, n: int, reduced: bool) -> Monoto
                     "single increasing exchange"
                 )
     return MonotonePath(k, tuple(mask_points(m) for m in ordered), reduced)
-
-
-def level_vertex_masks(tiling: Tiling, k: int) -> frozenset[int]:
-    """Size-k members of the tiling's vertex set, as masks."""
-    return frozenset(v for v in tiling.vertex_masks() if v.bit_count() == k)
 
 
 @lru_cache(maxsize=None)
@@ -204,17 +198,6 @@ def slice_masks(n: int, k: int, word: int) -> tuple[frozenset[int], frozenset[in
     return frozenset(masks[0]), frozenset(masks[1])
 
 
-def cross_section(tiling: Tiling, k: int) -> MonotonePath:
-    """The tiling's level-k slice as a monotone path.
-
-    Raises StrongSeparationError if two slice vertices are incomparable,
-    which cannot happen for a valid tiling.
-    """
-    if not 0 <= k <= tiling.n:
-        raise ValueError(f"level {k} outside 0..{tiling.n}")
-    return _ordered_path(level_vertex_masks(tiling, k), k, tiling.n, reduced=False)
-
-
 def satisfies_triple_condition(path: MonotonePath) -> bool:
     """Do all consecutive triples intersect in exactly k-2 points?"""
     masks = path.vertex_masks()
@@ -233,9 +216,15 @@ def reduced_cross_section(graph: FlipGraph, members: Sequence[int], k: int) -> M
     exactly k-1 points.  A violation falsifies the construction and raises
     a Finding.  The other reduction fixed on a class, the meet of the
     k-class's level-k slices, is the complement in [n] of the reduced path
-    of the half-turn image's (n-1-k)-class.
+    of the half-turn image's (n-1-k)-class.  Refuses an empty class, a
+    node id outside the graph and a level outside 1..n-2 with ValueError.
     """
     n = graph.n
+    check_level(n, k)
+    if not members:
+        raise ValueError("a k-class has at least one member")
+    for v in members:
+        check_node(graph, v)
     meet = reduce(int.__and__, (key_slices(n, graph.keys[v], k) for v in members))
     return _reduced_path(slice_masks(n, k, meet)[1], k, n)
 

@@ -75,21 +75,9 @@ from typing import Sequence
 
 from .core import HeightVector, PointConfig, colex_triples, format_rational, integer_coords
 
-_ZERO = Fraction(0)
-
 
 class SimplexError(RuntimeError):
     pass
-
-
-def _field_width(rows: Sequence[Sequence[int]], nv: int) -> int:
-    """Bits per packed field for the integer rows [A_r | b_r] of an LP in nv variables.
-
-    The Hadamard bound over the min(m, nv + 1) largest row norms, each taken
-    as at least 1, bounds every tableau entry; see the module docstring.
-    """
-    norms = sorted((max(sum(v * v for v in row), 1) for row in rows), reverse=True)
-    return isqrt(prod(norms[: nv + 1])).bit_length() + 2
 
 
 def _pack(row: Sequence[int], width: int) -> int:
@@ -101,8 +89,8 @@ def _maximize(obj: list[int], rows: list[int], width: int) -> tuple[list[int], i
     """Maximize c.x subject to A.x <= b, x >= 0 on integer data, b >= 0.
 
     ``rows[r]`` is row r of A followed by b_r, packed by ``_pack`` into
-    fields ``width`` bits wide, which must hold every tableau entry (see
-    ``_field_width``); ``obj`` is c followed by 0, as a list.  ``rows`` is
+    fields ``width`` bits wide, which must hold every tableau entry (see the
+    module docstring); ``obj`` is c followed by 0, as a list.  ``rows`` is
     updated in place.  Returns None when the LP is unbounded, otherwise
     (x, value, det) with the optimum at x_i = x[i] / det and c.x = value / det.
 
@@ -171,42 +159,6 @@ def _maximize(obj: list[int], rows: list[int], width: int) -> tuple[list[int], i
     return x, -obj[nv], det
 
 
-def simplex_max_canonical(
-    objective: Sequence[Fraction | int],
-    lhs: Sequence[Sequence[Fraction | int]],
-    rhs: Sequence[Fraction | int],
-) -> tuple[str, list[Fraction], Fraction]:
-    """Maximize c.x subject to A.x <= b, x >= 0, b >= 0, exactly.
-
-    Requires the canonical feasible origin (all b nonnegative), which the
-    callers here arrange by variable splitting.  Returns (status, x, value)
-    with status 'optimal' or 'unbounded'.  Each row, and the objective, is
-    scaled to integers by the lcm of its denominators before pivoting.
-    """
-    nv = len(objective)
-    rows: list[list[int]] = []
-    for coeffs_in, b_in in zip(lhs, rhs, strict=True):
-        if len(coeffs_in) != nv:
-            raise ValueError("ragged constraint matrix")
-        coeffs = [Fraction(x) for x in coeffs_in]
-        b = Fraction(b_in)
-        if b < 0:
-            raise ValueError("canonical form needs nonnegative right-hand sides")
-        scale = lcm(b.denominator, *(c.denominator for c in coeffs))
-        rows.append([int(c * scale) for c in coeffs] + [int(b * scale)])
-
-    width = _field_width(rows, nv)
-    cfr = [Fraction(c) for c in objective]
-    cscale = lcm(1, *(c.denominator for c in cfr))
-    solved = _maximize(
-        [int(c * cscale) for c in cfr] + [0], [_pack(row, width) for row in rows], width
-    )
-    if solved is None:
-        return "unbounded", [], _ZERO
-    x, value, det = solved
-    return "optimal", [Fraction(v, det) for v in x], Fraction(value, det) / cscale
-
-
 # ---------------------------------------------------------------------------
 # regularity certificates
 
@@ -255,7 +207,7 @@ def _slack_rows(config: PointConfig) -> tuple[tuple[tuple[int, int], ...], tuple
     ``_integer_circuits``; then come the bound rows w+_i, w-_i, t <= 1.
 
     The last item is the field width, one for every tiling of the
-    configuration and tighter than ``_field_width``.  Every tableau entry is,
+    configuration and tighter than the generic bound.  Every tableau entry is,
     up to sign, a minor of [A | b].  Column b is zero on the circuit rows
     and 1 on the nv bound rows, so a minor through it expands into at most
     nv minors of A.  A bound row is a unit row, so expanding along it costs
@@ -266,7 +218,7 @@ def _slack_rows(config: PointConfig) -> tuple[tuple[tuple[int, int], ...], tuple
     (scale * alpha_i)^2, the squared norm of circuit c's row on those
     columns under either sign, Hadamard's inequality bounds every entry by
     nv * isqrt(product of the k + 1 largest N_c).  W is that bound's bit
-    length plus 2, as in ``_field_width``.
+    length plus 2, as for the generic bound.
     """
     k = config.n - 2
     nv = 2 * k + 1
@@ -320,7 +272,7 @@ def classify_orientation(config: PointConfig, key: int) -> RegularityCertificate
         raise SimplexError("slack LP ended with status unbounded")
     x, value, det = solved
     if value <= 0:
-        return RegularityCertificate(False, None, _ZERO)
+        return RegularityCertificate(False, None, Fraction(0))
     h = (0, 0, *(x[i] - x[k + i] for i in range(k)))
     if not _realizes(h, key, table):
         raise AssertionError(f"regularity witness does not realize key {key:#x}")

@@ -1,10 +1,10 @@
-"""Tiles, tilings, regular tilings from heights, flips, and validation.
+"""Tiles, tilings, regular tilings from heights, orientation keys, and SVG.
 
 A fine tiling of the zonotope of n lifted vectors uses exactly one
 parallelogram tile per basis pair B = {i, j}: the tile with offset set A is
 anchored at (sum_{m in A} a_m, |A|) and spanned by v_i and v_j.  A tiling is
-therefore stored as a pair-indexed tuple of offset bitmasks, which makes
-flip-pattern lookups O(1) and keeps values immutable and hashable.
+therefore stored as a pair-indexed tuple of offset bitmasks, which keeps
+values immutable and hashable.
 
 Orientation convention.  For the circuit p < q < r, the tiling orients the
 circuit +1 exactly when q is missing from the offset of the B = {p, r} tile.
@@ -18,6 +18,9 @@ A tiling is fixed by its orientation key.  Whatever its offset A, the flip
 along (p, q, r) toggles q in the {p, r} offset, p in the {q, r} offset and r
 in the {p, q} offset, so ``tiling_of_orientation`` rebuilds the offsets as
 the minimal tiling's XOR that toggle for every set bit of the key.
+
+No stage flips or validates a Tiling; ``tests/tile_oracle.py`` keeps the
+tile-based flips and audit as the reference for the key route.
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ from .core import (
 )
 
 
-class FlipUnavailableError(ValueError):
-    """The requested flip pattern is not present in the tiling."""
-
-
 @dataclass(frozen=True)
 class Tile:
     """A single parallelogram: offset set A and basis pair B = (i, j)."""
@@ -63,19 +62,6 @@ class Tile:
 
     def to_json(self) -> dict:
         return {"A": sorted(self.offset), "B": list(self.pair)}
-
-
-@dataclass(frozen=True)
-class FlipMove:
-    """A flip along one circuit: triple (p, q, r), offset A(F), raising or not."""
-
-    triple: tuple[int, int, int]
-    offset: int  # bitmask of A(F)
-    raising: bool
-
-    @property
-    def level(self) -> int:
-        return self.offset.bit_count() + 1
 
 
 @dataclass(frozen=True)
@@ -262,7 +248,7 @@ def tiling_of_orientation(n: int, bits: int) -> Tiling:
 
     Starts from the minimal tiling (key 0) and XORs in, a key byte at a
     time, the offset toggles of every set bit.  A key that orients no tiling
-    yields offsets that ``validate`` rejects.
+    yields offsets that form no tiling.
     """
     packed, tables, width, count = _toggle_tables(n)
     if bits < 0 or bits >> count:
@@ -276,234 +262,6 @@ def tiling_of_orientation(n: int, bits: int) -> Tiling:
     return Tiling(
         n, tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
     )
-
-
-def _circuit_witnesses(verts: frozenset[int], p: int, q: int, r: int) -> tuple[bool, bool]:
-    """Is some vertex a positive witness (p and r, not q), and some a negative one (q alone)?"""
-    bp, bq, br = 1 << (p - 1), 1 << (q - 1), 1 << (r - 1)
-    support = bp | bq | br
-    pos = any(v & support == bp | br for v in verts)
-    neg = any(v & support == bq for v in verts)
-    return pos, neg
-
-
-def orientation_by_vertices(tiling: Tiling) -> OrientationVector:
-    """Circuit signs via the vertex-set definition (independent slow route).
-
-    A vertex S orients (p, q, r) positively when it contains p and r but not
-    q, negatively when it contains q but neither p nor r.  Exactly one kind
-    of witness must occur per circuit; anything else marks a corrupt tiling.
-    """
-    verts = tiling.vertex_masks()
-    signs = []
-    for p, q, r in colex_triples(tiling.n):
-        pos, neg = _circuit_witnesses(verts, p, q, r)
-        if pos == neg:
-            kind = "both" if pos else "no"
-            raise ValueError(
-                f"corrupt tiling: {kind} orientation witnesses for circuit {(p, q, r)}"
-            )
-        signs.append(1 if pos else -1)
-    return OrientationVector.from_signs(signs)
-
-
-# ---------------------------------------------------------------------------
-# flips
-
-def flip_along(tiling: Tiling, p: int, q: int, r: int) -> FlipMove | None:
-    """The unique candidate flip along circuit (p, q, r), if available.
-
-    The offset A of the B = {p, r} tile pins everything down: when q is
-    outside A the tiling shows the +1 local patch
-        {A+p | {q,r}},  {A+r | {p,q}},  {A | {p,r}}
-    and the flip (raising) installs the -1 patch
-        {A | {q,r}},  {A | {p,q}},  {A+q | {p,r}};
-    when q lies in A the roles are reversed (lowering).
-    """
-    bp, bq, br = 1 << (p - 1), 1 << (q - 1), 1 << (r - 1)
-    a_pr = tiling.offset_mask(p, r)
-    if a_pr & bq:
-        base = a_pr & ~bq
-        if tiling.offset_mask(q, r) == base and tiling.offset_mask(p, q) == base:
-            return FlipMove((p, q, r), base, raising=False)
-    else:
-        base = a_pr
-        if tiling.offset_mask(q, r) == base | bp and tiling.offset_mask(p, q) == base | br:
-            return FlipMove((p, q, r), base, raising=True)
-    return None
-
-
-def available_flips(tiling: Tiling) -> list[FlipMove]:
-    """All available flips, at most one per circuit, in colex circuit order."""
-    moves = []
-    for p, q, r in colex_triples(tiling.n):
-        move = flip_along(tiling, p, q, r)
-        if move is not None:
-            moves.append(move)
-    return moves
-
-
-def apply_flip(tiling: Tiling, move: FlipMove) -> Tiling:
-    """Exchange the three-tile patch named by the move; one circuit toggles."""
-    p, q, r = move.triple
-    current = flip_along(tiling, p, q, r)
-    if current != move:
-        raise FlipUnavailableError(f"flip {move} not available in this tiling")
-    bp, bq, br = 1 << (p - 1), 1 << (q - 1), 1 << (r - 1)
-    base = move.offset
-    offsets = list(tiling.offsets)
-    if move.raising:
-        offsets[pair_rank(q, r)] = base
-        offsets[pair_rank(p, q)] = base
-        offsets[pair_rank(p, r)] = base | bq
-    else:
-        offsets[pair_rank(q, r)] = base | bp
-        offsets[pair_rank(p, q)] = base | br
-        offsets[pair_rank(p, r)] = base
-    return Tiling(tiling.n, tuple(offsets))
-
-
-def opposite(tiling: Tiling) -> Tiling:
-    """The half-turn involution: each tile's offset becomes [n] \\ (A | B).
-
-    Negates every circuit orientation and swaps offset size ell with
-    n-2-ell, so flips at level ell correspond to flips at level n-1-ell.
-    """
-    full = full_mask(tiling.n)
-    offsets = []
-    for (i, j), mask in zip(colex_pairs(tiling.n), tiling.offsets):
-        b = (1 << (i - 1)) | (1 << (j - 1))
-        offsets.append(full & ~(mask | b))
-    return Tiling(tiling.n, tuple(offsets))
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks
-            ],
-        }
-
-
-def validate(
-    config: PointConfig,
-    tiling: Tiling | Iterable[tuple[Iterable[int] | int, tuple[int, int]]],
-) -> ValidationReport:
-    """Structural audit: pair uniqueness, area, vertex count, orientation.
-
-    Accepts either a Tiling or a raw iterable of (offset, pair) items, so
-    malformed tile multisets can be diagnosed instead of rejected upfront.
-    """
-    n = config.n
-    if isinstance(tiling, Tiling):
-        items = [
-            (mask, pair) for pair, mask in zip(colex_pairs(n), tiling.offsets)
-        ]
-    else:
-        items = [
-            (m if isinstance(m, int) else mask_from(m), (i, j))
-            for m, (i, j) in tiling
-        ]
-    checks = []
-
-    # a pair outside 1 <= i < j <= n fails here and sits out the other checks
-    outside = [pair for _, pair in items if not 1 <= pair[0] < pair[1] <= n]
-    items = [(mask, pair) for mask, pair in items if 1 <= pair[0] < pair[1] <= n]
-    seen: dict[tuple[int, int], int] = {}
-    dups = []
-    for _, pair in items:
-        seen[pair] = seen.get(pair, 0) + 1
-        if seen[pair] == 2:
-            dups.append(pair)
-    missing = [pair for pair in colex_pairs(n) if pair not in seen]
-    problems = [
-        f"{label} {pairs}"
-        for label, pairs in (
-            ("duplicated", dups),
-            ("missing", missing),
-            (f"outside 1 <= i < j <= {n}:", outside),
-        )
-        if pairs
-    ]
-    checks.append(
-        CheckResult(
-            "pair-uniqueness",
-            not problems,
-            "; ".join(problems) or "each basis pair occurs exactly once",
-        )
-    )
-
-    disjoint_bad = [
-        pair
-        for mask, pair in items
-        if mask & ((1 << (pair[0] - 1)) | (1 << (pair[1] - 1))) or mask >> n
-    ]
-    checks.append(
-        CheckResult(
-            "offset-disjoint",
-            not disjoint_bad,
-            "offsets avoid their own pair" if not disjoint_bad else f"bad tiles {disjoint_bad}",
-        )
-    )
-
-    total = sum(config.coord(j) - config.coord(i) for _, (i, j) in items)
-    expected = sum(config.coord(j) - config.coord(i) for i, j in colex_pairs(n))
-    checks.append(
-        CheckResult(
-            "area-conservation",
-            total == expected,
-            f"tile area sum {total} vs zonotope area {expected}",
-        )
-    )
-
-    verts = _vertex_set(items)
-    want = num_pairs(n) + n + 1
-    checks.append(
-        CheckResult(
-            "vertex-count",
-            len(verts) == want,
-            f"{len(verts)} vertices, expected {want}",
-        )
-    )
-
-    bad_circuits = []
-    for p, q, r in colex_triples(n):
-        pos, neg = _circuit_witnesses(verts, p, q, r)
-        if pos == neg:
-            bad_circuits.append((p, q, r))
-    checks.append(
-        CheckResult(
-            "orientation-consistency",
-            not bad_circuits,
-            "every circuit oriented one way"
-            if not bad_circuits
-            else f"ambiguous or unoriented circuits {bad_circuits}",
-        )
-    )
-
-    return ValidationReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import hypothesis
 import pytest
 
-from zonotiling import classify_orientation, enumerate_tilings, standard_config
+from zonotiling import classify_orientation, enumerate_tilings, equivalence_classes, standard_config
 
 hypothesis.settings.register_profile(
     "default", max_examples=40, deadline=None
@@ -46,3 +46,9 @@ def regulars(certificates):
         return cache[n]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def k_class():
+    """The node's k-class, as the partition code holds it."""
+    return lambda graph, node, k: next(c for c in equivalence_classes(graph, {k}) if node in c)

@@ -1,6 +1,7 @@
 """Full-tableau fraction-free simplex, kept as a reference solver.
 
-Test-only reference for ``zonotiling.regularity.simplex_max_canonical``: the
+Test-only reference for the exact simplex ``zonotiling.regularity._maximize``,
+which tests/test_regularity.py drives from the same ``integer_lp`` rows: the
 solver as it stood before the production code moved to a condensed tableau
 over the non-basic columns, with each row packed into one int.  It carries
 the whole m x (nv + m + 1) tableau as lists, slack identity columns
@@ -31,24 +32,35 @@ def simplex_max_canonical(
     with status 'optimal' or 'unbounded'.  Bland's entering rule plus a
     lowest-basis-index tie break keeps the walk finite and deterministic.
     """
+    objective, rows, cscale = integer_lp(objective, lhs, rhs)
+    solved = _solve(objective, rows)
+    return read_optimum(solved and solved[:3], cscale)
+
+
+def integer_lp(objective, lhs, rhs) -> tuple[list[int], list[list[int]], int]:
+    """(c, rows [A_r | b_r], scale of c) on integers; each row scaled by the lcm
+    of its own denominators.  Refuses ragged rows and negative b."""
     nv = len(objective)
     rows: list[list[int]] = []
-    for r in range(len(lhs)):
-        if len(lhs[r]) != nv:
+    for coeffs_in, b_in in zip(lhs, rhs, strict=True):
+        if len(coeffs_in) != nv:
             raise ValueError("ragged constraint matrix")
-        coeffs = [Fraction(x) for x in lhs[r]]
-        b = Fraction(rhs[r])
+        coeffs = [Fraction(x) for x in coeffs_in]
+        b = Fraction(b_in)
         if b < 0:
             raise ValueError("canonical form needs nonnegative right-hand sides")
-        scale = lcm(b.denominator, *(c.denominator for c in coeffs)) if coeffs else b.denominator
+        scale = lcm(b.denominator, *(c.denominator for c in coeffs))
         rows.append([int(c * scale) for c in coeffs] + [int(b * scale)])
-
     cfr = [Fraction(c) for c in objective]
     cscale = lcm(1, *(c.denominator for c in cfr))
-    solved = _solve([int(c * cscale) for c in cfr], rows)
+    return [int(c * cscale) for c in cfr], rows, cscale
+
+
+def read_optimum(solved, cscale: int) -> tuple[str, list[Fraction], Fraction]:
+    """(status, x, value) from a solver's (x, value, det) on ``integer_lp``'s data, or None."""
     if solved is None:
         return "unbounded", [], _ZERO
-    x, value, det, _peak = solved
+    x, value, det = solved
     return "optimal", [Fraction(v, det) for v in x], Fraction(value, det) / cscale
 
 

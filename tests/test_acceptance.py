@@ -12,12 +12,11 @@ import time
 from fractions import Fraction
 from math import comb
 
+from tile_oracle import cross_section
 from zonotiling import (
     classify_orientation,
-    cross_section,
     duality_check,
     enumerate_tilings,
-    equivalence_classes,
     expected_level_census,
     extremal_tiling,
     graph_diameter,
@@ -46,11 +45,6 @@ def report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num:02d} {name}: {status}")
     assert ok, f"criterion {num} ({name}) failed {detail}"
-
-
-def k_class(graph, node, k):
-    """The node's k-class, as the partition code holds it."""
-    return next(c for c in equivalence_classes(graph, {k}) if node in c)
 
 
 def random_generic_heights(cfg, rng):
@@ -192,7 +186,7 @@ def test_c08_regularity_soundness():
     report(8, "random regular tilings certified with reproducing witnesses", ok)
 
 
-def test_c09_strong_separation_and_lifting_fixtures(graphs):
+def test_c09_strong_separation_and_lifting_fixtures(graphs, k_class):
     separated_ok = True
     for n in (2, 3, 4, 5):
         for t in map(graphs(n).tiling, range(len(graphs(n)))):

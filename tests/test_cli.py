@@ -287,6 +287,21 @@ def test_classify_builds_no_tiling(monkeypatch, capsys):
     assert "908 tilings: 888 regular, 20 irregular" in capsys.readouterr().out
 
 
+def test_hypertri_fixtures_build_no_tiling(tmp_path, monkeypatch):
+    # the n = 4 and n = 5 fixture paths are read off the orientation keys
+    from zonotiling.tiling import Tiling
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hypertri built a Tiling")
+
+    monkeypatch.setattr(Tiling, "__init__", refuse)
+    for n, k in ((4, 2), (5, 1)):
+        assert run(["hypertri", "--n", str(n), "--k", str(k), "--out", str(tmp_path)]) == 0
+        name = f"hypertri_n{n}_k{k}.json"
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == _recorded_digests(n)[name]
+
+
 # n = 6 is the first size with irregular tilings (20 of 908), where the
 # diameters artifact's restriction agreement compares two different labellings
 @pytest.mark.parametrize("n", [4, 5, pytest.param(6, marks=pytest.mark.slow)])

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from tile_oracle import FlipMove, apply_flip, available_flips, flip_along, tile_route_graph
 from zonotiling import (
     diameter,
     distance,
@@ -30,15 +31,7 @@ from zonotiling.flipgraph import (
     key_flips,
 )
 from zonotiling.secondary import potential_between
-from zonotiling.tiling import (
-    FlipMove,
-    Tiling,
-    apply_flip,
-    available_flips,
-    extremal_tiling,
-    flip_along,
-    tiling_of_orientation,
-)
+from zonotiling.tiling import Tiling, extremal_tiling, tiling_of_orientation
 
 
 def reference_diameter(adj):
@@ -156,38 +149,6 @@ def test_edges_agree_with_flip_along(points, n):
             assert move.raising == (g.keys[v] > g.keys[u])
     ranks = [key.bit_count() for key in g.keys]
     assert ranks == sorted(ranks)
-
-
-def tile_route_graph(config):
-    """Breadth-first search over Tilings with available_flips and apply_flip.
-
-    Layers are numbered in sorted key order and neighbours listed in flip
-    order, as enumerate_tilings promises.  Returns keys, adj, levels and
-    the Tiling of every node.
-    """
-    start = extremal_tiling(config, "min")
-    tilings = {orientation_of(start).bits: start}
-    out = {}  # key -> [(neighbour key, level)]
-    order = []
-    layer = list(tilings)
-    while layer:
-        order += layer
-        found = {}
-        for key in layer:
-            tiling = tilings[key]
-            out[key] = []
-            for move in available_flips(tiling):
-                nxt = apply_flip(tiling, move)
-                nkey = orientation_of(nxt).bits
-                out[key].append((nkey, move.level))
-                if nkey not in tilings:
-                    found[nkey] = nxt
-        tilings.update(found)
-        layer = sorted(found)
-    index = {key: v for v, key in enumerate(order)}
-    adj = [[index[nkey] for nkey, _ in out[key]] for key in order]
-    levels = [bytes(level for _, level in out[key]) for key in order]
-    return order, adj, levels, [tilings[key] for key in order]
 
 
 @pytest.mark.parametrize(
@@ -508,6 +469,12 @@ class TestComponents:
         assert labels == expected
         assert -1 not in plain
         assert all(labels[v] == -1 for v in range(len(g)) if v not in allowed)
+
+    @pytest.mark.parametrize("stray", [-1, 62])
+    def test_within_outside_the_graph_refused(self, graphs, stray):
+        # -1 would wrap to the last node, and 62 is past the end of n = 5
+        with pytest.raises(ValueError, match=r"node id .* is outside 0\.\.61"):
+            components_excluding_levels(graphs(5), {1}, within={0, stray})
 
 
 class TestExports:

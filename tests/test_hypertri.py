@@ -5,39 +5,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tile_oracle import apply_flip, available_flips, cross_section, level_vertex_masks
 from zonotiling import (
-    cross_section,
+    enumerate_tilings,
     hypertri_diameters,
     make_config,
     reduced_cross_section,
     strongly_separated,
 )
-from zonotiling import hypertri
+from zonotiling import flipgraph, hypertri, secondary
 from zonotiling.core import full_mask, mask_from, standard_config
 from zonotiling.hypertri import (
     StrongSeparationError,
     key_slices,
-    level_vertex_masks,
     satisfies_triple_condition,
     slice_masks,
 )
 from zonotiling.flipgraph import components_excluding_levels
 from zonotiling.secondary import equivalence_classes, skeleton
-from zonotiling.tiling import (
-    Tiling,
-    apply_flip,
-    available_flips,
-    extremal_tiling,
-    orientation_of,
-)
+from zonotiling.tiling import Tiling, extremal_tiling, orientation_of
 
 
 small_sets = st.frozensets(st.integers(1, 8), max_size=5)
-
-
-def k_class(graph, node, k):
-    """The node's k-class, as the partition code holds it."""
-    return next(c for c in equivalence_classes(graph, {k}) if node in c)
 
 
 class TestStrongSeparation:
@@ -124,17 +113,15 @@ class TestCrossSection:
                 for off in [(), (3,), (), (4,), (1,), (1, 2)]
             ),
         )
-        with pytest.raises(StrongSeparationError):
+        with pytest.raises(ValueError, match="not strongly separated"):
             cross_section(broken, 2)
 
 
 class TestReducedPaths:
-    def test_figure_slice_reduction(self, graphs):
+    def test_figure_slice_reduction(self, k_class):
         # the slice 12-13-34-35-45 occurs at n=5; its level-1 class keeps
         # {3,5} (the lower-flip toggle) and drops {3,4} (the upper-flip one)
         cfg = make_config([-2, -1, 0, 1, 2])
-        from zonotiling import enumerate_tilings
-
         g = enumerate_tilings(cfg)
         target = ((1, 2), (1, 3), (3, 4), (3, 5), (4, 5))
         nodes = [
@@ -146,7 +133,7 @@ class TestReducedPaths:
             assert reduced.vertices == ((1, 2), (1, 3), (3, 5), (4, 5))
             assert reduced.reduced
 
-    def test_already_reduced_slice_unchanged(self, graphs):
+    def test_already_reduced_slice_unchanged(self, graphs, k_class):
         for n in (4, 5):
             g = graphs(n)
             for k in range(1, n - 1):
@@ -159,7 +146,7 @@ class TestReducedPaths:
                         )
 
     @pytest.mark.parametrize("n", [4, 5])
-    def test_constant_on_classes_and_injective(self, graphs, n):
+    def test_constant_on_classes_and_injective(self, graphs, k_class, n):
         g = graphs(n)
         for k in range(1, n - 1):
             labels = components_excluding_levels(g, {k})
@@ -175,14 +162,12 @@ class TestReducedPaths:
     @pytest.mark.parametrize(
         "points", [[1, 2, 3, 4], [1, 2, 3, 4, 5], [-2, -1, 0, 1, 2]]
     )
-    def test_class_definition_and_half_turn_mirror(self, points):
+    def test_class_definition_and_half_turn_mirror(self, k_class, points):
         # Two reductions of a slice are fixed on a class.  The k-class's
         # reduced path is built here a second way: the size-(k+1) sets seen
         # anywhere in the class minus those toggled by a flip inside it.  The
         # other reduction, the meet of the k-class's level-k slices, must be
         # the complement of the half-turn image's reduced path.
-        from zonotiling import enumerate_tilings
-
         g = enumerate_tilings(make_config(points))
         n = g.n
         full = (1 << n) - 1
@@ -208,7 +193,7 @@ class TestReducedPaths:
                 image = reduced_cross_section(g, k_class(g, w, n - 1 - k), n - 1 - k)
                 assert {full ^ m for m in image.vertex_masks()} == level_k_meet[c]
 
-    def test_reduced_is_subsequence_of_slice(self, graphs):
+    def test_reduced_is_subsequence_of_slice(self, graphs, k_class):
         g = graphs(5)
         for v in range(0, len(g), 7):
             for k in (1, 2, 3):
@@ -220,8 +205,6 @@ class TestReducedPaths:
     @pytest.mark.parametrize("points", [[1, 2, 3, 4, 5], [-2, -1, 0, 1, 2]])
     def test_reads_exactly_the_members(self, points, monkeypatch):
         # each member's key once, no tiling, and no component labelling
-        from zonotiling import enumerate_tilings, flipgraph, secondary
-
         g = enumerate_tilings(make_config(points))
         classes = {k: equivalence_classes(g, {k}) for k in range(1, g.n - 1)}
         stored = dict(g.labellings)
@@ -251,7 +234,22 @@ class TestReducedPaths:
                 assert read == [g.keys[v] for v in members]
         assert g.labellings == stored
 
-    def test_json_flags_reduced(self, graphs):
+    @pytest.mark.parametrize(
+        "members,k,message",
+        [
+            ((), 1, "at least one member"),
+            ((-1,), 1, r"node id -1 is outside 0\.\.61"),
+            ((0, 62), 1, r"node id 62 is outside 0\.\.61"),
+            ((0,), 0, r"level k=0 is outside 1\.\.3"),
+            ((0,), 4, r"level k=4 is outside 1\.\.3"),
+        ],
+        ids=["empty", "negative", "past_end", "level_0", "level_4"],
+    )
+    def test_bad_input_refused(self, graphs, members, k, message):
+        with pytest.raises(ValueError, match=message):
+            reduced_cross_section(graphs(5), members, k)
+
+    def test_json_flags_reduced(self, graphs, k_class):
         data = reduced_cross_section(graphs(4), k_class(graphs(4), 0, 1), 1).to_json()
         assert data["reduced"] is True
         assert data["k"] == 2
@@ -308,7 +306,7 @@ class TestHypertriDiameters:
             return real_reduced(common, level, n)
 
         monkeypatch.setattr(hypertri, "key_slices", counted_slices)
-        monkeypatch.setattr(hypertri, "cross_section", counted_cross)
+        monkeypatch.setattr(hypertri, "cross_section", counted_cross, raising=False)
         monkeypatch.setattr(hypertri, "_reduced_path", counted_reduced)
         rec = hypertri_diameters(g, k)
         assert rec["findings"] == []

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,23 @@ from zonotiling import (
     tiling_from_heights,
 )
 from zonotiling import regularity
-from zonotiling.regularity import simplex_max_canonical
+
+
+def _field_width(rows, nv):
+    """Bits per packed field for the integer rows [A_r | b_r] of an LP in nv variables:
+    the Hadamard bound of the ``regularity`` module docstring, plus 2."""
+    norms = sorted((max(sum(v * v for v in row), 1) for row in rows), reverse=True)
+    return isqrt(prod(norms[: nv + 1])).bit_length() + 2
+
+
+def simplex_max_canonical(objective, lhs, rhs):
+    """The full-tableau oracle's LP front end, with ``regularity._maximize`` pivoting."""
+    objective, rows, cscale = full_tableau_oracle.integer_lp(objective, lhs, rhs)
+    width = _field_width(rows, len(objective))
+    packed = [regularity._pack(row, width) for row in rows]
+    return full_tableau_oracle.read_optimum(
+        regularity._maximize(objective + [0], packed, width), cscale
+    )
 
 
 def brute_lp_max(c, A, b):
@@ -348,7 +365,7 @@ class TestPackedRows:
         # tableau entry of 2c^2 = 2^41, which needs more bits than any input
         c = 2**20
         rows = [[c, c, 2 * c], [c, -c, 0]]
-        width = regularity._field_width(rows, 2)
+        width = _field_width(rows, 2)
 
         def solve(w):
             return regularity._maximize([1, 1, 0], [regularity._pack(r, w) for r in rows], w)
@@ -363,9 +380,9 @@ class TestPackedRows:
 
     def test_zero_rows_keep_a_usable_width(self):
         # a zero row counts as norm 1, so it cannot zero the Hadamard bound
-        assert regularity._field_width([[0, 0, 0]], 2) == 3
-        assert regularity._field_width([], 3) == 3
-        assert regularity._field_width([[0, 0], [2**40, 0]], 1) == 43
+        assert _field_width([[0, 0, 0]], 2) == 3
+        assert _field_width([], 3) == 3
+        assert _field_width([[0, 0], [2**40, 0]], 1) == 43
 
 
 class TestSlackWidth:

@@ -1,18 +1,27 @@
+import ast
+import importlib
+import inspect
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zonotiling import (
-    NonGenericHeightError,
+from tile_oracle import (
+    FlipUnavailableError,
     apply_flip,
     available_flips,
-    extremal_tiling,
-    make_config,
     opposite,
     orientation_by_vertices,
+    tile_route_graph,
+    validate,
+)
+from zonotiling import (
+    NonGenericHeightError,
+    extremal_tiling,
+    make_config,
     orientation_of,
     sigma_h,
     standard_config,
@@ -20,10 +29,9 @@ from zonotiling import (
     tiling_from_tiles,
     tiling_of_orientation,
     tiling_to_svg,
-    validate,
 )
 from zonotiling.core import circuit_for, colex_triples, num_triples
-from zonotiling.tiling import FlipUnavailableError, Tiling
+from zonotiling.tiling import Tiling
 
 
 def chord_offsets(cfg, heights):
@@ -142,20 +150,10 @@ class TestOrientation:
         assert list(orientation_by_vertices(t).signs()) == [-1]
 
     def test_fast_rule_matches_vertex_rule_everywhere(self):
-        cfg = standard_config(4)
-        seen = {extremal_tiling(cfg, "min")}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for t in frontier:
-                assert orientation_of(t) == orientation_by_vertices(t)
-                for mv in available_flips(t):
-                    s = apply_flip(t, mv)
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        assert len(seen) == 8
+        tilings = tile_route_graph(standard_config(4))[3]
+        for t in tilings:
+            assert orientation_of(t) == orientation_by_vertices(t)
+        assert len(tilings) == 8
 
     def test_corrupt_tiling_detected(self):
         t = tiling_from_tiles(3, [([], (1, 2)), ([], (1, 3)), ([], (2, 3))])
@@ -338,3 +336,24 @@ class TestSerialization:
         svg = tiling_to_svg(cfg, extremal_tiling(cfg, "min"))
         assert svg.count("<polygon") == 1
         assert svg.startswith("<svg")
+
+
+def _imported_modules(path):
+    """Every module a file imports from, each imported name traced to where it is defined."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                defined = inspect.getmodule(getattr(source, alias.name))
+                yield node.module if defined is None else defined.__name__
+
+
+@pytest.mark.parametrize("oracle", ["tile_oracle.py", "full_tableau_oracle.py", "fm_oracle.py"])
+def test_oracles_import_nothing_from_the_key_route(oracle):
+    # a reference that shared code with the route it checks would check nothing
+    key_route = {f"zonotiling.{m}" for m in ("flipgraph", "hypertri", "regularity", "secondary")}
+    imported = set(_imported_modules(Path(__file__).with_name(oracle)))
+    assert not imported & key_route
