@@ -29,6 +29,9 @@ def main():
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--out", type=str, default="out")
     args = parser.parse_args()
+    if args.max_n < 3:
+        # below n = 3 there is no stage to run, so nothing would be checked
+        parser.error(f"--max-n must be at least 3, got {args.max_n}")
     out = Path(args.out)
 
     for n in range(3, args.max_n + 1):

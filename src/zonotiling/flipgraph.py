@@ -28,14 +28,15 @@ the key order, so the image of node v is node len(graph) - 1 - v and no
 key-to-id map outlives enumeration.
 
 Quotient skeletons rest on ``components_excluding_levels``, which labels and
-stores each level set's components once per graph, and ``graph_diameter``, a
-bit-parallel multi-source BFS.
+stores each level set's components, and the pairs deleted-level edges join,
+once per graph, and ``graph_diameter``, a bit-parallel multi-source BFS.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -361,23 +362,28 @@ def components_excluding_levels(
     labelled, and every other node reads -1; a node id in ``within`` outside
     the graph raises ValueError.  Labels are canonical: the label of a
     component is the smallest node id it contains, so partitions compare
-    across calls.  Each labelling is computed once per graph and stored on
-    it, so every call with the same levels and node set returns the same
-    list; callers must not mutate it.
+    across calls.  The same BFS records each deleted-level edge whose other
+    end is already labelled as the pair of labels a <= b, stored once as
+    the int a * len(graph) + b; an edge inside component c gives (c, c).
+    ``component_pairs`` decodes them.  Each labelling is computed once per
+    graph and stored on it with its pairs, so every call with the same
+    levels and node set returns the same list; callers must not mutate it.
     """
     banned = frozenset(deleted_levels)
     key = (banned, None if within is None else frozenset(within))
-    labels = graph.labellings.get(key)
-    if labels is not None:
-        return labels
+    stored = graph.labellings.get(key)
+    if stored is not None:
+        return stored[0]
     adj = graph.adj
     levels = graph.levels
+    size = len(adj)
     # nodes outside ``within`` read -2 until the BFS over the -1 nodes ends
-    labels = [-1 if within is None else -2] * len(adj)
+    labels = [-1 if within is None else -2] * size
     for v in within or ():
         check_node(graph, v)
         labels[v] = -1
-    for start in range(len(adj)):
+    pairs: set[int] = set()
+    for start in range(size):
         if labels[start] != -1:
             continue
         labels[start] = start
@@ -385,13 +391,24 @@ def components_excluding_levels(
         while queue:
             u = queue.popleft()
             for v, level in zip(adj[u], levels[u]):
-                if labels[v] == -1 and level not in banned:
+                if level in banned:
+                    if labels[v] >= 0:  # in this component or an earlier one
+                        pairs.add(labels[v] * size + start)
+                elif labels[v] == -1:
                     labels[v] = start
                     queue.append(v)
     if within is not None:
         labels = [max(label, -1) for label in labels]
-    graph.labellings[key] = labels
+    graph.labellings[key] = (labels, array("q", pairs))
     return labels
+
+
+def component_pairs(graph: FlipGraph, deleted_levels: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The label pairs a <= b that deleted-level edges join in the whole graph's labelling."""
+    key = (frozenset(deleted_levels), None)
+    if key not in graph.labellings:
+        components_excluding_levels(graph, key[0])
+    return (divmod(pair, len(graph)) for pair in graph.labellings[key][1])
 
 
 # ---------------------------------------------------------------------------

@@ -258,8 +258,9 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     groups of equal slices, and each qualifying flip edge must toggle exactly
     one slice vertex.  Each k-class's reduced path is computed once, from
     the meet of its members' level-(k+1) slices; distinct classes must have
-    distinct reduced paths, and a level-k flip between classes must change
-    it.  Only the distinct slices and the meets are decoded into vertex sets.
+    distinct reduced paths, and the two ends of each reduced-skeleton edge
+    (the class pairs a level-k flip joins) must differ.  Only the distinct
+    slices and the meets are decoded into vertex sets.
     """
     n = graph.n
     findings: list[str] = []
@@ -307,31 +308,23 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     if not reduced_quotient_equal:
         findings.append("distinct k-classes share a reduced path")
 
-    # each flip edge at level k or k-1 toggles exactly one slice vertex, and
-    # a level-k flip between classes changes the reduced path (at least one
-    # vertex toggles; unlike the lifting slice the count is not always one)
-    single_finding = change_finding = None
+    # each flip edge at level k or k-1 toggles exactly one slice vertex
+    lifting_single = True
     for u, v, level in graph.undirected_edges():
-        if single_finding is None:
-            delta = (slices[u] ^ slices[v]).bit_count()
-            expect = 1 if level in (k - 1, k) else 0
-            if delta != expect:
-                single_finding = (
-                    f"edge ({u}, {v}) at level {level} changes {delta} slice vertices"
-                )
-        if (
-            change_finding is None
-            and level == k
-            and meets[component_of[u]] == meets[component_of[v]]
-        ):
-            change_finding = (
-                f"level-{k} edge ({u}, {v}) leaves the reduced path unchanged"
-            )
-        if single_finding is not None and change_finding is not None:
+        delta = (slices[u] ^ slices[v]).bit_count()
+        if delta != (1 if level in (k - 1, k) else 0):
+            findings.append(f"edge ({u}, {v}) at level {level} changes {delta} slice vertices")
+            lifting_single = False
             break
-    lifting_single = single_finding is None
-    reduced_changes = change_finding is None
-    findings.extend(f for f in (single_finding, change_finding) if f is not None)
+
+    # a level-k flip between classes changes the reduced path: adjacent
+    # classes have different meets
+    same = [(a, b) for a, nbrs in enumerate(reduced.adj) for b in nbrs if meets[a] == meets[b]]
+    reduced_changes = not same
+    findings.extend(
+        f"level-{k} flips between classes {a} and {b} leave the reduced path unchanged"
+        for a, b in same[:1]
+    )
 
     return {
         "n": n,

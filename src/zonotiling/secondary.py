@@ -14,10 +14,13 @@ skeleton.  Four skeleton modes cover the experiments:
 Classes are always computed over the full flip graph first (connectivity
 through irregular tilings counts), then intersected with the regular node
 set where the mode asks for it; class adjacency uses any qualifying flip
-between the underlying components.  The level-k potential of a tiling
-against a reference is a signed symmetric-difference count over the sets of
-basis pairs sitting at offset size >= k (positive side) and <= k-2
-(negative side); it moves by at most one along any flip edge.
+between the underlying components, read off the pairs the labelling pass
+collects.  The level-k potential of a tiling against a reference is a
+signed symmetric-difference count over the sets of basis pairs sitting at
+offset size >= k (positive side) and <= k-2 (negative side); it moves by at
+most one along any flip edge.  Since |R \\ S| - |S \\ R| = |R| - |S| for
+any finite sets, each side's count is a difference of two set sizes, read
+off the offset-size census.
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import Finding, PointConfig, colex_pairs, format_rational, integer_coords, mask_points
-from .flipgraph import FlipGraph, check_node, components_excluding_levels, graph_diameter
+from .flipgraph import (
+    FlipGraph,
+    check_node,
+    component_pairs,
+    components_excluding_levels,
+    graph_diameter,
+)
 from .tiling import Tiling
 
 
@@ -145,27 +154,20 @@ def skeleton(
         comp_class[labels[members[0]]] = idx
     component_of = tuple(comp_class.get(labels[v]) for v in range(len(graph)))
 
+    # the labelling recorded each pair of components a deleted-level edge joins
     neighbours: list[set[int]] = [set() for _ in classes]
-    for u, v, level in graph.undirected_edges():
-        if level not in deleted:
-            cu = component_of[u]
-            cv = component_of[v]
-            if cu != cv:
-                raise Finding(
-                    f"level-{level} edge ({u}, {v}) crosses classes despite "
-                    f"deleted levels {sorted(deleted)}"
-                )
+    for a, b in component_pairs(graph, deleted):
+        ca = comp_class.get(a)
+        cb = comp_class.get(b)
+        if ca is None or cb is None:
             continue
-        cu = component_of[u]
-        cv = component_of[v]
-        if cu is None or cv is None:
-            continue
-        if cu == cv:
+        if ca == cb:
             raise Finding(
-                f"level-{level} edge ({u}, {v}) joins two members of one class"
+                f"an edge at deleted levels {sorted(deleted)} inside component {a} "
+                "joins two members of one class"
             )
-        neighbours[cu].add(cv)
-        neighbours[cv].add(cu)
+        neighbours[ca].add(cb)
+        neighbours[cb].add(ca)
 
     adj = tuple(tuple(sorted(nbrs)) for nbrs in neighbours)
     return QuotientSkeleton(mode, k, deleted, classes, component_of, adj)
@@ -198,42 +200,28 @@ class PotentialReport:
         }
 
 
-def _side_masks(tiling: Tiling, k: int, thresholds: str) -> tuple[int, int]:
-    """Bitmasks over pair ranks: offset size >= hi (plus) and <= k-2 (minus)."""
+def _side(tiling: Tiling, k: int, thresholds: str, modified: bool) -> int:
+    """Tiles at offset size >= hi (k, or n-k-1 if shifted; every tile if hi < 0),
+    less those at size <= k-2 unless the potential is the modified one."""
     if thresholds == "definition":
         hi = k
     elif thresholds == "shifted":
         hi = tiling.n - k - 1
     else:
         raise ValueError("thresholds must be 'definition' or 'shifted'")
-    lo = k - 2
-    plus = minus = 0
-    for rank, offset in enumerate(tiling.offsets):
-        size = offset.bit_count()
-        if size >= hi:
-            plus |= 1 << rank
-        if size <= lo:
-            minus |= 1 << rank
-    return plus, minus
-
-
-def _signed_count(
-    reference: tuple[int, int], node: tuple[int, int], modified: bool
-) -> int:
-    """Signed symmetric-difference count of the node's sides against the reference's."""
-    (rp, rm), (p, m) = reference, node
-    val = (rp & ~p).bit_count() - (p & ~rp).bit_count()
+    census = tiling.offset_size_census()
+    side = sum(census[max(hi, 0):])
     if not modified:
-        val -= (rm & ~m).bit_count() - (m & ~rm).bit_count()
-    return val
+        side -= sum(census[: max(k - 1, 0)])
+    return side
 
 
 def _potential_report(
     graph: FlipGraph, reference: int, k: int, thresholds: str, modified: bool
 ) -> PotentialReport:
     check_node(graph, reference)
-    sides = [_side_masks(t, k, thresholds) for t in map(graph.tiling, range(len(graph)))]
-    values = tuple(_signed_count(sides[reference], s, modified) for s in sides)
+    sides = [_side(graph.tiling(v), k, thresholds, modified) for v in range(len(graph))]
+    values = tuple(sides[reference] - side for side in sides)
     by_level: dict[int, int] = {}
     overall = 0
     for u, v, level in graph.undirected_edges():
@@ -271,11 +259,8 @@ def potential_between(
     graph: FlipGraph, reference: int, node: int, k: int, thresholds: str = "definition"
 ) -> int:
     """Level-k potential of one node against the reference tiling."""
-    return _signed_count(
-        _side_masks(graph.tiling(reference), k, thresholds),
-        _side_masks(graph.tiling(node), k, thresholds),
-        modified=False,
-    )
+    side = _side(graph.tiling(reference), k, thresholds, False)
+    return side - _side(graph.tiling(node), k, thresholds, False)
 
 
 # ---------------------------------------------------------------------------

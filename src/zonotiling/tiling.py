@@ -56,10 +56,6 @@ class Tile:
     offset: frozenset[int]
     pair: tuple[int, int]
 
-    def area(self, config: PointConfig) -> Fraction:
-        i, j = self.pair
-        return config.coord(j) - config.coord(i)
-
     def to_json(self) -> dict:
         return {"A": sorted(self.offset), "B": list(self.pair)}
 

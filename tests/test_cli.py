@@ -228,18 +228,22 @@ def test_out_of_range_inputs_are_usage_errors(capsys, args, code):
     assert "FINDING" not in captured.out
 
 
-def test_reproduce_theorems_end_to_end(tmp_path):
-    # the scripted pipeline for n = 3..5: every stage runs --strict
+def _reproduce_theorems(*args: str) -> subprocess.CompletedProcess:
+    """Run scripts/reproduce_theorems.py on this checkout's sources."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "reproduce_theorems.py"),
-         "--max-n", "5", "--out", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_theorems.py"), *args],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
+
+
+def test_reproduce_theorems_end_to_end(tmp_path):
+    # the scripted pipeline for n = 3..5: every stage runs --strict
+    proc = _reproduce_theorems("--max-n", "5", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in proc.stdout
     names = [
@@ -248,6 +252,16 @@ def test_reproduce_theorems_end_to_end(tmp_path):
         "chains_n5.json", "potential_n5_ref0.json", "oracle_n5.json",
     ]
     assert all((tmp_path / "n5" / name).is_file() for name in names)
+
+
+@pytest.mark.parametrize("max_n", ["2", "0", "-1"])
+def test_reproduce_theorems_refuses_a_max_n_with_no_stage(tmp_path, max_n):
+    # below n = 3 no stage would run, yet the script would report success
+    proc = _reproduce_theorems(f"--max-n={max_n}", "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "--max-n must be at least 3" in proc.stderr
+    assert "all checks passed" not in proc.stdout
+    assert not (tmp_path / "out").exists()
 
 
 def _recorded_digests(n: int) -> dict[str, str]:
@@ -304,7 +318,7 @@ def test_hypertri_fixtures_build_no_tiling(tmp_path, monkeypatch):
 
 # n = 6 is the first size with irregular tilings (20 of 908), where the
 # diameters artifact's restriction agreement compares two different labellings
-@pytest.mark.parametrize("n", [4, 5, pytest.param(6, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_artifacts_match_recorded_digests(tmp_path, n):
     # the scripts/reproduce_theorems.py stages, byte for byte (oracle-count
     # has no recorded digest)

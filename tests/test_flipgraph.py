@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -27,6 +28,7 @@ from zonotiling.core import colex_triples, triple_rank
 from zonotiling.flipgraph import (
     EnumerationCapError,
     bfs_distances,
+    component_pairs,
     components_excluding_levels,
     key_flips,
 )
@@ -469,6 +471,34 @@ class TestComponents:
         assert labels == expected
         assert -1 not in plain
         assert all(labels[v] == -1 for v in range(len(g)) if v not in allowed)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_labels_and_pairs_match_union_find(self, graphs, n):
+        # an independent union-find over the kept edges, for every level set
+        g = graphs(n)
+        edges = list(g.undirected_edges())
+        for size in range(n - 1):
+            for deleted in combinations(range(1, n - 1), size):
+                parent = list(range(len(g)))
+
+                def find(v):
+                    while parent[v] != v:
+                        parent[v] = parent[parent[v]]
+                        v = parent[v]
+                    return v
+
+                for u, v, level in edges:
+                    if level not in deleted:
+                        ru, rv = find(u), find(v)
+                        parent[max(ru, rv)] = min(ru, rv)  # the root is the smallest id
+                expected = [find(v) for v in range(len(g))]
+                crossings = {
+                    tuple(sorted((expected[u], expected[v])))
+                    for u, v, level in edges
+                    if level in deleted
+                }
+                assert components_excluding_levels(g, deleted) == expected
+                assert sorted(component_pairs(g, deleted)) == sorted(crossings)
 
     @pytest.mark.parametrize("stray", [-1, 62])
     def test_within_outside_the_graph_refused(self, graphs, stray):

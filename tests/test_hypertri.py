@@ -383,17 +383,21 @@ def _slice_word(n, k, masks):
     return sum(1 << subsets.index(m) for m in masks)
 
 
-def _replace_slices(monkeypatch, graph, k, replacement):
-    """Make the level-k slice of each node v in replacement read replacement[v]."""
+def _replace_slices(monkeypatch, graph, k, replacement, upper=None):
+    """Make the level-k slice of each node v in replacement read replacement[v],
+    and the level-(k+1) slice of each node v in upper read upper[v]."""
     real = hypertri.key_slices
     lower = full_mask(comb(graph.n, k))
     ids = {key: v for v, key in enumerate(graph.keys)}
+    upper = upper or {}
 
     def fake(n, key, level):
         word = real(n, key, level)
         v = ids.get(key)
         if level == k and v in replacement:
-            return word & ~lower | _slice_word(n, k, replacement[v])
+            word = word & ~lower | _slice_word(n, k, replacement[v])
+        if level == k and v in upper:
+            word = word & lower | _slice_word(n, k, upper[v])
         return word
 
     monkeypatch.setattr(hypertri, "key_slices", fake)
@@ -440,3 +444,37 @@ class TestLiftingQuotientCheck:
         rec = hypertri_diameters(g, k)
         assert rec["path_quotient_equal"] is False
         assert "equal-path grouping differs from the simultaneous quotient" in rec["findings"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_flip_toggling_two_slice_vertices(self, graphs, monkeypatch, k):
+        # node 0's first edge is the first one checked; give node 0 a valid
+        # slice two vertices away from its neighbour's
+        g = graphs(5)
+        w, level = g.adj[0][0], g.levels[0][0]
+        target = level_vertex_masks(g.tiling(w), k)
+        slices = (level_vertex_masks(g.tiling(v), k) for v in range(len(g)))
+        far = next(s for s in slices if len(s ^ target) == 2)
+        _replace_slices(monkeypatch, g, k, {0: far})
+        rec = hypertri_diameters(g, k)
+        assert rec["lifting_single_vertex_ok"] is False
+        assert f"edge (0, {w}) at level {level} changes 2 slice vertices" in rec["findings"]
+
+
+class TestReducedPathCheck:
+    """hypertri_diameters against level-(k+1) slices corrupted behind its back (n = 5)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_adjacent_classes_sharing_a_meet(self, graphs, monkeypatch, k):
+        # every member of class 0 reads the reduced path of a neighbouring class
+        g = graphs(5)
+        reduced = skeleton(g, k, "reduced_all")
+        b = reduced.adj[0][0]
+        shared = reduced_cross_section(g, reduced.classes[b], k).vertex_masks()
+        _replace_slices(monkeypatch, g, k, {}, upper={v: shared for v in reduced.classes[0]})
+        rec = hypertri_diameters(g, k)
+        assert rec["reduced_path_changes_ok"] is False
+        assert rec["reduced_quotient_equal"] is False
+        assert (
+            f"level-{k} flips between classes 0 and {b} leave the reduced path unchanged"
+            in rec["findings"]
+        )

@@ -24,8 +24,8 @@ from zonotiling import (
     tiling_from_tiles,
     vert_k,
 )
-from zonotiling.core import integer_coords
-from zonotiling.flipgraph import components_excluding_levels
+from zonotiling.core import Finding, integer_coords
+from zonotiling.flipgraph import FlipGraph, components_excluding_levels
 from zonotiling.secondary import _scaled_vert_k, _vert_k_distinct, potential_between
 
 
@@ -170,6 +170,35 @@ class TestSkeleton:
         for idx, members in enumerate(sk.classes):
             for v in members:
                 assert sk.component_of[v] == idx
+
+    def test_flip_inside_a_class_is_a_finding(self):
+        # edges 0-1 and 1-2 at level 2 make one 1-class, which the level-1
+        # edge 0-2 would join to itself
+        g = FlipGraph(standard_config(3), [0, 1, 2], [[1, 2], [0, 2], [1, 0]],
+                      [bytes([2, 1]), bytes([2, 2]), bytes([2, 1])])
+        with pytest.raises(Finding, match="joins two members of one class"):
+            skeleton(g, 1, "reduced_all")
+
+    def test_built_from_the_labelling_pass(self, regulars, monkeypatch):
+        # every mode on a fresh graph with no second pass over the edges,
+        # against class adjacency read off every deleted-level edge
+        g = enumerate_tilings(standard_config(5))
+        edges = list(g.undirected_edges())
+
+        def no_edge_pass(self):
+            raise AssertionError("skeleton walked the edges again")
+
+        monkeypatch.setattr(FlipGraph, "undirected_edges", no_edge_pass)
+        for k in range(1, 4):
+            for mode in ("sigma_k", "sigma_k_plus_prev", "lifting_all", "reduced_all"):
+                sk = skeleton(g, k, mode, regulars(5))
+                expected = [set() for _ in sk.classes]
+                for u, v, level in edges:
+                    cu, cv = sk.component_of[u], sk.component_of[v]
+                    if level in sk.deleted_levels and None not in (cu, cv):
+                        expected[cu].add(cv)
+                        expected[cv].add(cu)
+                assert sk.adj == tuple(tuple(sorted(nbrs)) for nbrs in expected)
 
     def test_dot_export(self, graphs, regulars):
         sk = skeleton(graphs(4), 1, "sigma_k", regulars(4))
