@@ -4,7 +4,8 @@
 Enumerates the flip graph for each n, classifies regularity, measures every
 quotient-skeleton diameter against its closed form, samples maximal chains,
 counts commutation classes with the reduced-word oracle, and writes
-the JSON artifacts into the output directory (default: out/).
+the JSON artifacts into the output directory (default: out/).  Each stage's
+wall time goes to standard error.
 
 Usage:
     python scripts/reproduce_theorems.py [--max-n 6] [--out out]
@@ -12,13 +13,17 @@ Usage:
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from zonotiling.cli import main as cli
 
 
-def run(argv):
+def run(stage, base):
+    argv = [*stage, *base]
+    start = time.perf_counter()
     code = cli(argv)
+    print(f"n={base[1]} {' '.join(stage)}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
     if code != 0:
         print(f"command {' '.join(argv)} exited with {code}", file=sys.stderr)
         sys.exit(code)
@@ -37,14 +42,14 @@ def main():
     for n in range(3, args.max_n + 1):
         base = ["--n", str(n), "--out", str(out / f"n{n}"), "--strict"]
         print(f"=== n = {n} ===")
-        run(["enumerate", *base])
-        run(["classify", *base])
-        run(["diameters", "--all", *base])
+        run(["enumerate"], base)
+        run(["classify"], base)
+        run(["diameters", "--all"], base)
         for k in range(1, n - 1):
-            run(["hypertri", "--k", str(k), *base])
-        run(["chains", "--samples", "200", "--seed", "0", *base])
-        run(["potential", "--ref", "0", "--all", *base])
-        run(["oracle-count", *base])
+            run(["hypertri", "--k", str(k)], base)
+        run(["chains", "--samples", "200", "--seed", "0"], base)
+        run(["potential", "--ref", "0", "--all"], base)
+        run(["oracle-count"], base)
     print("all checks passed; artifacts in", out)
 
 

@@ -35,7 +35,7 @@ from .hypertri import (
     slice_masks,
 )
 from .oracle import commutation_census, reduced_word_count_formula
-from .regularity import classify_orientation, regular_set
+from .regularity import graph_certificates, regular_set
 from .secondary import (
     check_level,
     diameter_report,
@@ -134,10 +134,13 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
 def cmd_classify(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     graph = enumerate_tilings(run.config)
-    certs = [classify_orientation(run.config, key) for key in graph.keys]
+    certs, by_lp, by_half_turn = graph_certificates(graph)
     regular = sum(c.regular for c in certs)
     irregular = len(certs) - regular
-    print(f"{len(certs)} tilings: {regular} regular, {irregular} irregular")
+    print(
+        f"{len(certs)} tilings: {regular} regular, {irregular} irregular; "
+        f"verdicts: {by_lp} by LP, {by_half_turn} by half-turn"
+    )
     payload = _header(run) | {
         "total": len(certs),
         "regular": regular,

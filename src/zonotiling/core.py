@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Iterable, Iterator, Sequence
+from operator import or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 Rational = Fraction
 HeightVector = tuple[Fraction, ...]
@@ -98,12 +99,14 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Per byte of a bitvector, the OR of the images of its set bits.
+def byte_tables(
+    images: Sequence[int], combine: Callable[[int, int], int] = or_
+) -> tuple[tuple[int, ...], ...]:
+    """Per byte of a bitvector, the OR (or ``combine``) of the images of its set bits.
 
     Bit b of the input maps to ``images[b]``; table ``i`` covers bits
     8i .. 8i+7, so the image of a whole bitvector is the OR of one table
-    entry per byte.
+    entry per byte (the sum, with ``combine=add``).
     """
     tables = []
     for first in range(0, len(images), 8):
@@ -111,7 +114,7 @@ def byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         table = [0] * (1 << len(chunk))
         for byte in range(1, len(table)):
             low = byte & -byte
-            table[byte] = table[byte ^ low] | chunk[low.bit_length() - 1]
+            table[byte] = combine(table[byte ^ low], chunk[low.bit_length() - 1])
         tables.append(tuple(table))
     return tuple(tables)
 

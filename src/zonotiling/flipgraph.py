@@ -103,6 +103,8 @@ class FlipGraph:
     adj: list[list[int]]  # neighbour ids
     levels: list[bytes]  # levels[u][i] is the flip level of the edge to adj[u][i]
     labellings: dict = field(default_factory=dict, repr=False, compare=False)
+    # per-node data that several reports read, each computed once per graph
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -408,7 +410,8 @@ def component_pairs(graph: FlipGraph, deleted_levels: Iterable[int]) -> Iterator
     key = (frozenset(deleted_levels), None)
     if key not in graph.labellings:
         components_excluding_levels(graph, key[0])
-    return (divmod(pair, len(graph)) for pair in graph.labellings[key][1])
+    size = len(graph)
+    return (divmod(pair, size) for pair in graph.labellings[key][1])
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,22 @@ tighter bound than the generic one (see ``_slack_rows``), the same for
 both signs of every circuit, so one field width serves every tiling of a
 configuration.
 
+Negating the heights swaps upper and lower faces, so the half-turn image of
+a tiling, whose key is the complement, has the same verdict, certified by
+the negated witness.  Its slack LP is this one with every w+_i swapped with
+its w-_i, so the optimum is the same and (-h, t) is an optimal point of it.
+``graph_certificates`` therefore solves one LP per half-turn pair, 454 at
+n = 6 and 12,349 at n = 7 on a_i = i, and gives the mirror node the
+negated witness and the same slack once ``_realizes`` accepts the negated
+integer heights on the mirror's key.  That this is also the optimum the
+mirror's own simplex run reaches is checked, not proven: the tests compare
+every certificate with its own LP at n <= 6, and pin the n = 7 artifact.
+
 ``regular_set`` decides the regular nodes of a whole flip graph with few LPs.
 A flip toggles one circuit, so a certified neighbour's witness pushed just
 across that circuit's hyperplane often certifies the node, once an exact
-integer sign check accepts it; the LP decides the rest.  Negating the
-heights swaps upper and lower faces, so the half-turn image of a node has
-the same verdict, certified by the negated witness.
+integer sign check accepts it; the LP decides the rest, and every verdict
+decides the half-turn image too.
 """
 
 from __future__ import annotations
@@ -279,6 +289,50 @@ def classify_orientation(config: PointConfig, key: int) -> RegularityCertificate
     return RegularityCertificate(True, tuple(Fraction(v, det) for v in h), Fraction(value, det))
 
 
+def _mirror(h: Sequence[int], image_key: int, table) -> tuple[int, ...]:
+    """The half-turn image's witness: -h, once ``_realizes`` accepts it on the image's key."""
+    image = tuple(-x for x in h)
+    if not _realizes(image, image_key, table):
+        raise AssertionError(f"negated witness does not realize key {image_key:#x}")
+    return image
+
+
+def _integer_witness(cert: RegularityCertificate) -> tuple[tuple[int, ...], int]:
+    """A regular certificate's heights as integers, and the positive scale taken."""
+    scale = lcm(*(x.denominator for x in cert.witness))
+    return tuple(int(x * scale) for x in cert.witness), scale
+
+
+def graph_certificates(graph) -> tuple[list[RegularityCertificate], int, int]:
+    """Every node's certificate, with one LP per half-turn pair.
+
+    ``classify_orientation`` decides the first half of the ids, through the
+    middle one.  The mirror id len(graph) - 1 - v gets the same verdict; a
+    regular one also gets the negated witness, checked by ``_mirror`` on
+    integers, and the same slack.  Returns the certificates in id order and
+    how many verdicts came by LP and by half-turn.
+    """
+    config = graph.config
+    table = _integer_circuits(config)
+    keys = graph.keys
+    certs: list[RegularityCertificate] = [None] * len(keys)  # type: ignore[list-item]
+    by_lp = by_half_turn = 0
+    for v in range((len(keys) + 1) // 2):
+        cert = classify_orientation(config, keys[v])
+        by_lp += 1
+        certs[v] = cert
+        image = len(keys) - 1 - v
+        if image == v:
+            continue
+        by_half_turn += 1
+        if cert.regular:
+            h, scale = _integer_witness(cert)
+            witness = tuple(Fraction(x, scale) for x in _mirror(h, keys[image], table))
+            cert = RegularityCertificate(True, witness, cert.slack)
+        certs[image] = cert
+    return certs, by_lp, by_half_turn
+
+
 # ---------------------------------------------------------------------------
 # the regular set of a flip graph
 
@@ -327,7 +381,8 @@ def regular_set(graph) -> RegularSet:
     the walk never reaches first, gets the same verdict: sigma_h(-h) is the
     complement key, so -h certifies the image, and an image of an irregular
     node is irregular.  Every regular verdict rests on an exact integer sign
-    check of a witness, every irregular one on an exact LP.
+    check of a witness (``_mirror`` checks the image's), every irregular one
+    on an exact LP.
     """
     config = graph.config
     table = _integer_circuits(config)
@@ -348,12 +403,11 @@ def regular_set(graph) -> RegularSet:
             by_lp += 1
             cert = classify_orientation(config, key)
             if cert.regular:
-                scale = lcm(*(x.denominator for x in cert.witness))
-                h = tuple(int(x * scale) for x in cert.witness)
+                h, _ = _integer_witness(cert)
         image = graph.opposite_node(v)
         witness[v] = h
         if image != v:
             by_half_turn += 1
-            witness[image] = None if h is None else tuple(-x for x in h)
+            witness[image] = None if h is None else _mirror(h, keys[image], table)
     nodes = frozenset(v for v, h in enumerate(witness) if h is not None)
     return RegularSet(nodes, by_lp, by_probe, by_half_turn)

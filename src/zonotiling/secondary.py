@@ -20,14 +20,24 @@ signed symmetric-difference count over the sets of basis pairs sitting at
 offset size >= k (positive side) and <= k-2 (negative side); it moves by at
 most one along any flip edge.  Since |R \\ S| - |S \\ R| = |R| - |S| for
 any finite sets, each side's count is a difference of two set sizes, read
-off the offset-size census.
+off the offset-size census.  Every node's census is read off its key
+(``offset_sizes``) once per graph and stored on it, n bytes per node, so no
+potential builds a tiling.
+
+``diameter_report`` compares ``vert_k`` across classes once per k, but reads
+each node's tiles once per graph: one pass adds every tile's area into the
+vector of its offset size, for all k at once, and each distinct vector is
+kept once, with a small id per node and level.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from itertools import accumulate, chain
+from typing import Collection, Iterable, Sequence
 
 from .core import Finding, PointConfig, colex_pairs, format_rational, integer_coords, mask_points
 from .flipgraph import (
@@ -37,7 +47,7 @@ from .flipgraph import (
     components_excluding_levels,
     graph_diameter,
 )
-from .tiling import Tiling
+from .tiling import Tiling, offset_sizes, tiling_of_orientation
 
 
 def vert_k(config: PointConfig, tiling: Tiling, k: int) -> tuple[Fraction, ...]:
@@ -52,15 +62,46 @@ def vert_k(config: PointConfig, tiling: Tiling, k: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _scaled_vert_k(coords: Sequence[int], tiling: Tiling, k: int) -> tuple[int, ...]:
-    """``vert_k`` times the common positive scale of the integer coordinates."""
-    out = [0] * tiling.n
-    for (i, j), mask in zip(colex_pairs(tiling.n), tiling.offsets):
-        if mask.bit_count() == k:
-            area = coords[j - 1] - coords[i - 1]
-            for m in mask_points(mask):
-                out[m - 1] += area
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _members(n: int) -> tuple[tuple[int, ...], ...]:
+    """The 0-based members of every subset of [n], indexed by its mask."""
+    return tuple(tuple(m - 1 for m in mask_points(mask)) for mask in range(1 << n))
+
+
+def _scaled_vert_ks(coords: Sequence[int], tiling: Tiling) -> list[tuple[int, ...]]:
+    """``vert_k`` for every k = 0 .. n-2, times the common positive scale of
+    the integer coordinates, from one pass over the tiles."""
+    n = tiling.n
+    members = _members(n)
+    out = [[0] * n for _ in range(n - 1)]
+    for (i, j), mask in zip(colex_pairs(n), tiling.offsets):
+        area = coords[j - 1] - coords[i - 1]
+        vec = out[mask.bit_count()]
+        for m in members[mask]:
+            vec[m] += area
+    return [tuple(vec) for vec in out]
+
+
+def _vert_k_ids(graph: FlipGraph, nodes: Iterable[int]) -> array:
+    """Ids of the nodes' ``vert_k`` on the integer coordinates, for k = 1 .. n-2.
+
+    Entry v * (n - 2) + k - 1 is the id of node v's vector at level k, and
+    equal ids mean equal vectors.  A node's tiles are read on the first call
+    that names it and give every level at once; the ids and one copy of each
+    distinct vector are stored on the graph, so later calls read them.
+    """
+    n = graph.n
+    stored = graph.derived.get("vert_k")
+    if stored is None:
+        stored = graph.derived["vert_k"] = (array("i", [-1]) * (len(graph) * (n - 2)), {})
+    ids, distinct = stored
+    _, coords = integer_coords(graph.config)
+    for v in nodes:
+        if ids[v * (n - 2)] < 0:
+            vectors = _scaled_vert_ks(coords, tiling_of_orientation(n, graph.keys[v]))
+            for k in range(1, n - 1):
+                ids[v * (n - 2) + k - 1] = distinct.setdefault(vectors[k], len(distinct))
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +129,16 @@ def equivalence_classes(
     regular_nodes given the resulting classes are intersected with that set
     and empty intersections are dropped.
     """
+    _check_nodes(graph, regular_nodes)
     labels = components_excluding_levels(graph, deleted_levels)
     return _partition_from_labels(labels, regular_nodes)
+
+
+def _check_nodes(graph: FlipGraph, nodes: Collection[int] | None) -> None:
+    """Refuse a node set holding an id outside the graph, by its least and greatest ids."""
+    if nodes:
+        check_node(graph, min(nodes))
+        check_node(graph, max(nodes))
 
 
 _SKELETON_MODES = ("sigma_k", "sigma_k_plus_prev", "lifting_all", "reduced_all")
@@ -144,6 +193,7 @@ def skeleton(
     restricted = mode in ("sigma_k", "sigma_k_plus_prev")
     if restricted and regular_nodes is None:
         raise ValueError(f"mode {mode!r} needs the regular node set")
+    _check_nodes(graph, regular_nodes)
 
     labels = components_excluding_levels(graph, deleted)
     classes = _partition_from_labels(labels, regular_nodes if restricted else None)
@@ -200,28 +250,54 @@ class PotentialReport:
         }
 
 
-def _side(tiling: Tiling, k: int, thresholds: str, modified: bool) -> int:
-    """Tiles at offset size >= hi (k, or n-k-1 if shifted; every tile if hi < 0),
-    less those at size <= k-2 unless the potential is the modified one."""
+def _census(graph: FlipGraph) -> bytes:
+    """Every node's cumulative offset-size census, read off the keys once per graph.
+
+    Byte v * n + s counts node v's tiles of offset size below s, for
+    s = 0 .. n-1; the last counts every tile.
+    """
+    census = graph.derived.get("census")
+    if census is None:
+        n = graph.n
+        rows = bytearray()
+        for key in graph.keys:
+            sizes = offset_sizes(n, key)
+            rows.extend(accumulate((sizes.count(s) for s in range(n - 1)), initial=0))
+        census = graph.derived["census"] = bytes(rows)
+    return census
+
+
+def _below(graph: FlipGraph, k: int, thresholds: str, modified: bool) -> Sequence[int]:
+    """Per node, its tiles below the high threshold (offset size k, or n-k-1 if
+    shifted) plus, unless the potential is the modified one, those below k-1.
+
+    A side, the tiles at size >= the threshold less (unless modified) those
+    at size <= k-2, is the node's tile count less this count, and every
+    tiling has C(n,2) tiles; so a node's potential against the reference,
+    the reference's side less the node's, is this count less the reference's.
+    """
     if thresholds == "definition":
         hi = k
     elif thresholds == "shifted":
-        hi = tiling.n - k - 1
+        hi = graph.n - k - 1
     else:
         raise ValueError("thresholds must be 'definition' or 'shifted'")
-    census = tiling.offset_size_census()
-    side = sum(census[max(hi, 0):])
-    if not modified:
-        side -= sum(census[: max(k - 1, 0)])
-    return side
+    census = _census(graph)
+    width = graph.n
+    high = census[min(max(hi, 0), width - 1)::width]
+    if modified:
+        return high
+    low = census[min(max(k - 1, 0), width - 1)::width]
+    return [a + b for a, b in zip(high, low)]
 
 
 def _potential_report(
     graph: FlipGraph, reference: int, k: int, thresholds: str, modified: bool
 ) -> PotentialReport:
     check_node(graph, reference)
-    sides = [_side(graph.tiling(v), k, thresholds, modified) for v in range(len(graph))]
-    values = tuple(sides[reference] - side for side in sides)
+    below = _below(graph, k, thresholds, modified)
+    own = below[reference]
+    values = tuple(count - own for count in below)
     by_level: dict[int, int] = {}
     overall = 0
     for u, v, level in graph.undirected_edges():
@@ -259,8 +335,10 @@ def potential_between(
     graph: FlipGraph, reference: int, node: int, k: int, thresholds: str = "definition"
 ) -> int:
     """Level-k potential of one node against the reference tiling."""
-    side = _side(graph.tiling(reference), k, thresholds, False)
-    return side - _side(graph.tiling(node), k, thresholds, False)
+    check_node(graph, reference)
+    check_node(graph, node)
+    below = _below(graph, k, thresholds, False)
+    return below[node] - below[reference]
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +412,14 @@ def _vert_k_distinct(
 ) -> bool:
     """Is vert_k constant on every class, and different between classes?
 
-    Compares ``vert_k`` on the integer coordinates: one positive scale moves
-    no equality between vectors.
+    Compares ``vert_k`` on the integer coordinates, through the ids of
+    ``_vert_k_ids``: one positive scale moves no equality between vectors.
     """
-    _, coords = integer_coords(graph.config)
+    ids = _vert_k_ids(graph, chain.from_iterable(classes))
+    stride = graph.n - 2
     values = set()
     for members in classes:
-        vals = {_scaled_vert_k(coords, graph.tiling(v), k) for v in members}
+        vals = {ids[v * stride + k - 1] for v in members}
         if len(vals) != 1:
             return False
         values |= vals

@@ -252,6 +252,11 @@ def test_reproduce_theorems_end_to_end(tmp_path):
         "chains_n5.json", "potential_n5_ref0.json", "oracle_n5.json",
     ]
     assert all((tmp_path / "n5" / name).is_file() for name in names)
+    # every stage's wall time goes to stderr, and only there
+    timed = [line for line in proc.stderr.splitlines() if line.endswith(" s")]
+    assert len(timed) == 7 + 8 + 9 == len(proc.stderr.splitlines())
+    assert timed[0].startswith("n=3 enumerate: ") and timed[-1].startswith("n=5 oracle-count: ")
+    assert not any(line.endswith(" s") for line in proc.stdout.splitlines())
 
 
 @pytest.mark.parametrize("max_n", ["2", "0", "-1"])
@@ -299,6 +304,39 @@ def test_classify_builds_no_tiling(monkeypatch, capsys):
     monkeypatch.setattr(Tiling, "__init__", refuse)
     assert run(["classify", "--n", "6"]) == 0
     assert "908 tilings: 888 regular, 20 irregular" in capsys.readouterr().out
+
+
+def test_potential_builds_no_tiling(tmp_path, monkeypatch):
+    # offset sizes are read off the orientation keys, once per graph
+    from zonotiling.tiling import Tiling
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("potential built a Tiling")
+
+    monkeypatch.setattr(Tiling, "__init__", refuse)
+    assert run(["potential", "--n", "6", "--ref", "0", "--all", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "potential_n6_ref0.json").read_bytes()).hexdigest()
+    assert digest == _recorded_digests(6)["potential_n6_ref0.json"]
+
+
+def test_diameters_reads_each_regular_tiling_once(tmp_path, monkeypatch, capsys):
+    # vert_k of every level comes from one read of a node's tiles
+    from zonotiling.tiling import Tiling
+
+    built = []
+    real = Tiling.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tiling, "__init__", counted)
+    assert run(["diameters", "--n", "6", "--all", "--strict", "--out", str(tmp_path)]) == 0
+    assert "888 of 908 tilings regular" in capsys.readouterr().out
+    assert 0 < len(built) <= 888
+    assert len(set(built)) == len(built)
+    digest = hashlib.sha256((tmp_path / "diameters_n6.json").read_bytes()).hexdigest()
+    assert digest == _recorded_digests(6)["diameters_n6.json"]
 
 
 def test_hypertri_fixtures_build_no_tiling(tmp_path, monkeypatch):

@@ -546,6 +546,64 @@ class TestRegularSet:
             assert not regularity._realizes((1, 2, 3, 4), key, table)
 
 
+class TestGraphCertificates:
+    """graph_certificates (one LP per half-turn pair) against one LP per node."""
+
+    @staticmethod
+    def check_against_lps(g, expected):
+        certs, by_lp, by_half_turn = regularity.graph_certificates(g)
+        assert (by_lp, by_half_turn) == ((len(g) + 1) // 2, len(g) // 2)
+        assert [(c.regular, c.witness, c.slack) for c in certs] == [
+            (c.regular, c.witness, c.slack) for c in expected
+        ]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_equals_one_lp_per_node(self, graphs, certificates, n):
+        self.check_against_lps(graphs(n), certificates(n))
+
+    @staticmethod
+    def check_drawn(cfg):
+        g = enumerate_tilings(cfg)
+        TestGraphCertificates.check_against_lps(
+            g, [classify_orientation(cfg, key) for key in g.keys]
+        )
+
+    @settings(max_examples=10)
+    @given(st.integers(3, 5).flatmap(configurations))
+    def test_equals_one_lp_per_node_on_drawn_configurations(self, cfg):
+        self.check_drawn(cfg)
+
+    @settings(max_examples=3)
+    @given(configurations(6))
+    def test_equals_one_lp_per_node_on_drawn_configurations_n6(self, cfg):
+        self.check_drawn(cfg)
+
+    def test_classify_solves_one_lp_per_pair(self, graphs, monkeypatch, capsys):
+        from zonotiling.cli import main
+
+        solved = []
+        real = regularity._maximize
+
+        def counted(obj, rows, width):
+            solved.append(len(rows))
+            return real(obj, rows, width)
+
+        monkeypatch.setattr(regularity, "_maximize", counted)
+        assert main(["classify", "--n", "6"]) == 0
+        assert len(solved) == 454 == (len(graphs(6)) + 1) // 2
+        assert "verdicts: 454 by LP, 454 by half-turn" in capsys.readouterr().out
+
+    def test_mirror_check_is_live(self):
+        # -h realizes the complement key only: on any other key it is refused
+        cfg = standard_config(5)
+        table = regularity._integer_circuits(cfg)
+        h, _ = regularity._integer_witness(classify_orientation(cfg, 0))
+        assert regularity._mirror(h, 0b1111111111, table) == tuple(-x for x in h)
+        for key in (0, 0b1111111110):
+            with pytest.raises(AssertionError, match="negated witness does not realize"):
+                regularity._mirror(h, key, table)
+
+
 @pytest.mark.slow
 def test_regular_set_n7(graphs):
     result = regular_set(graphs(7))

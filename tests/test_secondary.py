@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import configurations
-from zonotiling import cli
+from zonotiling import cli, secondary
 from zonotiling import (
     enumerate_tilings,
     diameter_report,
@@ -26,7 +26,7 @@ from zonotiling import (
 )
 from zonotiling.core import Finding, integer_coords
 from zonotiling.flipgraph import FlipGraph, components_excluding_levels
-from zonotiling.secondary import _scaled_vert_k, _vert_k_distinct, potential_between
+from zonotiling.secondary import _scaled_vert_ks, _vert_k_distinct, potential_between
 
 
 class TestVertK:
@@ -73,7 +73,7 @@ class TestIntegerVertK:
         rng = random.Random(len(g))
         for k in range(1, cfg.n - 1):
             fractions = [vert_k(cfg, g.tiling(v), k) for v in range(len(g))]
-            integers = [_scaled_vert_k(coords, g.tiling(v), k) for v in range(len(g))]
+            integers = [_scaled_vert_ks(coords, g.tiling(v))[k] for v in range(len(g))]
             assert integers == [tuple(scale * x for x in vec) for vec in fractions]
             shuffled = list(range(len(g)))
             rng.shuffle(shuffled)
@@ -200,6 +200,19 @@ class TestSkeleton:
                         expected[cv].add(cu)
                 assert sk.adj == tuple(tuple(sorted(nbrs)) for nbrs in expected)
 
+    @pytest.mark.parametrize("stray", [62, 99, -1])
+    def test_stray_regular_id_refused(self, graphs, regulars, stray):
+        # n = 5 has ids 0..61; a stray id must not pass as a regular node
+        g = graphs(5)
+        regs = regulars(5) | {stray}
+        for mode in ("sigma_k", "sigma_k_plus_prev"):
+            with pytest.raises(ValueError, match=f"node id {stray} is outside 0..61"):
+                skeleton(g, 1, mode, regs)
+        with pytest.raises(ValueError, match=f"node id {stray} is outside 0..61"):
+            equivalence_classes(g, {1}, regs)
+        with pytest.raises(ValueError, match=f"node id {stray} is outside 0..61"):
+            diameter_report(g, 1, frozenset({stray}))
+
     def test_dot_export(self, graphs, regulars):
         sk = skeleton(graphs(4), 1, "sigma_k", regulars(4))
         dot = sk.to_dot()
@@ -292,6 +305,42 @@ class TestPotential:
         with pytest.raises(ValueError):
             potential_between(graphs(4), 0, 1, 1, thresholds="proof")
 
+    def test_bad_thresholds_refused_before_the_census(self):
+        g = enumerate_tilings(standard_config(5))
+        for report in (potential, modified_potential):
+            with pytest.raises(ValueError, match="thresholds must be"):
+                report(g, 0, 1, thresholds="proof")
+        with pytest.raises(ValueError, match="thresholds must be"):
+            potential_between(g, 0, 1, 1, thresholds="proof")
+        assert g.derived == {}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_census_matches_the_tilings(self, graphs, n):
+        g = enumerate_tilings(standard_config(n))
+        census = secondary._census(g)
+        assert len(census) == n * len(g)
+        for v in range(len(g)):
+            counts = graphs(n).tiling(v).offset_size_census()
+            assert list(census[v * n:(v + 1) * n]) == [sum(counts[:s]) for s in range(n)]
+
+    def test_census_read_once_per_graph(self, monkeypatch):
+        # every report and potential_between read one stored census
+        g = enumerate_tilings(standard_config(5))
+        reads = []
+        real = secondary.offset_sizes
+
+        def counted(n, key):
+            reads.append(key)
+            return real(n, key)
+
+        monkeypatch.setattr(secondary, "offset_sizes", counted)
+        for k in (1, 2, 3):
+            for thresholds in ("definition", "shifted"):
+                potential(g, 0, k, thresholds)
+                modified_potential(g, 5, k, thresholds)
+                potential_between(g, g.min_id, g.max_id, k, thresholds)
+        assert reads == g.keys
+
 
 class TestDiameterReport:
     def test_n5_k1_record(self, graphs, regulars):
@@ -361,8 +410,9 @@ class TestDiameterReport:
 
 @pytest.mark.slow
 def test_sigma_k_diameters_n7(tmp_path):
-    # one LP per node through the classify command, byte for byte as recorded
-    # at a_i = i; its census is the reference for the diameters route
+    # the classify command, one LP per half-turn pair with the mirror node
+    # taking the negated witness, byte for byte as recorded at a_i = i; its
+    # census is the reference for the diameters route
     assert cli.main(["classify", "--n", "7", "--out", str(tmp_path)]) == 0
     artifact = (tmp_path / "classify_n7.json").read_bytes()
     assert hashlib.sha256(artifact).hexdigest() == (
@@ -372,7 +422,7 @@ def test_sigma_k_diameters_n7(tmp_path):
     regs = frozenset(v for v, cert in enumerate(certs) if cert["regular"])
     g = enumerate_tilings(standard_config(7))
     assert len(certs) == len(g)
-    assert regular_set(g).nodes == regs  # the diameters route, against one LP per node
+    assert regular_set(g).nodes == regs  # the diameters route, against the LP certificates
     for k in range(1, 6):
         sk = skeleton(g, k, "sigma_k", regs)
         assert graph_diameter(sk.adj)[0] == k * (7 - k - 1)

@@ -31,7 +31,7 @@ from zonotiling import (
     tiling_to_svg,
 )
 from zonotiling.core import circuit_for, colex_triples, num_triples
-from zonotiling.tiling import Tiling
+from zonotiling.tiling import Tiling, offset_sizes
 
 
 def chord_offsets(cfg, heights):
@@ -169,6 +169,7 @@ class TestOrientation:
         for _ in range(60):
             t = apply_flip(t, rng.choice(available_flips(t)))
             assert tiling_of_orientation(n, orientation_of(t).bits) == t
+            self.assert_sizes_match(n, orientation_of(t).bits, t)
 
     @pytest.mark.parametrize("n", [3, 4, 8, 9])
     def test_any_key_reads_back(self, n):
@@ -184,6 +185,23 @@ class TestOrientation:
     def test_key_out_of_range(self, key):
         with pytest.raises(ValueError, match="10 circuits"):
             tiling_of_orientation(5, key)
+
+    @staticmethod
+    def assert_sizes_match(n, key, tiling):
+        assert offset_sizes(n, key) == bytes(mask.bit_count() for mask in tiling.offsets)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_offset_sizes_read_off_every_key(self, graphs, n):
+        g = graphs(n)
+        for v, key in enumerate(g.keys):
+            self.assert_sizes_match(n, key, g.tiling(v))
+
+
+@pytest.mark.slow
+def test_offset_sizes_read_off_every_key_n7(graphs):
+    g = graphs(7)
+    for v, key in enumerate(g.keys):
+        TestOrientation.assert_sizes_match(7, key, g.tiling(v))
 
 
 class TestFlips:
