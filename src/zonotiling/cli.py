@@ -8,6 +8,13 @@ nonzero whenever a theorem check fails or a structural finding is recorded;
 out-of-range inputs exit with status 2.  --threads is accepted and ignored.
 Each subcommand takes only the options it reads: --format (json or dot) is
 offered by enumerate and diameters, --seed by chains.
+
+Commands read the flip graph from a slot that holds the last one enumerated
+in this process, keyed by its configuration.  A pipeline that calls ``main``
+stage after stage on one configuration (scripts/reproduce_theorems.py does)
+enumerates once, and each later stage reuses what earlier ones stored on
+the graph: component labellings, offset-size censuses, ``vert_k`` ids and
+slack-LP certificates.  Every artifact is the same as from a fresh process.
 """
 
 from __future__ import annotations
@@ -16,10 +23,12 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from .core import Finding, PointConfig, make_config, standard_config
 from .flipgraph import (
+    FlipGraph,
     enumerate_tilings,
     expected_level_census,
     graph_to_dot,
@@ -35,7 +44,7 @@ from .hypertri import (
     slice_masks,
 )
 from .oracle import commutation_census, reduced_word_count_formula
-from .regularity import graph_certificates, regular_set
+from .regularity import LpWork, graph_certificates, regular_set
 from .secondary import (
     check_level,
     diameter_report,
@@ -88,6 +97,20 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
     )
 
 
+@lru_cache(maxsize=1)
+def _graph(config: PointConfig) -> FlipGraph:
+    """The configuration's flip graph, kept until a command asks for another one."""
+    _graph.cache_clear()  # a miss: let the last graph go before this one is built
+    return enumerate_tilings(config)
+
+
+def _print_lp_work(work: LpWork) -> None:
+    print(
+        f"LPs: {work.solved} solved, {work.reused} reused from the graph; "
+        f"{work.pivots} simplex pivots"
+    )
+
+
 def _write(run: RunConfig, name: str, payload) -> None:
     if run.out is None:
         return
@@ -122,7 +145,7 @@ def _header(run: RunConfig) -> dict:
 
 def cmd_enumerate(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
-    graph = enumerate_tilings(run.config)
+    graph = _graph(run.config)
     print(f"{len(graph)} tilings, {graph.edge_count()} flip edges")
     if ns.fmt == "dot":
         _write(run, f"graph_n{run.config.n}.dot", graph_to_dot(graph))
@@ -133,14 +156,15 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
 
 def cmd_classify(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
-    graph = enumerate_tilings(run.config)
-    certs, by_lp, by_half_turn = graph_certificates(graph)
+    graph = _graph(run.config)
+    certs, by_lp, by_half_turn, work = graph_certificates(graph)
     regular = sum(c.regular for c in certs)
     irregular = len(certs) - regular
     print(
         f"{len(certs)} tilings: {regular} regular, {irregular} irregular; "
         f"verdicts: {by_lp} by LP, {by_half_turn} by half-turn"
     )
+    _print_lp_work(work)
     payload = _header(run) | {
         "total": len(certs),
         "regular": regular,
@@ -154,13 +178,14 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 def cmd_diameters(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     ks = _levels(run, ns)
-    graph = enumerate_tilings(run.config)
+    graph = _graph(run.config)
     verdicts = regular_set(graph)
     regs = verdicts.nodes
     print(
         f"{len(regs)} of {len(graph)} tilings regular; verdicts: {verdicts.by_lp} by LP, "
         f"{verdicts.by_probe} by probe, {verdicts.by_half_turn} by half-turn"
     )
+    _print_lp_work(verdicts.lps)
     records = []
     print(" k | sigma_k: cls diam formula ok | sum: cls diam formula ok")
     for k in ks:
@@ -191,7 +216,7 @@ def cmd_diameters(ns: argparse.Namespace) -> int:
 def cmd_hypertri(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     _levels(run, ns)
-    graph = enumerate_tilings(run.config)
+    graph = _graph(run.config)
     record = hypertri_diameters(graph, ns.k)
     lift, red = record["lifting"], record["reduced"]
     print(
@@ -243,7 +268,7 @@ def cmd_hypertri(ns: argparse.Namespace) -> int:
 def cmd_potential(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     ks = _levels(run, ns)
-    graph = enumerate_tilings(run.config)  # potential() refuses a --ref outside the graph
+    graph = _graph(run.config)  # potential() refuses a --ref outside the graph
     reports = []
     for k in ks:
         for maker, bound_levels in ((potential, {k - 1, k}), (modified_potential, {k})):
@@ -273,7 +298,7 @@ def cmd_chains(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     if ns.samples < 0:
         raise ValueError(f"--samples {ns.samples} is negative")
-    graph = enumerate_tilings(run.config)
+    graph = _graph(run.config)
     n = run.config.n
     expected = expected_level_census(n)
     censuses: dict[tuple[int, ...], int] = {}
@@ -312,7 +337,7 @@ def cmd_render(ns: argparse.Namespace) -> int:
         tiling = extremal_tiling(run.config, ns.tiling)
         label = ns.tiling
     else:
-        graph = enumerate_tilings(run.config)
+        graph = _graph(run.config)
         tiling = graph.tiling(int(ns.tiling))
         label = ns.tiling
     svg = tiling_to_svg(run.config, tiling)
@@ -333,7 +358,7 @@ def cmd_oracle_count(ns: argparse.Namespace) -> int:
     formula = reduced_word_count_formula(result.n)
     if result.reduced_words != formula:
         run.finding(f"{result.reduced_words} reduced words, but the hook formula gives {formula}")
-    tilings = len(enumerate_tilings(run.config))
+    tilings = len(_graph(run.config))
     if result.commutation_classes != tilings:
         run.finding(
             f"{result.commutation_classes} commutation classes, but {tilings} tilings enumerated"

@@ -28,8 +28,9 @@ the key order, so the image of node v is node len(graph) - 1 - v and no
 key-to-id map outlives enumeration.
 
 Quotient skeletons rest on ``components_excluding_levels``, which labels and
-stores each level set's components, and the pairs deleted-level edges join,
-once per graph, and ``graph_diameter``, a bit-parallel multi-source BFS.
+stores each level set's components, their partition and the pairs
+deleted-level edges join, once per graph, and ``graph_diameter``, a
+bit-parallel multi-source BFS.
 """
 
 from __future__ import annotations
@@ -367,51 +368,83 @@ def components_excluding_levels(
     across calls.  The same BFS records each deleted-level edge whose other
     end is already labelled as the pair of labels a <= b, stored once as
     the int a * len(graph) + b; an edge inside component c gives (c, c).
-    ``component_pairs`` decodes them.  Each labelling is computed once per
-    graph and stored on it with its pairs, so every call with the same
-    levels and node set returns the same list; callers must not mutate it.
+    ``component_pairs`` decodes them.  It also keeps the partition: every
+    component's sorted members, one after another, in ``components``'
+    order.  Each labelling is computed once per graph and stored on it with
+    its pairs and partition, so every call with the same levels and node set
+    returns the same list; callers must not mutate it.
     """
-    banned = frozenset(deleted_levels)
-    key = (banned, None if within is None else frozenset(within))
+    key = _labelling_key(deleted_levels, within)
     stored = graph.labellings.get(key)
     if stored is not None:
         return stored[0]
+    banned = key[0]
     adj = graph.adj
     levels = graph.levels
     size = len(adj)
     # nodes outside ``within`` read -2 until the BFS over the -1 nodes ends
     labels = [-1 if within is None else -2] * size
-    for v in within or ():
-        check_node(graph, v)
-        labels[v] = -1
+    if within:
+        check_node(graph, min(within))
+        check_node(graph, max(within))
+        for v in within:
+            labels[v] = -1
     pairs: set[int] = set()
+    members = array("i")
+    starts = array("i", [0])
     for start in range(size):
         if labels[start] != -1:
             continue
         labels[start] = start
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        component = [start]
+        for u in component:  # the list grows into the BFS queue
             for v, level in zip(adj[u], levels[u]):
                 if level in banned:
                     if labels[v] >= 0:  # in this component or an earlier one
                         pairs.add(labels[v] * size + start)
                 elif labels[v] == -1:
                     labels[v] = start
-                    queue.append(v)
+                    component.append(v)
+        component.sort()
+        members.extend(component)
+        starts.append(len(members))
     if within is not None:
         labels = [max(label, -1) for label in labels]
-    graph.labellings[key] = (labels, array("q", pairs))
+    graph.labellings[key] = (labels, array("q", pairs), members, starts)
     return labels
+
+
+def _labelling_key(deleted_levels: Iterable[int], within: Iterable[int] | None):
+    return frozenset(deleted_levels), None if within is None else frozenset(within)
+
+
+def _stored(graph: FlipGraph, deleted_levels: Iterable[int], within: Iterable[int] | None):
+    """The stored labelling of these levels and node set, computed on first use."""
+    key = _labelling_key(deleted_levels, within)
+    if key not in graph.labellings:
+        components_excluding_levels(graph, key[0], within)
+    return graph.labellings[key]
 
 
 def component_pairs(graph: FlipGraph, deleted_levels: Iterable[int]) -> Iterator[tuple[int, int]]:
     """The label pairs a <= b that deleted-level edges join in the whole graph's labelling."""
-    key = (frozenset(deleted_levels), None)
-    if key not in graph.labellings:
-        components_excluding_levels(graph, key[0])
     size = len(graph)
-    return (divmod(pair, size) for pair in graph.labellings[key][1])
+    return (divmod(pair, size) for pair in _stored(graph, deleted_levels, None)[1])
+
+
+def components(
+    graph: FlipGraph,
+    deleted_levels: Iterable[int],
+    within: frozenset[int] | set[int] | None = None,
+) -> Iterator[array]:
+    """The components of ``components_excluding_levels``, each as an array of
+    its node ids in increasing order, ordered by smallest member (its label).
+
+    Read off the partition stored with the labelling, so no node is visited
+    again.
+    """
+    _, _, members, starts = _stored(graph, deleted_levels, within)
+    return (members[a:b] for a, b in zip(starts, starts[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -23,39 +23,58 @@ det(B) * B^-1 [A | b] for the current basis B, each update divides exactly
 by the previous pivot, and no rational is formed until the optimum is read
 off.  The tableau is condensed to the non-basic columns plus b,
 m x (nv + 1), instead of also carrying the m columns of the basic
-variables, which are always det(B) times a unit vector.  A pivot on row r
+variables, which are always det(B) times a unit vector.  A pivot on row l
 and non-basic column s swaps the entering and leaving variables, and column
 s takes the leaving variable's column, -T[i][s] off the pivot row and det on
 it.
 
-Each tableau row is packed into one Python int of nv + 1 signed fields,
-W bits apart: row = sum_j T[i][j] << (j * W).  Packing is linear, so a
-Bareiss update of a whole row is one big-int expression,
-(piv * row - a * prow) // det, and the division is exact on the packed int
-because it is exact on every field: the packed numerator is det times the
-packed quotient, whatever carries its fields make on the way.  Only the
-results must fit.  Every tableau entry is, up to sign, a minor of [A | b]
-with at most min(m, nv + 1) rows, so by Hadamard's inequality it is bounded
-by the product of the min(m, nv + 1) largest row norms, each taken as at
-least 1 so that zero rows and short LPs cannot shrink the bound.  W is that
-bound's bit length plus 2: one bit for the sign and one to spare.  A field
-is read back by adding the offset sum_j 2^(W-1) << (j * W), which makes
-every field nonnegative, then shifting and masking.  The objective row
-stays a list of ints.
+Each tableau column is packed into one Python int of m signed fields, W
+bits apart: C_j = sum_r T[r][j] << (r * W).  Packing is linear, so a pivot
+updates a whole column with one big-int expression,
+(piv * C_j - p_j * C_s) // det with p_j = T[l][j], whose field l is 0 and
+gets p_j back, since the pivot row does not change; column s becomes -C_s
+with det in field l.  That is nv + 1 updates per pivot, however many rows
+there are.  The division is exact on the packed int because it is exact on
+every field: the packed numerator is det times the packed quotient, whatever
+carries its fields make on the way.  Only the results must fit.  Every
+tableau entry is, up to sign, a minor of [A | b] with at most
+min(m, nv + 1) rows, so by Hadamard's inequality it is bounded by the
+product of the min(m, nv + 1) largest row norms, each taken as at least 1
+so that zero rows and short LPs cannot shrink the bound.  W is that bound's
+bit length plus 2: one bit for the sign and one to spare, so every field
+holds |v| < 2^(W-2).  The objective row stays a list of ints.
 
-Positive row scaling changes neither B^-1 b nor the reduced costs' signs,
-and the entering rule looks at the *original* variable index of each
-non-basic column, so the pivots, the optimal vertex, the witness and the
-slack are exactly those of the uncondensed tableau over the unscaled rows.
-Packing changes no value either: every field reads back exactly, so
-Bland's rule and the tie break see the same numbers and make the same
-pivots as on an unpacked tableau.
+The ratio test reads every row at once, with masks over the fields (SWAR).
+Adding the bias TOPS = sum_r 2^(W-1) << (r * W), the top bit of every
+field, turns each field v into v + 2^(W-1), which the spare bit keeps
+strictly between 2^(W-2) and 3 * 2^(W-2); so the fields of a biased column
+are its entries' biased values, and no mask step below borrows from or
+carries into a neighbouring field.  With ONES the lowest bit of every field
+and LOW = TOPS - ONES its low W - 1 bits:
 
-The slack LP's rows are packed once per configuration from the circuits,
-one row per sign, and only selected per tiling.  Its structure gives a
-tighter bound than the generic one (see ``_slack_rows``), the same for
-both signs of every circuit, so one field width serves every tiling of a
-configuration.
+    ((C_s + TOPS) - ONES) & TOPS   has field r's top bit set iff T[r][s] > 0,
+    z = (C_b + TOPS) ^ TOPS        holds b_r in field r (b is never negative),
+    (z | ((z & LOW) + LOW)) & TOPS has field r's top bit set iff b_r != 0.
+
+Single fields are read back by shifting and masking the biased column.  The
+pivot rules are those of the unpacked tableau: Bland's entering rule on the
+*original* variable index of each non-basic column, then the least ratio
+b_r / T[r][s] over the rows with T[r][s] > 0, ties to the lowest basis
+index.  When some such row has b_r = 0 every least ratio is 0, so the
+leaving row is the lowest basis index among those rows, read off the masks
+alone; otherwise the candidates' ratios are compared exactly by
+cross-multiplication.  Positive row scaling changes neither B^-1 b nor the
+reduced costs' signs, and the masks and fields read exactly what the
+unpacked tableau holds, so the pivots, the optimal vertex, the witness and
+the slack are exactly those of the uncondensed tableau over the unscaled
+rows.
+
+The slack LP's columns are built per key from tables made once per
+configuration (``_slack_lp``).  Only the w+_i columns depend on the key;
+on the circuit rows w-_i is their negation, t is the constant scale and b
+is 0, and the bound rows are constants.  The structure gives a tighter
+bound than the generic one, the same for every key, so one field width
+serves every tiling of a configuration.
 
 Negating the heights swaps upper and lower faces, so the half-turn image of
 a tiling, whose key is the complement, has the same verdict, certified by
@@ -73,52 +92,73 @@ A flip toggles one circuit, so a certified neighbour's witness pushed just
 across that circuit's hyperplane often certifies the node, once an exact
 integer sign check accepts it; the LP decides the rest, and every verdict
 decides the half-turn image too.
+
+Each node's slack LP is solved at most once per graph: ``graph_certificates``
+and ``regular_set`` read certificates through one memo stored on the graph,
+and each reports in an ``LpWork`` the LPs it solved, those it read back,
+and the simplex pivots the solved ones took.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
-from typing import Sequence
+from operator import add
+from typing import NamedTuple, Sequence
 
-from .core import HeightVector, PointConfig, colex_triples, format_rational, integer_coords
+from .core import (
+    HeightVector,
+    PointConfig,
+    byte_tables,
+    colex_triples,
+    format_rational,
+    integer_coords,
+)
 
 
 class SimplexError(RuntimeError):
     pass
 
 
-def _pack(row: Sequence[int], width: int) -> int:
-    """One int holding row[j] in the signed field j of the given width."""
-    return sum(v << (j * width) for j, v in enumerate(row))
+def _pack(values: Sequence[int], width: int) -> int:
+    """One int holding values[i] in the signed field i of the given width."""
+    return sum(v << (i * width) for i, v in enumerate(values))
 
 
-def _maximize(obj: list[int], rows: list[int], width: int) -> tuple[list[int], int, int] | None:
+def _maximize(
+    obj: list[int], cols: list[int], m: int, width: int
+) -> tuple[list[int], int, int, int] | None:
     """Maximize c.x subject to A.x <= b, x >= 0 on integer data, b >= 0.
 
-    ``rows[r]`` is row r of A followed by b_r, packed by ``_pack`` into
-    fields ``width`` bits wide, which must hold every tableau entry (see the
-    module docstring); ``obj`` is c followed by 0, as a list.  ``rows`` is
-    updated in place.  Returns None when the LP is unbounded, otherwise
-    (x, value, det) with the optimum at x_i = x[i] / det and c.x = value / det.
+    ``cols[j]`` is column j of the m x (nv + 1) matrix [A | b], packed by
+    ``_pack`` into m fields ``width`` bits wide, which must hold every
+    tableau entry with a bit to spare (see the module docstring); ``obj``
+    is c followed by 0, as a list.  ``cols`` and ``obj`` are updated in
+    place.  Returns None when the LP is unbounded, otherwise
+    (x, value, det, pivots) with the optimum at x_i = x[i] / det,
+    c.x = value / det, after ``pivots`` pivots.
 
-    Each pivot reads column s and b of every row with one offset-shift-mask,
-    in the pass that runs the ratio test, and then updates each row with one
-    exact big-int Bareiss step.  Bland's entering rule plus a
+    Each pivot finds the rows with a positive entry in column s, and among
+    them those with b = 0, with the two masks of the module docstring; it
+    reads single fields only for the pivot row, and for the candidates'
+    ratios when no candidate has b = 0.  It then updates each column with
+    one exact big-int Bareiss step.  Bland's entering rule plus a
     lowest-basis-index tie break keeps the walk finite and deterministic;
-    fields read back exactly, so the pivots are those of the unpacked tableau.
+    the masks and fields read exactly what the unpacked tableau holds, so
+    the pivots are those of the unpacked tableau.
     """
-    m = len(rows)
     nv = len(obj) - 1
+    ones = ((1 << (m * width)) - 1) // ((1 << width) - 1)  # lowest bit of every field
+    tops = ones << (width - 1)  # top bit of every field, and the bias
+    low = tops - ones
     half = 1 << (width - 1)
     mask = (1 << width) - 1
-    offset = sum(half << (j * width) for j in range(nv + 1))
-    top = nv * width
     nonbasic = list(range(nv))  # original variable index of each column
     basis = list(range(nv, nv + m))  # slack r starts basic in row r
     det = 1
+    pivots = 0
     while True:
         s = -1
         for j in range(nv):
@@ -126,47 +166,63 @@ def _maximize(obj: list[int], rows: list[int], width: int) -> tuple[list[int], i
                 s = j
         if s < 0:
             break
-        shift = s * width
-        above = top - shift
-        column = []
+        pcol = cols[s]
+        biased = pcol + tops
+        positive = (biased - ones) & tops
+        if not positive:
+            return None
+        rhs = cols[nv] + tops
+        z = rhs ^ tops
+        degenerate = positive & ~(z | ((z & low) + low))
         leave = -1
-        for r, row in enumerate(rows):
-            fields = (row + offset) >> shift
-            a = (fields & mask) - half
-            column.append(a)
-            if a > 0:
-                b = (fields >> above) - half
+        if degenerate:
+            # every least ratio is 0: the lowest basis index among them leaves
+            while degenerate:
+                bit = degenerate & -degenerate
+                degenerate ^= bit
+                r = bit.bit_length() // width - 1
+                if leave < 0 or basis[r] < basis[leave]:
+                    leave = r
+            shift = leave * width
+            piv = (biased >> shift & mask) - half
+        else:
+            while positive:
+                bit = positive & -positive
+                positive ^= bit
+                r = bit.bit_length() // width - 1
+                shift = r * width
+                a = (biased >> shift & mask) - half
+                b = (rhs >> shift & mask) - half
                 if leave < 0:
                     leave, piv, pb = r, a, b
                 else:
                     diff = b * piv - pb * a
                     if diff < 0 or (diff == 0 and basis[r] < basis[leave]):
                         leave, piv, pb = r, a, b
-        if leave < 0:
-            return None
-        prow = rows[leave]
-        for i, a in enumerate(column):
-            if a:
-                if i != leave:
-                    rows[i] = (piv * rows[i] - a * prow) // det - (a << shift)
-            elif piv != det:
-                rows[i] = piv * rows[i] // det
-        packed = prow + offset
+            shift = leave * width
         a = obj[s]
-        obj = [
-            (piv * x - a * ((packed >> (j * width) & mask) - half)) // det
-            for j, x in enumerate(obj)
-        ]
+        for j in range(nv + 1):
+            if j != s:
+                col = cols[j]
+                p = ((col + tops) >> shift & mask) - half
+                if p:
+                    cols[j] = (piv * col - p * pcol) // det + (p << shift)
+                    obj[j] = (piv * obj[j] - a * p) // det
+                elif piv != det:
+                    cols[j] = piv * col // det
+                    obj[j] = piv * obj[j] // det
+        cols[s] = ((det + piv) << shift) - pcol
         obj[s] = -a
-        rows[leave] = prow + ((det - piv) << shift)
         nonbasic[s], basis[leave] = basis[leave], nonbasic[s]
         det = piv
+        pivots += 1
 
     x = [0] * nv
+    rhs = cols[nv] + tops
     for r, b in enumerate(basis):
         if b < nv:
-            x[b] = ((rows[r] + offset) >> top) - half
-    return x, -obj[nv], det
+            x[b] = (rhs >> (r * width) & mask) - half
+    return x, -obj[nv], det, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +240,9 @@ class RegularityCertificate:
             out["h"] = [format_rational(h) for h in self.witness]
             out["slack"] = format_rational(self.slack)
         return out
+
+
+_IRREGULAR = RegularityCertificate(False, None, Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -207,56 +266,104 @@ def _realizes(h: Sequence[int], key: int, table) -> bool:
     return True
 
 
+class _SlackLP(NamedTuple):
+    """The slack LP of one configuration, packed by columns; see ``_slack_lp``."""
+
+    plus: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]  # per w+_i: key-0 column, byte tables
+    pairs: tuple[int, ...]  # per i: the bound-row fields of w+_i and w-_i together
+    t: int
+    b: int
+    rows: int
+    width: int
+
+    def columns(self, key: int) -> list[int]:
+        """The packed columns w+_3 .. w+_n, w-_3 .. w-_n, t, b for the tiling of key."""
+        data = key.to_bytes(len(self.plus[0][1]), "little") if self.plus else b""
+        plus = [base + sum(map(tuple.__getitem__, tables, data)) for base, tables in self.plus]
+        minus = [both - col for both, col in zip(self.pairs, plus)]
+        return plus + minus + [self.t, self.b]
+
+
 @lru_cache(maxsize=None)
-def _slack_rows(config: PointConfig) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]:
-    """Packed integer rows of the slack LP, built once per configuration.
+def _slack_lp(config: PointConfig) -> _SlackLP:
+    """The slack LP's packed columns, as tables built once per configuration.
 
     Columns are w+_i, w-_i for i = 3..n (h_i = w+_i - w-_i), then t, then
-    the right-hand side.  For every circuit, in rank order, the pair holds
-    its row under sign +1 and under sign -1, on the scaled alpha of
-    ``_integer_circuits``; then come the bound rows w+_i, w-_i, t <= 1.
+    the right-hand side b.  Rows are the circuits in rank order, on the
+    scaled alpha of ``_integer_circuits``, then the bound rows w+_i, w-_i,
+    t <= 1.  Circuit c's row under sign +1 holds -alpha_i in w+_i, alpha_i
+    in w-_i, scale in t and 0 in b; under sign -1 (bit c of the key set) its
+    w+ and w- entries are negated.  So column w+_i is its key-0 column plus
+    2 * alpha_i in field c for each set bit c, summed from one byte table per
+    key byte; w-_i is minus its circuit fields; t and b are the same for
+    every key.
 
-    The last item is the field width, one for every tiling of the
-    configuration and tighter than the generic bound.  Every tableau entry is,
-    up to sign, a minor of [A | b].  Column b is zero on the circuit rows
-    and 1 on the nv bound rows, so a minor through it expands into at most
-    nv minors of A.  A bound row is a unit row, so expanding along it costs
-    a factor of +-1.  What is left is a minor of circuit rows only, and on
-    those the column of w-_i is minus that of w+_i, so a nonzero one keeps
-    at most one of each pair: at most k + 1 columns (h_3..h_n and t) and so
-    at most k + 1 rows.  With N_c = scale^2 + sum over points i >= 3 of
-    (scale * alpha_i)^2, the squared norm of circuit c's row on those
-    columns under either sign, Hadamard's inequality bounds every entry by
+    The field width is one for every tiling of the configuration and
+    tighter than the generic bound.  Every tableau entry is, up to sign, a
+    minor of [A | b].  Column b is zero on the circuit rows and 1 on the nv
+    bound rows, so a minor through it expands into at most nv minors of A.
+    A bound row is a unit row, so expanding along it costs a factor of +-1.
+    What is left is a minor of circuit rows only, and on those the column of
+    w-_i is minus that of w+_i, so a nonzero one keeps at most one of each
+    pair: at most k + 1 columns (h_3..h_n and t) and so at most k + 1 rows.
+    With N_c = scale^2 + sum over points i >= 3 of (scale * alpha_i)^2, the
+    squared norm of circuit c's row on those columns under either sign,
+    Hadamard's inequality bounds every entry by
     nv * isqrt(product of the k + 1 largest N_c).  W is that bound's bit
     length plus 2, as for the generic bound.
     """
     k = config.n - 2
     nv = 2 * k + 1
     scale, _ = integer_coords(config)
-    circuit_rows = []
-    norms = []
-    for p, q, r, *alpha in _integer_circuits(config):
-        row = [0] * (nv + 1)
+    circuits = _integer_circuits(config)
+    count = len(circuits)
+    alphas = [[0] * k for _ in circuits]  # alphas[c][i]: alpha of point i + 3 in circuit c
+    for row, (p, q, r, *alpha) in zip(alphas, circuits):
         for point, v in zip((p, q, r), alpha):
             if point >= 2:  # 0-based; h_1 = h_2 = 0 have no column
-                row[point - 2] = -v
-                row[k + point - 2] = v
-        row[nv - 1] = scale
-        negative = [-v for v in row[: 2 * k]] + row[2 * k :]
-        circuit_rows.append((row, negative))
-        norms.append(scale * scale + sum(v * v for v in row[:k]))
-    bounds = []
-    for i in range(nv):
-        row = [0] * (nv + 1)
-        row[i] = row[nv] = 1
-        bounds.append(row)
-    norms.sort(reverse=True)
+                row[point - 2] = v
+    norms = sorted((scale * scale + sum(v * v for v in row) for row in alphas), reverse=True)
     width = (nv * isqrt(prod(norms[: k + 1]))).bit_length() + 2
-    return (
-        tuple((_pack(row, width), _pack(negative, width)) for row, negative in circuit_rows),
-        tuple(_pack(row, width) for row in bounds),
-        width,
+
+    def bound(j: int) -> int:
+        return 1 << ((count + j) * width)
+
+    plus = []
+    for i in range(k):
+        column = [row[i] for row in alphas]
+        base = _pack([-v for v in column], width) + bound(i)
+        flips = [2 * v << (c * width) for c, v in enumerate(column)]
+        plus.append((base, byte_tables(flips, add)))
+    return _SlackLP(
+        plus=tuple(plus),
+        pairs=tuple(bound(i) + bound(k + i) for i in range(k)),
+        t=_pack([scale] * count, width) + bound(2 * k),
+        b=sum(bound(j) for j in range(nv)),
+        rows=count + nv,
+        width=width,
     )
+
+
+def _certify(config: PointConfig, key: int) -> tuple[RegularityCertificate, int]:
+    """``classify_orientation``'s certificate, and the simplex pivots it took."""
+    table = _integer_circuits(config)
+    if key < 0 or key >> len(table):
+        raise ValueError(f"key {key:#x} does not fit {len(table)} circuits")
+    lp = _slack_lp(config)
+    k = config.n - 2
+    objective = [0] * (2 * k + 2)
+    objective[2 * k] = 1  # maximize t
+    solved = _maximize(objective, lp.columns(key), lp.rows, lp.width)
+    if solved is None:
+        raise SimplexError("slack LP ended with status unbounded")
+    x, value, det, pivots = solved
+    if value <= 0:
+        return _IRREGULAR, pivots
+    h = (0, 0, *(x[i] - x[k + i] for i in range(k)))
+    if not _realizes(h, key, table):
+        raise AssertionError(f"regularity witness does not realize key {key:#x}")
+    witness = tuple(Fraction(v, det) for v in h)
+    return RegularityCertificate(True, witness, Fraction(value, det)), pivots
 
 
 def classify_orientation(config: PointConfig, key: int) -> RegularityCertificate:
@@ -268,25 +375,7 @@ def classify_orientation(config: PointConfig, key: int) -> RegularityCertificate
     det > 0, which moves no sign.  Raises ValueError for a key outside
     0 .. 2**C(n,3) - 1, and AssertionError for a witness that fails.
     """
-    table = _integer_circuits(config)
-    if key < 0 or key >> len(table):
-        raise ValueError(f"key {key:#x} does not fit {len(table)} circuits")
-    circuit_rows, bounds, width = _slack_rows(config)
-    rows = [pair[key >> rank & 1] for rank, pair in enumerate(circuit_rows)]
-    rows.extend(bounds)
-    k = config.n - 2
-    objective = [0] * (2 * k + 2)
-    objective[2 * k] = 1  # maximize t
-    solved = _maximize(objective, rows, width)
-    if solved is None:
-        raise SimplexError("slack LP ended with status unbounded")
-    x, value, det = solved
-    if value <= 0:
-        return RegularityCertificate(False, None, Fraction(0))
-    h = (0, 0, *(x[i] - x[k + i] for i in range(k)))
-    if not _realizes(h, key, table):
-        raise AssertionError(f"regularity witness does not realize key {key:#x}")
-    return RegularityCertificate(True, tuple(Fraction(v, det) for v in h), Fraction(value, det))
+    return _certify(config, key)[0]
 
 
 def _mirror(h: Sequence[int], image_key: int, table) -> tuple[int, ...]:
@@ -303,22 +392,46 @@ def _integer_witness(cert: RegularityCertificate) -> tuple[tuple[int, ...], int]
     return tuple(int(x * scale) for x in cert.witness), scale
 
 
-def graph_certificates(graph) -> tuple[list[RegularityCertificate], int, int]:
+class LpWork:
+    """Slack LPs one pass solved, those it read back from the graph, and the
+    simplex pivots of the solved ones."""
+
+    __slots__ = ("solved", "reused", "pivots")
+
+    def __init__(self) -> None:
+        self.solved = self.reused = self.pivots = 0
+
+
+def _node_certificate(graph, v: int, work: LpWork) -> RegularityCertificate:
+    """Node v's ``classify_orientation`` certificate, solved at most once per graph."""
+    memo = graph.derived.setdefault("slack_lp", {})
+    cert = memo.get(v)
+    if cert is None:
+        cert, pivots = _certify(graph.config, graph.keys[v])
+        memo[v] = cert
+        work.solved += 1
+        work.pivots += pivots
+    else:
+        work.reused += 1
+    return cert
+
+
+def graph_certificates(graph) -> tuple[list[RegularityCertificate], int, int, LpWork]:
     """Every node's certificate, with one LP per half-turn pair.
 
-    ``classify_orientation`` decides the first half of the ids, through the
-    middle one.  The mirror id len(graph) - 1 - v gets the same verdict; a
+    The first half of the ids, through the middle one, take their LP's
+    certificate.  The mirror id len(graph) - 1 - v gets the same verdict; a
     regular one also gets the negated witness, checked by ``_mirror`` on
-    integers, and the same slack.  Returns the certificates in id order and
-    how many verdicts came by LP and by half-turn.
+    integers, and the same slack.  Returns the certificates in id order, how
+    many verdicts came by LP and by half-turn, and the LP work.
     """
-    config = graph.config
-    table = _integer_circuits(config)
+    table = _integer_circuits(graph.config)
     keys = graph.keys
     certs: list[RegularityCertificate] = [None] * len(keys)  # type: ignore[list-item]
+    work = LpWork()
     by_lp = by_half_turn = 0
     for v in range((len(keys) + 1) // 2):
-        cert = classify_orientation(config, keys[v])
+        cert = _node_certificate(graph, v, work)
         by_lp += 1
         certs[v] = cert
         image = len(keys) - 1 - v
@@ -330,7 +443,7 @@ def graph_certificates(graph) -> tuple[list[RegularityCertificate], int, int]:
             witness = tuple(Fraction(x, scale) for x in _mirror(h, keys[image], table))
             cert = RegularityCertificate(True, witness, cert.slack)
         certs[image] = cert
-    return certs, by_lp, by_half_turn
+    return certs, by_lp, by_half_turn, work
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +456,13 @@ _PUSHES = ((9, 8), (2, 1))
 
 @dataclass(frozen=True)
 class RegularSet:
-    """The regular node ids, and how many verdicts each route gave."""
+    """The regular node ids, how many verdicts each route gave, and the LP work."""
 
     nodes: frozenset[int]
     by_lp: int
     by_probe: int
     by_half_turn: int
+    lps: LpWork = field(compare=False)  # depends on what the graph already held
 
 
 def _probe(h: tuple[int, ...], circuit, key: int, table) -> tuple[int, ...] | None:
@@ -376,18 +490,18 @@ def regular_set(graph) -> RegularSet:
 
     Walks the first half of the ids, through the middle one.  Each node is
     first probed from the witness of each certified neighbour; when no probe
-    passes the exact sign check, ``classify_orientation`` solves its LP.
-    Either way its half-turn image, the mirror id len(graph) - 1 - v, which
-    the walk never reaches first, gets the same verdict: sigma_h(-h) is the
-    complement key, so -h certifies the image, and an image of an irregular
-    node is irregular.  Every regular verdict rests on an exact integer sign
+    passes the exact sign check, its LP decides it, solved at most once per
+    graph.  Either way its half-turn image, the mirror id len(graph) - 1 - v,
+    which the walk never reaches first, gets the same verdict: sigma_h(-h) is
+    the complement key, so -h certifies the image, and an image of an
+    irregular node is irregular.  Every regular verdict rests on an exact integer sign
     check of a witness (``_mirror`` checks the image's), every irregular one
     on an exact LP.
     """
-    config = graph.config
-    table = _integer_circuits(config)
+    table = _integer_circuits(graph.config)
     keys = graph.keys
     witness: list[tuple[int, ...] | None] = [None] * len(keys)
+    work = LpWork()
     by_lp = by_probe = by_half_turn = 0
     for v in range((len(keys) + 1) // 2):
         key = keys[v]
@@ -401,7 +515,7 @@ def regular_set(graph) -> RegularSet:
                     break
         if h is None:
             by_lp += 1
-            cert = classify_orientation(config, key)
+            cert = _node_certificate(graph, v, work)
             if cert.regular:
                 h, _ = _integer_witness(cert)
         image = graph.opposite_node(v)
@@ -410,4 +524,4 @@ def regular_set(graph) -> RegularSet:
             by_half_turn += 1
             witness[image] = None if h is None else _mirror(h, keys[image], table)
     nodes = frozenset(v for v, h in enumerate(witness) if h is not None)
-    return RegularSet(nodes, by_lp, by_probe, by_half_turn)
+    return RegularSet(nodes, by_lp, by_probe, by_half_turn, work)

@@ -13,12 +13,13 @@ skeleton.  Four skeleton modes cover the experiments:
 
 Classes are always computed over the full flip graph first (connectivity
 through irregular tilings counts), then intersected with the regular node
-set where the mode asks for it; class adjacency uses any qualifying flip
-between the underlying components, read off the pairs the labelling pass
-collects.  The level-k potential of a tiling against a reference is a
-signed symmetric-difference count over the sets of basis pairs sitting at
-offset size >= k (positive side) and <= k-2 (negative side); it moves by at
-most one along any flip edge.  Since |R \\ S| - |S \\ R| = |R| - |S| for
+set where the mode asks for it, by filtering the partition each labelling
+stores beside its labels; class adjacency uses any qualifying flip between
+the underlying components, read off the pairs the labelling pass collects.
+The level-k potential of a tiling against a reference is a signed
+symmetric-difference count over the sets of basis pairs sitting at offset
+size >= k (positive side) and <= k-2 (negative side); it moves by at most
+one along any flip edge.  Since |R \\ S| - |S \\ R| = |R| - |S| for
 any finite sets, each side's count is a difference of two set sizes, read
 off the offset-size census.  Every node's census is read off its key
 (``offset_sizes``) once per graph and stored on it, n bytes per node, so no
@@ -44,6 +45,7 @@ from .flipgraph import (
     FlipGraph,
     check_node,
     component_pairs,
+    components,
     components_excluding_levels,
     graph_diameter,
 )
@@ -107,14 +109,25 @@ def _vert_k_ids(graph: FlipGraph, nodes: Iterable[int]) -> array:
 # ---------------------------------------------------------------------------
 # equivalence classes and quotient skeletons
 
-def _partition_from_labels(
-    labels: Sequence[int], keep: frozenset[int] | None
-) -> tuple[tuple[int, ...], ...]:
-    groups: dict[int, list[int]] = {}  # first seen at, so ordered by, smallest member
-    for node, root in enumerate(labels):
-        if keep is None or node in keep:
-            groups.setdefault(root, []).append(node)
-    return tuple(tuple(members) for members in groups.values())
+def _restricted_classes(
+    graph: FlipGraph, deleted: frozenset[int], keep: Collection[int] | None
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    """The components of the whole graph minus the deleted levels' edges, each
+    intersected with ``keep`` (all of it when None), empty intersections
+    dropped, ordered by smallest member; and the class index of each
+    surviving component's label."""
+    if keep is None:
+        classes = tuple(map(tuple, components(graph, deleted)))
+        return classes, {members[0]: c for c, members in enumerate(classes)}
+    contains = keep.__contains__
+    kept = []  # (class, label of its component)
+    for members in components(graph, deleted):
+        restricted = tuple(filter(contains, members))
+        if restricted:
+            kept.append((restricted, members[0]))
+    # a component's smallest member may be dropped, which can move its class
+    kept.sort(key=lambda entry: entry[0][0])
+    return tuple(c for c, _ in kept), {label: c for c, (_, label) in enumerate(kept)}
 
 
 def equivalence_classes(
@@ -130,8 +143,7 @@ def equivalence_classes(
     and empty intersections are dropped.
     """
     _check_nodes(graph, regular_nodes)
-    labels = components_excluding_levels(graph, deleted_levels)
-    return _partition_from_labels(labels, regular_nodes)
+    return _restricted_classes(graph, frozenset(deleted_levels), regular_nodes)[0]
 
 
 def _check_nodes(graph: FlipGraph, nodes: Collection[int] | None) -> None:
@@ -196,13 +208,10 @@ def skeleton(
     _check_nodes(graph, regular_nodes)
 
     labels = components_excluding_levels(graph, deleted)
-    classes = _partition_from_labels(labels, regular_nodes if restricted else None)
-
-    # component -> class index (components whose intersection died map to None)
-    comp_class: dict[int, int] = {}
-    for idx, members in enumerate(classes):
-        comp_class[labels[members[0]]] = idx
-    component_of = tuple(comp_class.get(labels[v]) for v in range(len(graph)))
+    keep = regular_nodes if restricted else None
+    classes, comp_class = _restricted_classes(graph, deleted, keep)
+    # node -> class via its component (components whose intersection died map to None)
+    component_of = tuple(map(comp_class.get, labels))
 
     # the labelling recorded each pair of components a deleted-level edge joins
     neighbours: list[set[int]] = [set() for _ in classes]
@@ -448,9 +457,7 @@ def diameter_report(
     # sigma_k's classes, restricted to the regular nodes, against the classes
     # taken after deleting the irregular nodes; disagreement means some
     # k-class is glued together only through irregular tilings
-    via_regular = _partition_from_labels(
-        components_excluding_levels(graph, {k}, within=regular_nodes), regular_nodes
-    )
+    via_regular = tuple(map(tuple, components(graph, {k}, within=regular_nodes)))
 
     pot_def = potential_between(graph, graph.min_id, graph.max_id, k, "definition")
     pot_shift = potential_between(graph, graph.min_id, graph.max_id, k, "shifted")

@@ -1,12 +1,25 @@
 import hypothesis
 import pytest
 
-from zonotiling import classify_orientation, enumerate_tilings, equivalence_classes, standard_config
+from zonotiling import (
+    classify_orientation,
+    cli,
+    enumerate_tilings,
+    equivalence_classes,
+    standard_config,
+)
 
 hypothesis.settings.register_profile(
     "default", max_examples=40, deadline=None
 )
 hypothesis.settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def fresh_cli_graph():
+    """Empty the CLI's one-graph slot, so a test that counts enumerations,
+    LPs or tilings does not read what an earlier test left on the graph."""
+    cli._graph.cache_clear()
 
 
 @pytest.fixture(scope="session")

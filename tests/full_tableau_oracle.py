@@ -3,7 +3,7 @@
 Test-only reference for the exact simplex ``zonotiling.regularity._maximize``,
 which tests/test_regularity.py drives from the same ``integer_lp`` rows: the
 solver as it stood before the production code moved to a condensed tableau
-over the non-basic columns, with each row packed into one int.  It carries
+over the non-basic columns, with each column packed into one int.  It carries
 the whole m x (nv + m + 1) tableau as lists, slack identity columns
 included, scales every row by the lcm of its own denominators, and pivots
 with Bland's rule plus a lowest-basis-index tie break.  The production

@@ -354,16 +354,121 @@ def test_hypertri_fixtures_build_no_tiling(tmp_path, monkeypatch):
         assert digest == _recorded_digests(n)[name]
 
 
+def _pipeline_stages(n: int) -> list[list[str]]:
+    """The scripts/reproduce_theorems.py stages but oracle-count, which has no recorded digest."""
+    stages = [["enumerate"], ["classify"], ["diameters", "--all"]]
+    stages += [["hypertri", "--k", str(k)] for k in range(1, n - 1)]
+    stages += [["chains", "--samples", "200", "--seed", "0"], ["potential", "--ref", "0", "--all"]]
+    return stages
+
+
 # n = 6 is the first size with irregular tilings (20 of 908), where the
 # diameters artifact's restriction agreement compares two different labellings
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_artifacts_match_recorded_digests(tmp_path, n):
-    # the scripts/reproduce_theorems.py stages, byte for byte (oracle-count
-    # has no recorded digest)
-    stages = [["enumerate"], ["classify"], ["diameters", "--all"]]
-    stages += [["hypertri", "--k", str(k)] for k in range(1, n - 1)]
-    stages += [["chains", "--samples", "200", "--seed", "0"], ["potential", "--ref", "0", "--all"]]
-    _digests_match_reference(tmp_path, n, stages)
+    # the scripts/reproduce_theorems.py stages, byte for byte
+    _digests_match_reference(tmp_path, n, _pipeline_stages(n))
+
+
+def test_one_process_enumerates_once_and_solves_each_lp_once(monkeypatch, capsys):
+    # diameters reads classify's graph and certificates from the one-graph slot
+    from zonotiling import cli, regularity
+
+    enumerated = []
+    real_enumerate = cli.enumerate_tilings
+
+    def counted_enumerate(config):
+        enumerated.append(config)
+        return real_enumerate(config)
+
+    pivots = []
+    real_maximize = regularity._maximize
+
+    def counted_maximize(obj, cols, m, width):
+        solved = real_maximize(obj, cols, m, width)
+        pivots.append(solved[3])
+        return solved
+
+    monkeypatch.setattr(cli, "enumerate_tilings", counted_enumerate)
+    monkeypatch.setattr(regularity, "_maximize", counted_maximize)
+    assert run(["classify", "--n", "6"]) == 0
+    assert run(["diameters", "--n", "6", "--all", "--strict"]) == 0
+    out = capsys.readouterr().out
+    assert len(enumerated) == 1
+    assert len(pivots) == 454
+    assert f"LPs: 454 solved, 0 reused from the graph; {sum(pivots)} simplex pivots" in out
+    assert "888 of 908 tilings regular; verdicts: 99 by LP, 355 by probe, 454 by half-turn" in out
+    assert "LPs: 0 solved, 99 reused from the graph; 0 simplex pivots" in out
+
+
+def test_slot_lets_the_last_graph_go_before_enumerating(monkeypatch, capsys):
+    # a new configuration never holds two graphs, and their stored work, at once
+    import weakref
+
+    from zonotiling import cli
+
+    built = []
+    alive = []
+    real_enumerate = cli.enumerate_tilings
+
+    def spied(config):
+        alive.append([graph() is not None for graph in built])
+        graph = real_enumerate(config)
+        built.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(cli, "enumerate_tilings", spied)
+    for points in ("--n=5", "--n=5", "--points=0,1/3,2,7/3,5", "--points=0,1/3,2,7/3,5", "--n=5"):
+        assert run(["classify", points]) == 0
+    assert alive == [[], [False], [False, False]]
+
+
+def _stripped_sha256(path: Path) -> str:
+    """The sha256 of an artifact's canonical JSON without its "points" keys,
+    as perfbench/reference.json records it."""
+
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {k: strip(v) for k, v in obj.items() if k != "points"}
+        if isinstance(obj, list):
+            return [strip(v) for v in obj]
+        return obj
+
+    canonical = json.dumps(strip(json.loads(path.read_bytes())), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_one_process_pipeline_across_configurations(tmp_path):
+    # a_i = i, a rational configuration, then a_i = i again, in one process:
+    # each configuration's graph replaces the last one in the slot
+    from zonotiling import cli
+
+    n = 6
+    standard = ",".join(map(str, range(1, n + 1)))
+    rational = "-2,1/3,3,13/3,6,17/2"
+    for label, points in (("first", standard), ("rational", rational), ("again", standard)):
+        base = [f"--points={points}", "--out", str(tmp_path / label), "--strict"]
+        for stage in _pipeline_stages(n):
+            assert run(stage + base) == 0, (label, stage)
+    for label in ("first", "again"):
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / label).iterdir()
+        }
+        assert digests == _recorded_digests(n)
+    root = Path(__file__).resolve().parents[1]
+    recorded = json.loads((root / "perfbench" / "reference.json").read_text())[str(n)]
+    # classify and diameters depend on the coordinates, every other artifact
+    # only on the flip graph; the former must equal a run on a fresh graph
+    cli._graph.cache_clear()
+    fresh = tmp_path / "fresh"
+    for stage in (["classify"], ["diameters", "--all"]):
+        assert run(stage + [f"--points={rational}", "--out", str(fresh), "--strict"]) == 0
+    for path in (tmp_path / "rational").iterdir():
+        if path.name.startswith(("classify_", "diameters_")):
+            assert path.read_bytes() == (fresh / path.name).read_bytes()
+        else:
+            assert _stripped_sha256(path) == recorded["artifacts"][path.name]["stripped"]
 
 
 @pytest.mark.slow

@@ -32,14 +32,18 @@ def _field_width(rows, nv):
     return isqrt(prod(norms[: nv + 1])).bit_length() + 2
 
 
+def _columns(rows, nv, width):
+    """The nv + 1 columns of the integer rows [A_r | b_r], packed for ``regularity._maximize``."""
+    return [regularity._pack([row[j] for row in rows], width) for j in range(nv + 1)]
+
+
 def simplex_max_canonical(objective, lhs, rhs):
     """The full-tableau oracle's LP front end, with ``regularity._maximize`` pivoting."""
     objective, rows, cscale = full_tableau_oracle.integer_lp(objective, lhs, rhs)
-    width = _field_width(rows, len(objective))
-    packed = [regularity._pack(row, width) for row in rows]
-    return full_tableau_oracle.read_optimum(
-        regularity._maximize(objective + [0], packed, width), cscale
-    )
+    nv = len(objective)
+    width = _field_width(rows, nv)
+    solved = regularity._maximize(objective + [0], _columns(rows, nv, width), len(rows), width)
+    return full_tableau_oracle.read_optimum(solved and solved[:3], cscale)
 
 
 def brute_lp_max(c, A, b):
@@ -205,11 +209,11 @@ class TestClassify:
         k = cfg.n - 2
         real = regularity._maximize
 
-        def corrupted(obj, rows, width):
-            x, value, det = real(obj, rows, width)
+        def corrupted(obj, cols, m, width):
+            x, value, det, pivots = real(obj, cols, m, width)
             if value > 0:
                 x[0], x[k] = x[k], x[0]
-            return x, value, det
+            return x, value, det, pivots
 
         assert classify_orientation(cfg, 0).witness[2] != 0
         monkeypatch.setattr(regularity, "_maximize", corrupted)
@@ -320,7 +324,8 @@ def huge_lps(seed, count):
 
 
 class TestPackedRows:
-    """Packed-row solver against the full-tableau reference on adversarial LPs."""
+    """Packed solver (one int per tableau column) against the full-tableau
+    reference on adversarial LPs."""
 
     @pytest.mark.parametrize(
         "lp",
@@ -368,7 +373,8 @@ class TestPackedRows:
         width = _field_width(rows, 2)
 
         def solve(w):
-            return regularity._maximize([1, 1, 0], [regularity._pack(r, w) for r in rows], w)
+            solved = regularity._maximize([1, 1, 0], _columns(rows, 2, w), len(rows), w)
+            return solved and solved[:3]
 
         assert solve(width) == ([2 * c * c, 2 * c * c], 4 * c * c, 2 * c * c)
         assert simplex_max_canonical([1, 1], [r[:2] for r in rows], [2 * c, 0]) == (
@@ -386,7 +392,7 @@ class TestPackedRows:
 
 
 class TestSlackWidth:
-    """Every slack LP's tableau fits the field width ``_slack_rows`` proves.
+    """Every slack LP's tableau fits the field width ``_slack_lp`` proves.
 
     The pivots are replayed on the unpacked rows with the full-tableau
     reference solver, which reports the largest entry of any tableau.
@@ -394,21 +400,23 @@ class TestSlackWidth:
 
     @staticmethod
     def check_keys(cfg, keys):
-        circuit_rows, bounds, width = regularity._slack_rows(cfg)
+        lp = regularity._slack_lp(cfg)
+        width = lp.width
         k = cfg.n - 2
         nv = 2 * k + 1
         half = 1 << (width - 1)
         mask = (1 << width) - 1
-        offset = sum(half << (j * width) for j in range(nv + 1))
+        offset = sum(half << (r * width) for r in range(lp.rows))
 
-        def unpack(row):
-            return [((row + offset) >> (j * width) & mask) - half for j in range(nv + 1)]
+        def unpack(columns):
+            # the rows [A_r | b_r], read off the packed columns
+            biased = [c + offset for c in columns]
+            return [[(c >> (r * width) & mask) - half for c in biased] for r in range(lp.rows)]
 
         objective = [0] * nv
         objective[2 * k] = 1
         for key in keys:
-            rows = [pair[key >> rank & 1] for rank, pair in enumerate(circuit_rows)]
-            peak = full_tableau_oracle.largest_entry(objective, map(unpack, rows + list(bounds)))
+            peak = full_tableau_oracle.largest_entry(objective, unpack(lp.columns(key)))
             assert peak < half
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -426,8 +434,39 @@ class TestSlackWidth:
 
     def test_pinned_widths(self):
         cfg = make_config(["0", "1/3", "2", "7/3", "5", "11/2", "10969/1994"])
-        assert regularity._slack_rows(cfg)[2] == 99
-        assert regularity._slack_rows(standard_config(7))[2] == 23
+        assert regularity._slack_lp(cfg).width == 99
+        assert regularity._slack_lp(standard_config(7)).width == 23
+
+
+class TestSlackColumns:
+    """Every slack LP as ``_slack_lp`` packs it by columns, solved by
+    ``_maximize``, against the full-tableau reference on the same LP built
+    row by row from ``circuits``: the same (status, x, value)."""
+
+    @staticmethod
+    def check_nodes(cfg, g, nodes):
+        lp = regularity._slack_lp(cfg)
+        k = cfg.n - 2
+        for v in nodes:
+            objective = [0] * (2 * k + 2)
+            objective[2 * k] = 1
+            solved = regularity._maximize(objective, lp.columns(g.keys[v]), lp.rows, lp.width)
+            reference = full_tableau_oracle.slack_lp(cfg, orientation_of(g.tiling(v)))
+            assert full_tableau_oracle.read_optimum(solved and solved[:3], 1) == (
+                full_tableau_oracle.simplex_max_canonical(*reference)
+            )
+
+    @settings(max_examples=10)
+    @given(configurations(5))
+    def test_every_lp_on_drawn_configurations_n5(self, cfg):
+        g = enumerate_tilings(cfg)
+        self.check_nodes(cfg, g, range(len(g)))
+
+    @settings(max_examples=4)
+    @given(configurations(6))
+    def test_sampled_lps_on_drawn_configurations_n6(self, cfg):
+        g = enumerate_tilings(cfg)
+        self.check_nodes(cfg, g, random.Random(6).sample(range(len(g)), 60))
 
 
 class TestFourierMotzkinCrossCheck:
@@ -491,18 +530,19 @@ class TestRegularSet:
         nodes = regular_set(g).nodes
         assert {g.opposite_node(v) for v in nodes} == nodes
 
-    def test_fewer_lps_than_nodes_n6(self, graphs, monkeypatch):
-        g = graphs(6)
+    def test_fewer_lps_than_nodes_n6(self, monkeypatch):
+        # a fresh graph, so no LP's certificate is stored on it yet
+        g = enumerate_tilings(standard_config(6))
         solved = []
-        real = regularity.classify_orientation
+        real = regularity._certify
 
         def counted(config, key):
             solved.append(key)
             return real(config, key)
 
-        monkeypatch.setattr(regularity, "classify_orientation", counted)
+        monkeypatch.setattr(regularity, "_certify", counted)
         result = regular_set(g)
-        assert len(solved) == result.by_lp < len(g)
+        assert len(solved) == result.by_lp == result.lps.solved < len(g)
         assert len(set(solved)) == len(solved)
         assert result.by_lp + result.by_probe + result.by_half_turn == len(g)
         assert result.by_half_turn == len(g) // 2
@@ -551,7 +591,7 @@ class TestGraphCertificates:
 
     @staticmethod
     def check_against_lps(g, expected):
-        certs, by_lp, by_half_turn = regularity.graph_certificates(g)
+        certs, by_lp, by_half_turn, _ = regularity.graph_certificates(g)
         assert (by_lp, by_half_turn) == ((len(g) + 1) // 2, len(g) // 2)
         assert [(c.regular, c.witness, c.slack) for c in certs] == [
             (c.regular, c.witness, c.slack) for c in expected
@@ -584,9 +624,9 @@ class TestGraphCertificates:
         solved = []
         real = regularity._maximize
 
-        def counted(obj, rows, width):
-            solved.append(len(rows))
-            return real(obj, rows, width)
+        def counted(obj, cols, m, width):
+            solved.append(m)
+            return real(obj, cols, m, width)
 
         monkeypatch.setattr(regularity, "_maximize", counted)
         assert main(["classify", "--n", "6"]) == 0

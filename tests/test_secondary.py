@@ -171,6 +171,24 @@ class TestSkeleton:
             for v in members:
                 assert sk.component_of[v] == idx
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_restricted_classes_against_node_order(self, graphs, seed):
+        # a node set that drops many components' smallest members, which can
+        # move a class: classes are ordered by their own smallest member
+        g = graphs(6)
+        keep = frozenset(random.Random(seed).sample(range(len(g)), len(g) // 2))
+        for k in range(1, 5):
+            for mode in ("sigma_k", "sigma_k_plus_prev"):
+                sk = skeleton(g, k, mode, keep)
+                labels = components_excluding_levels(g, sk.deleted_levels)
+                groups = {}
+                for v in sorted(keep):
+                    groups.setdefault(labels[v], []).append(v)
+                assert sk.classes == tuple(map(tuple, groups.values()))
+                assert equivalence_classes(g, sk.deleted_levels, keep) == sk.classes
+                index = {label: c for c, label in enumerate(groups)}
+                assert sk.component_of == tuple(index.get(label) for label in labels)
+
     def test_flip_inside_a_class_is_a_finding(self):
         # edges 0-1 and 1-2 at level 2 make one 1-class, which the level-1
         # edge 0-2 would join to itself
