@@ -8,7 +8,8 @@ q in the {p, r} offset, p in {q, r} and r in {p, q}, so the offsets are the
 minimal tiling's XOR one such toggle per set bit.  Enumeration is
 breadth-first from the minimal tiling, key 0, with every layer processed in
 sorted key order, so node ids are sorted by (inversion count, key) and stable
-across runs.
+across runs.  The BFS stops at the middle layer: the half-turn (below) gives
+every later node's key, neighbours and levels from its mirror node's.
 
 Enumeration never builds a tiling: ``key_flips`` reads a node's flips and
 their levels off its key.  The key is a rank-3 signotope, and a circuit
@@ -25,12 +26,14 @@ it runs toward the larger key and a later id, and maximal chains are the
 length-C(n,3) raising walks from the minimal to the maximal tiling.  The
 half-turn complements the key, which reverses both the inversion count and
 the key order, so the image of node v is node len(graph) - 1 - v and no
-key-to-id map outlives enumeration.
+key-to-id map outlives enumeration.  It is a graph automorphism that keeps
+the flipped circuit and sends flip level l to n - 1 - l.
 
 Quotient skeletons rest on ``components_excluding_levels``, which labels and
 stores each level set's components, their partition and the pairs
-deleted-level edges join, once per graph, and ``graph_diameter``, a
-bit-parallel multi-source BFS.
+deleted-level edges join, once per graph, building a labelling from its
+stored half-turn twin (levels n - 1 - l) without a BFS, and on
+``graph_diameter``, a bit-parallel multi-source BFS.
 """
 
 from __future__ import annotations
@@ -227,40 +230,66 @@ def key_flips(n: int, key: int) -> tuple[list[int], bytes]:
 
 
 def enumerate_tilings(config: PointConfig) -> FlipGraph:
-    """BFS over all tilings from the minimal one, deduped by orientation key.
+    """Layer BFS over the first half of the tilings, the rest by the half-turn.
 
-    Each node's flips and levels come from ``key_flips``; no tiling is built.
-    An n whose graph would not fit in physical memory (``_check_memory``) is
+    Layer d holds the keys of d inversions, d = 0 .. C(n,3).  The BFS runs
+    from the minimal tiling through the middle layer, the last d with
+    2d <= C(n,3), reading each node's flips and levels off its key with
+    ``key_flips``; no tiling is built.  The half-turn complements keys and
+    sends layer d to layer C(n,3) - d, so the node count follows from the
+    layer sizes and every later node v is the image of u = len - 1 - v:
+    its key is keys[u] complemented, its neighbours are the images of u's,
+    in the same circuit order, and each level l reads n - 1 - l.  An n
+    whose graph would not fit in physical memory (``_check_memory``) is
     refused before anything is allocated.
     """
     _check_memory(config.n)
     n = config.n
+    depth_max = num_triples(n)  # inversions of the maximal tiling
+    full = (1 << depth_max) - 1  # its key: every circuit -1
     keys = [0]  # the minimal tiling orients every circuit +1
     index = {0: 0}
     adj: list[list[int]] = []
     levels: list[bytes] = []
 
     # A flip moves the inversion count by one and every tiling but the
-    # minimal one has a lowering flip, so layer d holds the keys of d
-    # inversions: a node's lowering neighbours are numbered already and its
-    # raising ones are new.  Each layer's ids are consecutive, and its
-    # neighbours' ids are known once the next layer is numbered.
+    # minimal one has a lowering flip: a node's lowering neighbours are
+    # numbered already and its raising ones lie in the next layer.  Each
+    # layer's ids are consecutive, and its neighbours' ids are known once
+    # the next layer is numbered.
     start = 0
-    while start < len(keys):
+    while True:
         pending: list[list[int]] = []  # neighbour keys of each node in the layer
-        discovered: set[int] = set()
         for ukey in keys[start:]:
             bits, node_levels = key_flips(n, ukey)
-            vkeys = [ukey ^ bit for bit in bits]
-            discovered.update([vkey for vkey in vkeys if vkey > ukey])
-            pending.append(vkeys)
+            pending.append([ukey ^ bit for bit in bits])
             levels.append(node_levels)
+        if 2 * (keys[start].bit_count() + 1) > depth_max:
+            break  # this is the middle layer
         start = len(keys)
-        for vkey in sorted(discovered):
+        for vkey in sorted({vkey for vkeys in pending for vkey in vkeys if vkey not in index}):
             index[vkey] = len(keys)
             keys.append(vkey)
         adj.extend([index[vkey] for vkey in vkeys] for vkeys in pending)
 
+    # The layer after the middle one is the image of the middle layer when
+    # C(n,3) is odd, and of the one before it when C(n,3) is even, so only
+    # an even C(n,3) has a middle layer that is its own image.
+    half = len(keys)
+    size = half + start if depth_max % 2 == 0 else 2 * half
+    ids = list(index.values())  # ids[v] is v, the int the adjacency holds
+    ids.extend(range(half, size))
+    mirror = ids[::-1]  # mirror[v] is v's half-turn image, size - 1 - v
+    adj.extend(
+        [index[vkey] if vkey in index else mirror[index[vkey ^ full]] for vkey in vkeys]
+        for vkeys in pending
+    )
+    del index, pending, ids
+    flip_level = bytes.maketrans(bytes(range(n)), bytes(range(n - 1, -1, -1)))
+    for u in mirror[half:]:
+        keys.append(keys[u] ^ full)
+        adj.append([mirror[w] for w in adj[u]])
+        levels.append(levels[u].translate(flip_level))
     return FlipGraph(config, keys, adj, levels)
 
 
@@ -358,35 +387,60 @@ def components_excluding_levels(
     graph: FlipGraph,
     deleted_levels: Iterable[int],
     within: frozenset[int] | set[int] | None = None,
-) -> list[int]:
+) -> array:
     """Component label per node of the graph minus edges at deleted levels.
 
     With ``within`` given, only the subgraph induced on those nodes is
     labelled, and every other node reads -1; a node id in ``within`` outside
     the graph raises ValueError.  Labels are canonical: the label of a
     component is the smallest node id it contains, so partitions compare
-    across calls.  The same BFS records each deleted-level edge whose other
-    end is already labelled as the pair of labels a <= b, stored once as
-    the int a * len(graph) + b; an edge inside component c gives (c, c).
-    ``component_pairs`` decodes them.  It also keeps the partition: every
-    component's sorted members, one after another, in ``components``'
-    order.  Each labelling is computed once per graph and stored on it with
-    its pairs and partition, so every call with the same levels and node set
-    returns the same list; callers must not mutate it.
+    across calls.  Beside the labels, an ``array('i')``, each labelling
+    keeps the pairs of labels a <= b that deleted-level edges join, each
+    stored once as the int a * len(graph) + b (an edge inside component c
+    gives (c, c)), which ``component_pairs`` decodes; and the partition:
+    every component's sorted members, one after another, in
+    ``components``' order.  Each labelling is computed once per graph and
+    stored on it, so every call with the same levels and node set returns
+    the same array; callers must not mutate it.
+
+    The half-turn maps the graph minus levels L, induced on W, onto the
+    graph minus {n-1-l}, induced on {len-1-v}.  When that twin is stored
+    already, the labelling is its image (``_mirrored_labelling``); otherwise
+    one BFS labels the nodes (``_bfs_labelling``).
     """
     key = _labelling_key(deleted_levels, within)
     stored = graph.labellings.get(key)
-    if stored is not None:
-        return stored[0]
-    banned = key[0]
+    if stored is None:
+        banned, within = key
+        if within:
+            check_node(graph, min(within))
+            check_node(graph, max(within))
+        last = len(graph) - 1
+        twin_key = _labelling_key(
+            [graph.n - 1 - level for level in banned],
+            None if within is None else [last - v for v in within],
+        )
+        twin = graph.labellings.get(twin_key)
+        if twin is None:
+            stored = _bfs_labelling(graph, banned, within)
+        else:
+            stored = _mirrored_labelling(len(graph), twin)
+        graph.labellings[key] = stored
+    return stored[0]
+
+
+def _bfs_labelling(graph: FlipGraph, banned: frozenset[int], within: frozenset[int] | None):
+    """Labels, pairs, members and starts of one labelling, by one BFS pass.
+
+    The BFS records each deleted-level edge whose other end is already
+    labelled, in this component or an earlier one, as a pair.
+    """
     adj = graph.adj
     levels = graph.levels
     size = len(adj)
     # nodes outside ``within`` read -2 until the BFS over the -1 nodes ends
     labels = [-1 if within is None else -2] * size
     if within:
-        check_node(graph, min(within))
-        check_node(graph, max(within))
         for v in within:
             labels[v] = -1
     pairs: set[int] = set()
@@ -410,8 +464,38 @@ def components_excluding_levels(
         starts.append(len(members))
     if within is not None:
         labels = [max(label, -1) for label in labels]
-    graph.labellings[key] = (labels, array("q", pairs), members, starts)
-    return labels
+    pairs = array("q", pairs)  # frees the set before the labels are packed
+    return array("i", labels), pairs, members, starts
+
+
+def _mirrored_labelling(size: int, twin):
+    """The half-turn image of a stored labelling, in the same four parts.
+
+    Twin component C becomes {size-1-v : v in C}, labelled size-1-max(C):
+    its members reversed and mirrored, with the components re-sorted by
+    label, that is by descending max(C).
+    """
+    twin_labels, twin_pairs, twin_members, twin_starts = twin
+    last = size - 1
+    count = len(twin_members)
+    # twin members from a to b become image[count - b : count - a], in order
+    image = array("i", [last - v for v in reversed(twin_members)])
+    bounds = list(zip(twin_starts, twin_starts[1:]))
+    bounds.sort(key=lambda bound: twin_members[bound[1] - 1], reverse=True)
+    relabel = [-1] * (size + 1)  # its last entry keeps label -1 at -1
+    members = array("i")
+    starts = array("i", [0])
+    for a, b in bounds:
+        relabel[twin_members[a]] = last - twin_members[b - 1]
+        members.extend(image[count - b : count - a])
+        starts.append(len(members))
+    labels = array("i", [relabel[label] for label in reversed(twin_labels)])
+    pairs = set()
+    for pair in twin_pairs:
+        a, b = divmod(pair, size)
+        a, b = relabel[a], relabel[b]
+        pairs.add(a * size + b if a <= b else b * size + a)
+    return labels, array("q", pairs), members, starts
 
 
 def _labelling_key(deleted_levels: Iterable[int], within: Iterable[int] | None):

@@ -91,7 +91,8 @@ every certificate with its own LP at n <= 6, and pin the n = 7 artifact.
 A flip toggles one circuit, so a certified neighbour's witness pushed just
 across that circuit's hyperplane often certifies the node, once an exact
 integer sign check accepts it; the LP decides the rest, and every verdict
-decides the half-turn image too.
+decides the half-turn image too.  A node whose certificate the graph holds
+already, say after ``graph_certificates``, takes it and is not probed.
 
 Each node's slack LP is solved at most once per graph: ``graph_certificates``
 and ``regular_set`` read certificates through one memo stored on the graph,
@@ -402,9 +403,14 @@ class LpWork:
         self.solved = self.reused = self.pivots = 0
 
 
+def _stored_certificates(graph) -> dict[int, RegularityCertificate]:
+    """The graph's memo of slack-LP certificates by node id."""
+    return graph.derived.setdefault("slack_lp", {})
+
+
 def _node_certificate(graph, v: int, work: LpWork) -> RegularityCertificate:
     """Node v's ``classify_orientation`` certificate, solved at most once per graph."""
-    memo = graph.derived.setdefault("slack_lp", {})
+    memo = _stored_certificates(graph)
     cert = memo.get(v)
     if cert is None:
         cert, pivots = _certify(graph.config, graph.keys[v])
@@ -488,8 +494,9 @@ def _probe(h: tuple[int, ...], circuit, key: int, table) -> tuple[int, ...] | No
 def regular_set(graph) -> RegularSet:
     """The regular nodes of an enumerated flip graph, without an LP per node.
 
-    Walks the first half of the ids, through the middle one.  Each node is
-    first probed from the witness of each certified neighbour; when no probe
+    Walks the first half of the ids, through the middle one.  A node whose
+    LP certificate the graph holds already takes it; any other node is first
+    probed from the witness of each certified neighbour, and when no probe
     passes the exact sign check, its LP decides it, solved at most once per
     graph.  Either way its half-turn image, the mirror id len(graph) - 1 - v,
     which the walk never reaches first, gets the same verdict: sigma_h(-h) is
@@ -502,17 +509,19 @@ def regular_set(graph) -> RegularSet:
     keys = graph.keys
     witness: list[tuple[int, ...] | None] = [None] * len(keys)
     work = LpWork()
+    memo = _stored_certificates(graph)
     by_lp = by_probe = by_half_turn = 0
     for v in range((len(keys) + 1) // 2):
         key = keys[v]
         h = None
-        for u in graph.adj[v]:
-            if witness[u] is not None:
-                flipped = table[(key ^ keys[u]).bit_length() - 1]
-                h = _probe(witness[u], flipped, key, table)
-                if h is not None:
-                    by_probe += 1
-                    break
+        if v not in memo:  # a stored certificate decides v without a probe
+            for u in graph.adj[v]:
+                if witness[u] is not None:
+                    flipped = table[(key ^ keys[u]).bit_length() - 1]
+                    h = _probe(witness[u], flipped, key, table)
+                    if h is not None:
+                        by_probe += 1
+                        break
         if h is None:
             by_lp += 1
             cert = _node_certificate(graph, v, work)

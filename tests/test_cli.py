@@ -397,8 +397,9 @@ def test_one_process_enumerates_once_and_solves_each_lp_once(monkeypatch, capsys
     assert len(enumerated) == 1
     assert len(pivots) == 454
     assert f"LPs: 454 solved, 0 reused from the graph; {sum(pivots)} simplex pivots" in out
-    assert "888 of 908 tilings regular; verdicts: 99 by LP, 355 by probe, 454 by half-turn" in out
-    assert "LPs: 0 solved, 99 reused from the graph; 0 simplex pivots" in out
+    # diameters reads each of classify's certificates back instead of probing
+    assert "888 of 908 tilings regular; verdicts: 454 by LP, 0 by probe, 454 by half-turn" in out
+    assert "LPs: 0 solved, 454 reused from the graph; 0 simplex pivots" in out
 
 
 def test_slot_lets_the_last_graph_go_before_enumerating(monkeypatch, capsys):

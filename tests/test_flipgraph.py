@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from full_bfs_oracle import full_bfs_graph
 from tile_oracle import FlipMove, apply_flip, available_flips, flip_along, tile_route_graph
 from zonotiling import (
     diameter,
@@ -19,6 +20,7 @@ from zonotiling import (
     modified_potential,
     orientation_of,
     potential,
+    regular_set,
     sample_chain,
     skeleton,
     standard_config,
@@ -217,6 +219,23 @@ def test_full_enumeration_n8():
     assert g.edge_count() == 5_295_168
     # ids run through the inversion-count layers, each in sorted key order
     assert g.keys == sorted(g.keys, key=lambda key: (key.bit_count(), key))
+    # the half-turn identity the second half is built from, on every node:
+    # the complement key has the same flips, at levels n - 1 - l, and the
+    # mirrored node holds exactly those
+    full = (1 << comb(8, 3)) - 1
+    last = len(g) - 1
+    for u in range((len(g) + 1) // 2):
+        key = g.keys[u]
+        bits, levels = key_flips(8, key)
+        assert [g.keys[w] for w in g.adj[u]] == [key ^ bit for bit in bits]
+        assert g.levels[u] == levels
+        image_bits, image_levels = key_flips(8, key ^ full)
+        assert image_bits == bits
+        assert list(image_levels) == [7 - level for level in levels]
+        v = last - u
+        assert g.keys[v] == key ^ full
+        assert [g.keys[w] for w in g.adj[v]] == [(key ^ full) ^ bit for bit in bits]
+        assert g.levels[v] == image_levels
 
 
 def test_deterministic_node_numbering():
@@ -230,6 +249,34 @@ def test_deterministic_node_numbering():
 def test_non_integer_coordinates_same_graph_size(graphs):
     g = enumerate_tilings(make_config(["-7/2", "-1/3", 0, "2/5", 9]))
     assert len(g) == len(graphs(5)) == 62
+
+
+class TestHalfTurnEnumeration:
+    """The half-BFS-and-mirror enumeration against a plain BFS over every layer."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_graph_equals_the_full_bfs(self, graphs, n):
+        g = graphs(n)
+        keys, adj, levels = full_bfs_graph(standard_config(n))
+        assert g.keys == keys
+        assert g.adj == adj
+        assert g.levels == levels
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_every_node_reads_its_flips_off_its_key(self, graphs, n):
+        g = graphs(n)
+        for v, key in enumerate(g.keys):
+            bits, levels = key_flips(n, key)
+            assert [g.keys[w] for w in g.adj[v]] == [key ^ bit for bit in bits]
+            assert g.levels[v] == levels
+
+    def test_ids_are_shared_int_objects(self, graphs):
+        # one int object per id across every adjacency list, mirrored half included
+        g = graphs(6)
+        ids = {}
+        for nbrs in g.adj:
+            for w in nbrs:
+                assert ids.setdefault(w, w) is w
 
 
 class TestDistance:
@@ -441,7 +488,7 @@ class TestComponents:
 
     def test_deleting_every_level_isolates(self, graphs):
         labels = components_excluding_levels(graphs(4), {1, 2})
-        assert labels == list(range(8))
+        assert list(labels) == list(range(8))
 
     def test_labelling_is_stored_once(self, graphs, regulars):
         g = graphs(5)
@@ -468,7 +515,7 @@ class TestComponents:
                         stack.append(v)
         plain = components_excluding_levels(g, {k})
         labels = components_excluding_levels(g, {k}, within=allowed)
-        assert labels == expected
+        assert list(labels) == expected
         assert -1 not in plain
         assert all(labels[v] == -1 for v in range(len(g)) if v not in allowed)
 
@@ -497,7 +544,7 @@ class TestComponents:
                     for u, v, level in edges
                     if level in deleted
                 }
-                assert components_excluding_levels(g, deleted) == expected
+                assert list(components_excluding_levels(g, deleted)) == expected
                 assert sorted(component_pairs(g, deleted)) == sorted(crossings)
 
     @pytest.mark.parametrize("stray", [-1, 62])
@@ -505,6 +552,93 @@ class TestComponents:
         # -1 would wrap to the last node, and 62 is past the end of n = 5
         with pytest.raises(ValueError, match=r"node id .* is outside 0\.\.61"):
             components_excluding_levels(graphs(5), {1}, within={0, stray})
+
+
+class TestHalfTurnLabellings:
+    """Labellings built from their stored half-turn twin against a fresh BFS."""
+
+    RATIONAL = ["0", "1/2", "2", "7/3", "5", "11/2", "10969/1994"]
+
+    @staticmethod
+    def assert_derived_equals_bfs(g, deleted, within):
+        banned = frozenset(deleted)
+        twin_levels = frozenset(g.n - 1 - level for level in banned)
+        twin_within = None if within is None else frozenset(len(g) - 1 - v for v in within)
+        twin = flipgraph._bfs_labelling(g, twin_levels, twin_within)
+        derived = flipgraph._mirrored_labelling(len(g), twin)
+        labels, pairs, members, starts = flipgraph._bfs_labelling(g, banned, within)
+        assert derived[0] == labels and derived[0].typecode == "i"
+        assert set(derived[1]) == set(pairs)
+        assert derived[2] == members
+        assert derived[3] == starts
+
+    @staticmethod
+    def withins(g, config):
+        # None, the regular set (closed under the half-turn), and a drawn set
+        # that is not closed under it
+        drawn = frozenset(random.Random(len(g)).sample(range(len(g)), (len(g) + 1) // 2))
+        if len(g) > 1:
+            assert {len(g) - 1 - v for v in drawn} != drawn
+        return [None, regular_set(enumerate_tilings(config)).nodes, drawn]
+
+    @pytest.mark.parametrize("points", [None, RATIONAL], ids=["standard", "rational"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_level_set_and_node_set(self, graphs, points, n):
+        g = graphs(n)
+        config = standard_config(n) if points is None else make_config(points[:n])
+        for within in self.withins(g, config):
+            for size in range(n - 1):
+                for deleted in combinations(range(1, n - 1), size):
+                    self.assert_derived_equals_bfs(g, deleted, within)
+
+    def test_skeleton_level_sets_n7(self, graphs):
+        g = graphs(7)
+        drawn = frozenset(random.Random(7).sample(range(len(g)), len(g) // 2))
+        for within in (None, drawn):
+            for k in range(1, 6):
+                for deleted in ({k}, {k - 1, k} - {0}):
+                    self.assert_derived_equals_bfs(g, deleted, within)
+
+    def test_stored_twin_is_read_not_searched(self, graphs, monkeypatch):
+        # through the public call: the second of a twin pair takes no BFS
+        base = graphs(6)
+        g = flipgraph.FlipGraph(base.config, base.keys, base.adj, base.levels)
+        searched = []
+        real = flipgraph._bfs_labelling
+
+        def counted(graph, banned, within):
+            searched.append(banned)
+            return real(graph, banned, within)
+
+        monkeypatch.setattr(flipgraph, "_bfs_labelling", counted)
+        drawn = frozenset(range(0, len(g), 3))
+        image = frozenset(len(g) - 1 - v for v in drawn)
+        components_excluding_levels(g, {1, 2}, within=drawn)
+        second = components_excluding_levels(g, {3, 4}, within=image)
+        assert searched == [frozenset({1, 2})]
+        stored = g.labellings[(frozenset({3, 4}), image)]
+        fresh = real(g, frozenset({3, 4}), image)
+        assert second is stored[0]
+        assert stored[0] == fresh[0] and set(stored[1]) == set(fresh[1])
+        assert stored[2:] == fresh[2:]
+
+    def test_skeleton_sweep_n7_labels_five_times(self, graphs, monkeypatch):
+        # {1}<->{5}, {2}<->{4}, {1,2}<->{4,5}, {2,3}<->{3,4}: 4 of 9 are images
+        base = graphs(7)
+        g = flipgraph.FlipGraph(base.config, base.keys, base.adj, base.levels)
+        searched = []
+        real = flipgraph._bfs_labelling
+
+        def counted(graph, banned, within):
+            searched.append(sorted(banned))
+            return real(graph, banned, within)
+
+        monkeypatch.setattr(flipgraph, "_bfs_labelling", counted)
+        for k in range(1, 6):
+            for mode in ("lifting_all", "reduced_all"):
+                skeleton(g, k, mode)
+        assert searched == [[1], [1, 2], [2], [2, 3], [3]]
+        assert len(g.labellings) == 9
 
 
 class TestExports:

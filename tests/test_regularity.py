@@ -550,14 +550,36 @@ class TestRegularSet:
     @pytest.mark.parametrize(
         "n,counts", [(2, (1, 1, 0, 0)), (3, (2, 1, 0, 1)), (6, (888, 99, 355, 454))]
     )
-    def test_verdict_routes(self, graphs, n, counts):
-        # (regular nodes, by_lp, by_probe, by_half_turn) on a_i = i
-        result = regular_set(graphs(n))
+    def test_verdict_routes(self, n, counts):
+        # (regular nodes, by_lp, by_probe, by_half_turn) on a_i = i, on a
+        # fresh graph: a node with a stored certificate is not probed
+        result = regular_set(enumerate_tilings(standard_config(n)))
         assert (len(result.nodes), result.by_lp, result.by_probe, result.by_half_turn) == counts
 
-    def test_probe_witnesses_check_exactly(self, graphs, monkeypatch):
-        # every accepted probe reproduces its node's key under sigma_h
-        g = graphs(5)
+    def test_stored_certificates_are_read_before_probing(self, monkeypatch):
+        g = enumerate_tilings(standard_config(6))
+        fresh = regular_set(enumerate_tilings(standard_config(6)))
+        # a second walk reads the 99 LPs of the first and probes the rest
+        regular_set(g)
+        again = regular_set(g)
+        assert again == fresh
+        assert (again.lps.solved, again.lps.reused) == (0, 99)
+        # after graph_certificates every first-half node's certificate is stored
+        regularity.graph_certificates(g)
+
+        def refuse(*args):
+            raise AssertionError("probed a node whose certificate is stored")
+
+        monkeypatch.setattr(regularity, "_probe", refuse)
+        result = regular_set(g)
+        assert result.nodes == fresh.nodes
+        assert (result.by_lp, result.by_probe, result.by_half_turn) == (454, 0, 454)
+        assert (result.lps.solved, result.lps.reused, result.lps.pivots) == (0, 454, 0)
+
+    def test_probe_witnesses_check_exactly(self, monkeypatch):
+        # every accepted probe reproduces its node's key under sigma_h, on a
+        # fresh graph, where no certificate is stored to skip the probes
+        g = enumerate_tilings(standard_config(5))
         cfg = standard_config(5)
         accepted = []
         real = regularity._probe
