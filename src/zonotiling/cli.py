@@ -14,7 +14,7 @@ in this process, keyed by its configuration.  A pipeline that calls ``main``
 stage after stage on one configuration (scripts/reproduce_theorems.py does)
 enumerates once, and each later stage reuses what earlier ones stored on
 the graph: component labellings, offset-size censuses, ``vert_k`` ids and
-slack-LP certificates.  Every artifact is the same as from a fresh process.
+slack-LP verdicts.  Every artifact is the same as from a fresh process.
 """
 
 from __future__ import annotations
@@ -157,19 +157,20 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
 def cmd_classify(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
     graph = _graph(run.config)
-    certs, by_lp, by_half_turn, work = graph_certificates(graph)
-    regular = sum(c.regular for c in certs)
-    irregular = len(certs) - regular
+    certs, work = graph_certificates(graph)
+    entries = [c.to_json() for c in certs]
+    regular = sum(entry["regular"] for entry in entries)
+    irregular = len(entries) - regular
     print(
-        f"{len(certs)} tilings: {regular} regular, {irregular} irregular; "
-        f"verdicts: {by_lp} by LP, {by_half_turn} by half-turn"
+        f"{len(entries)} tilings: {regular} regular, {irregular} irregular; "
+        f"verdicts: {work.solved + work.reused} by LP, {len(graph) // 2} by half-turn"
     )
     _print_lp_work(work)
     payload = _header(run) | {
-        "total": len(certs),
+        "total": len(entries),
         "regular": regular,
         "irregular": irregular,
-        "certificates": [c.to_json() for c in certs],
+        "certificates": entries,
     }
     _write(run, f"classify_n{run.config.n}.json", payload)
     return _exit(run)

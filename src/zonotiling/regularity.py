@@ -82,22 +82,26 @@ the negated witness.  Its slack LP is this one with every w+_i swapped with
 its w-_i, so the optimum is the same and (-h, t) is an optimal point of it.
 ``graph_certificates`` therefore solves one LP per half-turn pair, 454 at
 n = 6 and 12,349 at n = 7 on a_i = i, and gives the mirror node the
-negated witness and the same slack once ``_realizes`` accepts the negated
-integer heights on the mirror's key.  That this is also the optimum the
-mirror's own simplex run reaches is checked, not proven: the tests compare
-every certificate with its own LP at n <= 6, and pin the n = 7 artifact.
+negated witness and the same slack; ``_mirror`` checks on integers that the
+negated heights realize the mirror's key when the LP is solved.  That this
+is also the optimum the mirror's own simplex run reaches is checked, not
+proven: the tests compare every certificate with its own LP at n <= 6, and
+pin the n = 7 artifact.
 
 ``regular_set`` decides the regular nodes of a whole flip graph with few LPs.
 A flip toggles one circuit, so a certified neighbour's witness pushed just
 across that circuit's hyperplane often certifies the node, once an exact
 integer sign check accepts it; the LP decides the rest, and every verdict
-decides the half-turn image too.  A node whose certificate the graph holds
+decides the half-turn image too.  A node whose LP verdict the graph stores
 already, say after ``graph_certificates``, takes it and is not probed.
 
-Each node's slack LP is solved at most once per graph: ``graph_certificates``
-and ``regular_set`` read certificates through one memo stored on the graph,
-and each reports in an ``LpWork`` the LPs it solved, those it read back,
-and the simplex pivots the solved ones took.
+Each node's slack LP is solved at most once per graph, which stores the
+verdict of each first-half id whose LP was solved, in integers: (h, det,
+value) with h None when irregular.  A probe's witness is never stored, so
+``graph_certificates`` gives the same bytes whichever pass ran first.  Each
+pass counts in an ``LpWork`` the LPs it solved, those it read back, and the
+solved ones' simplex pivots.  Only ``classify_orientation`` and
+``graph_certificates`` turn verdicts into ``RegularityCertificate``s.
 """
 
 from __future__ import annotations
@@ -105,9 +109,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     HeightVector,
@@ -345,8 +349,10 @@ def _slack_lp(config: PointConfig) -> _SlackLP:
     )
 
 
-def _certify(config: PointConfig, key: int) -> tuple[RegularityCertificate, int]:
-    """``classify_orientation``'s certificate, and the simplex pivots it took."""
+def _certify(config: PointConfig, key: int) -> tuple[tuple[int, ...] | None, int, int, int]:
+    """The slack LP of key, solved: (h, det, value, pivots).  The slack is
+    value / det, det > 0, and the witness h / det, once ``_realizes`` accepts
+    the integer heights h; h is None when the slack is not positive."""
     table = _integer_circuits(config)
     if key < 0 or key >> len(table):
         raise ValueError(f"key {key:#x} does not fit {len(table)} circuits")
@@ -359,12 +365,19 @@ def _certify(config: PointConfig, key: int) -> tuple[RegularityCertificate, int]
         raise SimplexError("slack LP ended with status unbounded")
     x, value, det, pivots = solved
     if value <= 0:
-        return _IRREGULAR, pivots
+        return None, det, value, pivots
     h = (0, 0, *(x[i] - x[k + i] for i in range(k)))
     if not _realizes(h, key, table):
         raise AssertionError(f"regularity witness does not realize key {key:#x}")
-    witness = tuple(Fraction(v, det) for v in h)
-    return RegularityCertificate(True, witness, Fraction(value, det)), pivots
+    return h, det, value, pivots
+
+
+def _certificate(h, det: int, value: int, sign: int = 1) -> RegularityCertificate:
+    """The certificate of an LP verdict: witness sign * h / det, slack value / det."""
+    if h is None:
+        return _IRREGULAR
+    witness = tuple(Fraction(sign * x, det) for x in h)
+    return RegularityCertificate(True, witness, Fraction(value, det))
 
 
 def classify_orientation(config: PointConfig, key: int) -> RegularityCertificate:
@@ -376,7 +389,7 @@ def classify_orientation(config: PointConfig, key: int) -> RegularityCertificate
     det > 0, which moves no sign.  Raises ValueError for a key outside
     0 .. 2**C(n,3) - 1, and AssertionError for a witness that fails.
     """
-    return _certify(config, key)[0]
+    return _certificate(*_certify(config, key)[:3])
 
 
 def _mirror(h: Sequence[int], image_key: int, table) -> tuple[int, ...]:
@@ -385,12 +398,6 @@ def _mirror(h: Sequence[int], image_key: int, table) -> tuple[int, ...]:
     if not _realizes(image, image_key, table):
         raise AssertionError(f"negated witness does not realize key {image_key:#x}")
     return image
-
-
-def _integer_witness(cert: RegularityCertificate) -> tuple[tuple[int, ...], int]:
-    """A regular certificate's heights as integers, and the positive scale taken."""
-    scale = lcm(*(x.denominator for x in cert.witness))
-    return tuple(int(x * scale) for x in cert.witness), scale
 
 
 class LpWork:
@@ -403,53 +410,41 @@ class LpWork:
         self.solved = self.reused = self.pivots = 0
 
 
-def _stored_certificates(graph) -> dict[int, RegularityCertificate]:
-    """The graph's memo of slack-LP certificates by node id."""
-    return graph.derived.setdefault("slack_lp", {})
-
-
-def _node_certificate(graph, v: int, work: LpWork) -> RegularityCertificate:
-    """Node v's ``classify_orientation`` certificate, solved at most once per graph."""
-    memo = _stored_certificates(graph)
-    cert = memo.get(v)
-    if cert is None:
-        cert, pivots = _certify(graph.config, graph.keys[v])
-        memo[v] = cert
-        work.solved += 1
-        work.pivots += pivots
-    else:
+def _verdict(graph, v: int, work: LpWork) -> tuple[tuple[int, ...] | None, int, int]:
+    """First-half node v's LP verdict (h, det, value), solved and stored on
+    the graph once; ``_mirror`` checks -h on the mirror id then, so readers
+    take -h unchecked."""
+    store = graph.derived.setdefault("slack_lp", {})
+    verdict = store.get(v)
+    if verdict is not None:
         work.reused += 1
-    return cert
+        return verdict
+    keys = graph.keys
+    h, det, value, pivots = _certify(graph.config, keys[v])
+    if h is not None:
+        _mirror(h, keys[len(keys) - 1 - v], _integer_circuits(graph.config))
+    store[v] = verdict = (h, det, value)
+    work.solved += 1
+    work.pivots += pivots
+    return verdict
 
 
-def graph_certificates(graph) -> tuple[list[RegularityCertificate], int, int, LpWork]:
-    """Every node's certificate, with one LP per half-turn pair.
+def graph_certificates(graph) -> tuple[Iterator[RegularityCertificate], LpWork]:
+    """Every node's certificate in id order, with one LP per half-turn pair.
 
     The first half of the ids, through the middle one, take their LP's
-    certificate.  The mirror id len(graph) - 1 - v gets the same verdict; a
-    regular one also gets the negated witness, checked by ``_mirror`` on
-    integers, and the same slack.  Returns the certificates in id order, how
-    many verdicts came by LP and by half-turn, and the LP work.
+    verdict; the mirror id len(graph) - 1 - v takes it with the negated
+    witness.  The LPs are solved, or read from the graph, before this
+    returns with the LP work; each certificate is built as it is read.
     """
-    table = _integer_circuits(graph.config)
-    keys = graph.keys
-    certs: list[RegularityCertificate] = [None] * len(keys)  # type: ignore[list-item]
     work = LpWork()
-    by_lp = by_half_turn = 0
-    for v in range((len(keys) + 1) // 2):
-        cert = _node_certificate(graph, v, work)
-        by_lp += 1
-        certs[v] = cert
-        image = len(keys) - 1 - v
-        if image == v:
-            continue
-        by_half_turn += 1
-        if cert.regular:
-            h, scale = _integer_witness(cert)
-            witness = tuple(Fraction(x, scale) for x in _mirror(h, keys[image], table))
-            cert = RegularityCertificate(True, witness, cert.slack)
-        certs[image] = cert
-    return certs, by_lp, by_half_turn, work
+    size = len(graph)
+    half = [_verdict(graph, v, work) for v in range((size + 1) // 2)]
+    certs = (
+        _certificate(*half[v]) if v < len(half) else _certificate(*half[size - 1 - v], -1)
+        for v in range(size)
+    )
+    return certs, work
 
 
 # ---------------------------------------------------------------------------
@@ -495,42 +490,41 @@ def regular_set(graph) -> RegularSet:
     """The regular nodes of an enumerated flip graph, without an LP per node.
 
     Walks the first half of the ids, through the middle one.  A node whose
-    LP certificate the graph holds already takes it; any other node is first
-    probed from the witness of each certified neighbour, and when no probe
-    passes the exact sign check, its LP decides it, solved at most once per
-    graph.  Either way its half-turn image, the mirror id len(graph) - 1 - v,
-    which the walk never reaches first, gets the same verdict: sigma_h(-h) is
-    the complement key, so -h certifies the image, and an image of an
-    irregular node is irregular.  Every regular verdict rests on an exact integer sign
-    check of a witness (``_mirror`` checks the image's), every irregular one
-    on an exact LP.
+    LP verdict the graph stores takes it; any other node is first probed
+    from the witness of each certified neighbour, and when no probe passes
+    the exact sign check, its LP decides it, solved at most once per graph.
+    Either way its half-turn image, the mirror id len(graph) - 1 - v, which
+    the walk never reaches first, gets the same verdict: sigma_h(-h) is the
+    complement key, so -h certifies the image, and an image of an irregular
+    node is irregular.  Every regular verdict rests on an exact integer sign
+    check of a witness (``_mirror`` checks the image's, once: for an LP
+    verdict when the LP is solved), every irregular one on an exact LP.
     """
     table = _integer_circuits(graph.config)
     keys = graph.keys
+    stored = graph.derived.setdefault("slack_lp", {})
     witness: list[tuple[int, ...] | None] = [None] * len(keys)
     work = LpWork()
-    memo = _stored_certificates(graph)
-    by_lp = by_probe = by_half_turn = 0
+    by_probe = 0
     for v in range((len(keys) + 1) // 2):
         key = keys[v]
+        image = len(keys) - 1 - v
         h = None
-        if v not in memo:  # a stored certificate decides v without a probe
+        if v not in stored:  # a stored verdict decides v without a probe
             for u in graph.adj[v]:
                 if witness[u] is not None:
                     flipped = table[(key ^ keys[u]).bit_length() - 1]
                     h = _probe(witness[u], flipped, key, table)
                     if h is not None:
-                        by_probe += 1
                         break
-        if h is None:
-            by_lp += 1
-            cert = _node_certificate(graph, v, work)
-            if cert.regular:
-                h, _ = _integer_witness(cert)
-        image = graph.opposite_node(v)
+        if h is not None:
+            by_probe += 1
+            mirror = _mirror(h, keys[image], table)
+        else:
+            h = _verdict(graph, v, work)[0]
+            mirror = None if h is None else tuple(-x for x in h)
         witness[v] = h
         if image != v:
-            by_half_turn += 1
-            witness[image] = None if h is None else _mirror(h, keys[image], table)
+            witness[image] = mirror
     nodes = frozenset(v for v, h in enumerate(witness) if h is not None)
-    return RegularSet(nodes, by_lp, by_probe, by_half_turn, work)
+    return RegularSet(nodes, work.solved + work.reused, by_probe, len(keys) // 2, work)

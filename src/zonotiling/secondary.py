@@ -362,8 +362,9 @@ def _skeleton_iso_via_opposite(
     if len(left) != len(right):
         return False
     mapping: list[int | None] = [None] * len(left)
+    last = len(graph) - 1  # the half-turn maps id v to last - v
     for idx, members in enumerate(left.classes):
-        images = {right.component_of[graph.opposite_node(v)] for v in members}
+        images = {right.component_of[last - v] for v in members}
         if len(images) != 1 or None in images:
             return False
         mapping[idx] = images.pop()

@@ -402,6 +402,53 @@ def test_one_process_enumerates_once_and_solves_each_lp_once(monkeypatch, capsys
     assert "LPs: 0 solved, 454 reused from the graph; 0 simplex pivots" in out
 
 
+def test_each_witness_is_checked_once_per_process(monkeypatch, capsys):
+    # classify checks each regular pair's mirror witness when it solves the
+    # pair's LP; diameters then reads the stored verdicts and checks nothing
+    from zonotiling import regularity
+
+    calls = {"_mirror": 0, "_maximize": 0, "_probe": 0}
+    for name in calls:
+        real = getattr(regularity, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(regularity, name, counted)
+    assert run(["classify", "--n", "6"]) == 0
+    assert calls == {"_mirror": 444, "_maximize": 454, "_probe": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    assert run(["diameters", "--n", "6", "--all", "--strict"]) == 0
+    assert calls == {"_mirror": 0, "_maximize": 0, "_probe": 0}
+    assert "888 of 908 tilings regular" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("points", ["1,2,3,4,5,6", "-2,1/3,3,13/3,6,17/2"])
+def test_diameters_then_classify_matches_fresh_runs(tmp_path, capsys, points):
+    # the probing walk stores only the verdicts of the LPs it solved, so the
+    # classify that follows it writes what a fresh classify writes
+    from zonotiling import cli, make_config, regularity
+
+    base = [f"--points={points}", "--strict"]
+    for stage in (["diameters", "--all"], ["classify"]):
+        cli._graph.cache_clear()
+        assert run(stage + base + ["--out", str(tmp_path / "fresh")]) == 0
+    cli._graph.cache_clear()
+    capsys.readouterr()
+    assert run(["diameters", "--all", *base, "--out", str(tmp_path / "one")]) == 0
+    graph = cli._graph(make_config(points.split(",")))
+    stored = graph.derived["slack_lp"]
+    # no probe witness entered the store: each entry is its node's own LP optimum
+    assert all(stored[v] == regularity._certify(graph.config, graph.keys[v])[:3] for v in stored)
+    assert run(["classify", *base, "--out", str(tmp_path / "one")]) == 0
+    if points == "1,2,3,4,5,6":
+        assert len(stored) == 454
+        assert "LPs: 355 solved, 99 reused from the graph" in capsys.readouterr().out
+    for name in ("diameters_n6.json", "classify_n6.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_slot_lets_the_last_graph_go_before_enumerating(monkeypatch, capsys):
     # a new configuration never holds two graphs, and their stored work, at once
     import weakref

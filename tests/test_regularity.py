@@ -613,8 +613,9 @@ class TestGraphCertificates:
 
     @staticmethod
     def check_against_lps(g, expected):
-        certs, by_lp, by_half_turn, _ = regularity.graph_certificates(g)
-        assert (by_lp, by_half_turn) == ((len(g) + 1) // 2, len(g) // 2)
+        certs, work = regularity.graph_certificates(g)
+        # one verdict by LP per half-turn pair, the middle id included
+        assert work.solved + work.reused == (len(g) + 1) // 2
         assert [(c.regular, c.witness, c.slack) for c in certs] == [
             (c.regular, c.witness, c.slack) for c in expected
         ]
@@ -659,7 +660,7 @@ class TestGraphCertificates:
         # -h realizes the complement key only: on any other key it is refused
         cfg = standard_config(5)
         table = regularity._integer_circuits(cfg)
-        h, _ = regularity._integer_witness(classify_orientation(cfg, 0))
+        h = regularity._certify(cfg, 0)[0]
         assert regularity._mirror(h, 0b1111111111, table) == tuple(-x for x in h)
         for key in (0, 0b1111111110):
             with pytest.raises(AssertionError, match="negated witness does not realize"):
