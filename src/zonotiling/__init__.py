@@ -62,17 +62,7 @@ from .secondary import (
     sigma_k_diameter_formula,
     skeleton,
     sum_skeleton_diameter_formula,
-    vert_k,
 )
-from .tiling import (
-    Tile,
-    Tiling,
-    extremal_tiling,
-    orientation_of,
-    tiling_from_heights,
-    tiling_from_tiles,
-    tiling_of_orientation,
-    tiling_to_svg,
-)
+from .tiling import key_offsets, tiling_to_svg
 
 __version__ = "0.1.0"

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .core import Finding, PointConfig, make_config, standard_config
+from .core import Finding, PointConfig, make_config, num_triples, standard_config
 from .flipgraph import (
     FlipGraph,
+    check_node,
     enumerate_tilings,
     expected_level_census,
     graph_to_dot,
@@ -53,7 +54,7 @@ from .secondary import (
     potential,
     skeleton,
 )
-from .tiling import extremal_tiling, tiling_to_svg
+from .tiling import key_offsets, tiling_to_svg
 
 
 @dataclass
@@ -334,18 +335,21 @@ def cmd_chains(ns: argparse.Namespace) -> int:
 
 def cmd_render(ns: argparse.Namespace) -> int:
     run = _resolve(ns)
-    if ns.tiling in ("min", "max"):
-        tiling = extremal_tiling(run.config, ns.tiling)
-        label = ns.tiling
+    n = run.config.n
+    if ns.tiling == "min":
+        key = 0  # every circuit oriented +1
+    elif ns.tiling == "max":
+        key = (1 << num_triples(n)) - 1
     else:
         graph = _graph(run.config)
-        tiling = graph.tiling(int(ns.tiling))
-        label = ns.tiling
-    svg = tiling_to_svg(run.config, tiling)
+        node = int(ns.tiling)
+        check_node(graph, node)
+        key = graph.keys[node]
+    svg = tiling_to_svg(run.config, key_offsets(n, key))
     if run.out is None:
         print(svg)
     else:
-        _write(run, f"tiling_n{run.config.n}_{label}.svg", svg)
+        _write(run, f"tiling_n{n}_{ns.tiling}.svg", svg)
     return _exit(run)
 
 

@@ -2,10 +2,8 @@
 
 A node is stored only as its tiling's orientation bitvector, its key
 (tilings inject into orientation vectors, and a flip toggles exactly one
-bit, so neighbour keys come from a single XOR).  ``FlipGraph.tiling(v)``
-derives the Tiling from the key on demand: the flip along (p, q, r) toggles
-q in the {p, r} offset, p in {q, r} and r in {p, q}, so the offsets are the
-minimal tiling's XOR one such toggle per set bit.  Enumeration is
+bit, so neighbour keys come from a single XOR); ``tiling.key_offsets``
+decodes a key to its tile offsets where a report needs them.  Enumeration is
 breadth-first from the minimal tiling, key 0, with every layer processed in
 sorted key order, so node ids are sorted by (inversion count, key) and stable
 across runs.  The BFS stops at the middle layer: the half-turn (below) gives
@@ -56,7 +54,6 @@ from .core import (
     num_triples,
     triple_rank,
 )
-from .tiling import Tiling, tiling_of_orientation
 
 
 class EnumerationCapError(ValueError):
@@ -116,11 +113,6 @@ class FlipGraph:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def tiling(self, node: int) -> Tiling:
-        """The node's tiling, rebuilt from its orientation key."""
-        check_node(self, node)
-        return tiling_of_orientation(self.n, self.keys[node])
 
     @property
     def min_id(self) -> int:

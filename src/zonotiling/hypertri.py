@@ -15,10 +15,10 @@ class.  It satisfies the consecutive-triple condition
 is a sorted tuple of node ids from the partition code in ``secondary``, and
 ``reduced_cross_section`` reads exactly its members' slices.
 
-No Tiling is built for a slice: ``key_slices`` reads the level-k and
-level-(k+1) slices off the orientation key, because a subset is a vertex
-exactly when no circuit forbids its trace on the circuit's triple (the
-chamber-set condition, proved there).
+No key is decoded to tile offsets for a slice: ``key_slices`` reads the
+level-k and level-(k+1) slices off the orientation key, because a subset is
+a vertex exactly when no circuit forbids its trace on the circuit's triple
+(the chamber-set condition, proved there).
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     the k-class quotient (reduced paths at level k+1) and measures both
     diameters against their closed forms.  Each node's level-k and
     level-(k+1) slices are read once off its orientation key by
-    ``key_slices``, as one word; no Tiling is built.  Every distinct level-k
+    ``key_slices``, as one word; no key is decoded to tiles.  Every distinct level-k
     slice must be a monotone path, the lifting classes must be exactly the
     groups of equal slices, and each qualifying flip edge must toggle exactly
     one slice vertex.  Each k-class's reduced path is computed once, from

@@ -25,9 +25,12 @@ off the offset-size census.  Every node's census is read off its key
 (``offset_sizes``) once per graph and stored on it, n bytes per node, so no
 potential builds a tiling.
 
-``diameter_report`` compares ``vert_k`` across classes once per k, but reads
-each node's tiles once per graph: one pass adds every tile's area into the
-vector of its offset size, for all k at once, and each distinct vector is
+The level-k vertex vector ``vert_k`` of a tiling sums, over its
+offset-size-k tiles, the tile's area times its offset's indicator.
+``diameter_report`` compares it across classes once per k, but decodes each
+node's key to its offsets once per graph: a table packs every tile's area
+into one int, in the fields of its offset size and offset members, so a
+node's vectors at all levels are one sum, and each level's slice of it is
 kept once, with a small id per node and level.
 """
 
@@ -35,12 +38,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain
+from operator import getitem
 from typing import Collection, Iterable, Sequence
 
-from .core import Finding, PointConfig, colex_pairs, format_rational, integer_coords, mask_points
+from .core import Finding, PointConfig, colex_pairs, format_rational, integer_coords
 from .flipgraph import (
     FlipGraph,
     check_node,
@@ -49,60 +51,55 @@ from .flipgraph import (
     components_excluding_levels,
     graph_diameter,
 )
-from .tiling import Tiling, offset_sizes, tiling_of_orientation
+from .tiling import key_offsets, offset_sizes
 
 
-def vert_k(config: PointConfig, tiling: Tiling, k: int) -> tuple[Fraction, ...]:
-    """Sum of tile area times offset indicator over offset-size-k tiles."""
-    out = [Fraction(0)] * config.n
-    for (i, j), mask in zip(colex_pairs(tiling.n), tiling.offsets):
-        if mask.bit_count() != k:
-            continue
-        area = config.coord(j) - config.coord(i)
-        for m in mask_points(mask):
-            out[m - 1] += area
-    return tuple(out)
+def _vert_k_tables(config: PointConfig) -> tuple[list[list[int]], int]:
+    """Per pair and offset mask, the tile's share of every ``vert_k``, packed in one int.
 
-
-@lru_cache(maxsize=None)
-def _members(n: int) -> tuple[tuple[int, ...], ...]:
-    """The 0-based members of every subset of [n], indexed by its mask."""
-    return tuple(tuple(m - 1 for m in mask_points(mask)) for mask in range(1 << n))
-
-
-def _scaled_vert_ks(coords: Sequence[int], tiling: Tiling) -> list[tuple[int, ...]]:
-    """``vert_k`` for every k = 0 .. n-2, times the common positive scale of
-    the integer coordinates, from one pass over the tiles."""
-    n = tiling.n
-    members = _members(n)
-    out = [[0] * n for _ in range(n - 1)]
-    for (i, j), mask in zip(colex_pairs(n), tiling.offsets):
-        area = coords[j - 1] - coords[i - 1]
-        vec = out[mask.bit_count()]
-        for m in members[mask]:
-            vec[m] += area
-    return [tuple(vec) for vec in out]
+    On the integer coordinates, the tile of the pair (i, j) with offset A
+    adds its area a_j - a_i to entry m of ``vert_|A|`` for each m in A.  Its
+    table entry holds that area in the field of (|A|, m), for each m in A:
+    ``width`` bits at shift width * (n |A| + m).  A field sums the areas of
+    distinct tiles, so it stays below 2 ** width, the total area's bit
+    length, and no sum carries into the next field.  Masks that meet their
+    own pair get entries that no tiling reads.
+    """
+    n = config.n
+    _, coords = integer_coords(config)
+    areas = [coords[j - 1] - coords[i - 1] for i, j in colex_pairs(n)]
+    width = sum(areas).bit_length()
+    unit = [
+        sum(1 << width * (n * mask.bit_count() + m) for m in range(n) if mask >> m & 1)
+        for mask in range(1 << n)
+    ]
+    return [[area * u for u in unit] for area in areas], width
 
 
 def _vert_k_ids(graph: FlipGraph, nodes: Iterable[int]) -> array:
     """Ids of the nodes' ``vert_k`` on the integer coordinates, for k = 1 .. n-2.
 
     Entry v * (n - 2) + k - 1 is the id of node v's vector at level k, and
-    equal ids mean equal vectors.  A node's tiles are read on the first call
-    that names it and give every level at once; the ids and one copy of each
-    distinct vector are stored on the graph, so later calls read them.
+    equal ids mean equal vectors.  A node's key is decoded on the first call
+    that names it, and one sum of table entries gives every level at once;
+    the ids and one copy of each distinct packed vector are stored on the
+    graph, so later calls read them.
     """
     n = graph.n
     stored = graph.derived.get("vert_k")
     if stored is None:
-        stored = graph.derived["vert_k"] = (array("i", [-1]) * (len(graph) * (n - 2)), {})
-    ids, distinct = stored
-    _, coords = integer_coords(graph.config)
+        stored = graph.derived["vert_k"] = (
+            array("i", [-1]) * (len(graph) * (n - 2)), {}, *_vert_k_tables(graph.config)
+        )
+    ids, distinct, tables, width = stored
+    field = width * n  # bits of one level's vector
+    ones = (1 << field) - 1
     for v in nodes:
         if ids[v * (n - 2)] < 0:
-            vectors = _scaled_vert_ks(coords, tiling_of_orientation(n, graph.keys[v]))
+            packed = sum(map(getitem, tables, key_offsets(n, graph.keys[v])))
             for k in range(1, n - 1):
-                ids[v * (n - 2) + k - 1] = distinct.setdefault(vectors[k], len(distinct))
+                vector = (packed >> field * k) & ones
+                ids[v * (n - 2) + k - 1] = distinct.setdefault(vector, len(distinct))
     return ids
 
 

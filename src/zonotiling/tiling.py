@@ -1,224 +1,49 @@
-"""Tiles, tilings, regular tilings from heights, orientation keys, and SVG.
+"""Orientation keys decoded to tile offsets and offset sizes, and SVG.
 
 A fine tiling of the zonotope of n lifted vectors uses exactly one
 parallelogram tile per basis pair B = {i, j}: the tile with offset set A is
-anchored at (sum_{m in A} a_m, |A|) and spanned by v_i and v_j.  A tiling is
-therefore stored as a pair-indexed tuple of offset bitmasks, which keeps
-values immutable and hashable.
+anchored at (sum_{m in A} a_m, |A|) and spanned by v_i and v_j.  The package
+holds a tiling only as its orientation key; ``key_offsets`` decodes a key to
+the pair-indexed offset bitmasks.
 
 Orientation convention.  For the circuit p < q < r, the tiling orients the
 circuit +1 exactly when q is missing from the offset of the B = {p, r} tile.
 The minimal tiling (convex heights, offset-size census ell+1) orients every
-circuit +1; the maximal tiling (concave heights, census n-1-ell) orients
-every circuit -1.  A *raising* flip toggles one circuit from +1 to -1, i.e.
-walks from the minimal toward the maximal tiling and increases the
-inversion count of the orientation vector by one.
+circuit +1, so its key is 0; the maximal tiling (concave heights, census
+n-1-ell) orients every circuit -1, so its key has all C(n,3) bits set.  A
+*raising* flip toggles one circuit from +1 to -1, i.e. walks from the
+minimal toward the maximal tiling and increases the inversion count of the
+orientation vector by one.
 
 A tiling is fixed by its orientation key.  Whatever its offset A, the flip
 along (p, q, r) toggles q in the {p, r} offset, p in the {q, r} offset and r
-in the {p, q} offset, so ``tiling_of_orientation`` rebuilds the offsets as
-the minimal tiling's XOR that toggle for every set bit of the key.  Each
-set bit's toggle changes the minimal tiling's sizes of the {p, r}, {q, r}
-and {p, q} offsets by +1, -1 and -1, so ``offset_sizes`` reads the sizes
-alone off the key, without a tiling.
+in the {p, q} offset, so ``key_offsets`` rebuilds the offsets as the minimal
+tiling's XOR that toggle for every set bit of the key.  Each set bit's
+toggle changes the minimal tiling's sizes of the {p, r}, {q, r} and {p, q}
+offsets by +1, -1 and -1, so ``offset_sizes`` reads the sizes alone off the
+key, without decoding the offsets.
 
-No stage flips or validates a Tiling; ``tests/tile_oracle.py`` keeps the
-tile-based flips and audit as the reference for the key route.
+``tests/tile_oracle.py`` keeps the tile route, a ``Tiling`` of offsets with
+its flips, heights, orientations and audit, as the reference for the key
+route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .core import (
-    HeightVector,
-    NonGenericHeightError,
-    OrientationVector,
     PointConfig,
-    as_heights,
     byte_tables,
     colex_pairs,
     colex_triples,
     full_mask,
-    integer_coords,
-    mask_from,
     mask_points,
     num_pairs,
     pair_rank,
 )
-
-
-@dataclass(frozen=True)
-class Tile:
-    """A single parallelogram: offset set A and basis pair B = (i, j)."""
-
-    offset: frozenset[int]
-    pair: tuple[int, int]
-
-    def to_json(self) -> dict:
-        return {"A": sorted(self.offset), "B": list(self.pair)}
-
-
-@dataclass(frozen=True)
-class Tiling:
-    """A fine zonotopal tiling: one offset bitmask per colex-ranked pair."""
-
-    n: int
-    offsets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.offsets) != num_pairs(self.n):
-            raise ValueError("need exactly one offset per basis pair")
-
-    def offset_mask(self, i: int, j: int) -> int:
-        return self.offsets[pair_rank(i, j)]
-
-    def tiles(self) -> Iterator[Tile]:
-        for (i, j), mask in zip(colex_pairs(self.n), self.offsets):
-            yield Tile(frozenset(mask_points(mask)), (i, j))
-
-    def offset_size_census(self) -> tuple[int, ...]:
-        """Number of tiles at each offset size 0 .. n-2."""
-        census = [0] * (self.n - 1)
-        for mask in self.offsets:
-            census[mask.bit_count()] += 1
-        return tuple(census)
-
-    def vertex_masks(self) -> frozenset[int]:
-        """All vertices of the tiling as subset masks: A <= S <= A|B per tile."""
-        return _vertex_set(zip(self.offsets, colex_pairs(self.n)))
-
-    def to_json(self) -> dict:
-        tiles = sorted(self.tiles(), key=lambda t: t.pair)
-        return {"n": self.n, "tiles": [t.to_json() for t in tiles]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Tiling":
-        tiles = [(t["A"], tuple(t["B"])) for t in data["tiles"]]
-        return tiling_from_tiles(data["n"], tiles)
-
-
-def _vertex_set(tiles: Iterable[tuple[int, tuple[int, int]]]) -> frozenset[int]:
-    """Vertices of (offset mask, pair) tiles as subset masks: A <= S <= A|B."""
-    verts = set()
-    add = verts.add
-    for mask, (i, j) in tiles:
-        bi = 1 << (i - 1)
-        bj = 1 << (j - 1)
-        add(mask)
-        add(mask | bi)
-        add(mask | bj)
-        add(mask | bi | bj)
-    return frozenset(verts)
-
-
-def tiling_from_tiles(n: int, tiles: Iterable[tuple[Iterable[int], tuple[int, int]]]) -> Tiling:
-    """Assemble a Tiling from (offset, pair) items; every pair exactly once."""
-    offsets: list[int | None] = [None] * num_pairs(n)
-    for raw_offset, (i, j) in tiles:
-        if not 1 <= i < j <= n:
-            raise ValueError(f"bad basis pair ({i}, {j})")
-        mask = raw_offset if isinstance(raw_offset, int) else mask_from(raw_offset)
-        rank = pair_rank(i, j)
-        if offsets[rank] is not None:
-            raise ValueError(f"basis pair ({i}, {j}) occurs more than once")
-        if mask & ((1 << (i - 1)) | (1 << (j - 1))):
-            raise ValueError(f"offset of tile ({i}, {j}) meets its own pair")
-        if mask >> n:
-            raise ValueError(f"offset of tile ({i}, {j}) is not a subset of [n]")
-        offsets[rank] = mask
-    missing = [colex_pairs(n)[r] for r, m in enumerate(offsets) if m is None]
-    if missing:
-        raise ValueError(f"missing tiles for pairs {missing}")
-    return Tiling(n, tuple(offsets))  # type: ignore[arg-type]
-
-
-# ---------------------------------------------------------------------------
-# regular tilings from height vectors
-
-def tiling_from_heights(config: PointConfig, heights: Sequence[int | str | Fraction]) -> Tiling:
-    """Project the upper boundary of the lifted zonotope for heights h.
-
-    For each pair i < j the offset collects the points lying strictly above
-    the chord through (a_i, h_i) and (a_j, h_j); a point exactly on a chord
-    means h is not generic and raises NonGenericHeightError.  The resulting
-    tiling satisfies orientation_of(result) == sigma_h(config, h).
-
-    Point m lies above the chord exactly when
-    h_m (a_j - a_i) > h_i (a_j - a_m) + h_j (a_m - a_i), since a_j > a_i.
-    Scaling the coordinates and the heights by positive integers keeps the
-    sign of both sides' difference, so the test runs on integers.
-    """
-    h = as_heights(config, heights)
-    hscale = lcm(*(x.denominator for x in h))
-    hs = [x.numerator * (hscale // x.denominator) for x in h]
-    _, a = integer_coords(config)
-    n = config.n
-    offsets = []
-    for i, j in colex_pairs(n):
-        ai, aj = a[i - 1], a[j - 1]
-        hi, hj = hs[i - 1], hs[j - 1]
-        span = aj - ai
-        # above(m) = h_m*span - (h_i*(a_j - a_m) + h_j*(a_m - a_i)), expanded
-        tilt = hi - hj
-        base = hj * ai - hi * aj
-        mask = 0
-        for m in range(n):
-            if m == i - 1 or m == j - 1:
-                continue
-            above = hs[m] * span + tilt * a[m] + base
-            if above == 0:
-                raise NonGenericHeightError(tuple(sorted((i, m + 1, j))))
-            if above > 0:
-                mask |= 1 << m
-        offsets.append(mask)
-    return Tiling(n, tuple(offsets))
-
-
-def extremal_heights(config: PointConfig, which: str) -> HeightVector:
-    """Height vectors certifying the extremal tilings: +-a_i^2."""
-    if which == "min":
-        return tuple(a * a for a in config.coords)
-    if which == "max":
-        return tuple(-a * a for a in config.coords)
-    raise ValueError("which must be 'min' or 'max'")
-
-
-def extremal_tiling(config: PointConfig, which: str) -> Tiling:
-    """The minimal (census ell+1) or maximal (census n-1-ell) tiling.
-
-    Convex heights a_i^2 put every point outside a chord's span strictly
-    above it, so the pair (i, j) gets offset [n] \\ [i..j]; that produces
-    the ell+1 offset-size census identifying the minimal tiling.  The census
-    is asserted so a convention drift would fail loudly.
-    """
-    tiling = tiling_from_heights(config, extremal_heights(config, which))
-    census = tiling.offset_size_census()
-    n = config.n
-    if which == "min":
-        expected = tuple(ell + 1 for ell in range(n - 1))
-    else:
-        expected = tuple(n - 1 - ell for ell in range(n - 1))
-    if census != expected:
-        raise AssertionError(f"extremal census mismatch: {census} != {expected}")
-    return tiling
-
-
-# ---------------------------------------------------------------------------
-# orientation
-
-def orientation_of(tiling: Tiling) -> OrientationVector:
-    """Circuit signs read off the offsets: +1 iff q misses the {p, r} tile."""
-    signs = []
-    for p, q, r in colex_triples(tiling.n):
-        mask = tiling.offset_mask(p, r)
-        signs.append(-1 if (mask >> (q - 1)) & 1 else 1)
-    return OrientationVector.from_signs(signs)
 
 
 @lru_cache(maxsize=None)
@@ -243,8 +68,8 @@ def _toggle_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...], int, int]:
     return packed, byte_tables(toggles), width, len(toggles)
 
 
-def tiling_of_orientation(n: int, bits: int) -> Tiling:
-    """The tiling with orientation key ``bits``: the inverse of orientation_of.
+def key_offsets(n: int, bits: int) -> tuple[int, ...]:
+    """Each pair's offset mask, in colex order, of the tiling with orientation key ``bits``.
 
     Starts from the minimal tiling (key 0) and XORs in, a key byte at a
     time, the offset toggles of every set bit.  A key that orients no tiling
@@ -258,10 +83,8 @@ def tiling_of_orientation(n: int, bits: int) -> Tiling:
         bits >>= 8
     raw = packed.to_bytes(width * num_pairs(n), "little")
     if width == 1:  # n <= 8: one byte per offset
-        return Tiling(n, tuple(raw))
-    return Tiling(
-        n, tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
-    )
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
 
 
 @lru_cache(maxsize=None)
@@ -306,12 +129,13 @@ _LEVEL_FILLS = (
 )
 
 
-def tiling_to_svg(config: PointConfig, tiling: Tiling, scale: float = 40.0) -> str:
-    """Draw each tile as the parallelogram anchored at (sum_A a_m, |A|)."""
+def tiling_to_svg(config: PointConfig, offsets: Sequence[int], scale: float = 40.0) -> str:
+    """Draw each tile, given its offset per pair in colex order, as the
+    parallelogram anchored at (sum_A a_m, |A|)."""
     polygons = []
     xs: list[float] = []
     ys: list[float] = []
-    for (i, j), mask in zip(colex_pairs(config.n), tiling.offsets):
+    for (i, j), mask in zip(colex_pairs(config.n), offsets):
         ax = float(sum(config.coord(m) for m in mask_points(mask)))
         ay = float(mask.bit_count())
         vi = (float(config.coord(i)), 1.0)

@@ -1,3 +1,5 @@
+import sys
+
 import hypothesis
 import pytest
 
@@ -7,6 +9,7 @@ from zonotiling import (
     enumerate_tilings,
     equivalence_classes,
     standard_config,
+    tiling,
 )
 
 hypothesis.settings.register_profile(
@@ -20,6 +23,22 @@ def fresh_cli_graph():
     """Empty the CLI's one-graph slot, so a test that counts enumerations,
     LPs or tilings does not read what an earlier test left on the graph."""
     cli._graph.cache_clear()
+
+
+@pytest.fixture
+def decoded_keys(monkeypatch):
+    """The keys the package decodes to tile offsets during the test, spied on
+    under every name a ``zonotiling`` module binds ``key_offsets`` to."""
+    keys, real = [], tiling.key_offsets
+
+    def spy(n, key):
+        keys.append(key)
+        return real(n, key)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "zonotiling" and getattr(module, "key_offsets", None) is real:
+            monkeypatch.setattr(module, "key_offsets", spy)
+    return keys
 
 
 @pytest.fixture(scope="session")

@@ -12,20 +12,25 @@ import time
 from fractions import Fraction
 from math import comb
 
-from tile_oracle import cross_section
+from tile_oracle import (
+    cross_section,
+    extremal_tiling,
+    orientation_of,
+    tiling_from_heights,
+    tiling_of_orientation,
+    vert_k,
+)
 from zonotiling import (
     classify_orientation,
     duality_check,
     enumerate_tilings,
     expected_level_census,
-    extremal_tiling,
     graph_diameter,
     hypertri_diameters,
     level_census,
     make_config,
     max_chain_through,
     MonotonePath,
-    orientation_of,
     potential,
     reduced_cross_section,
     sample_chain,
@@ -34,8 +39,6 @@ from zonotiling import (
     standard_config,
     strongly_separated,
     sum_skeleton_diameter_formula,
-    tiling_from_heights,
-    vert_k,
 )
 from zonotiling.flipgraph import bfs_distances
 from zonotiling.oracle import commutation_census
@@ -189,13 +192,13 @@ def test_c08_regularity_soundness():
 def test_c09_strong_separation_and_lifting_fixtures(graphs, k_class):
     separated_ok = True
     for n in (2, 3, 4, 5):
-        for t in map(graphs(n).tiling, range(len(graphs(n)))):
-            verts = sorted(t.vertex_masks())
+        for key in graphs(n).keys:
+            verts = sorted(tiling_of_orientation(n, key).vertex_masks())
             for i, a in enumerate(verts):
                 for b in verts[i + 1 :]:
                     separated_ok = separated_ok and strongly_separated(a, b)
 
-    paths4 = {cross_section(t, 2).vertices for t in map(graphs(4).tiling, range(len(graphs(4))))}
+    paths4 = {cross_section(tiling_of_orientation(4, key), 2).vertices for key in graphs(4).keys}
     nonlifting_absent = ((1, 2), (1, 3), (1, 4), (2, 4), (3, 4)) not in paths4
     lifting_present = ((1, 2), (1, 3), (1, 4), (3, 4)) in paths4
 
@@ -203,7 +206,8 @@ def test_c09_strong_separation_and_lifting_fixtures(graphs, k_class):
     g = enumerate_tilings(cfg)
     target = ((1, 2), (1, 3), (3, 4), (3, 5), (4, 5))
     nodes = [
-        v for v in range(len(g)) if cross_section(g.tiling(v), 2).vertices == target
+        v for v, key in enumerate(g.keys)
+        if cross_section(tiling_of_orientation(5, key), 2).vertices == target
     ]
     slice_occurs = bool(nodes)
 
@@ -266,7 +270,8 @@ def test_c11_opposite_pair_at_distance_one(graphs, regulars):
 def test_c12_vert_k_transport_and_distinctness(graphs, regulars):
     cfg = standard_config(5)
     g = graphs(5)
-    vecs = {k: [vert_k(cfg, t, k) for t in map(g.tiling, range(len(g)))] for k in range(1, 4)}
+    tilings = [tiling_of_orientation(5, key) for key in g.keys]
+    vecs = {k: [vert_k(cfg, t, k) for t in tilings] for k in range(1, 4)}
     ok = True
     for u, v, level in g.undirected_edges():
         for k in range(1, 4):

@@ -122,6 +122,31 @@ def test_render_by_node_id(tmp_path):
     assert (tmp_path / "tiling_n4_5.svg").read_text().count("<polygon") == 6
 
 
+@pytest.mark.parametrize(
+    "points",
+    [",".join(map(str, range(1, n + 1))) for n in range(2, 7)] + ["-2,1/3,3,13/3,6,17/2"],
+)
+def test_render_extremes_match_the_height_route(tmp_path, monkeypatch, points):
+    # min and max are the keys 0 and 2^C(n,3) - 1: drawn without a graph,
+    # they must be the tilings the convex and concave heights project
+    from tile_oracle import extremal_tiling
+    from zonotiling import cli, make_config, tiling_to_svg
+
+    config = make_config(points.split(","))
+    enumerated = []
+    monkeypatch.setattr(cli, "enumerate_tilings", lambda cfg: enumerated.append(cfg))
+    base = [f"--points={points}", "--out", str(tmp_path)]
+    for which in ("min", "max"):
+        assert run(["render", "--tiling", which, *base]) == 0
+        svg = (tmp_path / f"tiling_n{config.n}_{which}.svg").read_text()
+        assert svg == tiling_to_svg(config, extremal_tiling(config, which).offsets) + "\n"
+    assert enumerated == []
+    monkeypatch.undo()
+    last = len(cli._graph(config)) - 1
+    assert run(["render", "--tiling", str(last), *base]) == 0
+    assert (tmp_path / f"tiling_n{config.n}_{last}.svg").read_text() == svg
+
+
 def test_oracle_count(capsys):
     assert run(["oracle-count", "--n", "4"]) == 0
     assert "8 commutation classes" in capsys.readouterr().out
@@ -294,64 +319,39 @@ def test_classify_n6_matches_recorded_digest(tmp_path):
     assert digest == _recorded_digests(6)["classify_n6.json"]
 
 
-def test_classify_builds_no_tiling(monkeypatch, capsys):
+def test_classify_builds_no_tiling(decoded_keys, capsys):
     # every verdict is decided and checked on the orientation key alone
-    from zonotiling.tiling import Tiling
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("classify built a Tiling")
-
-    monkeypatch.setattr(Tiling, "__init__", refuse)
     assert run(["classify", "--n", "6"]) == 0
     assert "908 tilings: 888 regular, 20 irregular" in capsys.readouterr().out
+    assert decoded_keys == []
 
 
-def test_potential_builds_no_tiling(tmp_path, monkeypatch):
+def test_potential_builds_no_tiling(tmp_path, decoded_keys):
     # offset sizes are read off the orientation keys, once per graph
-    from zonotiling.tiling import Tiling
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("potential built a Tiling")
-
-    monkeypatch.setattr(Tiling, "__init__", refuse)
     assert run(["potential", "--n", "6", "--ref", "0", "--all", "--out", str(tmp_path)]) == 0
+    assert decoded_keys == []
     digest = hashlib.sha256((tmp_path / "potential_n6_ref0.json").read_bytes()).hexdigest()
     assert digest == _recorded_digests(6)["potential_n6_ref0.json"]
 
 
-def test_diameters_reads_each_regular_tiling_once(tmp_path, monkeypatch, capsys):
-    # vert_k of every level comes from one read of a node's tiles
-    from zonotiling.tiling import Tiling
-
-    built = []
-    real = Tiling.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(Tiling, "__init__", counted)
+def test_diameters_reads_each_regular_tiling_once(tmp_path, decoded_keys, capsys):
+    # vert_k of every level comes from one decoding of a node's key
     assert run(["diameters", "--n", "6", "--all", "--strict", "--out", str(tmp_path)]) == 0
     assert "888 of 908 tilings regular" in capsys.readouterr().out
-    assert 0 < len(built) <= 888
-    assert len(set(built)) == len(built)
+    assert 0 < len(decoded_keys) <= 888
+    assert len(set(decoded_keys)) == len(decoded_keys)
     digest = hashlib.sha256((tmp_path / "diameters_n6.json").read_bytes()).hexdigest()
     assert digest == _recorded_digests(6)["diameters_n6.json"]
 
 
-def test_hypertri_fixtures_build_no_tiling(tmp_path, monkeypatch):
+def test_hypertri_fixtures_build_no_tiling(tmp_path, decoded_keys):
     # the n = 4 and n = 5 fixture paths are read off the orientation keys
-    from zonotiling.tiling import Tiling
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("hypertri built a Tiling")
-
-    monkeypatch.setattr(Tiling, "__init__", refuse)
     for n, k in ((4, 2), (5, 1)):
         assert run(["hypertri", "--n", str(n), "--k", str(k), "--out", str(tmp_path)]) == 0
         name = f"hypertri_n{n}_k{k}.json"
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == _recorded_digests(n)[name]
+    assert decoded_keys == []
 
 
 def _pipeline_stages(n: int) -> list[list[str]]:

@@ -5,7 +5,16 @@ from math import comb
 import pytest
 
 from full_bfs_oracle import full_bfs_graph
-from tile_oracle import FlipMove, apply_flip, available_flips, flip_along, tile_route_graph
+from tile_oracle import (
+    FlipMove,
+    apply_flip,
+    available_flips,
+    extremal_tiling,
+    flip_along,
+    orientation_of,
+    tile_route_graph,
+    tiling_of_orientation,
+)
 from zonotiling import (
     diameter,
     distance,
@@ -18,14 +27,13 @@ from zonotiling import (
     make_config,
     max_chain_through,
     modified_potential,
-    orientation_of,
     potential,
     regular_set,
     sample_chain,
     skeleton,
     standard_config,
 )
-from zonotiling import flipgraph
+from zonotiling import cli, flipgraph
 from zonotiling.core import colex_triples, triple_rank
 from zonotiling.flipgraph import (
     EnumerationCapError,
@@ -35,7 +43,6 @@ from zonotiling.flipgraph import (
     key_flips,
 )
 from zonotiling.secondary import potential_between
-from zonotiling.tiling import Tiling, extremal_tiling, tiling_of_orientation
 
 
 def reference_diameter(adj):
@@ -108,7 +115,7 @@ def test_keys_match_orientations_and_min_max(graphs):
     assert g.keys[0] == 0
     assert g.keys[g.max_id] == (1 << 10) - 1
     for v in (0, 5, 30, 61):
-        assert orientation_of(g.tiling(v)).bits == g.keys[v]
+        assert orientation_of(tiling_of_orientation(5, g.keys[v])).bits == g.keys[v]
 
 
 def test_edges_symmetric_with_complementary_directions(graphs):
@@ -147,7 +154,7 @@ def test_edges_agree_with_flip_along(points, n):
         for v, level in zip(nbrs, g.levels[u]):
             bit = g.keys[u] ^ g.keys[v]
             assert bit.bit_count() == 1
-            move = flip_along(g.tiling(u), *triples[bit.bit_length() - 1])
+            move = flip_along(tiling_of_orientation(n, g.keys[u]), *triples[bit.bit_length() - 1])
             assert move is not None
             assert move.level == level
             assert move.raising == (g.keys[v] > g.keys[u])
@@ -168,9 +175,9 @@ def test_key_view_matches_tile_route(points, n):
     assert g.keys == keys
     assert g.adj == adj
     assert g.levels == levels
-    assert [g.tiling(v) for v in range(len(g))] == tilings
-    assert g.tiling(0) == extremal_tiling(config, "min")
-    assert g.tiling(g.max_id) == extremal_tiling(config, "max")
+    assert [tiling_of_orientation(n, key) for key in g.keys] == tilings
+    assert tilings[0] == extremal_tiling(config, "min")
+    assert tilings[g.max_id] == extremal_tiling(config, "max")
     for key in keys:
         assert orientation_of(tiling_of_orientation(n, key)).bits == key
 
@@ -203,13 +210,13 @@ def test_key_flips_match_the_tiles_along_random_walks(n, steps):
         tiling = apply_flip(tiling, moves[rng.randrange(len(moves))])
 
 
-def test_enumeration_builds_no_tiling_or_flip_move(monkeypatch):
+def test_enumeration_builds_no_tiling_or_flip_move(monkeypatch, decoded_keys):
     def refuse(*args, **kwargs):
-        raise AssertionError("enumeration built a Tiling or a FlipMove")
+        raise AssertionError("enumeration built a FlipMove")
 
-    monkeypatch.setattr(Tiling, "__init__", refuse)
     monkeypatch.setattr(FlipMove, "__init__", refuse)
     assert len(enumerate_tilings(standard_config(6))) == 908
+    assert decoded_keys == []
 
 
 @pytest.mark.slow
@@ -316,14 +323,16 @@ class TestDistance:
         lambda g, x: potential_between(g, 0, x, 1),
         lambda g, x: max_chain_through(g, x),
         lambda g, x: max_chain_through(g, x, regular_nodes=set(range(len(g)))),
-        lambda g, x: g.tiling(x),
+        lambda g, x: cli.cmd_render(
+            cli.build_parser().parse_args(["render", f"--n={g.n}", f"--tiling={x}"])
+        ),
         lambda g, x: g.opposite_node(x),
     ],
     ids=[
         "distance-from", "distance-to", "potential", "modified_potential",
         "potential_between-reference", "potential_between-node",
         "max_chain_through", "max_chain_through-regular",
-        "tiling", "opposite_node",
+        "render", "opposite_node",
     ],
 )
 def test_node_ids_outside_the_graph_are_refused(graphs, call, bad):

@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 import full_tableau_oracle
 from fm_oracle import strictly_feasible
 from strategies import configurations
+from tile_oracle import extremal_tiling, orientation_of, tiling_from_heights, tiling_of_orientation
 from zonotiling import (
     circuits,
     classify_orientation,
     enumerate_tilings,
-    extremal_tiling,
     make_config,
-    orientation_of,
     regular_set,
     sigma_h,
     standard_config,
-    tiling_from_heights,
 )
 from zonotiling import regularity
 
@@ -249,7 +247,8 @@ class TestFullTableauDifferential:
         for n in (3, 4, 5):
             cfg = make_config(points[:n])
             g = enumerate_tilings(cfg)
-            for tiling in map(g.tiling, range(len(g))):
+            for key in g.keys:
+                tiling = tiling_of_orientation(n, key)
                 orientation = orientation_of(tiling)
                 lp = full_tableau_oracle.slack_lp(cfg, orientation)
                 assert simplex_max_canonical(*lp) == full_tableau_oracle.simplex_max_canonical(*lp)
@@ -263,7 +262,8 @@ class TestFullTableauDifferential:
         g = graphs(6)
         for v, cert in enumerate(certificates(6)):
             if not cert.regular:
-                expected = full_tableau_oracle.reference_certificate(cfg, orientation_of(g.tiling(v)))
+                tiling = tiling_of_orientation(6, g.keys[v])
+                expected = full_tableau_oracle.reference_certificate(cfg, orientation_of(tiling))
                 assert (cert.regular, cert.witness, cert.slack) == expected
 
     @staticmethod
@@ -277,15 +277,15 @@ class TestFullTableauDifferential:
     @given(configurations(5))
     def test_every_tiling_on_drawn_configurations_n5(self, cfg):
         g = enumerate_tilings(cfg)
-        for tiling in map(g.tiling, range(len(g))):
-            self.check_certificate(cfg, tiling)
+        for key in g.keys:
+            self.check_certificate(cfg, tiling_of_orientation(5, key))
 
     @settings(max_examples=4)
     @given(configurations(6))
     def test_sampled_tilings_on_drawn_configurations_n6(self, cfg):
         g = enumerate_tilings(cfg)
         for v in random.Random(6).sample(range(len(g)), 60):
-            self.check_certificate(cfg, g.tiling(v))
+            self.check_certificate(cfg, tiling_of_orientation(6, g.keys[v]))
 
     def test_random_lps(self):
         for c, A, b in random_lps(31, 400):
@@ -451,7 +451,8 @@ class TestSlackColumns:
             objective = [0] * (2 * k + 2)
             objective[2 * k] = 1
             solved = regularity._maximize(objective, lp.columns(g.keys[v]), lp.rows, lp.width)
-            reference = full_tableau_oracle.slack_lp(cfg, orientation_of(g.tiling(v)))
+            tiling = tiling_of_orientation(cfg.n, g.keys[v])
+            reference = full_tableau_oracle.slack_lp(cfg, orientation_of(tiling))
             assert full_tableau_oracle.read_optimum(solved and solved[:3], 1) == (
                 full_tableau_oracle.simplex_max_canonical(*reference)
             )
@@ -489,14 +490,16 @@ class TestFourierMotzkinCrossCheck:
         cfg = standard_config(n)
         g = graphs(n)
         for v, cert in enumerate(certificates(n)):
-            fm = strictly_feasible(self.rows_for(cfg, orientation_of(g.tiling(v))))
+            tiling = tiling_of_orientation(n, g.keys[v])
+            fm = strictly_feasible(self.rows_for(cfg, orientation_of(tiling)))
             assert fm == cert.regular
 
     def test_all_n6(self, graphs, certificates):
         cfg = standard_config(6)
         g = graphs(6)
         for v, cert in enumerate(certificates(6)):
-            fm = strictly_feasible(self.rows_for(cfg, orientation_of(g.tiling(v))))
+            tiling = tiling_of_orientation(6, g.keys[v])
+            fm = strictly_feasible(self.rows_for(cfg, orientation_of(tiling)))
             assert fm == cert.regular
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from math import comb, lcm
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import configurations
+from tile_oracle import tiling_from_tiles, tiling_of_orientation, vert_k
 from zonotiling import cli, secondary
 from zonotiling import (
     enumerate_tilings,
@@ -21,12 +23,10 @@ from zonotiling import (
     regular_set,
     skeleton,
     standard_config,
-    tiling_from_tiles,
-    vert_k,
 )
 from zonotiling.core import Finding, integer_coords
 from zonotiling.flipgraph import FlipGraph, components_excluding_levels
-from zonotiling.secondary import _scaled_vert_ks, _vert_k_distinct, potential_between
+from zonotiling.secondary import _vert_k_distinct, _vert_k_ids, potential_between
 
 
 class TestVertK:
@@ -38,12 +38,13 @@ class TestVertK:
 
     def test_out_of_range_level_gives_zero_vector(self):
         cfg = standard_config(4)
-        t = enumerate_tilings(cfg).tiling(3)
+        t = tiling_of_orientation(4, enumerate_tilings(cfg).keys[3])
         assert vert_k(cfg, t, 9) == (0, 0, 0, 0)
 
     def test_integer_valued_on_integer_coords(self, graphs):
         cfg = standard_config(5)
-        for t in map(graphs(5).tiling, range(10)):
+        for key in graphs(5).keys[:10]:
+            t = tiling_of_orientation(5, key)
             for k in range(4):
                 assert all(v.denominator == 1 for v in vert_k(cfg, t, k))
 
@@ -51,9 +52,8 @@ class TestVertK:
         # vert_k moves across an edge exactly when the edge level equals k
         cfg = standard_config(5)
         g = graphs(5)
-        vecs = {
-            k: [vert_k(cfg, t, k) for t in map(g.tiling, range(len(g)))] for k in range(1, 4)
-        }
+        tilings = [tiling_of_orientation(5, key) for key in g.keys]
+        vecs = {k: [vert_k(cfg, t, k) for t in tilings] for k in range(1, 4)}
         for u, v, level in g.undirected_edges():
             for k in range(1, 4):
                 changed = vecs[k][u] != vecs[k][v]
@@ -61,20 +61,34 @@ class TestVertK:
 
 
 class TestIntegerVertK:
-    """diameter_report compares vert_k on the integer coordinates."""
+    """diameter_report compares vert_k through ids of packed integer vectors."""
 
     @staticmethod
-    def check(cfg):
+    def assert_ids_match_fractions(g, nodes):
+        """At every level, two of the nodes share an id exactly when the tile
+        route's Fraction vectors are equal."""
+        n = g.n
+        ids = _vert_k_ids(g, nodes)
+        tilings = [tiling_of_orientation(n, g.keys[v]) for v in nodes]
+        for k in range(1, n - 1):
+            pairs = {
+                (vert_k(g.config, t, k), ids[v * (n - 2) + k - 1]) for v, t in zip(nodes, tilings)
+            }
+            assert len(pairs) == len({vec for vec, _ in pairs}) == len({i for _, i in pairs})
+
+    @classmethod
+    def check(cls, cfg):
         g = enumerate_tilings(cfg)
         regs = regular_set(g).nodes
         scale, coords = integer_coords(cfg)
         assert scale == lcm(*(a.denominator for a in cfg.coords))
         assert coords == tuple(int(a * scale) for a in cfg.coords)
+        cls.assert_ids_match_fractions(g, range(len(g)))
+        ids = _vert_k_ids(g, ())
         rng = random.Random(len(g))
         for k in range(1, cfg.n - 1):
-            fractions = [vert_k(cfg, g.tiling(v), k) for v in range(len(g))]
-            integers = [_scaled_vert_ks(coords, g.tiling(v))[k] for v in range(len(g))]
-            assert integers == [tuple(scale * x for x in vec) for vec in fractions]
+            fractions = [vert_k(cfg, tiling_of_orientation(cfg.n, key), k) for key in g.keys]
+            integers = ids[k - 1::cfg.n - 2]
             shuffled = list(range(len(g)))
             rng.shuffle(shuffled)
             partitions = [
@@ -103,6 +117,15 @@ class TestIntegerVertK:
     @given(configurations(6))
     def test_same_verdicts_as_fractions_n6(self, cfg):
         self.check(cfg)
+
+
+    def test_same_ids_as_fractions_on_a_seeded_n7_sample(self):
+        # every hypothesis draw at n = 7 would enumerate about 24,000 tilings;
+        # one seeded configuration and node sample covers the wider fields
+        rng = random.Random(7)
+        pool = sorted({Fraction(a, d) for a in range(-30, 31) for d in range(1, 5)})
+        g = enumerate_tilings(make_config(sorted(rng.sample(pool, 7))))
+        self.assert_ids_match_fractions(g, sorted(rng.sample(range(len(g)), 3000)))
 
 
 class TestEquivalenceClasses:
@@ -306,14 +329,13 @@ class TestPotential:
     @pytest.mark.parametrize("points", [[1, 2, 3, 4, 5], ["-3", "-5/2", "1/3", "4", "11/2"]])
     def test_between_matches_full_potential(self, points):
         g = enumerate_tilings(make_config(points))
+        tilings = [tiling_of_orientation(5, key) for key in g.keys]
         for ref in (g.min_id, 3, g.max_id):
             for k in range(g.n + 1):
                 for thresholds in ("definition", "shifted"):
                     values = potential(g, ref, k, thresholds).values
                     for v in range(len(g)):
-                        expected = self._reference_potential(
-                            g.tiling(ref), g.tiling(v), k, thresholds
-                        )
+                        expected = self._reference_potential(tilings[ref], tilings[v], k, thresholds)
                         assert values[v] == expected
                         assert potential_between(g, ref, v, k, thresholds) == expected
 
@@ -337,8 +359,8 @@ class TestPotential:
         g = enumerate_tilings(standard_config(n))
         census = secondary._census(g)
         assert len(census) == n * len(g)
-        for v in range(len(g)):
-            counts = graphs(n).tiling(v).offset_size_census()
+        for v, key in enumerate(graphs(n).keys):
+            counts = tiling_of_orientation(n, key).offset_size_census()
             assert list(census[v * n:(v + 1) * n]) == [sum(counts[:s]) for s in range(n)]
 
     def test_census_read_once_per_graph(self, monkeypatch):

@@ -1,18 +1,23 @@
-"""The tile route: flips, orientations, validation and slices read off tiles.
+"""The tile route: tilings as offsets, and flips, orientations, heights,
+validation and slices read off tiles.
 
-Test-only reference for the key route in ``zonotiling``, which reads flips
-(``flipgraph.key_flips``) and slices (``hypertri.key_slices``) off
-orientation keys alone.  Every function here works on a ``Tiling``'s
-offsets or vertex set instead, and imports nothing but ``zonotiling.core``
-and ``zonotiling.tiling``, so the tests compare two routes that share no
-code past the ``Tiling`` itself.
+Test-only reference for the key route in ``zonotiling``, which holds a
+tiling only as its orientation key and reads flips (``flipgraph.key_flips``),
+slices (``hypertri.key_slices``), offset sizes and ``vert_k`` off keys.  Here
+a ``Tiling`` is its pair-indexed offsets, and every function works on those
+offsets or on the vertex set they span.  It imports nothing but
+``zonotiling.core`` and ``zonotiling.tiling``'s key decoder, so the tests
+compare two routes that share no code past the offsets of a key.
 """
 
 from collections import Counter, namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 
 from zonotiling.core import (
+    NonGenericHeightError,
     OrientationVector,
+    as_heights,
     colex_pairs,
     colex_triples,
     full_mask,
@@ -21,7 +26,121 @@ from zonotiling.core import (
     num_pairs,
     pair_rank,
 )
-from zonotiling.tiling import Tiling, _vertex_set, extremal_tiling, orientation_of
+from zonotiling.tiling import key_offsets
+
+
+@dataclass(frozen=True)
+class Tiling:
+    """A fine zonotopal tiling: one offset bitmask per colex-ranked pair."""
+
+    n: int
+    offsets: tuple[int, ...]
+
+    def offset_mask(self, i, j):
+        return self.offsets[pair_rank(i, j)]
+
+    def offset_size_census(self):
+        """Number of tiles at each offset size 0 .. n-2."""
+        census = [0] * (self.n - 1)
+        for mask in self.offsets:
+            census[mask.bit_count()] += 1
+        return tuple(census)
+
+    def vertex_masks(self):
+        """All vertices of the tiling as subset masks: A <= S <= A|B per tile."""
+        return _vertex_set(zip(self.offsets, colex_pairs(self.n)))
+
+
+def _vertex_set(tiles):
+    """Vertices of (offset mask, pair) tiles as subset masks: A <= S <= A|B."""
+    verts = set()
+    for mask, (i, j) in tiles:
+        bi = 1 << (i - 1)
+        bj = 1 << (j - 1)
+        verts.update((mask, mask | bi, mask | bj, mask | bi | bj))
+    return frozenset(verts)
+
+
+def tiling_from_tiles(n, tiles):
+    """Assemble a Tiling from (offset, pair) items; every pair exactly once."""
+    offsets = [None] * num_pairs(n)
+    for raw_offset, (i, j) in tiles:
+        if not 1 <= i < j <= n:
+            raise ValueError(f"bad basis pair ({i}, {j})")
+        mask = raw_offset if isinstance(raw_offset, int) else mask_from(raw_offset)
+        rank = pair_rank(i, j)
+        if offsets[rank] is not None:
+            raise ValueError(f"basis pair ({i}, {j}) occurs more than once")
+        if mask & ((1 << (i - 1)) | (1 << (j - 1))):
+            raise ValueError(f"offset of tile ({i}, {j}) meets its own pair")
+        if mask >> n:
+            raise ValueError(f"offset of tile ({i}, {j}) is not a subset of [n]")
+        offsets[rank] = mask
+    missing = [colex_pairs(n)[r] for r, m in enumerate(offsets) if m is None]
+    if missing:
+        raise ValueError(f"missing tiles for pairs {missing}")
+    return Tiling(n, tuple(offsets))
+
+
+def tiling_from_heights(config, heights):
+    """Project the upper boundary of the lifted zonotope for heights h.
+
+    For each pair i < j the offset collects the points lying strictly above
+    the chord through (a_i, h_i) and (a_j, h_j), that is the m with
+    h_m (a_j - a_i) > h_i (a_j - a_m) + h_j (a_m - a_i); a point exactly on
+    a chord means h is not generic and raises NonGenericHeightError.
+    """
+    h = as_heights(config, heights)
+    a = config.coords
+    offsets = []
+    for i, j in colex_pairs(config.n):
+        ai, aj, hi, hj = a[i - 1], a[j - 1], h[i - 1], h[j - 1]
+        mask = 0
+        for m in range(config.n):
+            if m in (i - 1, j - 1):
+                continue
+            above = h[m] * (aj - ai) - hi * (aj - a[m]) - hj * (a[m] - ai)
+            if above == 0:
+                raise NonGenericHeightError(tuple(sorted((i, m + 1, j))))
+            mask |= (above > 0) << m
+        offsets.append(mask)
+    return Tiling(config.n, tuple(offsets))
+
+
+def extremal_tiling(config, which):
+    """The minimal or maximal tiling: the projection of the convex heights
+    a_i^2, which puts every point outside a chord's span above it, or of the
+    concave heights -a_i^2."""
+    if which not in ("min", "max"):
+        raise ValueError("which must be 'min' or 'max'")
+    sign = 1 if which == "min" else -1
+    return tiling_from_heights(config, [sign * a * a for a in config.coords])
+
+
+def orientation_of(tiling):
+    """Circuit signs read off the offsets: +1 iff q misses the {p, r} tile."""
+    signs = []
+    for p, q, r in colex_triples(tiling.n):
+        mask = tiling.offset_mask(p, r)
+        signs.append(-1 if (mask >> (q - 1)) & 1 else 1)
+    return OrientationVector.from_signs(signs)
+
+
+def tiling_of_orientation(n, key):
+    """The tiling with orientation key ``key``: the inverse of orientation_of."""
+    return Tiling(n, key_offsets(n, key))
+
+
+def vert_k(config, tiling, k):
+    """Sum of tile area times offset indicator over offset-size-k tiles."""
+    out = [Fraction(0)] * config.n
+    for (i, j), mask in zip(colex_pairs(tiling.n), tiling.offsets):
+        if mask.bit_count() != k:
+            continue
+        area = config.coord(j) - config.coord(i)
+        for m in mask_points(mask):
+            out[m - 1] += area
+    return tuple(out)
 
 
 class FlipUnavailableError(ValueError):
