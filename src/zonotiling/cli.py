@@ -2,10 +2,12 @@
 
 Every subcommand works on one point configuration (from --points or the
 default a_i = i via --n), prints a short summary, and can write JSON / DOT /
-SVG artifacts into --out.  Outputs carry the coordinates in their header and
-are byte-stable for fixed inputs and seed.  With --strict the exit status is
-nonzero whenever a theorem check fails or a structural finding is recorded;
-out-of-range inputs exit with status 2.  --threads is accepted and ignored.
+SVG artifacts into --out.  Outputs carry the configuration's header
+(``PointConfig.to_json``) and are byte-stable for fixed inputs and seed.
+``main`` resolves the common options into a ``RunConfig``, hands it to the
+subcommand, and turns the outcome into the exit status: 2 for an input
+error (a ValueError), 1 under --strict when a theorem check failed or a
+structural finding was recorded, else 0.  --threads is accepted and ignored.
 Each subcommand takes only the options it reads: --format (json or dot) is
 offered by enumerate and diameters, --seed by chains.
 
@@ -134,29 +136,19 @@ def _levels(run: RunConfig, ns: argparse.Namespace) -> list[int]:
     return [ns.k]
 
 
-def _header(run: RunConfig) -> dict:
-    return {
-        "n": run.config.n,
-        "points": [str(a) for a in run.config.coords],
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_enumerate(ns: argparse.Namespace) -> int:
-    run = _resolve(ns)
+def cmd_enumerate(run: RunConfig, ns: argparse.Namespace) -> None:
     graph = _graph(run.config)
     print(f"{len(graph)} tilings, {graph.edge_count()} flip edges")
     if ns.fmt == "dot":
         _write(run, f"graph_n{run.config.n}.dot", graph_to_dot(graph))
     else:
         _write(run, f"graph_n{run.config.n}.json", graph_to_json(graph))
-    return _exit(run)
 
 
-def cmd_classify(ns: argparse.Namespace) -> int:
-    run = _resolve(ns)
+def cmd_classify(run: RunConfig, ns: argparse.Namespace) -> None:
     graph = _graph(run.config)
     certs, work = graph_certificates(graph)
     entries = [c.to_json() for c in certs]
@@ -167,18 +159,16 @@ def cmd_classify(ns: argparse.Namespace) -> int:
         f"verdicts: {work.solved + work.reused} by LP, {len(graph) // 2} by half-turn"
     )
     _print_lp_work(work)
-    payload = _header(run) | {
+    payload = run.config.to_json() | {
         "total": len(entries),
         "regular": regular,
         "irregular": irregular,
         "certificates": entries,
     }
     _write(run, f"classify_n{run.config.n}.json", payload)
-    return _exit(run)
 
 
-def cmd_diameters(ns: argparse.Namespace) -> int:
-    run = _resolve(ns)
+def cmd_diameters(run: RunConfig, ns: argparse.Namespace) -> None:
     ks = _levels(run, ns)
     graph = _graph(run.config)
     verdicts = regular_set(graph)
@@ -207,16 +197,14 @@ def cmd_diameters(ns: argparse.Namespace) -> int:
         ):
             if not ok:
                 run.finding(f"k={k}: {label} check failed")
-    _write(run, f"diameters_n{run.config.n}.json", _header(run) | {"reports": records})
+    _write(run, f"diameters_n{run.config.n}.json", run.config.to_json() | {"reports": records})
     if ns.fmt == "dot":
         for k in ks:
             sk = skeleton(graph, k, "sigma_k", regs)
             _write(run, f"sigma_{k}_n{run.config.n}.dot", sk.to_dot(f"sigma_{k}"))
-    return _exit(run)
 
 
-def cmd_hypertri(ns: argparse.Namespace) -> int:
-    run = _resolve(ns)
+def cmd_hypertri(run: RunConfig, ns: argparse.Namespace) -> None:
     _levels(run, ns)
     graph = _graph(run.config)
     record = hypertri_diameters(graph, ns.k)
@@ -264,11 +252,9 @@ def cmd_hypertri(ns: argparse.Namespace) -> int:
             run.finding(f"fixture {name} failed")
     record = record | {"fixtures": fixtures}
     _write(run, f"hypertri_n{n}_k{ns.k}.json", record)
-    return _exit(run)
 
 
-def cmd_potential(ns: argparse.Namespace) -> int:
-    run = _resolve(ns)
+def cmd_potential(run: RunConfig, ns: argparse.Namespace) -> None:
     ks = _levels(run, ns)
     graph = _graph(run.config)  # potential() refuses a --ref outside the graph
     reports = []
@@ -291,13 +277,11 @@ def cmd_potential(ns: argparse.Namespace) -> int:
     _write(
         run,
         f"potential_n{run.config.n}_ref{ns.ref}.json",
-        _header(run) | {"reports": reports},
+        run.config.to_json() | {"reports": reports},
     )
-    return _exit(run)
 
 
-def cmd_chains(ns: argparse.Namespace) -> int:
-    run = _resolve(ns)
+def cmd_chains(run: RunConfig, ns: argparse.Namespace) -> None:
     if ns.samples < 0:
         raise ValueError(f"--samples {ns.samples} is negative")
     graph = _graph(run.config)
@@ -320,7 +304,7 @@ def cmd_chains(ns: argparse.Namespace) -> int:
     print(f"{ns.samples} chains sampled; census {expected} expected")
     for census, count in sorted(censuses.items()):
         print(f"  census {census}: {count} chains")
-    payload = _header(run) | {
+    payload = run.config.to_json() | {
         "samples": ns.samples,
         "seed": ns.seed,
         "expected_census": list(expected),
@@ -330,11 +314,9 @@ def cmd_chains(ns: argparse.Namespace) -> int:
         "example_chain": list(first.nodes) if first else None,
     }
     _write(run, f"chains_n{n}.json", payload)
-    return _exit(run)
 
 
-def cmd_render(ns: argparse.Namespace) -> int:
-    run = _resolve(ns)
+def cmd_render(run: RunConfig, ns: argparse.Namespace) -> None:
     n = run.config.n
     if ns.tiling == "min":
         key = 0  # every circuit oriented +1
@@ -350,11 +332,9 @@ def cmd_render(ns: argparse.Namespace) -> int:
         print(svg)
     else:
         _write(run, f"tiling_n{n}_{ns.tiling}.svg", svg)
-    return _exit(run)
 
 
-def cmd_oracle_count(ns: argparse.Namespace) -> int:
-    run = _resolve(ns)
+def cmd_oracle_count(run: RunConfig, ns: argparse.Namespace) -> None:
     result = commutation_census(run.config.n)
     print(
         f"n={result.n}: {result.reduced_words} reduced words, "
@@ -377,13 +357,6 @@ def cmd_oracle_count(ns: argparse.Namespace) -> int:
             "commutation_classes": result.commutation_classes,
         },
     )
-    return _exit(run)
-
-
-def _exit(run: RunConfig) -> int:
-    if run.findings and run.strict:
-        return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    """Run one subcommand on the resolved options; returns the exit status."""
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        run = _resolve(ns)
+        ns.func(run, ns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if run.findings and run.strict else 0
 
 
 if __name__ == "__main__":

@@ -187,11 +187,8 @@ class PointConfig:
         return self.coords[i - 1]
 
     def to_json(self) -> dict:
-        return {"points": [format_rational(a) for a in self.coords]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PointConfig":
-        return make_config(data["points"])
+        """The header every JSON artifact but the oracle's carries."""
+        return {"n": self.n, "points": [format_rational(a) for a in self.coords]}
 
 
 def make_config(coords: Iterable[int | str | Fraction]) -> PointConfig:

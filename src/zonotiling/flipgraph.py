@@ -21,11 +21,13 @@ per position, so each test covers every 4-subset at once.
 
 A raising edge adds one inversion (one circuit toggled from +1 to -1), so
 it runs toward the larger key and a later id, and maximal chains are the
-length-C(n,3) raising walks from the minimal to the maximal tiling.  The
-half-turn complements the key, which reverses both the inversion count and
-the key order, so the image of node v is node len(graph) - 1 - v and no
-key-to-id map outlives enumeration.  It is a graph automorphism that keeps
-the flipped circuit and sends flip level l to n - 1 - l.
+length-C(n,3) raising walks from the minimal to the maximal tiling;
+``max_chain_through`` finds one through a node from two ``bfs_distances``
+sweeps, from the minimum and from the maximum.  The half-turn complements
+the key, which reverses both the inversion count and the key order, so the
+image of node v is node len(graph) - 1 - v and no key-to-id map outlives
+enumeration.  It is a graph automorphism that keeps the flipped circuit and
+sends flip level l to n - 1 - l.
 
 Quotient skeletons rest on ``components_excluding_levels``, which labels and
 stores each level set's components, their partition and the pairs
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import (
     Finding,
@@ -291,6 +293,13 @@ def check_node(graph: FlipGraph, node: int) -> None:
         raise ValueError(f"node id {node} is outside 0..{len(graph) - 1}")
 
 
+def check_nodes(graph: FlipGraph, nodes: Collection[int] | None) -> None:
+    """Refuse a node set holding an id outside the graph, by its least and greatest ids."""
+    if nodes:
+        check_node(graph, min(nodes))
+        check_node(graph, max(nodes))
+
+
 # ---------------------------------------------------------------------------
 # BFS distances and diameters
 
@@ -404,9 +413,7 @@ def components_excluding_levels(
     stored = graph.labellings.get(key)
     if stored is None:
         banned, within = key
-        if within:
-            check_node(graph, min(within))
-            check_node(graph, max(within))
+        check_nodes(graph, within)
         last = len(graph) - 1
         twin_key = _labelling_key(
             [graph.n - 1 - level for level in banned],
@@ -588,50 +595,40 @@ def max_chain_through(
 ) -> Chain:
     """A maximal chain from minimum to maximum passing through the node.
 
-    With regular_nodes given, every chain node must belong to that set.
-    Raising edges add an inversion and so lead to later ids, so reachability
-    is one DAG sweep each way over the ids; absence of a chain raises a
-    Finding.
+    With regular_nodes given, every chain node must belong to that set, and
+    distances run on the subgraph it induces.  A flip moves the inversion
+    count by one, so a node lies on a chain exactly when its distances from
+    the minimum and from the maximum sum to C(n,3); from the node, the chain
+    steps each way to the first neighbour, in ``adj`` order, one closer to
+    that end.  Absence of a chain raises a Finding.
     """
     check_node(graph, node)
-    allowed = (lambda v: True) if regular_nodes is None else (lambda v: v in regular_nodes)
-    if not allowed(node):
-        raise ValueError(f"node {node} is outside the allowed node set")
-
-    def steps(v: int, up: bool) -> Iterator[tuple[int, int]]:
-        """Flips out of v toward the maximum (up) or the minimum, within the set."""
-        for w, level in zip(graph.adj[v], graph.levels[v]):
-            if (w > v) == up and allowed(w):
-                yield w, level
-
-    reach_down = [False] * len(graph)
-    for v in range(len(graph)):
-        if allowed(v):
-            reach_down[v] = v == graph.min_id or any(
-                reach_down[w] for w, _level in steps(v, up=False)
-            )
-    reach_up = [False] * len(graph)
-    for v in reversed(range(len(graph))):
-        if allowed(v):
-            reach_up[v] = v == graph.max_id or any(
-                reach_up[w] for w, _level in steps(v, up=True)
-            )
-    if not (reach_down[node] and reach_up[node]):
+    adj = graph.adj
+    if regular_nodes is not None:
+        if node not in regular_nodes:
+            raise ValueError(f"node {node} is outside the allowed node set")
+        inside = regular_nodes.__contains__
+        adj = [list(filter(inside, nbrs)) if inside(v) else [] for v, nbrs in enumerate(adj)]
+    ends = (graph.min_id, graph.max_id)
+    down, up = (bfs_distances(adj, end) for end in ends)
+    if min(down[node], up[node]) < 0 or down[node] + up[node] != num_triples(graph.n):
         raise Finding(f"no monotone chain through node {node} within the allowed set")
 
-    def walk(up: bool, reach: list[bool], end: int) -> tuple[list[int], list[int]]:
-        """Greedy walk from the node to the end, along flips whose target reaches it."""
+    halves = []
+    for dist, end in zip((down, up), ends):
         nodes = []
         levels = []
         v = node
         while v != end:
-            v, level = next((w, level) for w, level in steps(v, up) if reach[w])
+            v, level = next(
+                (w, level)
+                for w, level in zip(graph.adj[v], graph.levels[v])
+                if dist[w] == dist[v] - 1
+            )
             nodes.append(v)
             levels.append(level)
-        return nodes, levels
-
-    down_nodes, down_levels = walk(False, reach_down, graph.min_id)
-    up_nodes, up_levels = walk(True, reach_up, graph.max_id)
+        halves.append((nodes, levels))
+    (down_nodes, down_levels), (up_nodes, up_levels) = halves
     nodes = tuple(reversed(down_nodes)) + (node,) + tuple(up_nodes)
     levels = tuple(reversed(down_levels)) + tuple(up_levels)
     return Chain(nodes, levels)
@@ -642,9 +639,7 @@ def max_chain_through(
 
 def graph_to_json(graph: FlipGraph) -> dict:
     width = max(1, (num_triples(graph.n) + 3) // 4)
-    return {
-        "n": graph.n,
-        "points": [str(a) for a in graph.config.coords],
+    return graph.config.to_json() | {
         "nodes": [format(k, f"0{width}x") for k in graph.keys],
         "edges": [[u, v, level] for u, v, level in graph.undirected_edges()],
     }

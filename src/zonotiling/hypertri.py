@@ -37,9 +37,10 @@ from .core import (
     mask_from,
     mask_points,
 )
-from .flipgraph import FlipGraph, check_node, graph_diameter
+from .flipgraph import FlipGraph, check_nodes
 from .secondary import (
     check_level,
+    diameter_entry,
     skeleton,
     sigma_k_diameter_formula,
     sum_skeleton_diameter_formula,
@@ -223,8 +224,7 @@ def reduced_cross_section(graph: FlipGraph, members: Sequence[int], k: int) -> M
     check_level(n, k)
     if not members:
         raise ValueError("a k-class has at least one member")
-    for v in members:
-        check_node(graph, v)
+    check_nodes(graph, members)
     meet = reduce(int.__and__, (key_slices(n, graph.keys[v], k) for v in members))
     return _reduced_path(slice_masks(n, k, meet)[1], k, n)
 
@@ -265,13 +265,11 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     n = graph.n
     findings: list[str] = []
 
+    # the diameter sweeps run before the per-node slices are held
     lifting = skeleton(graph, k, "lifting_all")
-    lifting_diam, _ = graph_diameter(lifting.adj)
-    lifting_formula = sum_skeleton_diameter_formula(n, k)
-
+    lifting_entry = diameter_entry(lifting, sum_skeleton_diameter_formula(n, k))
     reduced = skeleton(graph, k, "reduced_all")
-    reduced_diam, _ = graph_diameter(reduced.adj)
-    reduced_formula = sigma_k_diameter_formula(n, k)
+    reduced_entry = diameter_entry(reduced, sigma_k_diameter_formula(n, k))
 
     # one slice word per node: its low C(n,k) bits, the level-k slice, are
     # kept per node (interned, so equal slices share one int), and the word
@@ -326,23 +324,11 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
         for a, b in same[:1]
     )
 
-    return {
-        "n": n,
+    return graph.config.to_json() | {
         "k": k,
-        "points": [str(a) for a in graph.config.coords],
-        "lifting": {
-            "classes": len(lifting),
-            "diameter": lifting_diam,
-            "formula": lifting_formula,
-            "match": lifting_diam == lifting_formula,
-        },
+        "lifting": lifting_entry,
         "reduced_level": k + 1,
-        "reduced": {
-            "classes": len(reduced),
-            "diameter": reduced_diam,
-            "formula": reduced_formula,
-            "match": reduced_diam == reduced_formula,
-        },
+        "reduced": reduced_entry,
         "path_quotient_equal": path_quotient_equal,
         "reduced_quotient_equal": reduced_quotient_equal,
         "lifting_single_vertex_ok": lifting_single,

@@ -21,9 +21,9 @@ symmetric-difference count over the sets of basis pairs sitting at offset
 size >= k (positive side) and <= k-2 (negative side); it moves by at most
 one along any flip edge.  Since |R \\ S| - |S \\ R| = |R| - |S| for
 any finite sets, each side's count is a difference of two set sizes, read
-off the offset-size census.  Every node's census is read off its key
-(``offset_sizes``) once per graph and stored on it, n bytes per node, so no
-potential builds a tiling.
+off the offset-size census.  Every node's census is one sum of table
+entries over its decoded offsets (``key_offsets``), computed once per graph
+and stored on it, n bytes per node.
 
 The level-k vertex vector ``vert_k`` of a tiling sums, over its
 offset-size-k tiles, the tile's area times its offset's indicator.
@@ -38,20 +38,21 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from operator import getitem
 from typing import Collection, Iterable, Sequence
 
-from .core import Finding, PointConfig, colex_pairs, format_rational, integer_coords
+from .core import Finding, PointConfig, colex_pairs, integer_coords
 from .flipgraph import (
     FlipGraph,
     check_node,
+    check_nodes,
     component_pairs,
     components,
     components_excluding_levels,
     graph_diameter,
 )
-from .tiling import key_offsets, offset_sizes
+from .tiling import key_offsets
 
 
 def _vert_k_tables(config: PointConfig) -> tuple[list[list[int]], int]:
@@ -139,15 +140,8 @@ def equivalence_classes(
     regular_nodes given the resulting classes are intersected with that set
     and empty intersections are dropped.
     """
-    _check_nodes(graph, regular_nodes)
+    check_nodes(graph, regular_nodes)
     return _restricted_classes(graph, frozenset(deleted_levels), regular_nodes)[0]
-
-
-def _check_nodes(graph: FlipGraph, nodes: Collection[int] | None) -> None:
-    """Refuse a node set holding an id outside the graph, by its least and greatest ids."""
-    if nodes:
-        check_node(graph, min(nodes))
-        check_node(graph, max(nodes))
 
 
 _SKELETON_MODES = ("sigma_k", "sigma_k_plus_prev", "lifting_all", "reduced_all")
@@ -202,7 +196,7 @@ def skeleton(
     restricted = mode in ("sigma_k", "sigma_k_plus_prev")
     if restricted and regular_nodes is None:
         raise ValueError(f"mode {mode!r} needs the regular node set")
-    _check_nodes(graph, regular_nodes)
+    check_nodes(graph, regular_nodes)
 
     labels = components_excluding_levels(graph, deleted)
     keep = regular_nodes if restricted else None
@@ -260,16 +254,19 @@ def _census(graph: FlipGraph) -> bytes:
     """Every node's cumulative offset-size census, read off the keys once per graph.
 
     Byte v * n + s counts node v's tiles of offset size below s, for
-    s = 0 .. n-1; the last counts every tile.
+    s = 0 .. n-1; the last counts every tile.  A tile of offset size z adds
+    1 << 8 s to its node's row for every s in z+1 .. n-1, so the row is one
+    sum of table entries, indexed by offset mask, and no byte carries while
+    C(n,2) < 256.
     """
     census = graph.derived.get("census")
     if census is None:
         n = graph.n
-        rows = bytearray()
-        for key in graph.keys:
-            sizes = offset_sizes(n, key)
-            rows.extend(accumulate((sizes.count(s) for s in range(n - 1)), initial=0))
-        census = graph.derived["census"] = bytes(rows)
+        table = [sum(1 << 8 * s for s in range(mask.bit_count() + 1, n)) for mask in range(1 << n)]
+        census = graph.derived["census"] = b"".join(
+            sum(map(table.__getitem__, key_offsets(n, key))).to_bytes(n, "little")
+            for key in graph.keys
+        )
     return census
 
 
@@ -408,6 +405,14 @@ def sum_skeleton_diameter_formula(n: int, k: int) -> int:
     return 2 * k * (n - k) - n
 
 
+def diameter_entry(quotient: QuotientSkeleton, formula: int) -> dict:
+    """A skeleton's class count and diameter, against the diameter's closed form."""
+    diam, _ = graph_diameter(quotient.adj)
+    return {
+        "classes": len(quotient), "diameter": diam, "formula": formula, "match": diam == formula
+    }
+
+
 def check_level(n: int, k: int) -> None:
     """Refuse a level outside 1..n-2, where the quotient skeletons live."""
     if not 1 <= k <= n - 2:
@@ -437,18 +442,16 @@ def diameter_report(
     graph: FlipGraph, k: int, regular_nodes: frozenset[int] | set[int]
 ) -> dict:
     """Everything measured about sigma_k and sigma_k + sigma_(k-1) at one k."""
-    config = graph.config
-    n = config.n
-
+    n = graph.n
     sk = skeleton(graph, k, "sigma_k", regular_nodes)
-    sk_diam, _ = graph_diameter(sk.adj)
-    sk_formula = sigma_k_diameter_formula(n, k)
+    sigma = diameter_entry(sk, sigma_k_diameter_formula(n, k))
+    sums = diameter_entry(
+        skeleton(graph, k, "sigma_k_plus_prev", regular_nodes),
+        sum_skeleton_diameter_formula(n, k),
+    )
+    sum_formula = sums["formula"]
 
-    sum_sk = skeleton(graph, k, "sigma_k_plus_prev", regular_nodes)
-    sum_diam, _ = graph_diameter(sum_sk.adj)
-    sum_formula = sum_skeleton_diameter_formula(n, k)
-
-    duality = _duality(graph, sk, sk_diam, regular_nodes)
+    duality = _duality(graph, sk, sigma["diameter"], regular_nodes)
 
     distinct_ok = _vert_k_distinct(graph, sk.classes, k)
 
@@ -460,22 +463,10 @@ def diameter_report(
     pot_def = potential_between(graph, graph.min_id, graph.max_id, k, "definition")
     pot_shift = potential_between(graph, graph.min_id, graph.max_id, k, "shifted")
 
-    return {
-        "n": n,
+    return graph.config.to_json() | {
         "k": k,
-        "points": [format_rational(a) for a in config.coords],
-        "sigma_k": {
-            "classes": len(sk),
-            "diameter": sk_diam,
-            "formula": sk_formula,
-            "match": sk_diam == sk_formula,
-        },
-        "sigma_k_plus_prev": {
-            "classes": len(sum_sk),
-            "diameter": sum_diam,
-            "formula": sum_formula,
-            "match": sum_diam == sum_formula,
-        },
+        "sigma_k": sigma,
+        "sigma_k_plus_prev": sums,
         "duality_ok": all(duality.values()),
         "duality": duality,
         "vertk_distinct_ok": distinct_ok,

@@ -1,4 +1,4 @@
-"""Orientation keys decoded to tile offsets and offset sizes, and SVG.
+"""Orientation keys decoded to tile offsets, and SVG.
 
 A fine tiling of the zonotope of n lifted vectors uses exactly one
 parallelogram tile per basis pair B = {i, j}: the tile with offset set A is
@@ -18,10 +18,9 @@ orientation vector by one.
 A tiling is fixed by its orientation key.  Whatever its offset A, the flip
 along (p, q, r) toggles q in the {p, r} offset, p in the {q, r} offset and r
 in the {p, q} offset, so ``key_offsets`` rebuilds the offsets as the minimal
-tiling's XOR that toggle for every set bit of the key.  Each set bit's
-toggle changes the minimal tiling's sizes of the {p, r}, {q, r} and {p, q}
-offsets by +1, -1 and -1, so ``offset_sizes`` reads the sizes alone off the
-key, without decoding the offsets.
+tiling's XOR that toggle for every set bit of the key.  Every offset size
+the package reads, in the potentials' census and in ``vert_k``, is a
+popcount of these decoded offsets.
 
 ``tests/tile_oracle.py`` keeps the tile route, a ``Tiling`` of offsets with
 its flips, heights, orientations and audit, as the reference for the key
@@ -31,7 +30,6 @@ route.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 from typing import Sequence
 
 from .core import (
@@ -85,39 +83,6 @@ def key_offsets(n: int, bits: int) -> tuple[int, ...]:
     if width == 1:  # n <= 8: one byte per offset
         return tuple(raw)
     return tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
-
-
-@lru_cache(maxsize=None)
-def _size_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Packed offset sizes of the minimal tiling, and per key byte the sum of its bits' changes.
-
-    Sizes are packed little-endian, one byte per pair in colex order.  Point
-    m is in the offset of the pair (i, j) when m < i and {m, i, j} is
-    oriented +1, when m > j and {i, j, m} is, or when i < m < j and
-    {i, m, j} is oriented -1.  The minimal tiling orients every circuit +1,
-    so its size is n - (j - i + 1), and setting the bit of (p, q, r) adds 1
-    to the size of (p, r) and takes 1 from those of (q, r) and (p, q).
-    """
-    base = sum((n - (j - i + 1)) << (8 * rank) for rank, (i, j) in enumerate(colex_pairs(n)))
-    changes = [
-        (1 << 8 * pair_rank(p, r)) - (1 << 8 * pair_rank(q, r)) - (1 << 8 * pair_rank(p, q))
-        for p, q, r in colex_triples(n)
-    ]
-    return base, byte_tables(changes, add)
-
-
-def offset_sizes(n: int, bits: int) -> bytes:
-    """The offset size of each pair's tile, in colex order, read off the key alone.
-
-    Each size is n - (j - i + 1) + popcount(key & P_ij) - popcount(key & M_ij),
-    with P_ij the circuits (i, m, j) and M_ij the circuits (m, i, j), m < i,
-    and (i, j, m), m > j; byte tables add up the changes of a key byte's
-    bits, so every size comes out of one packed sum.
-    """
-    packed, tables = _size_tables(n)
-    for table, byte in zip(tables, bits.to_bytes(len(tables), "little")):
-        packed += table[byte]
-    return packed.to_bytes(num_pairs(n), "little")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -327,19 +328,28 @@ def test_classify_builds_no_tiling(decoded_keys, capsys):
 
 
 def test_potential_builds_no_tiling(tmp_path, decoded_keys):
-    # offset sizes are read off the orientation keys, once per graph
+    # the offset-size census decodes each key once per graph, in node order
+    from zonotiling import cli
+    from zonotiling.core import standard_config
+
     assert run(["potential", "--n", "6", "--ref", "0", "--all", "--out", str(tmp_path)]) == 0
-    assert decoded_keys == []
+    assert decoded_keys == cli._graph(standard_config(6)).keys
     digest = hashlib.sha256((tmp_path / "potential_n6_ref0.json").read_bytes()).hexdigest()
     assert digest == _recorded_digests(6)["potential_n6_ref0.json"]
 
 
-def test_diameters_reads_each_regular_tiling_once(tmp_path, decoded_keys, capsys):
-    # vert_k of every level comes from one decoding of a node's key
+def test_diameters_reads_each_regular_tiling_once(tmp_path, decoded_keys, capsys, regulars):
+    # vert_k of every level comes from one decoding of a regular node's key,
+    # and the census of the potential checks decodes every key once more
+    from zonotiling import cli
+    from zonotiling.core import standard_config
+
     assert run(["diameters", "--n", "6", "--all", "--strict", "--out", str(tmp_path)]) == 0
     assert "888 of 908 tilings regular" in capsys.readouterr().out
-    assert 0 < len(decoded_keys) <= 888
-    assert len(set(decoded_keys)) == len(decoded_keys)
+    keys = cli._graph(standard_config(6)).keys
+    expected = Counter(keys) + Counter(keys[v] for v in regulars(6))
+    assert len(decoded_keys) == 908 + 888
+    assert Counter(decoded_keys) == expected
     digest = hashlib.sha256((tmp_path / "diameters_n6.json").read_bytes()).hexdigest()
     assert digest == _recorded_digests(6)["diameters_n6.json"]
 
@@ -490,6 +500,7 @@ def test_one_process_pipeline_across_configurations(tmp_path):
     # a_i = i, a rational configuration, then a_i = i again, in one process:
     # each configuration's graph replaces the last one in the slot
     from zonotiling import cli
+    from zonotiling.core import make_config
 
     n = 6
     standard = ",".join(map(str, range(1, n + 1)))
@@ -498,6 +509,14 @@ def test_one_process_pipeline_across_configurations(tmp_path):
         base = [f"--points={points}", "--out", str(tmp_path / label), "--strict"]
         for stage in _pipeline_stages(n):
             assert run(stage + base) == 0, (label, stage)
+        # every artifact, each diameters report and each hypertri record
+        # carries the one header
+        header = make_config(points.split(",")).to_json()
+        for path in (tmp_path / label).glob("*.json"):
+            data = json.loads(path.read_text())
+            records = [data] + (data["reports"] if path.name.startswith("diameters_") else [])
+            for record in records:
+                assert {key: record[key] for key in header} == header, path.name
     for label in ("first", "again"):
         digests = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()

@@ -34,7 +34,7 @@ from zonotiling import (
     standard_config,
 )
 from zonotiling import cli, flipgraph
-from zonotiling.core import colex_triples, triple_rank
+from zonotiling.core import Finding, colex_triples, triple_rank
 from zonotiling.flipgraph import (
     EnumerationCapError,
     bfs_distances,
@@ -311,6 +311,12 @@ class TestDistance:
                 assert from_min[v] + from_max[v] == comb(n, 3)
 
 
+def _render(argv):
+    """``cmd_render`` on the options that ``main`` resolves from argv."""
+    ns = cli.build_parser().parse_args(argv)
+    cli.cmd_render(cli._resolve(ns), ns)
+
+
 @pytest.mark.parametrize("bad", ["negative", "past_end"])
 @pytest.mark.parametrize(
     "call",
@@ -323,9 +329,7 @@ class TestDistance:
         lambda g, x: potential_between(g, 0, x, 1),
         lambda g, x: max_chain_through(g, x),
         lambda g, x: max_chain_through(g, x, regular_nodes=set(range(len(g)))),
-        lambda g, x: cli.cmd_render(
-            cli.build_parser().parse_args(["render", f"--n={g.n}", f"--tiling={x}"])
-        ),
+        lambda g, x: _render(["render", f"--n={g.n}", f"--tiling={x}"]),
         lambda g, x: g.opposite_node(x),
     ],
     ids=[
@@ -488,6 +492,27 @@ class TestMaxChainThrough:
     def test_outside_allowed_set_rejected(self, graphs):
         with pytest.raises(ValueError):
             max_chain_through(graphs(4), 3, regular_nodes=frozenset({0}))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("restricted", [False, True], ids=["all", "regular"])
+    def test_through_every_node(self, graphs, regulars, n, restricted):
+        g = graphs(n)
+        allowed = regulars(n) if restricted else frozenset(range(len(g)))
+        for v in sorted(allowed):
+            chain = max_chain_through(g, v, regular_nodes=allowed if restricted else None)
+            assert (chain.nodes[0], chain.nodes[-1]) == (g.min_id, g.max_id)
+            assert len(chain) == len(chain.nodes) - 1 == comb(n, 3)
+            assert v in chain.nodes
+            assert set(chain.nodes) <= allowed
+            for a, b, level in zip(chain.nodes, chain.nodes[1:], chain.levels):
+                assert b > a  # every step raises
+                assert level == g.levels[a][g.adj[a].index(b)]
+
+    def test_no_chain_is_a_finding(self, graphs):
+        # the set holds the node but not the maximum, so no chain ends there
+        g = graphs(5)
+        with pytest.raises(Finding, match="no monotone chain through node 3"):
+            max_chain_through(g, 3, regular_nodes=frozenset(range(g.max_id)))
 
 
 class TestComponents:

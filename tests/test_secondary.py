@@ -363,23 +363,16 @@ class TestPotential:
             counts = tiling_of_orientation(n, key).offset_size_census()
             assert list(census[v * n:(v + 1) * n]) == [sum(counts[:s]) for s in range(n)]
 
-    def test_census_read_once_per_graph(self, monkeypatch):
-        # every report and potential_between read one stored census
+    def test_census_read_once_per_graph(self, decoded_keys):
+        # every report and potential_between read one stored census, which
+        # decodes each key once
         g = enumerate_tilings(standard_config(5))
-        reads = []
-        real = secondary.offset_sizes
-
-        def counted(n, key):
-            reads.append(key)
-            return real(n, key)
-
-        monkeypatch.setattr(secondary, "offset_sizes", counted)
         for k in (1, 2, 3):
             for thresholds in ("definition", "shifted"):
                 potential(g, 0, k, thresholds)
                 modified_potential(g, 5, k, thresholds)
                 potential_between(g, g.min_id, g.max_id, k, thresholds)
-        assert reads == g.keys
+        assert decoded_keys == g.keys
 
 
 class TestDiameterReport:

@@ -31,7 +31,9 @@ from zonotiling import (
     tiling_to_svg,
 )
 from zonotiling.core import circuit_for, colex_pairs, colex_triples, num_triples
-from zonotiling.tiling import key_offsets, offset_sizes
+from zonotiling.flipgraph import FlipGraph
+from zonotiling.secondary import _census
+from zonotiling.tiling import key_offsets
 
 
 def chord_offsets(cfg, heights):
@@ -162,10 +164,13 @@ class TestOrientation:
         rng = random.Random(n)
         t = extremal_tiling(standard_config(n), "min")
         assert tiling_of_orientation(n, 0) == t
+        keys = []
         for _ in range(60):
             t = apply_flip(t, rng.choice(available_flips(t)))
-            assert tiling_of_orientation(n, orientation_of(t).bits) == t
-            self.assert_sizes_match(n, orientation_of(t).bits, t)
+            keys.append(orientation_of(t).bits)
+            assert tiling_of_orientation(n, keys[-1]) == t
+        # the census of the walk's keys alone, as a graph without edges
+        self.assert_census_matches(FlipGraph(standard_config(n), keys, [], []))
 
     @pytest.mark.parametrize("n", [3, 4, 8, 9])
     def test_any_key_reads_back(self, n):
@@ -183,19 +188,23 @@ class TestOrientation:
             key_offsets(5, key)
 
     @staticmethod
-    def assert_sizes_match(n, key, tiling):
-        assert offset_sizes(n, key) == bytes(mask.bit_count() for mask in tiling.offsets)
+    def assert_census_matches(graph):
+        # byte s of a node's census row counts its tiles of offset size below s
+        n = graph.n
+        census = _census(graph)
+        assert len(census) == n * len(graph)
+        for v, key in enumerate(graph.keys):
+            sizes = [mask.bit_count() for mask in tiling_of_orientation(n, key).offsets]
+            assert list(census[v * n:(v + 1) * n]) == [sum(z < s for z in sizes) for s in range(n)]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_offset_sizes_read_off_every_key(self, graphs, n):
-        for key in graphs(n).keys:
-            self.assert_sizes_match(n, key, tiling_of_orientation(n, key))
+        self.assert_census_matches(graphs(n))
 
 
 @pytest.mark.slow
 def test_offset_sizes_read_off_every_key_n7(graphs):
-    for key in graphs(7).keys:
-        TestOrientation.assert_sizes_match(7, key, tiling_of_orientation(7, key))
+    TestOrientation.assert_census_matches(graphs(7))
 
 
 class TestFlips:
