@@ -42,7 +42,7 @@ from .flipgraph import (
 from .hypertri import (
     _ordered_path,
     hypertri_diameters,
-    key_slices,
+    column_slices,
     reduced_cross_section,
     slice_masks,
 )
@@ -232,7 +232,7 @@ def cmd_hypertri(run: RunConfig, ns: argparse.Namespace) -> None:
     n = run.config.n
     if n == 4 or (n == 5 and ns.k == 1):
         # each node's level-2 slice, read off its key
-        slices = (slice_masks(n, 2, key_slices(n, key, 2))[0] for key in graph.keys)
+        slices = (slice_masks(n, 2, word)[0] for word in column_slices(n, graph.keys, 2))
         paths = [_ordered_path(s, 2, n, reduced=False).vertices for s in slices]
     if n == 4:
         fixtures["nonlifting_path_absent"] = (
@@ -361,7 +361,9 @@ def cmd_oracle_count(run: RunConfig, ns: argparse.Namespace) -> None:
 
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="zonotiling",
         description="exact flip-graph experiments for zonotopal tilings of a line configuration",

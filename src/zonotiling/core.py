@@ -120,6 +120,51 @@ def byte_tables(
 
 
 # ---------------------------------------------------------------------------
+# bit-sliced keys: one byte per key, one int per key bit
+
+# Keys per chunk of ``key_columns``; each column of a chunk takes this many bytes.
+_KEY_CHUNK = 4096
+
+# _BIT_PLANES[t] maps a byte to its bit t
+_BIT_PLANES = tuple(bytes(byte >> t & 1 for byte in range(256)) for t in range(8))
+
+
+def key_columns(keys: Sequence[int], count: int) -> Iterator[tuple[int, int, list[int]]]:
+    """The low ``count`` bits of the keys, transposed a chunk of keys at a time.
+
+    Yields (size, ones, columns) per chunk of at most ``_KEY_CHUNK`` keys,
+    in order.  Column c holds bit c of the chunk's j-th key in its byte j,
+    and ``ones`` holds 1 in each of the chunk's ``size`` bytes, so
+    ``ones ^ column`` is the byte-wise complement, and a sum of fewer than
+    256 columns keeps every byte's count inside its byte.  A boolean
+    formula on columns thus evaluates for every key of the chunk at once.
+    """
+    width = (count + 7) // 8
+    for first in range(0, len(keys), _KEY_CHUNK):
+        chunk = keys[first:first + _KEY_CHUNK]
+        data = b"".join([key.to_bytes(width, "little") for key in chunk])
+        rows = [data[byte::width] for byte in range(width)]  # byte b of every key
+        columns = [
+            int.from_bytes(rows[c >> 3].translate(_BIT_PLANES[c & 7]), "little")
+            for c in range(count)
+        ]
+        yield len(chunk), int.from_bytes(b"\1" * len(chunk), "little"), columns
+
+
+def node_rows(columns: Sequence[int], size: int) -> bytes:
+    """Byte columns of ``size`` keys back as one row of len(columns) bytes per key.
+
+    Byte j of column c lands at j * len(columns) + c; every byte of a
+    column must be below 256.
+    """
+    stride = len(columns)
+    rows = bytearray(size * stride)
+    for c, column in enumerate(columns):
+        rows[c::stride] = column.to_bytes(size, "little")
+    return bytes(rows)
+
+
+# ---------------------------------------------------------------------------
 # colexicographic pair/triple indexing
 
 @lru_cache(maxsize=None)

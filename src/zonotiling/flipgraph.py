@@ -9,15 +9,18 @@ sorted key order, so node ids are sorted by (inversion count, key) and stable
 across runs.  The BFS stops at the middle layer: the half-turn (below) gives
 every later node's key, neighbours and levels from its mirror node's.
 
-Enumeration never builds a tiling: ``key_flips`` reads a node's flips and
-their levels off its key.  The key is a rank-3 signotope, and a circuit
-flips exactly when toggling it keeps the signs of every 4-subset monotone
-(Felsner and Weil, "Sweeps, arrangements and signotopes", 2001).  With
-c12, c23, c34 the sign changes between the neighbouring triples abc, abd,
-acd, bcd of a 4-subset a < b < c < d, a flip at position 1 is blocked by
-~c12 & (c23 | c34), at 2 by ~(c12 | c23), at 3 by ~(c23 | c34) and at 4 by
-~c34 & (c12 | c23); byte tables gather the key into one C(n,4)-bit word
-per position, so each test covers every 4-subset at once.
+Enumeration never builds a tiling: ``column_flips`` reads the flips and
+their levels off a whole BFS layer of keys at once.  A key is a rank-3
+signotope, and a circuit flips exactly when toggling it keeps the signs of
+every 4-subset monotone (Felsner and Weil, "Sweeps, arrangements and
+signotopes", 2001).  With c12, c23, c34 the sign changes between the
+neighbouring triples abc, abd, acd, bcd of a 4-subset a < b < c < d, a flip
+at position 1 is blocked by ~c12 & (c23 | c34), at 2 by ~(c12 | c23), at 3
+by ~(c23 | c34) and at 4 by ~c34 & (c12 | c23).  The rules are the same
+for every node, so they run on columns (``core.key_columns``): one int per
+circuit holding that circuit's sign for a chunk of nodes, one byte each,
+and each 4-subset's test covers the whole chunk in a few big-int
+operations.
 
 A raising edge adds one inversion (one circuit toggled from +1 to -1), so
 it runs toward the larger key and a later id, and maximal chains are the
@@ -44,15 +47,16 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import (
     Finding,
     PointConfig,
-    byte_tables,
     colex_triples,
+    key_columns,
+    node_rows,
     num_triples,
     triple_rank,
 )
@@ -150,77 +154,84 @@ class FlipGraph:
 
 @lru_cache(maxsize=None)
 def _flip_tables(n: int):
-    """Byte tables and per-circuit masks for ``key_flips``, built once per n.
+    """The 4-subsets and per-circuit level terms of ``column_flips``, once per n.
 
-    The Q = C(n,4) 4-subsets a < b < c < d are numbered s = 0 .. Q-1, and
-    bit i*Q + s of a *position word* stands for the triple at position i of
-    subset s, in the order abc, abd, acd, bcd.  A circuit's *image* marks
-    every position it holds, and ``gather`` maps each key byte to the OR of
-    its set bits' images.  For the circuit (p, q, r), ``outer`` holds the
-    key bits of the triples {x, p, r} with x outside [p, r], and ``span``
-    those of every triple {x, p, r} with x other than q.
+    Each 4-subset a < b < c < d is the colex ranks of its triples in the
+    order abc, abd, acd, bcd.  For the circuit (p, q, r), ``outer`` holds the
+    ranks of the triples {x, p, r} with x outside [p, r], and ``inner``
+    those of {p, x, r} with x strictly between p and r, other than q.
     """
-    triples = colex_triples(n)
-    count = comb(n, 4)
-    images = [0] * len(triples)
-    for s, (a, b, c, d) in enumerate(combinations(range(1, n + 1), 4)):
-        for i, triple in enumerate(((a, b, c), (a, b, d), (a, c, d), (b, c, d))):
-            images[triple_rank(*triple)] |= 1 << (i * count + s)
+    subsets = tuple(
+        (triple_rank(a, b, c), triple_rank(a, b, d), triple_rank(a, c, d), triple_rank(b, c, d))
+        for a, b, c, d in combinations(range(1, n + 1), 4)
+    )
     circuits = []
-    for (p, q, r), image in zip(triples, images):
-        outer = inner = 0
-        for x in range(1, n + 1):
-            if x < p or x > r:
-                outer |= 1 << triple_rank(*sorted((x, p, r)))
-            elif p < x < r and x != q:
-                inner |= 1 << triple_rank(p, x, r)
-        circuits.append((1 << triple_rank(p, q, r), image, outer, outer | inner))
-    return byte_tables(images), count, tuple(circuits)
+    for p, q, r in colex_triples(n):
+        outer = tuple(
+            triple_rank(*sorted((x, p, r))) for x in range(1, n + 1) if x < p or x > r
+        )
+        inner = tuple(triple_rank(p, x, r) for x in range(p + 1, r) if x != q)
+        circuits.append((outer, inner))
+    return subsets, tuple(circuits)
 
 
-def key_flips(n: int, key: int) -> tuple[list[int], bytes]:
-    """The flips of the tiling with orientation key ``key``, from the key alone.
+def column_flips(n: int, keys: Sequence[int]) -> Iterator[tuple[list[int], bytes]]:
+    """The flips of the tilings with orientation keys ``keys``, from the keys alone.
 
-    Returns the key bit each flip toggles, in colex circuit order, and the
-    level of each.  The key is a rank-3 signotope: on every 4-subset
-    a < b < c < d its signs on abc, abd, acd, bcd change at most once.  A
-    circuit flips exactly when toggling it keeps every 4-subset monotone
-    (Felsner and Weil, "Sweeps, arrangements and signotopes", 2001).  With
-    c12, c23, c34 the sign changes between neighbouring positions of a
-    monotone 4-subset, toggling position
+    Yields, per key in order, the key bit each flip toggles, in colex
+    circuit order, and the level of each.  A key is a rank-3 signotope: on
+    every 4-subset a < b < c < d its signs on abc, abd, acd, bcd change at
+    most once.  A circuit flips exactly when toggling it keeps every
+    4-subset monotone (Felsner and Weil, "Sweeps, arrangements and
+    signotopes", 2001).  With c12, c23, c34 the sign changes between
+    neighbouring positions of a monotone 4-subset, toggling position
       1 (abc) is blocked by  ~c12 & (c23 | c34),
       2 (abd) is blocked by  ~(c12 | c23),
       3 (acd) is blocked by  ~(c23 | c34),
       4 (bcd) is blocked by  ~c34 & (c12 | c23),
-    evaluated for all 4-subsets at once on Q-bit words, Q = C(n,4); a
-    circuit flips when none of its positions is blocked.  The flip along
-    (p, q, r) has level |A| + 1 for the offset A of its {p, r} tile without
-    q: the x outside [p, r] with {x, p, r} oriented +1, and the x strictly
-    between p and r, other than q, with {p, x, r} oriented -1.  The key
-    must orient a tiling; for n < 4 every circuit flips.
+    and a circuit flips when none of its positions is blocked.  The flip
+    along (p, q, r) has level |A| + 1 for the offset A of its {p, r} tile
+    without q: the x outside [p, r] with {x, p, r} oriented +1, and the x
+    strictly between p and r, other than q, with {p, x, r} oriented -1.
+    Every key must orient a tiling; for n < 4 every circuit flips.
+
+    The rules run on ``core.key_columns``, one byte per key: each 4-subset
+    is a few big-int operations for a whole chunk of keys, the blocked
+    positions are ORed per circuit, and a circuit's level column is a sum
+    of columns, which stays below n in every byte.  Each circuit's column
+    reads its level where it flips and 0 where it is blocked; turned into
+    one row per key (``core.node_rows``), the non-zero bytes of a row are
+    the key's levels, and their positions its flipped bits.
     """
-    gather, count, circuits = _flip_tables(n)
-    words = 0
-    for table, byte in zip(gather, key.to_bytes(len(gather), "little")):
-        words |= table[byte]
-    low = (1 << count) - 1
-    change = words ^ (words >> count)
-    c12 = change & low
-    c23 = change >> count & low
-    c34 = change >> 2 * count & low
-    blocked = (
-        ~c12 & (c23 | c34)
-        | (low & ~(c12 | c23)) << count
-        | (low & ~(c23 | c34)) << 2 * count
-        | (~c34 & (c12 | c23)) << 3 * count
-    )
-    bits = []
-    levels = []
-    for bit, image, outer, span in circuits:
-        if not blocked & image:
-            bits.append(bit)
-            levels.append(((key ^ outer) & span).bit_count() + 1)
-    return bits, bytes(levels)
+    subsets, circuits = _flip_tables(n)
+    count = len(circuits)
+    bits = [1 << c for c in range(count)]
+    for size, ones, x in key_columns(keys, count):
+        blocked = [0] * count
+        for r1, r2, r3, r4 in subsets:
+            c12 = x[r1] ^ x[r2]
+            c23 = x[r2] ^ x[r3]
+            c34 = x[r3] ^ x[r4]
+            blocked[r1] |= (ones ^ c12) & (c23 | c34)
+            blocked[r2] |= ones ^ (c12 | c23)
+            blocked[r3] |= ones ^ (c23 | c34)
+            blocked[r4] |= (ones ^ c34) & (c12 | c23)
+        # 1 + |outer| - (outer triples oriented -1) + (inner ones oriented -1):
+        # no byte borrows, since the outer sum is at most |outer| in each byte
+        levels = [
+            ((1 + len(outer)) * ones + sum([x[i] for i in inner]) - sum([x[o] for o in outer]))
+            & ~(blocked[c] * 0xFF)
+            for c, (outer, inner) in enumerate(circuits)
+        ]
+        rows = node_rows(levels, size)
+        for j in range(size):
+            row = rows[j * count:(j + 1) * count]
+            yield list(compress(bits, row)), row.replace(b"\0", b"")
+
+
+def key_flips(n: int, key: int) -> tuple[list[int], bytes]:
+    """The flips of one key and their levels: ``column_flips`` on [key]."""
+    return next(column_flips(n, [key]))
 
 
 def enumerate_tilings(config: PointConfig) -> FlipGraph:
@@ -228,14 +239,14 @@ def enumerate_tilings(config: PointConfig) -> FlipGraph:
 
     Layer d holds the keys of d inversions, d = 0 .. C(n,3).  The BFS runs
     from the minimal tiling through the middle layer, the last d with
-    2d <= C(n,3), reading each node's flips and levels off its key with
-    ``key_flips``; no tiling is built.  The half-turn complements keys and
-    sends layer d to layer C(n,3) - d, so the node count follows from the
-    layer sizes and every later node v is the image of u = len - 1 - v:
-    its key is keys[u] complemented, its neighbours are the images of u's,
-    in the same circuit order, and each level l reads n - 1 - l.  An n
-    whose graph would not fit in physical memory (``_check_memory``) is
-    refused before anything is allocated.
+    2d <= C(n,3), reading each layer's flips and levels off its keys with
+    one ``column_flips`` call; no tiling is built.  The half-turn
+    complements keys and sends layer d to layer C(n,3) - d, so the node
+    count follows from the layer sizes and every later node v is the image
+    of u = len - 1 - v: its key is keys[u] complemented, its neighbours are
+    the images of u's, in the same circuit order, and each level l reads
+    n - 1 - l.  An n whose graph would not fit in physical memory
+    (``_check_memory``) is refused before anything is allocated.
     """
     _check_memory(config.n)
     n = config.n
@@ -254,8 +265,8 @@ def enumerate_tilings(config: PointConfig) -> FlipGraph:
     start = 0
     while True:
         pending: list[list[int]] = []  # neighbour keys of each node in the layer
-        for ukey in keys[start:]:
-            bits, node_levels = key_flips(n, ukey)
+        layer = keys[start:]
+        for ukey, (bits, node_levels) in zip(layer, column_flips(n, layer)):
             pending.append([ukey ^ bit for bit in bits])
             levels.append(node_levels)
         if 2 * (keys[start].bit_count() + 1) > depth_max:

@@ -15,10 +15,14 @@ class.  It satisfies the consecutive-triple condition
 is a sorted tuple of node ids from the partition code in ``secondary``, and
 ``reduced_cross_section`` reads exactly its members' slices.
 
-No key is decoded to tile offsets for a slice: ``key_slices`` reads the
-level-k and level-(k+1) slices off the orientation key, because a subset is
-a vertex exactly when no circuit forbids its trace on the circuit's triple
-(the chamber-set condition, proved there).
+No key is decoded to tile offsets for a slice: ``column_slices`` reads the
+level-k and level-(k+1) slices off the orientation keys, because a subset
+is a vertex exactly when no circuit forbids its trace on the circuit's
+triple (the chamber-set condition, proved there).  The condition is the
+same for every node, so it runs on columns of a chunk of keys at once, one
+byte per node (``core.key_columns``).  ``hypertri_diameters`` checks the
+slice toggles of flip edges once per pair of lifting classes, not once per
+edge, when the slices are constant on the classes.
 """
 
 from __future__ import annotations
@@ -27,17 +31,18 @@ from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache, reduce
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Finding,
-    byte_tables,
     colex_triples,
     full_mask,
+    key_columns,
     mask_from,
     mask_points,
+    node_rows,
 )
-from .flipgraph import FlipGraph, check_nodes
+from .flipgraph import FlipGraph, check_nodes, component_pairs
 from .secondary import (
     check_level,
     diameter_entry,
@@ -121,36 +126,40 @@ def _ordered_path(masks: Iterable[int], k: int, n: int, reduced: bool) -> Monoto
 
 @lru_cache(maxsize=None)
 def _slice_tables(n: int, k: int):
-    """Byte tables and subset order for ``key_slices``, built once per (n, k).
+    """Subset order and vertex rules of ``column_slices``, once per (n, k).
 
     Bit i of a slice word stands for ``subsets[i]``: the k-subsets of [n]
-    in bits 0 .. C(n,k)-1, then the (k+1)-subsets.  Key bit c, the circuit
-    (p, q, r), has the image ``minus[c]``, the subsets meeting {p, q, r} in
-    {p, r}, and the image ``plus[c]``, those meeting it in {q}.
+    in bits 0 .. C(n,k)-1, then the (k+1)-subsets.  The rule of a subset is
+    the colex ranks of the circuits (p, q, r) that must read -1 on it, those
+    it meets in {q}, and of those that must read +1, those it meets in
+    {p, r}.
     """
     subsets = tuple(
         mask_from(points)
         for size in (k, k + 1)
         for points in combinations(range(1, n + 1), size)
     )
-    minus = []
-    plus = []
-    for p, q, r in colex_triples(n):
-        outer = (1 << (p - 1)) | (1 << (r - 1))
-        middle = 1 << (q - 1)
-        traces = [s & (outer | middle) for s in subsets]
-        minus.append(sum(1 << i for i, t in enumerate(traces) if t == outer))
-        plus.append(sum(1 << i for i, t in enumerate(traces) if t == middle))
-    return byte_tables(minus), byte_tables(plus), full_mask(len(minus)), subsets
+    traces = [
+        (1 << (q - 1), (1 << (p - 1)) | (1 << (r - 1))) for p, q, r in colex_triples(n)
+    ]
+    rules = tuple(
+        (
+            tuple(c for c, (middle, outer) in enumerate(traces) if s & (middle | outer) == middle),
+            tuple(c for c, (middle, outer) in enumerate(traces) if s & (middle | outer) == outer),
+        )
+        for s in subsets
+    )
+    return rules, subsets
 
 
-def key_slices(n: int, key: int, k: int) -> int:
-    """The level-k and level-(k+1) slices of the tiling with orientation key ``key``.
+def column_slices(n: int, keys: Sequence[int], k: int) -> Iterator[int]:
+    """The level-k and level-(k+1) slices of the tilings with orientation keys ``keys``.
 
-    Returns one word over the k- and (k+1)-subsets of [n]: bit i is set when
-    the i-th of them is a vertex, the k-subsets first, each size in
-    lexicographic order (``slice_masks`` decodes it).  A subset S of [n] is
-    a vertex of the tiling exactly when, for every circuit p < q < r,
+    Yields one word per key, in order, over the k- and (k+1)-subsets of
+    [n]: bit i is set when the i-th of them is a vertex, the k-subsets
+    first, each size in lexicographic order (``slice_masks`` decodes it).
+    A subset S of [n] is a vertex of the tiling exactly when, for every
+    circuit p < q < r,
 
       S & {p, q, r} != {q}     if the circuit is oriented +1, and
       S & {p, q, r} != {p, r}  if it is oriented -1.
@@ -172,23 +181,36 @@ def key_slices(n: int, key: int, k: int) -> int:
     and Zelevinsky, "Quasicommuting families of quantum Pluecker
     coordinates", 1998), S is a vertex.
 
-    Byte tables gather the key once for the -1 patterns and once, through
-    its complement, for the +1 patterns; the slice is the complement of the
-    forbidden subsets.
+    The condition runs on ``core.key_columns``, one byte per key: a
+    subset's column is one AND chain over the columns of the circuits that
+    must read -1 and the complements of those that must read +1.  Eight
+    subset columns pack into one byte column, and each key's word is its
+    row of byte columns (``core.node_rows``) read as one int.
     """
-    minus, plus, full, subsets = _slice_tables(n, k)
-    width = len(minus)
-    forbidden = 0
-    for table, byte in zip(minus, key.to_bytes(width, "little")):
-        forbidden |= table[byte]
-    for table, byte in zip(plus, (key ^ full).to_bytes(width, "little")):
-        forbidden |= table[byte]
-    return full_mask(len(subsets)) & ~forbidden
+    rules, subsets = _slice_tables(n, k)
+    width = (len(subsets) + 7) // 8
+    for size, ones, x in key_columns(keys, comb(n, 3)):
+        packed = [0] * width
+        for i, (minus, plus) in enumerate(rules):
+            column = ones
+            for c in minus:
+                column &= x[c]
+            for c in plus:
+                column &= ~x[c]
+            packed[i >> 3] |= column << (i & 7)
+        rows = node_rows(packed, size)
+        for first in range(0, size * width, width):
+            yield int.from_bytes(rows[first:first + width], "little")
+
+
+def key_slices(n: int, key: int, k: int) -> int:
+    """The slice word of one key: ``column_slices`` on [key]."""
+    return next(column_slices(n, [key], k))
 
 
 def slice_masks(n: int, k: int, word: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The level-k and level-(k+1) vertex masks marked in a ``key_slices`` word."""
-    subsets = _slice_tables(n, k)[3]
+    """The level-k and level-(k+1) vertex masks marked in a ``column_slices`` word."""
+    subsets = _slice_tables(n, k)[1]
     lower = comb(n, k)
     masks: tuple[list[int], list[int]] = ([], [])
     while word:
@@ -225,7 +247,7 @@ def reduced_cross_section(graph: FlipGraph, members: Sequence[int], k: int) -> M
     if not members:
         raise ValueError("a k-class has at least one member")
     check_nodes(graph, members)
-    meet = reduce(int.__and__, (key_slices(n, graph.keys[v], k) for v in members))
+    meet = reduce(int.__and__, column_slices(n, [graph.keys[v] for v in members], k))
     return _reduced_path(slice_masks(n, k, meet)[1], k, n)
 
 
@@ -252,15 +274,19 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     Builds the simultaneous-(k-1,k) quotient (lifting paths at level k) and
     the k-class quotient (reduced paths at level k+1) and measures both
     diameters against their closed forms.  Each node's level-k and
-    level-(k+1) slices are read once off its orientation key by
-    ``key_slices``, as one word; no key is decoded to tiles.  Every distinct level-k
-    slice must be a monotone path, the lifting classes must be exactly the
-    groups of equal slices, and each qualifying flip edge must toggle exactly
-    one slice vertex.  Each k-class's reduced path is computed once, from
-    the meet of its members' level-(k+1) slices; distinct classes must have
-    distinct reduced paths, and the two ends of each reduced-skeleton edge
-    (the class pairs a level-k flip joins) must differ.  Only the distinct
-    slices and the meets are decoded into vertex sets.
+    level-(k+1) slices are read once off its orientation key by one
+    ``column_slices`` pass over every key, as one word; no key is decoded
+    to tiles.  Every distinct level-k slice must be a monotone path, the
+    lifting classes must be exactly the groups of equal slices, and each
+    flip edge at level k-1 or k must toggle exactly one slice vertex, any
+    other edge none: checked once per pair of lifting classes that such an
+    edge joins when the classes are the groups of equal slices, and edge by
+    edge, for the first failing edge, otherwise.  Each k-class's reduced
+    path is computed once, from the meet of its members' level-(k+1)
+    slices; distinct classes must have distinct reduced paths, and the two
+    ends of each reduced-skeleton edge (the class pairs a level-k flip
+    joins) must differ.  Only the distinct slices and the meets are decoded
+    into vertex sets.
     """
     n = graph.n
     findings: list[str] = []
@@ -279,8 +305,7 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     meets = [-1] * len(reduced)
     distinct: dict[int, int] = {}  # first-seen order
     slices = []
-    for v, key in enumerate(graph.keys):
-        word = key_slices(n, key, k)
+    for v, word in enumerate(column_slices(n, graph.keys, k)):
         meets[component_of[v]] &= word
         s = word & lower
         slices.append(distinct.setdefault(s, s))
@@ -306,14 +331,24 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     if not reduced_quotient_equal:
         findings.append("distinct k-classes share a reduced path")
 
-    # each flip edge at level k or k-1 toggles exactly one slice vertex
-    lifting_single = True
-    for u, v, level in graph.undirected_edges():
-        delta = (slices[u] ^ slices[v]).bit_count()
-        if delta != (1 if level in (k - 1, k) else 0):
-            findings.append(f"edge ({u}, {v}) at level {level} changes {delta} slice vertices")
-            lifting_single = False
-            break
+    # each flip edge at level k or k-1 toggles exactly one slice vertex.
+    # With the slice constant on every lifting class, an edge at another
+    # level lies inside one class and toggles none, and an edge at level k
+    # or k-1 toggles as many as the slices of the two classes it joins
+    # differ by; the lifting labelling stores those class pairs.  Only when
+    # a pair fails are the edges scanned, for the first one that fails.
+    lifting_single = path_quotient_equal and all(
+        (slices[a] ^ slices[b]).bit_count() == 1
+        for a, b in component_pairs(graph, lifting.deleted_levels)
+    )
+    if not lifting_single:
+        lifting_single = True
+        for u, v, level in graph.undirected_edges():
+            delta = (slices[u] ^ slices[v]).bit_count()
+            if delta != (1 if level in (k - 1, k) else 0):
+                findings.append(f"edge ({u}, {v}) at level {level} changes {delta} slice vertices")
+                lifting_single = False
+                break
 
     # a level-k flip between classes changes the reduced path: adjacent
     # classes have different meets

@@ -3,14 +3,15 @@
 Test-only reference for ``zonotiling.flipgraph.enumerate_tilings``, which
 runs its BFS only through the middle layer and builds the rest of the graph
 as the half-turn image of the first half.  This BFS visits every layer: it
-reads each node's flips and levels off its key with ``key_flips``, numbers
-each layer in sorted key order, and keeps a key-to-id map for all nodes.
+reads each layer's flips and levels off its keys with ``column_flips``,
+numbers each layer in sorted key order, and keeps a key-to-id map for all
+nodes.
 The production graph must have the same keys, adjacency and levels; see
 tests/test_flipgraph.py::TestHalfTurnEnumeration.
 """
 
 from zonotiling.core import PointConfig
-from zonotiling.flipgraph import key_flips
+from zonotiling.flipgraph import column_flips
 
 
 def full_bfs_graph(config: PointConfig) -> tuple[list[int], list[list[int]], list[bytes]]:
@@ -24,8 +25,8 @@ def full_bfs_graph(config: PointConfig) -> tuple[list[int], list[list[int]], lis
     while start < len(keys):
         pending = []  # neighbour keys of each node in the layer
         discovered = set()
-        for ukey in keys[start:]:
-            bits, node_levels = key_flips(n, ukey)
+        layer = keys[start:]
+        for ukey, (bits, node_levels) in zip(layer, column_flips(n, layer)):
             vkeys = [ukey ^ bit for bit in bits]
             discovered.update(vkey for vkey in vkeys if vkey > ukey)
             pending.append(vkeys)

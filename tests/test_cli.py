@@ -189,6 +189,25 @@ def test_options_a_command_does_not_read_are_refused(capsys, args):
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # after the first build, any further ArgumentParser would be a rebuild
+    from zonotiling import cli
+
+    parser = cli.build_parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+    assert run(["enumerate", "--n", "4"]) == 0
+    assert run(["render", "--n", "3"]) == 0
+    assert cli.build_parser() is parser
+    # a refused option leaves the shared parser as it was
+    with pytest.raises(SystemExit):
+        run(["enumerate", "--n", "3", "--format", "svg"])
+    assert run(["chains", "--n", "4", "--samples", "2"]) == 0
+
+
 def test_points_flag_with_fractions(capsys):
     assert run(["enumerate", "--points=-1,0,1/2,2"]) == 0
     assert "8 tilings" in capsys.readouterr().out

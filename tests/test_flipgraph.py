@@ -33,12 +33,13 @@ from zonotiling import (
     skeleton,
     standard_config,
 )
-from zonotiling import cli, flipgraph
+from zonotiling import cli, core, flipgraph
 from zonotiling.core import Finding, colex_triples, triple_rank
 from zonotiling.flipgraph import (
     EnumerationCapError,
     bfs_distances,
     component_pairs,
+    column_flips,
     components_excluding_levels,
     key_flips,
 )
@@ -87,7 +88,7 @@ class TestMemoryRefusal:
         def refuse(*args, **kwargs):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(flipgraph, "key_flips", refuse)
+        monkeypatch.setattr(flipgraph, "column_flips", refuse)
 
     def test_n9_refused_on_a_7gb_machine(self, monkeypatch):
         monkeypatch.setattr(flipgraph, "_physical_memory", lambda: 7 * 10**9)
@@ -210,6 +211,44 @@ def test_key_flips_match_the_tiles_along_random_walks(n, steps):
         tiling = apply_flip(tiling, moves[rng.randrange(len(moves))])
 
 
+class TestColumnFlips:
+    """The flip kernel on many keys at once, in chunks that end mid-layer."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(core, "_KEY_CHUNK", 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_enumeration_matches_the_tile_route(self, n):
+        config = standard_config(n)
+        g = enumerate_tilings(config)
+        keys, adj, levels, _ = tile_route_graph(config)
+        assert g.keys == keys
+        assert g.adj == adj
+        assert g.levels == levels
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_key_at_once(self, graphs, n):
+        keys = graphs(n).keys
+        flips = [list(zip(bits, levels)) for bits, levels in column_flips(n, keys)]
+        assert flips == [tile_flips(tiling_of_orientation(n, key)) for key in keys]
+
+    def test_one_call_per_layer(self, monkeypatch):
+        # C(6,3) = 20: the BFS reads layers 0 .. 10, each whole and once
+        layers = []
+        real = flipgraph.column_flips
+
+        def spy(n, keys):
+            layers.append(list(keys))
+            return real(n, keys)
+
+        monkeypatch.setattr(flipgraph, "column_flips", spy)
+        g = enumerate_tilings(standard_config(6))
+        first_half = [key for key in g.keys if key.bit_count() <= 10]
+        assert [key for layer in layers for key in layer] == first_half
+        assert [{key.bit_count() for key in layer} for layer in layers] == [{d} for d in range(11)]
+
+
 def test_enumeration_builds_no_tiling_or_flip_move(monkeypatch, decoded_keys):
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration built a FlipMove")
@@ -231,12 +270,14 @@ def test_full_enumeration_n8():
     # mirrored node holds exactly those
     full = (1 << comb(8, 3)) - 1
     last = len(g) - 1
-    for u in range((len(g) + 1) // 2):
-        key = g.keys[u]
-        bits, levels = key_flips(8, key)
+    half = g.keys[: (len(g) + 1) // 2]
+    flips = column_flips(8, half)
+    image_flips = column_flips(8, [key ^ full for key in half])
+    for u, key in enumerate(half):
+        bits, levels = next(flips)
         assert [g.keys[w] for w in g.adj[u]] == [key ^ bit for bit in bits]
         assert g.levels[u] == levels
-        image_bits, image_levels = key_flips(8, key ^ full)
+        image_bits, image_levels = next(image_flips)
         assert image_bits == bits
         assert list(image_levels) == [7 - level for level in levels]
         v = last - u
@@ -272,8 +313,9 @@ class TestHalfTurnEnumeration:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_every_node_reads_its_flips_off_its_key(self, graphs, n):
         g = graphs(n)
+        flips = column_flips(n, g.keys)
         for v, key in enumerate(g.keys):
-            bits, levels = key_flips(n, key)
+            bits, levels = next(flips)
             assert [g.keys[w] for w in g.adj[v]] == [key ^ bit for bit in bits]
             assert g.levels[v] == levels
 

@@ -22,10 +22,11 @@ from zonotiling import (
     reduced_cross_section,
     strongly_separated,
 )
-from zonotiling import flipgraph, hypertri, secondary
+from zonotiling import core, flipgraph, hypertri, secondary
 from zonotiling.core import full_mask, mask_from, standard_config
 from zonotiling.hypertri import (
     StrongSeparationError,
+    column_slices,
     key_slices,
     satisfies_triple_condition,
     slice_masks,
@@ -224,16 +225,16 @@ class TestReducedPaths:
         classes = {k: equivalence_classes(g, {k}) for k in range(1, g.n - 1)}
         stored = dict(g.labellings)
         read = []
-        real_slices = hypertri.key_slices
+        real_slices = hypertri.column_slices
 
-        def counted_slices(n, key, level):
-            read.append(key)
-            return real_slices(n, key, level)
+        def counted_slices(n, keys, level):
+            read.extend(keys)
+            return real_slices(n, keys, level)
 
         def no_labelling(*args, **kwargs):
             raise AssertionError("reduced_cross_section labelled components")
 
-        monkeypatch.setattr(hypertri, "key_slices", counted_slices)
+        monkeypatch.setattr(hypertri, "column_slices", counted_slices)
         for module in (flipgraph, secondary, hypertri):
             monkeypatch.setattr(
                 module, "components_excluding_levels", no_labelling, raising=False
@@ -299,14 +300,16 @@ class TestHypertriDiameters:
     def test_reads_each_slice_once(self, graphs, monkeypatch):
         g = graphs(5)
         k = 2
-        calls = {"slice": 0, "cross": 0, "reduced": 0}
+        calls = {"cross": 0, "reduced": 0}
+        read = []
         passed = []
-        real_slices = hypertri.key_slices
+        real_slices = hypertri.column_slices
         real_reduced = hypertri._reduced_path
 
-        def counted_slices(n, key, level):
-            calls["slice"] += level == k
-            return real_slices(n, key, level)
+        def counted_slices(n, keys, level):
+            if level == k:
+                read.extend(keys)
+            return real_slices(n, keys, level)
 
         def counted_cross(tiling, level):
             calls["cross"] += 1
@@ -317,12 +320,14 @@ class TestHypertriDiameters:
             passed.append(common)
             return real_reduced(common, level, n)
 
-        monkeypatch.setattr(hypertri, "key_slices", counted_slices)
+        monkeypatch.setattr(hypertri, "column_slices", counted_slices)
         monkeypatch.setattr(hypertri, "cross_section", counted_cross, raising=False)
         monkeypatch.setattr(hypertri, "_reduced_path", counted_reduced)
         rec = hypertri_diameters(g, k)
         assert rec["findings"] == []
-        assert calls == {"slice": len(g), "cross": 0, "reduced": rec["reduced"]["classes"]}
+        # every key read exactly once, in node order
+        assert read == g.keys
+        assert calls == {"cross": 0, "reduced": rec["reduced"]["classes"]}
         # each meet is over a whole class, and equals the meet of its tiles' slices
         classes = skeleton(g, k, "reduced_all").classes
         assert passed == [
@@ -353,6 +358,28 @@ class TestKeySlices:
         for v in range(len(g)):
             self.assert_key_route_matches(n, g.keys[v], node_tiling(g, v))
 
+    @staticmethod
+    def assert_column_route_matches(g):
+        # one column_slices pass over every key per level, read in step
+        n = g.n
+        passes = [column_slices(n, g.keys, k) for k in range(n)]
+        count = 0
+        for v, words in enumerate(zip(*passes)):
+            tiling = node_tiling(g, v)
+            for k, word in enumerate(words):
+                lower, upper = slice_masks(n, k, word)
+                assert lower == level_vertex_masks(tiling, k)
+                assert upper == level_vertex_masks(tiling, k + 1)
+            count += 1
+        assert count == len(g)
+        assert all(next(words, None) is None for words in passes)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_key_at_once_in_small_chunks(self, graphs, monkeypatch, n):
+        # chunks of 3 keys, so most chunks start and end mid-list
+        monkeypatch.setattr(core, "_KEY_CHUNK", 3)
+        self.assert_column_route_matches(graphs(n))
+
     def test_extremal_slices(self):
         # key 0 orients every circuit +1, so no vertex meets a triple in its
         # middle point alone: the slices hold the prefix-plus-suffix sets
@@ -371,9 +398,7 @@ class TestKeySlices:
 
     @pytest.mark.slow
     def test_every_node_and_level_n7(self, graphs):
-        g = graphs(7)
-        for v in range(len(g)):
-            self.assert_key_route_matches(7, g.keys[v], node_tiling(g, v))
+        self.assert_column_route_matches(graphs(7))
 
     @pytest.mark.slow
     def test_flip_walk_n8(self):
@@ -386,29 +411,49 @@ class TestKeySlices:
 
 
 def _slice_word(n, k, masks):
-    """The key_slices word whose level-k bits mark exactly the given masks."""
-    subsets = hypertri._slice_tables(n, k)[3]
+    """The column_slices word whose level-k bits mark exactly the given masks."""
+    subsets = hypertri._slice_tables(n, k)[1]
     return sum(1 << subsets.index(m) for m in masks)
 
 
 def _replace_slices(monkeypatch, graph, k, replacement, upper=None):
     """Make the level-k slice of each node v in replacement read replacement[v],
     and the level-(k+1) slice of each node v in upper read upper[v]."""
-    real = hypertri.key_slices
+    real = hypertri.column_slices
     lower = full_mask(comb(graph.n, k))
     ids = {key: v for v, key in enumerate(graph.keys)}
     upper = upper or {}
 
-    def fake(n, key, level):
-        word = real(n, key, level)
-        v = ids.get(key)
-        if level == k and v in replacement:
-            word = word & ~lower | _slice_word(n, k, replacement[v])
-        if level == k and v in upper:
-            word = word & lower | _slice_word(n, k, upper[v])
-        return word
+    def fake(n, keys, level):
+        for key, word in zip(keys, real(n, keys, level)):
+            v = ids.get(key)
+            if level == k and v in replacement:
+                word = word & ~lower | _slice_word(n, k, replacement[v])
+            if level == k and v in upper:
+                word = word & lower | _slice_word(n, k, upper[v])
+            yield word
 
-    monkeypatch.setattr(hypertri, "key_slices", fake)
+    monkeypatch.setattr(hypertri, "column_slices", fake)
+
+
+def per_edge_record(graph, k):
+    """The hypertri_diameters record with its toggle check redone edge by
+    edge, on the slices ``column_slices`` reads: the flag, and the first
+    failing edge's finding in its place among the findings."""
+    record = hypertri_diameters(graph, k)
+    lower = full_mask(comb(graph.n, k))
+    slices = [word & lower for word in hypertri.column_slices(graph.n, graph.keys, k)]
+    failing = None
+    for u, v, level in graph.undirected_edges():
+        delta = (slices[u] ^ slices[v]).bit_count()
+        if delta != (1 if level in (k - 1, k) else 0):
+            failing = f"edge ({u}, {v}) at level {level} changes {delta} slice vertices"
+            break
+    findings = [f for f in record["findings"] if not f.startswith("edge (")]
+    if failing is not None:
+        # after the two quotient findings, before the reduced-path one
+        findings.insert(sum(not f.startswith("level-") for f in findings), failing)
+    return record | {"lifting_single_vertex_ok": failing is None, "findings": findings}
 
 
 class TestLiftingQuotientCheck:
@@ -442,6 +487,7 @@ class TestLiftingQuotientCheck:
             },
         )
         rec = hypertri_diameters(g, k)
+        assert rec == per_edge_record(g, k)
         assert rec["path_quotient_equal"] is False
         assert "equal-path grouping differs from the simultaneous quotient" in rec["findings"]
 
@@ -453,6 +499,7 @@ class TestLiftingQuotientCheck:
         shared = level_vertex_masks(node_tiling(g, second[0]), k)
         _replace_slices(monkeypatch, g, k, {v: shared for v in first})
         rec = hypertri_diameters(g, k)
+        assert rec == per_edge_record(g, k)
         assert rec["path_quotient_equal"] is False
         assert "equal-path grouping differs from the simultaneous quotient" in rec["findings"]
 
@@ -467,6 +514,7 @@ class TestLiftingQuotientCheck:
         far = next(s for s in slices if len(s ^ target) == 2)
         _replace_slices(monkeypatch, g, k, {0: far})
         rec = hypertri_diameters(g, k)
+        assert rec == per_edge_record(g, k)
         assert rec["lifting_single_vertex_ok"] is False
         assert f"edge (0, {w}) at level {level} changes 2 slice vertices" in rec["findings"]
 
@@ -489,3 +537,53 @@ class TestReducedPathCheck:
             f"level-{k} flips between classes 0 and {b} leave the reduced path unchanged"
             in rec["findings"]
         )
+
+
+class TestToggleRoutes:
+    """The toggle check per lifting-class pair against one edge at a time."""
+
+    @pytest.mark.parametrize("points", [None, ["-2", "1/3", "3", "13/3", "6", "17/2"]])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_class_pairs_match_the_edge_scan(self, graphs, points, n):
+        g = graphs(n) if points is None else enumerate_tilings(make_config(points[:n]))
+        for k in range(1, n - 1):
+            rec = hypertri_diameters(g, k)
+            assert rec["lifting_single_vertex_ok"]
+            assert rec == per_edge_record(g, k)
+
+    def test_pairs_are_read_not_edges(self, graphs, monkeypatch):
+        # with every check passing, no edge is scanned
+        g = graphs(6)
+
+        def no_scan(graph):
+            raise AssertionError("edges scanned")
+
+        monkeypatch.setattr(flipgraph.FlipGraph, "undirected_edges", no_scan)
+        for k in range(1, 5):
+            assert hypertri_diameters(g, k)["findings"] == []
+
+    @pytest.mark.parametrize("n,k", [(5, 1), (5, 2), (5, 3), (6, 2), (6, 3)])
+    def test_first_and_last_classes_swap_slices(self, graphs, monkeypatch, n, k):
+        # whole classes swap their slices: still constant per class and
+        # distinct, so only the class pairs can see it, and the edge scan
+        # then names the first failing edge
+        g = graphs(n)
+        first, *_, last = skeleton(g, k, "lifting_all").classes
+        a, b = (level_vertex_masks(node_tiling(g, members[0]), k) for members in (first, last))
+        _replace_slices(monkeypatch, g, k, {v: b for v in first} | {v: a for v in last})
+        rec = hypertri_diameters(g, k)
+        assert rec["path_quotient_equal"] is True
+        assert rec["lifting_single_vertex_ok"] is False
+        assert rec == per_edge_record(g, k)
+        assert sum(f.startswith("edge (") for f in rec["findings"]) == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_reduced_path_faults_keep_the_class_pairs(self, graphs, monkeypatch, k):
+        # level-(k+1) faults leave the level-k slices, and so the toggles, intact
+        g = graphs(5)
+        reduced = skeleton(g, k, "reduced_all")
+        shared = reduced_cross_section(g, reduced.classes[reduced.adj[0][0]], k).vertex_masks()
+        _replace_slices(monkeypatch, g, k, {}, upper={v: shared for v in reduced.classes[0]})
+        rec = hypertri_diameters(g, k)
+        assert rec["lifting_single_vertex_ok"] is True
+        assert rec == per_edge_record(g, k)

@@ -2,8 +2,8 @@
 validation and slices read off tiles.
 
 Test-only reference for the key route in ``zonotiling``, which holds a
-tiling only as its orientation key and reads flips (``flipgraph.key_flips``),
-slices (``hypertri.key_slices``), offset sizes and ``vert_k`` off keys.  Here
+tiling only as its orientation key and reads flips (``flipgraph.column_flips``),
+slices (``hypertri.column_slices``), offset sizes and ``vert_k`` off keys.  Here
 a ``Tiling`` is its pair-indexed offsets, and every function works on those
 offsets or on the vertex set they span.  It imports nothing but
 ``zonotiling.core`` and ``zonotiling.tiling``'s key decoder, so the tests
