@@ -4,6 +4,12 @@ Every subcommand works on one point configuration (from --points or the
 default a_i = i via --n), prints a short summary, and can write JSON / DOT /
 SVG artifacts into --out.  Outputs carry the configuration's header
 (``PointConfig.to_json``) and are byte-stable for fixed inputs and seed.
+A JSON artifact's bytes are those of ``json.dumps(payload, indent=2,
+sort_keys=True)`` plus a newline, written as a stream by ``_write``: the
+flip graph's nodes and edges, ``classify``'s certificates and
+``potential``'s reports are generated as they are written, so no artifact
+is held whole.  They are generated without --out too, so what a command
+prints and records never depends on --out.
 ``main`` resolves the common options into a ``RunConfig``, hands it to the
 subcommand, and turns the outcome into the exit status: 2 for an input
 error (a ValueError), 1 under --strict when a theorem check failed or a
@@ -22,10 +28,13 @@ slack-LP verdicts.  Every artifact is the same as from a fresh process.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 from .core import Finding, PointConfig, make_config, num_triples, standard_config
@@ -46,6 +55,7 @@ from .hypertri import (
     reduced_cross_section,
     slice_masks,
 )
+from .jsonstream import json_pieces
 from .oracle import commutation_census, reduced_word_count_formula
 from .regularity import LpWork, graph_certificates, regular_set
 from .secondary import (
@@ -115,14 +125,30 @@ def _print_lp_work(work: LpWork) -> None:
 
 
 def _write(run: RunConfig, name: str, payload) -> None:
+    """Write text as it is, or any other payload as JSON, to ``name`` in --out.
+
+    A payload's generators run even without --out, so what they print and
+    record does not depend on it.  The file is written under a temporary
+    name in the same directory and renamed once complete, so a payload that
+    raises leaves no file behind.
+    """
+    if isinstance(payload, str):
+        pieces = (payload, "" if payload.endswith("\n") else "\n")
+    else:
+        pieces = chain(json_pieces(payload), ("\n",))
     if run.out is None:
+        deque(pieces, maxlen=0)
         return
     run.out.mkdir(parents=True, exist_ok=True)
     path = run.out / name
-    if isinstance(payload, str):
-        path.write_text(payload + ("" if payload.endswith("\n") else "\n"))
-    else:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    partial = path.with_name(f".{name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w") as fh:
+            fh.writelines(pieces)
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     print(f"wrote {path}")
 
 
@@ -150,19 +176,17 @@ def cmd_enumerate(run: RunConfig, ns: argparse.Namespace) -> None:
 
 def cmd_classify(run: RunConfig, ns: argparse.Namespace) -> None:
     graph = _graph(run.config)
-    certs, work = graph_certificates(graph)
-    entries = [c.to_json() for c in certs]
-    regular = sum(entry["regular"] for entry in entries)
-    irregular = len(entries) - regular
+    entries, regular, work = graph_certificates(graph)
+    total = len(graph)
     print(
-        f"{len(entries)} tilings: {regular} regular, {irregular} irregular; "
-        f"verdicts: {work.solved + work.reused} by LP, {len(graph) // 2} by half-turn"
+        f"{total} tilings: {regular} regular, {total - regular} irregular; "
+        f"verdicts: {work.solved + work.reused} by LP, {total // 2} by half-turn"
     )
     _print_lp_work(work)
     payload = run.config.to_json() | {
-        "total": len(entries),
+        "total": total,
         "regular": regular,
-        "irregular": irregular,
+        "irregular": total - regular,
         "certificates": entries,
     }
     _write(run, f"classify_n{run.config.n}.json", payload)
@@ -257,27 +281,30 @@ def cmd_hypertri(run: RunConfig, ns: argparse.Namespace) -> None:
 def cmd_potential(run: RunConfig, ns: argparse.Namespace) -> None:
     ks = _levels(run, ns)
     graph = _graph(run.config)  # potential() refuses a --ref outside the graph
-    reports = []
-    for k in ks:
-        for maker, bound_levels in ((potential, {k - 1, k}), (modified_potential, {k})):
-            rep = maker(graph, ns.ref, k, thresholds=ns.thresholds)
-            reports.append(rep.to_json())
-            print(
-                f"{rep.kind} potential k={k} ref={ns.ref}: max per-edge delta "
-                f"{rep.max_edge_delta}, by level {rep.max_edge_delta_by_level}"
-            )
-            if rep.max_edge_delta > 1:
-                run.finding(f"{rep.kind} potential k={k} moves by more than 1")
-            for level, delta in rep.max_edge_delta_by_level:
-                if level not in bound_levels and delta != 0:
-                    run.finding(
-                        f"{rep.kind} potential k={k} changed across a "
-                        f"level-{level} edge"
-                    )
+
+    def reports() -> Iterator[dict]:
+        """Each report as it is written, so one value table is held at a time."""
+        for k in ks:
+            for maker, bound_levels in ((potential, {k - 1, k}), (modified_potential, {k})):
+                rep = maker(graph, ns.ref, k, thresholds=ns.thresholds)
+                print(
+                    f"{rep.kind} potential k={k} ref={ns.ref}: max per-edge delta "
+                    f"{rep.max_edge_delta}, by level {rep.max_edge_delta_by_level}"
+                )
+                if rep.max_edge_delta > 1:
+                    run.finding(f"{rep.kind} potential k={k} moves by more than 1")
+                for level, delta in rep.max_edge_delta_by_level:
+                    if level not in bound_levels and delta != 0:
+                        run.finding(
+                            f"{rep.kind} potential k={k} changed across a "
+                            f"level-{level} edge"
+                        )
+                yield rep.to_json()
+
     _write(
         run,
         f"potential_n{run.config.n}_ref{ns.ref}.json",
-        run.config.to_json() | {"reports": reports},
+        run.config.to_json() | {"reports": reports()},
     )
 
 

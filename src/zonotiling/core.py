@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lcm
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -217,6 +217,15 @@ class PointConfig:
                 raise ValueError(f"duplicate coordinate {a}: points must be distinct")
             if a > b:
                 raise ValueError("coordinates must be strictly increasing")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The coordinates' hash, taken once: the tables cached per
+        configuration are looked up by it for every LP."""
+        return hash(self.coords)
 
     @property
     def n(self) -> int:

@@ -649,10 +649,14 @@ def max_chain_through(
 # exports
 
 def graph_to_json(graph: FlipGraph) -> dict:
+    """The graph's JSON artifact: each key in hex, each edge as (u, v, level).
+
+    Nodes and edges are iterators, read as the artifact is written.
+    """
     width = max(1, (num_triples(graph.n) + 3) // 4)
     return graph.config.to_json() | {
-        "nodes": [format(k, f"0{width}x") for k in graph.keys],
-        "edges": [[u, v, level] for u, v, level in graph.undirected_edges()],
+        "nodes": map(f"{{:0{width}x}}".format, graph.keys),
+        "edges": graph.undirected_edges(),
     }
 
 

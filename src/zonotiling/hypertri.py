@@ -104,6 +104,13 @@ class MonotonePath:
 
 
 def _ordered_path(masks: Iterable[int], k: int, n: int, reduced: bool) -> MonotonePath:
+    return MonotonePath(k, tuple(map(mask_points, _checked_order(masks, k, n))), reduced)
+
+
+def _checked_order(masks: Iterable[int], k: int, n: int) -> list[int]:
+    """The masks in the separation order, checked to step from {1..k} to the
+    top k-set by single increasing exchanges; raises StrongSeparationError
+    or ValueError otherwise."""
     ordered = sorted(masks, key=cmp_to_key(_separation_cmp))
     if ordered:
         start = mask_from(range(1, k + 1))
@@ -121,7 +128,7 @@ def _ordered_path(masks: Iterable[int], k: int, n: int, reduced: bool) -> Monoto
                     f"step {mask_points(a)} -> {mask_points(b)} is not a "
                     "single increasing exchange"
                 )
-    return MonotonePath(k, tuple(mask_points(m) for m in ordered), reduced)
+    return ordered
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +321,7 @@ def hypertri_diameters(graph: FlipGraph, k: int) -> dict:
     # equal slices when the slice is constant on each class and there are
     # as many distinct slices as classes
     for s in distinct:
-        _ordered_path(slice_masks(n, k, s)[0], k, n, reduced=False)
+        _checked_order(slice_masks(n, k, s)[0], k, n)
     path_quotient_equal = len(distinct) == len(lifting) and all(
         len({slices[v] for v in members}) == 1 for members in lifting.classes
     )

@@ -100,8 +100,11 @@ verdict of each first-half id whose LP was solved, in integers: (h, det,
 value) with h None when irregular.  A probe's witness is never stored, so
 ``graph_certificates`` gives the same bytes whichever pass ran first.  Each
 pass counts in an ``LpWork`` the LPs it solved, those it read back, and the
-solved ones' simplex pivots.  Only ``classify_orientation`` and
-``graph_certificates`` turn verdicts into ``RegularityCertificate``s.
+solved ones' simplex pivots.  ``graph_certificates`` formats each node's
+JSON entry straight from the stored integers as the artifact is written,
+every rational as the gcd-reduced p/q (or p) that ``str(Fraction)``
+gives, with no ``Fraction`` per node; only ``classify_orientation`` turns
+a verdict into a ``RegularityCertificate``.
 """
 
 from __future__ import annotations
@@ -372,14 +375,6 @@ def _certify(config: PointConfig, key: int) -> tuple[tuple[int, ...] | None, int
     return h, det, value, pivots
 
 
-def _certificate(h, det: int, value: int, sign: int = 1) -> RegularityCertificate:
-    """The certificate of an LP verdict: witness sign * h / det, slack value / det."""
-    if h is None:
-        return _IRREGULAR
-    witness = tuple(Fraction(sign * x, det) for x in h)
-    return RegularityCertificate(True, witness, Fraction(value, det))
-
-
 def classify_orientation(config: PointConfig, key: int) -> RegularityCertificate:
     """The regularity certificate of the tiling with orientation key ``key``.
 
@@ -389,7 +384,10 @@ def classify_orientation(config: PointConfig, key: int) -> RegularityCertificate
     det > 0, which moves no sign.  Raises ValueError for a key outside
     0 .. 2**C(n,3) - 1, and AssertionError for a witness that fails.
     """
-    return _certificate(*_certify(config, key)[:3])
+    h, det, value, _ = _certify(config, key)
+    if h is None:
+        return _IRREGULAR
+    return RegularityCertificate(True, tuple(Fraction(x, det) for x in h), Fraction(value, det))
 
 
 def _mirror(h: Sequence[int], image_key: int, table) -> tuple[int, ...]:
@@ -429,22 +427,44 @@ def _verdict(graph, v: int, work: LpWork) -> tuple[tuple[int, ...] | None, int, 
     return verdict
 
 
-def graph_certificates(graph) -> tuple[Iterator[RegularityCertificate], LpWork]:
-    """Every node's certificate in id order, with one LP per half-turn pair.
+def _rational(x: int, det: int) -> str:
+    """``str(Fraction(x, det))`` for det > 0, without the Fraction."""
+    g = gcd(x, det)
+    return str(x // g) if g == det else f"{x // g}/{det // g}"
+
+
+def _entry(h, det: int, value: int, sign: int = 1) -> dict:
+    """The JSON entry of an LP verdict, with witness sign * h / det and slack
+    value / det, as ``RegularityCertificate.to_json`` gives it."""
+    if h is None:
+        return {"regular": False}
+    return {
+        "h": [_rational(sign * x, det) for x in h],
+        "regular": True,
+        "slack": _rational(value, det),
+    }
+
+
+def graph_certificates(graph) -> tuple[Iterator[dict], int, LpWork]:
+    """Every node's certificate entry in id order, the regular count, and
+    the LP work, with one LP per half-turn pair.
 
     The first half of the ids, through the middle one, take their LP's
     verdict; the mirror id len(graph) - 1 - v takes it with the negated
     witness.  The LPs are solved, or read from the graph, before this
-    returns with the LP work; each certificate is built as it is read.
+    returns; each entry is formatted from the stored integers as it is read.
     """
     work = LpWork()
     size = len(graph)
-    half = [_verdict(graph, v, work) for v in range((size + 1) // 2)]
-    certs = (
-        _certificate(*half[v]) if v < len(half) else _certificate(*half[size - 1 - v], -1)
+    for v in range((size + 1) // 2):
+        _verdict(graph, v, work)
+    store = graph.derived["slack_lp"]
+    regular = sum(store[min(v, size - 1 - v)][0] is not None for v in range(size))
+    entries = (
+        _entry(*store[v]) if 2 * v < size else _entry(*store[size - 1 - v], -1)
         for v in range(size)
     )
-    return certs, work
+    return entries, regular, work
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ class PotentialReport:
             "reference": self.reference,
             "k": self.k,
             "thresholds": self.thresholds,
-            "values": list(self.values),
+            "values": self.values,
             "max_edge_delta": self.max_edge_delta,
             "max_edge_delta_by_level": [list(x) for x in self.max_edge_delta_by_level],
         }

@@ -112,6 +112,48 @@ def test_chains_deterministic(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "enumerate",
+        "enumerate --format dot",
+        "classify",
+        "diameters --all",
+        "diameters --all --format dot",
+        "hypertri --k 1",
+        "hypertri --k 2",
+        "hypertri --k 3",
+        "chains --samples 20 --seed 0",
+        "potential --ref 0 --all",
+        "potential --ref 0 --all --thresholds shifted",  # 4 findings
+        "oracle-count",
+    ],
+)
+def test_output_does_not_depend_on_out(tmp_path, capsys, command):
+    # a payload generated as it is written runs without --out too: same
+    # stdout (findings included), stderr and exit status, less the "wrote" lines
+    from zonotiling import cli
+
+    args = command.split() + ["--n", "5", "--strict"]
+    code = run(args)
+    alone = capsys.readouterr()
+    cli._graph.cache_clear()
+    assert run(args + ["--out", str(tmp_path)]) == code
+    written = capsys.readouterr()
+    kept = [line for line in written.out.splitlines() if not line.startswith("wrote ")]
+    assert kept == alone.out.splitlines()
+    assert written.err == alone.err
+    assert len(kept) < len(written.out.splitlines()) == len(kept) + len(list(tmp_path.iterdir()))
+
+
+def test_refused_ref_leaves_no_file(tmp_path, capsys):
+    # the reference is refused while the artifact is being written: neither
+    # the artifact nor its temporary file is left behind
+    assert run(["potential", "--n", "5", "--ref", "62", "--all", "--out", str(tmp_path)]) == 2
+    assert "error: node id 62 is outside 0..61" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_render_min_single_tile(capsys):
     assert run(["render", "--n", "2", "--tiling", "min"]) == 0
     out = capsys.readouterr().out

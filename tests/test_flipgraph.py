@@ -719,7 +719,9 @@ class TestHalfTurnLabellings:
 
 class TestExports:
     def test_json_shape(self, graphs):
+        # nodes and edges are iterators, read as the artifact is written
         data = graph_to_json(graphs(4))
+        data["nodes"], data["edges"] = list(data["nodes"]), list(data["edges"])
         assert data["n"] == 4
         assert len(data["nodes"]) == 8
         assert all(len(e) == 3 for e in data["edges"])

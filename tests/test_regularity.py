@@ -616,12 +616,11 @@ class TestGraphCertificates:
 
     @staticmethod
     def check_against_lps(g, expected):
-        certs, work = regularity.graph_certificates(g)
+        entries, regular, work = regularity.graph_certificates(g)
         # one verdict by LP per half-turn pair, the middle id included
         assert work.solved + work.reused == (len(g) + 1) // 2
-        assert [(c.regular, c.witness, c.slack) for c in certs] == [
-            (c.regular, c.witness, c.slack) for c in expected
-        ]
+        assert list(entries) == [c.to_json() for c in expected]
+        assert regular == sum(c.regular for c in expected)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_equals_one_lp_per_node(self, graphs, certificates, n):
@@ -638,6 +637,10 @@ class TestGraphCertificates:
     @given(st.integers(3, 5).flatmap(configurations))
     def test_equals_one_lp_per_node_on_drawn_configurations(self, cfg):
         self.check_drawn(cfg)
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    def test_rationals_are_formatted_as_fractions(self, x, det):
+        assert regularity._rational(x, det) == str(Fraction(x, det))
 
     @settings(max_examples=3)
     @given(configurations(6))
