@@ -8,8 +8,8 @@ A JSON artifact's bytes are those of ``json.dumps(payload, indent=2,
 sort_keys=True)`` plus a newline, written as a stream by ``_write``: the
 flip graph's nodes and edges, ``classify``'s certificates and
 ``potential``'s reports are generated as they are written, so no artifact
-is held whole.  They are generated without --out too, so what a command
-prints and records never depends on --out.
+is held whole.  Without --out they are generated too, by ``drain``, but
+not formatted, so what a command prints and records never depends on --out.
 ``main`` resolves the common options into a ``RunConfig``, hands it to the
 subcommand, and turns the outcome into the exit status: 2 for an input
 error (a ValueError), 1 under --strict when a theorem check failed or a
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -55,7 +54,7 @@ from .hypertri import (
     reduced_cross_section,
     slice_masks,
 )
-from .jsonstream import json_pieces
+from .jsonstream import drain, json_pieces
 from .oracle import commutation_census, reduced_word_count_formula
 from .regularity import LpWork, graph_certificates, regular_set
 from .secondary import (
@@ -127,18 +126,19 @@ def _print_lp_work(work: LpWork) -> None:
 def _write(run: RunConfig, name: str, payload) -> None:
     """Write text as it is, or any other payload as JSON, to ``name`` in --out.
 
-    A payload's generators run even without --out, so what they print and
-    record does not depend on it.  The file is written under a temporary
-    name in the same directory and renamed once complete, so a payload that
-    raises leaves no file behind.
+    Without --out, a payload's generators are still exhausted, in the order
+    writing would read them, but nothing is formatted, so what they print
+    and record does not depend on --out.  The file is written under a
+    temporary name in the same directory and renamed once complete, so a
+    payload that raises leaves no file behind.
     """
+    if run.out is None:
+        drain(payload)
+        return
     if isinstance(payload, str):
         pieces = (payload, "" if payload.endswith("\n") else "\n")
     else:
         pieces = chain(json_pieces(payload), ("\n",))
-    if run.out is None:
-        deque(pieces, maxlen=0)
-        return
     run.out.mkdir(parents=True, exist_ok=True)
     path = run.out / name
     partial = path.with_name(f".{name}.{os.getpid()}.tmp")

@@ -32,23 +32,35 @@ image of node v is node len(graph) - 1 - v and no key-to-id map outlives
 enumeration.  It is a graph automorphism that keeps the flipped circuit and
 sends flip level l to n - 1 - l.
 
+The graph is held in compressed sparse row (CSR) form: one ``array('i')``
+of neighbour ids, one ``bytes`` of their flip levels aligned with it, and
+``len + 1`` node offsets, so node v's neighbours, in circuit order, are the
+slice between offsets v and v + 1.  ``graph.adj[v]`` and ``graph.levels[v]``
+are read-only views of that slice; the hot loops (enumeration, the
+labelling BFS, ``undirected_edges``, ``sample_chain``, ``regular_set``'s
+probes and the potentials' edge audit) read the flat arrays directly.
+
 Quotient skeletons rest on ``components_excluding_levels``, which labels and
 stores each level set's components, their partition and the pairs
-deleted-level edges join, once per graph, building a labelling from its
-stored half-turn twin (levels n - 1 - l) without a BFS, and on
-``graph_diameter``, a bit-parallel multi-source BFS.
+deleted-level edges join, tagged with the edge's level, once per graph, and
+on ``graph_diameter``, a bit-parallel multi-source BFS.  A labelling is the
+half-turn image of its stored twin (levels n - 1 - l) when there is one,
+else is merged from a stored labelling of more deleted levels on the same
+node set, and only failing both is a BFS run.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import chain, combinations, compress, repeat
 from math import comb
+from operator import floordiv, sub
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import (
@@ -67,9 +79,11 @@ class EnumerationCapError(ValueError):
 
 
 # Number of tilings for n = 1 .. 10 (OEIS A006245), and the bytes a graph
-# takes per node, measured at n = 8 (about 430 MB for 1,232,944 nodes).
+# takes per node, measured at n = 8: the peak RSS of a fresh
+# ``enumerate --n 8 --out DIR``, 196.1 MiB, less 16.8 MiB for the interpreter
+# and imports, is about 188 MB for 1,232,944 nodes.
 _TILING_COUNTS = (1, 1, 2, 8, 62, 908, 24_698, 1_232_944, 112_018_190, 18_410_581_880)
-_BYTES_PER_NODE = 430_000_000 / 1_232_944
+_BYTES_PER_NODE = 188_000_000 / 1_232_944
 
 
 def _physical_memory() -> int | None:
@@ -97,21 +111,47 @@ def _check_memory(n: int) -> None:
         )
 
 
+class _Rows:
+    """Node v's slice of a flat per-edge sequence, for v = 0 .. len - 1."""
+
+    __slots__ = ("values", "offsets")
+
+    def __init__(self, values, offsets: array):
+        self.values = values
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, v: int):
+        if v < 0:
+            raise IndexError(f"node id {v} is negative")
+        return self.values[self.offsets[v]:self.offsets[v + 1]]
+
+
 @dataclass
 class FlipGraph:
     """The graph of all fine tilings with level-labelled flip edges.
 
     Node ids are sorted by (inversion count, key).  Raising flips lead to
     later ids, and the half-turn image of node v is len(graph) - 1 - v.
+    Node v's neighbours are ``nbr_ids[offsets[v]:offsets[v + 1]]``, in
+    circuit order, with their flip levels at the same places of
+    ``nbr_levels``; ``adj[v]`` and ``levels[v]`` are read-only views of them.
     """
 
     config: PointConfig
     keys: list[int]  # orientation key of each node
-    adj: list[list[int]]  # neighbour ids
-    levels: list[bytes]  # levels[u][i] is the flip level of the edge to adj[u][i]
+    nbr_ids: array  # typecode 'i'
+    nbr_levels: bytes
+    offsets: array  # typecode 'i', len(keys) + 1 entries
     labellings: dict = field(default_factory=dict, repr=False, compare=False)
     # per-node data that several reports read, each computed once per graph
     derived: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.adj = _Rows(memoryview(self.nbr_ids).toreadonly(), self.offsets)
+        self.levels = _Rows(self.nbr_levels, self.offsets)
 
     @property
     def n(self) -> int:
@@ -139,14 +179,18 @@ class FlipGraph:
 
     def undirected_edges(self) -> Iterator[tuple[int, int, int]]:
         """Each flip edge once as (u, v, level) with u < v."""
-        levels = self.levels
-        for u, nbrs in enumerate(self.adj):
-            for v, level in zip(nbrs, levels[u]):
-                if u < v:
-                    yield (u, v, level)
+        for u, v, level in zip(self.sources(), self.nbr_ids, self.nbr_levels):
+            if u < v:
+                yield u, v, level
+
+    def sources(self, values: Sequence | None = None) -> Iterator:
+        """Node u, or values[u], once for each of u's neighbours, aligned with ``nbr_ids``."""
+        offsets = self.offsets
+        nodes = range(len(self)) if values is None else values
+        return chain.from_iterable(map(repeat, nodes, map(sub, offsets[1:], offsets)))
 
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return len(self.nbr_ids) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +298,9 @@ def enumerate_tilings(config: PointConfig) -> FlipGraph:
     full = (1 << depth_max) - 1  # its key: every circuit -1
     keys = [0]  # the minimal tiling orients every circuit +1
     index = {0: 0}
-    adj: list[list[int]] = []
-    levels: list[bytes] = []
+    nbr_ids = array("i")
+    nbr_levels = bytearray()
+    offsets = array("i", [0])
 
     # A flip moves the inversion count by one and every tiling but the
     # minimal one has a lowering flip: a node's lowering neighbours are
@@ -264,38 +309,47 @@ def enumerate_tilings(config: PointConfig) -> FlipGraph:
     # the next layer is numbered.
     start = 0
     while True:
-        pending: list[list[int]] = []  # neighbour keys of each node in the layer
+        pending: list[int] = []  # neighbour keys of the layer's nodes, one after another
         layer = keys[start:]
         for ukey, (bits, node_levels) in zip(layer, column_flips(n, layer)):
-            pending.append([ukey ^ bit for bit in bits])
-            levels.append(node_levels)
+            pending += map(ukey.__xor__, bits)
+            nbr_levels += node_levels
+            offsets.append(len(nbr_levels))
         if 2 * (keys[start].bit_count() + 1) > depth_max:
             break  # this is the middle layer
         start = len(keys)
-        for vkey in sorted({vkey for vkeys in pending for vkey in vkeys if vkey not in index}):
+        for vkey in sorted(set(pending).difference(index)):
             index[vkey] = len(keys)
             keys.append(vkey)
-        adj.extend([index[vkey] for vkey in vkeys] for vkeys in pending)
+        nbr_ids.extend(map(index.__getitem__, pending))
 
     # The layer after the middle one is the image of the middle layer when
     # C(n,3) is odd, and of the one before it when C(n,3) is even, so only
     # an even C(n,3) has a middle layer that is its own image.
     half = len(keys)
-    size = half + start if depth_max % 2 == 0 else 2 * half
-    ids = list(index.values())  # ids[v] is v, the int the adjacency holds
-    ids.extend(range(half, size))
-    mirror = ids[::-1]  # mirror[v] is v's half-turn image, size - 1 - v
-    adj.extend(
-        [index[vkey] if vkey in index else mirror[index[vkey ^ full]] for vkey in vkeys]
-        for vkeys in pending
-    )
-    del index, pending, ids
-    flip_level = bytes.maketrans(bytes(range(n)), bytes(range(n - 1, -1, -1)))
-    for u in mirror[half:]:
+    last = (half + start if depth_max % 2 == 0 else 2 * half) - 1
+    nbr_ids.extend([index[vkey] if vkey in index else last - index[vkey ^ full] for vkey in pending])
+    del index, pending
+    # node v >= half is the image of u = last - v, block by block from u = last - half down
+    images = _mirror_ids(nbr_ids, last)
+    image_levels = nbr_levels.translate(bytes.maketrans(bytes(range(n)), bytes(range(n)[::-1])))
+    for u in range(last - half, -1, -1):
+        a, b = offsets[u], offsets[u + 1]
         keys.append(keys[u] ^ full)
-        adj.append([mirror[w] for w in adj[u]])
-        levels.append(levels[u].translate(flip_level))
-    return FlipGraph(config, keys, adj, levels)
+        nbr_ids.extend(images[a:b])
+        nbr_levels += image_levels[a:b]
+        offsets.append(len(nbr_levels))
+    return FlipGraph(config, keys, nbr_ids, bytes(nbr_levels), offsets)
+
+
+def _mirror_ids(ids: array, last: int) -> array:
+    """last - v for each v in ``ids``, by one subtraction of the array read as
+    one int: no 32-bit field borrows from the next, since every v <= last."""
+    order = sys.byteorder
+    tops = int.from_bytes(array("i", [last]) * len(ids), order)
+    image = array("i")
+    image.frombytes((tops - int.from_bytes(ids, order)).to_bytes(len(ids) * ids.itemsize, order))
+    return image
 
 
 def check_node(graph: FlipGraph, node: int) -> None:
@@ -407,18 +461,21 @@ def components_excluding_levels(
     the graph raises ValueError.  Labels are canonical: the label of a
     component is the smallest node id it contains, so partitions compare
     across calls.  Beside the labels, an ``array('i')``, each labelling
-    keeps the pairs of labels a <= b that deleted-level edges join, each
-    stored once as the int a * len(graph) + b (an edge inside component c
-    gives (c, c)), which ``component_pairs`` decodes; and the partition:
-    every component's sorted members, one after another, in
-    ``components``' order.  Each labelling is computed once per graph and
-    stored on it, so every call with the same levels and node set returns
-    the same array; callers must not mutate it.
+    keeps the pairs of labels a <= b that deleted-level edges join, with
+    the edge's level l, each stored once as the int (a * len + b) * n + l,
+    in increasing order (an edge inside component c gives (c, c)), which
+    ``component_pairs`` decodes; and the partition: every component's
+    sorted members, one after another, in ``components``' order.  Each
+    labelling is computed once per graph and stored on it, so every call
+    with the same levels and node set returns the same array; callers must
+    not mutate it.
 
     The half-turn maps the graph minus levels L, induced on W, onto the
     graph minus {n-1-l}, induced on {len-1-v}.  When that twin is stored
-    already, the labelling is its image (``_mirrored_labelling``); otherwise
-    one BFS labels the nodes (``_bfs_labelling``).
+    already, the labelling is its image (``_mirrored_labelling``); else,
+    when a labelling of more levels on W is stored, the least of them is
+    merged (``_merged_labelling``); else one BFS labels the nodes
+    (``_bfs_labelling``).
     """
     key = _labelling_key(deleted_levels, within)
     stored = graph.labellings.get(key)
@@ -426,15 +483,21 @@ def components_excluding_levels(
         banned, within = key
         check_nodes(graph, within)
         last = len(graph) - 1
-        twin_key = _labelling_key(
+        twin = graph.labellings.get(_labelling_key(
             [graph.n - 1 - level for level in banned],
             None if within is None else [last - v for v in within],
+        ))
+        finer = min(
+            (levels for levels, nodes in graph.labellings if levels > banned and nodes == within),
+            key=len,
+            default=None,
         )
-        twin = graph.labellings.get(twin_key)
-        if twin is None:
-            stored = _bfs_labelling(graph, banned, within)
+        if twin is not None:
+            stored = _mirrored_labelling(graph, twin)
+        elif finer is not None:
+            stored = _merged_labelling(graph, graph.labellings[finer, within], finer - banned)
         else:
-            stored = _mirrored_labelling(len(graph), twin)
+            stored = _bfs_labelling(graph, banned, within)
         graph.labellings[key] = stored
     return stored[0]
 
@@ -445,9 +508,8 @@ def _bfs_labelling(graph: FlipGraph, banned: frozenset[int], within: frozenset[i
     The BFS records each deleted-level edge whose other end is already
     labelled, in this component or an earlier one, as a pair.
     """
-    adj = graph.adj
-    levels = graph.levels
-    size = len(adj)
+    ids, levels, offsets = graph.nbr_ids, graph.nbr_levels, graph.offsets
+    size, n = len(graph), graph.n
     # nodes outside ``within`` read -2 until the BFS over the -1 nodes ends
     labels = [-1 if within is None else -2] * size
     if within:
@@ -462,10 +524,11 @@ def _bfs_labelling(graph: FlipGraph, banned: frozenset[int], within: frozenset[i
         labels[start] = start
         component = [start]
         for u in component:  # the list grows into the BFS queue
-            for v, level in zip(adj[u], levels[u]):
+            a, b = offsets[u], offsets[u + 1]
+            for v, level in zip(ids[a:b], levels[a:b]):
                 if level in banned:
                     if labels[v] >= 0:  # in this component or an earlier one
-                        pairs.add(labels[v] * size + start)
+                        pairs.add((labels[v] * size + start) * n + level)
                 elif labels[v] == -1:
                     labels[v] = start
                     component.append(v)
@@ -474,22 +537,26 @@ def _bfs_labelling(graph: FlipGraph, banned: frozenset[int], within: frozenset[i
         starts.append(len(members))
     if within is not None:
         labels = [max(label, -1) for label in labels]
-    pairs = array("q", pairs)  # frees the set before the labels are packed
+    pairs = array("q", sorted(pairs))  # frees the set before the labels are packed
     return array("i", labels), pairs, members, starts
 
 
-def _mirrored_labelling(size: int, twin):
+def _mirrored_labelling(graph: FlipGraph, twin):
     """The half-turn image of a stored labelling, in the same four parts.
 
     Twin component C becomes {size-1-v : v in C}, labelled size-1-max(C):
     its members reversed and mirrored, with the components re-sorted by
-    label, that is by descending max(C).
+    label, that is by descending max(C); a pair at level l moves to level
+    n-1-l.
     """
     twin_labels, twin_pairs, twin_members, twin_starts = twin
+    size = len(graph)
     last = size - 1
     count = len(twin_members)
     # twin members from a to b become image[count - b : count - a], in order
-    image = array("i", [last - v for v in reversed(twin_members)])
+    image = array("i", twin_members)
+    image.reverse()
+    image = _mirror_ids(image, last)
     bounds = list(zip(twin_starts, twin_starts[1:]))
     bounds.sort(key=lambda bound: twin_members[bound[1] - 1], reverse=True)
     relabel = [-1] * (size + 1)  # its last entry keeps label -1 at -1
@@ -500,12 +567,69 @@ def _mirrored_labelling(size: int, twin):
         members.extend(image[count - b : count - a])
         starts.append(len(members))
     labels = array("i", [relabel[label] for label in reversed(twin_labels)])
-    pairs = set()
+    n = graph.n
+    pairs = []
     for pair in twin_pairs:
-        a, b = divmod(pair, size)
-        a, b = relabel[a], relabel[b]
-        pairs.add(a * size + b if a <= b else b * size + a)
-    return labels, array("q", pairs), members, starts
+        pair, level = divmod(pair, n)
+        a, b = relabel[pair // size], relabel[pair % size]
+        pairs.append((a * size + b if a <= b else b * size + a) * n + n - 1 - level)
+    return labels, array("q", sorted(pairs)), members, starts
+
+
+def _merged_labelling(graph: FlipGraph, finer, restored: frozenset[int]):
+    """A stored labelling with its edges at the levels ``restored`` put back,
+    in the same four parts, without a BFS.
+
+    Those edges join the classes that the finer labelling's pairs at their
+    levels name; a union-find merges each group into one class, labelled by
+    its smallest label, whose members are the sorted merge of the group's.
+    A label is a member node, so the new labels relabel the pairs at the
+    levels still deleted.
+    """
+    finer_labels, finer_pairs, finer_members, finer_starts = finer
+    size, n = len(graph), graph.n
+    up: dict[int, int] = {}  # a label -> a smaller one of its group
+
+    def root(a):
+        while a in up:
+            up[a] = a = up.get(up[a], up[a])  # halve the path on the way
+        return a
+
+    kept = []
+    for pair in finer_pairs:
+        ab, level = divmod(pair, n)
+        if level in restored:
+            a, b = root(ab // size), root(ab % size)
+            if a != b:
+                up[max(a, b)] = min(a, b)
+        else:
+            kept.append(pair)
+    labels = array("i", finer_labels)
+    # each class's members by its label, in label order: a group's first
+    # class holds its smallest label, its root
+    groups: dict[int, array] = {}
+    merged = set()
+    for a, b in zip(finer_starts, finer_starts[1:]):
+        run = finer_members[a:b]
+        top = root(run[0])
+        if top in groups:
+            groups[top] += run
+            merged.add(top)
+            for v in run:
+                labels[v] = top
+        else:
+            groups[top] = run
+    members = array("i")
+    starts = array("i", [0])
+    for top, run in groups.items():
+        members.extend(sorted(run) if top in merged else run)
+        starts.append(len(members))
+    pairs = set()
+    for pair in kept:
+        ab, level = divmod(pair, n)
+        a, b = labels[ab // size], labels[ab % size]
+        pairs.add((a * size + b if a <= b else b * size + a) * n + level)
+    return labels, array("q", sorted(pairs)), members, starts
 
 
 def _labelling_key(deleted_levels: Iterable[int], within: Iterable[int] | None):
@@ -521,9 +645,10 @@ def _stored(graph: FlipGraph, deleted_levels: Iterable[int], within: Iterable[in
 
 
 def component_pairs(graph: FlipGraph, deleted_levels: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """The label pairs a <= b that deleted-level edges join in the whole graph's labelling."""
-    size = len(graph)
-    return (divmod(pair, size) for pair in _stored(graph, deleted_levels, None)[1])
+    """The label pairs a <= b that deleted-level edges join in the whole graph's labelling, each once."""
+    pairs = _stored(graph, deleted_levels, None)[1]
+    joined = dict.fromkeys(map(floordiv, pairs, repeat(graph.n)))  # drops the levels, each pair once
+    return map(divmod, joined, repeat(len(graph)))
 
 
 def components(
@@ -577,23 +702,21 @@ def sample_chain(graph: FlipGraph, seed: int) -> Chain:
     """
     rng = random.Random(seed)
     target = comb(graph.n, 3)
+    ids, offsets = graph.nbr_ids, graph.offsets
     node = graph.min_id
     nodes = [node]
     levels = []
     for _ in range(target):
-        raising = [
-            (v, level)
-            for v, level in zip(graph.adj[node], graph.levels[node])
-            if v > node
-        ]
+        # the places in the flat arrays of the node's raising edges
+        raising = [i for i in range(offsets[node], offsets[node + 1]) if ids[i] > node]
         if not raising:
             raise Finding(
                 f"raising walk stuck at node {node} after {len(levels)} steps"
             )
-        v, level = raising[rng.randrange(len(raising))]
-        nodes.append(v)
-        levels.append(level)
-        node = v
+        i = raising[rng.randrange(len(raising))]
+        node = ids[i]
+        nodes.append(node)
+        levels.append(graph.nbr_levels[i])
     if node != graph.max_id:
         raise Finding("raising walk of full length did not end at the maximum")
     return Chain(tuple(nodes), tuple(levels))

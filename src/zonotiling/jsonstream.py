@@ -8,7 +8,8 @@ large parts are generated as they are written is never held whole.  A list
 of exactly ints or exactly strs is one join, which is where the text of a
 large artifact is made fast.  CPython's C encoder runs only without
 ``indent``, so ``json.dumps(indent=2)`` itself would format every item in
-Python.
+Python.  ``drain(value)`` reads every iterator in the order ``json_pieces``
+would, and formats nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from json.encoder import encode_basestring_ascii
 _CHUNK = 4096  # list entries formatted per join
 _PIECE = 1 << 16  # characters of an iterator's item texts written per piece
 _WORDS = {None: "null", True: "true", False: "false"}
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _joined(items: list | tuple, pad: str) -> str | None:
@@ -119,3 +121,23 @@ def json_pieces(value, pad: str = "") -> Iterator[str]:
         yield sep + comma.join(texts)
         sep = comma
     yield "\n" + pad + "]" if sep is comma else "[]"
+
+
+def drain(value) -> None:
+    """Exhaust every iterator in ``value`` in ``json_pieces``' order, formatting nothing.
+
+    Dict values are read by sorted key, and list, tuple and iterator items
+    one after another, each item whole before the next.  A scalar, or a
+    list or tuple of scalars such as an edge (u, v, level), holds no
+    iterator and is passed over.
+    """
+    if isinstance(value, dict):
+        for key in sorted(value):
+            drain(value[key])
+    elif isinstance(value, (list, tuple, Iterator)):
+        for item in value:
+            kind = type(item)
+            if kind not in _SCALARS and not (
+                kind in (list, tuple) and _SCALARS.issuperset(map(type, item))
+            ):
+                drain(item)

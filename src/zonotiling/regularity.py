@@ -521,7 +521,7 @@ def regular_set(graph) -> RegularSet:
     verdict when the LP is solved), every irregular one on an exact LP.
     """
     table = _integer_circuits(graph.config)
-    keys = graph.keys
+    keys, ids, offsets = graph.keys, graph.nbr_ids, graph.offsets
     stored = graph.derived.setdefault("slack_lp", {})
     witness: list[tuple[int, ...] | None] = [None] * len(keys)
     work = LpWork()
@@ -531,7 +531,7 @@ def regular_set(graph) -> RegularSet:
         image = len(keys) - 1 - v
         h = None
         if v not in stored:  # a stored verdict decides v without a probe
-            for u in graph.adj[v]:
+            for u in ids[offsets[v]:offsets[v + 1]]:
                 if witness[u] is not None:
                     flipped = table[(key ^ keys[u]).bit_length() - 1]
                     h = _probe(witness[u], flipped, key, table)

@@ -301,22 +301,21 @@ def _potential_report(
     below = _below(graph, k, thresholds, modified)
     own = below[reference]
     values = tuple(count - own for count in below)
-    by_level: dict[int, int] = {}
-    overall = 0
-    for u, v, level in graph.undirected_edges():
-        delta = abs(values[u] - values[v])
-        if delta > by_level.get(level, -1):
-            by_level[level] = delta
-        if delta > overall:
-            overall = delta
+    # every edge twice, once from each end, with the same delta
+    best = [-1] * graph.n  # the largest delta at each level, -1 at a level with no edge
+    for value, v, level in zip(graph.sources(values), graph.nbr_ids, graph.nbr_levels):
+        delta = abs(value - values[v])
+        if delta > best[level]:
+            best[level] = delta
+    by_level = tuple((level, delta) for level, delta in enumerate(best) if delta >= 0)
     return PotentialReport(
         "modified" if modified else "full",
         reference,
         k,
         thresholds,
         values,
-        overall,
-        tuple(sorted(by_level.items())),
+        max(best + [0]),
+        by_level,
     )
 
 
@@ -443,12 +442,13 @@ def diameter_report(
 ) -> dict:
     """Everything measured about sigma_k and sigma_k + sigma_(k-1) at one k."""
     n = graph.n
-    sk = skeleton(graph, k, "sigma_k", regular_nodes)
-    sigma = diameter_entry(sk, sigma_k_diameter_formula(n, k))
+    # levels {k-1, k} first, so that the labelling of {k} is merged from theirs
     sums = diameter_entry(
         skeleton(graph, k, "sigma_k_plus_prev", regular_nodes),
         sum_skeleton_diameter_formula(n, k),
     )
+    sk = skeleton(graph, k, "sigma_k", regular_nodes)
+    sigma = diameter_entry(sk, sigma_k_diameter_formula(n, k))
     sum_formula = sums["formula"]
 
     duality = _duality(graph, sk, sigma["diameter"], regular_nodes)

@@ -146,6 +146,32 @@ def test_output_does_not_depend_on_out(tmp_path, capsys, command):
     assert len(kept) < len(written.out.splitlines()) == len(kept) + len(list(tmp_path.iterdir()))
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "enumerate",
+        "classify",
+        "diameters --all",
+        "hypertri --k 2",
+        "chains --samples 20 --seed 0",
+        "potential --ref 0 --all --thresholds shifted",
+    ],
+)
+def test_no_json_text_without_out(monkeypatch, capsys, command):
+    # without --out the payload's iterators are drained and nothing is formatted
+    from zonotiling import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json_pieces called without --out")
+
+    monkeypatch.setattr(cli, "json_pieces", refuse)
+    code = 1 if "shifted" in command else 0
+    assert run(command.split() + ["--n", "5", "--strict"]) == code
+    # the reference is refused by the report generator, which drain runs
+    assert run(["potential", "--n", "5", "--ref", "62", "--all"]) == 2
+    assert "error: node id 62 is outside 0..61" in capsys.readouterr().err
+
+
 def test_refused_ref_leaves_no_file(tmp_path, capsys):
     # the reference is refused while the artifact is being written: neither
     # the artifact nor its temporary file is left behind

@@ -1,10 +1,14 @@
 import random
+from array import array
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from full_bfs_oracle import full_bfs_graph
+from strategies import configurations
 from tile_oracle import (
     FlipMove,
     apply_flip,
@@ -92,7 +96,7 @@ class TestMemoryRefusal:
 
     def test_n9_refused_on_a_7gb_machine(self, monkeypatch):
         monkeypatch.setattr(flipgraph, "_physical_memory", lambda: 7 * 10**9)
-        with pytest.raises(EnumerationCapError, match=r"39\.1 GB.*7\.0 GB"):
+        with pytest.raises(EnumerationCapError, match=r"17\.1 GB.*7\.0 GB"):
             enumerate_tilings(standard_config(9))
 
     def test_n8_fits_a_7gb_machine(self, monkeypatch):
@@ -174,8 +178,8 @@ def test_key_view_matches_tile_route(points, n):
     g = enumerate_tilings(config)
     keys, adj, levels, tilings = tile_route_graph(config)
     assert g.keys == keys
-    assert g.adj == adj
-    assert g.levels == levels
+    assert [list(nbrs) for nbrs in g.adj] == adj
+    assert list(g.levels) == levels
     assert [tiling_of_orientation(n, key) for key in g.keys] == tilings
     assert tilings[0] == extremal_tiling(config, "min")
     assert tilings[g.max_id] == extremal_tiling(config, "max")
@@ -224,8 +228,8 @@ class TestColumnFlips:
         g = enumerate_tilings(config)
         keys, adj, levels, _ = tile_route_graph(config)
         assert g.keys == keys
-        assert g.adj == adj
-        assert g.levels == levels
+        assert [list(nbrs) for nbrs in g.adj] == adj
+        assert list(g.levels) == levels
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_every_key_at_once(self, graphs, n):
@@ -290,8 +294,7 @@ def test_deterministic_node_numbering():
     a = enumerate_tilings(standard_config(5))
     b = enumerate_tilings(standard_config(5))
     assert a.keys == b.keys
-    assert a.adj == b.adj
-    assert a.levels == b.levels
+    assert a == b  # keys and the three adjacency arrays
 
 
 def test_non_integer_coordinates_same_graph_size(graphs):
@@ -307,8 +310,8 @@ class TestHalfTurnEnumeration:
         g = graphs(n)
         keys, adj, levels = full_bfs_graph(standard_config(n))
         assert g.keys == keys
-        assert g.adj == adj
-        assert g.levels == levels
+        assert [list(nbrs) for nbrs in g.adj] == adj
+        assert list(g.levels) == levels
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_every_node_reads_its_flips_off_its_key(self, graphs, n):
@@ -319,13 +322,24 @@ class TestHalfTurnEnumeration:
             assert [g.keys[w] for w in g.adj[v]] == [key ^ bit for bit in bits]
             assert g.levels[v] == levels
 
-    def test_ids_are_shared_int_objects(self, graphs):
-        # one int object per id across every adjacency list, mirrored half included
-        g = graphs(6)
-        ids = {}
-        for nbrs in g.adj:
-            for w in nbrs:
-                assert ids.setdefault(w, w) is w
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_adjacency_is_three_flat_arrays(self, graphs, n):
+        # no per-node object: node v's views are its slice of the flat arrays,
+        # and equal the full BFS's lists, node by node
+        g = graphs(n)
+        _, adj, levels = full_bfs_graph(standard_config(n))
+        assert (g.nbr_ids.typecode, g.offsets.typecode, type(g.nbr_levels)) == ("i", "i", bytes)
+        assert len(g.offsets) == len(g) + 1 and g.offsets[-1] == len(g.nbr_ids) == len(g.nbr_levels)
+        assert len(g.adj) == len(g.levels) == len(g)
+        for v in range(len(g)):
+            a, b = g.offsets[v], g.offsets[v + 1]
+            assert list(g.adj[v]) == list(g.nbr_ids[a:b]) == adj[v]
+            assert g.levels[v] == g.nbr_levels[a:b] == levels[v]
+        with pytest.raises(IndexError):  # a negative id would read another node's slice
+            g.adj[-1]
+        if len(g.nbr_ids):
+            with pytest.raises(TypeError):
+                g.adj[len(g) - 1][0] = 0
 
 
 class TestDistance:
@@ -548,7 +562,7 @@ class TestMaxChainThrough:
             assert set(chain.nodes) <= allowed
             for a, b, level in zip(chain.nodes, chain.nodes[1:], chain.levels):
                 assert b > a  # every step raises
-                assert level == g.levels[a][g.adj[a].index(b)]
+                assert level == g.levels[a][list(g.adj[a]).index(b)]
 
     def test_no_chain_is_a_finding(self, graphs):
         # the set holds the node but not the maximum, so no chain ends there
@@ -641,7 +655,7 @@ class TestHalfTurnLabellings:
         twin_levels = frozenset(g.n - 1 - level for level in banned)
         twin_within = None if within is None else frozenset(len(g) - 1 - v for v in within)
         twin = flipgraph._bfs_labelling(g, twin_levels, twin_within)
-        derived = flipgraph._mirrored_labelling(len(g), twin)
+        derived = flipgraph._mirrored_labelling(g, twin)
         labels, pairs, members, starts = flipgraph._bfs_labelling(g, banned, within)
         assert derived[0] == labels and derived[0].typecode == "i"
         assert set(derived[1]) == set(pairs)
@@ -678,7 +692,7 @@ class TestHalfTurnLabellings:
     def test_stored_twin_is_read_not_searched(self, graphs, monkeypatch):
         # through the public call: the second of a twin pair takes no BFS
         base = graphs(6)
-        g = flipgraph.FlipGraph(base.config, base.keys, base.adj, base.levels)
+        g = flipgraph.FlipGraph(base.config, base.keys, base.nbr_ids, base.nbr_levels, base.offsets)
         searched = []
         real = flipgraph._bfs_labelling
 
@@ -698,10 +712,11 @@ class TestHalfTurnLabellings:
         assert stored[0] == fresh[0] and set(stored[1]) == set(fresh[1])
         assert stored[2:] == fresh[2:]
 
-    def test_skeleton_sweep_n7_labels_five_times(self, graphs, monkeypatch):
-        # {1}<->{5}, {2}<->{4}, {1,2}<->{4,5}, {2,3}<->{3,4}: 4 of 9 are images
+    def test_skeleton_sweep_n7_labels_three_times(self, graphs, monkeypatch):
+        # {1}<->{5}, {2}<->{4}, {1,2}<->{4,5}, {2,3}<->{3,4}: 4 of 9 are
+        # images, and {2}, {3} are merged from the stored {1,2}, {2,3}
         base = graphs(7)
-        g = flipgraph.FlipGraph(base.config, base.keys, base.adj, base.levels)
+        g = flipgraph.FlipGraph(base.config, base.keys, base.nbr_ids, base.nbr_levels, base.offsets)
         searched = []
         real = flipgraph._bfs_labelling
 
@@ -713,8 +728,101 @@ class TestHalfTurnLabellings:
         for k in range(1, 6):
             for mode in ("lifting_all", "reduced_all"):
                 skeleton(g, k, mode)
-        assert searched == [[1], [1, 2], [2], [2, 3], [3]]
+        assert searched == [[1], [1, 2], [2, 3]]
         assert len(g.labellings) == 9
+
+
+class TestMergedLabellings:
+    """Labellings merged from a stored one of more deleted levels, against a fresh BFS."""
+
+    @staticmethod
+    def assert_every_merge_equals_bfs(g, within):
+        levels = sorted(set(g.nbr_levels))
+        bfs = {
+            frozenset(deleted): flipgraph._bfs_labelling(g, frozenset(deleted), within)
+            for size in range(len(levels) + 1)
+            for deleted in combinations(levels, size)
+        }
+        for finer, stored in bfs.items():
+            for banned, fresh in bfs.items():
+                if banned < finer:
+                    merged = flipgraph._merged_labelling(g, stored, finer - banned)
+                    assert merged[0] == fresh[0] and merged[0].typecode == "i"
+                    assert merged[2] == fresh[2] and merged[3] == fresh[3]
+                    # each pair with its level, self-pairs (c, c) included
+                    assert set(merged[1]) == set(fresh[1])
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_every_finer_level_set(self, n, data):
+        # a_i = i or a drawn configuration: the graph is the same, the regular set moves
+        g = enumerate_tilings(data.draw(st.one_of(st.just(standard_config(n)), configurations(n))))
+        for within in (None, regular_set(g).nodes):
+            self.assert_every_merge_equals_bfs(g, within)
+
+    def test_self_pairs_survive_a_merge(self):
+        # edges 0-1 and 1-2 at level 2 join one {1}-class, which the level-1
+        # edge 0-2 would join to itself: merged from {1,2}, the pair (0, 0)
+        # at level 1 is kept, and the skeleton still reports it
+        g = flipgraph.FlipGraph(
+            standard_config(3), [0, 1, 2], array("i", [1, 2, 0, 2, 1, 0]),
+            bytes([2, 1, 2, 2, 2, 1]), array("i", [0, 2, 4, 6]),
+        )
+        self.assert_every_merge_equals_bfs(g, None)
+        components_excluding_levels(g, {1, 2})
+        assert set(component_pairs(g, {1})) == {(0, 0)}
+        with pytest.raises(Finding, match="joins two members of one class"):
+            skeleton(g, 1, "reduced_all")
+
+    @staticmethod
+    def searches(monkeypatch):
+        searched = []
+        real = flipgraph._bfs_labelling
+
+        def counted(graph, banned, within):
+            searched.append((sorted(banned), within is not None))
+            return real(graph, banned, within)
+
+        monkeypatch.setattr(flipgraph, "_bfs_labelling", counted)
+        return searched
+
+    def test_stored_superset_is_merged_not_searched(self, graphs, monkeypatch):
+        base = graphs(6)
+        g = flipgraph.FlipGraph(base.config, base.keys, base.nbr_ids, base.nbr_levels, base.offsets)
+        searched = self.searches(monkeypatch)
+        components_excluding_levels(g, {1, 2, 3})
+        components_excluding_levels(g, {1, 2})
+        components_excluding_levels(g, {2})
+        # a labelling within a node set is merged only from one on that set
+        components_excluding_levels(g, {2}, within=frozenset(range(0, len(g), 2)))
+        assert searched == [([1, 2, 3], False), ([2], True)]
+
+    def test_skeleton_sweep_n6(self, graphs, monkeypatch):
+        # requests {1}, {1}, {1,2}, {2}, {2,3}, {3}, {3,4}, {4}: {2} and {3}
+        # are merged, and {3,4}, {4} are the images of {1,2}, {1}
+        base = graphs(6)
+        g = flipgraph.FlipGraph(base.config, base.keys, base.nbr_ids, base.nbr_levels, base.offsets)
+        searched = self.searches(monkeypatch)
+        for k in range(1, 5):
+            for mode in ("lifting_all", "reduced_all"):
+                skeleton(g, k, mode)
+        assert searched == [([1], False), ([1, 2], False), ([2, 3], False)]
+
+    def test_hypertri_n6_k3_runs_one_bfs(self, monkeypatch, capsys):
+        # lifting {2,3} by BFS, reduced {3} merged from it
+        searched = self.searches(monkeypatch)
+        assert cli.main(["hypertri", "--n", "6", "--k", "3", "--strict"]) == 0
+        assert searched == [([2, 3], False)]
+
+    def test_diameters_n6_runs_five_bfs(self, monkeypatch, capsys):
+        # per k: {k-1,k}, then {k} merged from it, the dual sigma_(5-k), and
+        # {k} within the regular set; the images of stored twins take no BFS
+        searched = self.searches(monkeypatch)
+        assert cli.main(["diameters", "--n", "6", "--all", "--strict"]) == 0
+        assert searched == [
+            ([1], False), ([1], True), ([1, 2], False), ([2], True), ([2, 3], False)
+        ]
 
 
 class TestExports:

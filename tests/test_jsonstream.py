@@ -1,9 +1,9 @@
 import json
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from zonotiling.jsonstream import _CHUNK, _PIECE, json_pieces
+from zonotiling.jsonstream import _CHUNK, _PIECE, drain, json_pieces
 
 
 def _lazy_and_plain(children):
@@ -43,3 +43,41 @@ def test_writer_equals_json_dumps_on_long_lists():
         "nested": iter([iter(ints), names, iter(())]),
     }
     assert "".join(json_pieces(value)) == json.dumps(reference, indent=2, sort_keys=True)
+
+
+def _spec(children):
+    """A payload's shape: ("list" | "tuple" | "iter", [children]) or ("dict", {key: child})."""
+    sequences = st.tuples(st.sampled_from(["list", "tuple", "iter"]), st.lists(children, max_size=5))
+    dicts = st.dictionaries(st.text(max_size=3), children, max_size=4).map(lambda d: ("dict", d))
+    return sequences | dicts
+
+
+def _build(spec, log, path="$"):
+    """A fresh payload of that shape whose iterators log each item they yield, and their end."""
+    kind, body = spec
+    if kind == "scalar":
+        return body
+    if kind == "dict":
+        return {key: _build(child, log, f"{path}.{key}") for key, child in body.items()}
+    children = [_build(child, log, f"{path}[{i}]") for i, child in enumerate(body)]
+    if kind != "iter":
+        return list(children) if kind == "list" else tuple(children)
+
+    def items():
+        for i, child in enumerate(children):
+            log.append(f"{path}[{i}]")
+            yield child
+        log.append(f"{path} end")
+
+    return items()
+
+
+@given(st.recursive(_SCALARS.map(lambda x: ("scalar", x)), _spec, max_leaves=30))
+@example(("dict", {"b": ("iter", [("scalar", 1)]), "a": ("tuple", [("iter", [])])}))
+def test_drain_reads_iterators_as_the_writer_does(spec):
+    # what a payload's generators print or record happens, in the same order,
+    # whether it is written or drained
+    written, drained = [], []
+    "".join(json_pieces(_build(spec, written)))
+    drain(_build(spec, drained))
+    assert drained == written

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from array import array
 from fractions import Fraction
 from math import comb, lcm
 
@@ -215,8 +216,8 @@ class TestSkeleton:
     def test_flip_inside_a_class_is_a_finding(self):
         # edges 0-1 and 1-2 at level 2 make one 1-class, which the level-1
         # edge 0-2 would join to itself
-        g = FlipGraph(standard_config(3), [0, 1, 2], [[1, 2], [0, 2], [1, 0]],
-                      [bytes([2, 1]), bytes([2, 2]), bytes([2, 1])])
+        g = FlipGraph(standard_config(3), [0, 1, 2], array("i", [1, 2, 0, 2, 1, 0]),
+                      bytes([2, 1, 2, 2, 2, 1]), array("i", [0, 2, 4, 6]))
         with pytest.raises(Finding, match="joins two members of one class"):
             skeleton(g, 1, "reduced_all")
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import random
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,7 +171,9 @@ class TestOrientation:
             keys.append(orientation_of(t).bits)
             assert tiling_of_orientation(n, keys[-1]) == t
         # the census of the walk's keys alone, as a graph without edges
-        self.assert_census_matches(FlipGraph(standard_config(n), keys, [], []))
+        self.assert_census_matches(
+            FlipGraph(standard_config(n), keys, array("i"), b"", array("i", [0] * (len(keys) + 1)))
+        )
 
     @pytest.mark.parametrize("n", [3, 4, 8, 9])
     def test_any_key_reads_back(self, n):
