@@ -31,7 +31,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
@@ -102,11 +102,7 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
         if ns.n is None:
             raise ValueError("one of --n or --points is required")
         config = standard_config(ns.n)
-    return RunConfig(
-        config=config,
-        out=Path(ns.out) if ns.out else None,
-        strict=ns.strict,
-    )
+    return RunConfig(config=config, out=Path(ns.out) if ns.out else None, strict=ns.strict)
 
 
 @lru_cache(maxsize=1)
@@ -121,6 +117,11 @@ def _print_lp_work(work: LpWork) -> None:
         f"LPs: {work.solved} solved, {work.reused} reused from the graph; "
         f"{work.pivots} simplex pivots"
     )
+
+
+def _print_labelling_work(graph: FlipGraph) -> None:
+    work = graph.labelling_work
+    print(f"labellings: {work['BFS']} BFS, {work['merged']} merged, {work['mirrored']} mirrored")
 
 
 def _write(run: RunConfig, name: str, payload) -> None:
@@ -221,6 +222,7 @@ def cmd_diameters(run: RunConfig, ns: argparse.Namespace) -> None:
         ):
             if not ok:
                 run.finding(f"k={k}: {label} check failed")
+    _print_labelling_work(graph)
     _write(run, f"diameters_n{run.config.n}.json", run.config.to_json() | {"reports": records})
     if ns.fmt == "dot":
         for k in ks:
@@ -232,6 +234,7 @@ def cmd_hypertri(run: RunConfig, ns: argparse.Namespace) -> None:
     _levels(run, ns)
     graph = _graph(run.config)
     record = hypertri_diameters(graph, ns.k)
+    _print_labelling_work(graph)
     lift, red = record["lifting"], record["reduced"]
     print(
         f"lifting level {ns.k}: {lift['classes']} classes, diameter "
@@ -375,15 +378,7 @@ def cmd_oracle_count(run: RunConfig, ns: argparse.Namespace) -> None:
         run.finding(
             f"{result.commutation_classes} commutation classes, but {tilings} tilings enumerated"
         )
-    _write(
-        run,
-        f"oracle_n{result.n}.json",
-        {
-            "n": result.n,
-            "reduced_words": result.reduced_words,
-            "commutation_classes": result.commutation_classes,
-        },
-    )
+    _write(run, f"oracle_n{result.n}.json", asdict(result))
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,9 @@ Quotient skeletons rest on ``components_excluding_levels``, which labels and
 stores each level set's components, their partition and the pairs
 deleted-level edges join, tagged with the edge's level, once per graph, and
 on ``graph_diameter``, a bit-parallel multi-source BFS.  A labelling is the
-half-turn image of its stored twin (levels n - 1 - l) when there is one,
-else is merged from a stored labelling of more deleted levels on the same
-node set, and only failing both is a BFS run.
+half-turn image of its stored twin (levels n - 1 - l), else is merged from
+a stored one of more levels on the same node set; a BFS labels only the
+two-level windows {l, l+1} that one-level requests are merged from.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ import os
 import random
 import sys
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, groupby, repeat
 from math import comb
 from operator import floordiv, sub
 from typing import Collection, Iterable, Iterator, Sequence
@@ -146,6 +146,8 @@ class FlipGraph:
     nbr_levels: bytes
     offsets: array  # typecode 'i', len(keys) + 1 entries
     labellings: dict = field(default_factory=dict, repr=False, compare=False)
+    # how each stored labelling was made: "BFS", "merged" or "mirrored"
+    labelling_work: Counter = field(default_factory=Counter, repr=False, compare=False)
     # per-node data that several reports read, each computed once per graph
     derived: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -458,48 +460,55 @@ def components_excluding_levels(
 
     With ``within`` given, only the subgraph induced on those nodes is
     labelled, and every other node reads -1; a node id in ``within`` outside
-    the graph raises ValueError.  Labels are canonical: the label of a
-    component is the smallest node id it contains, so partitions compare
-    across calls.  Beside the labels, an ``array('i')``, each labelling
-    keeps the pairs of labels a <= b that deleted-level edges join, with
-    the edge's level l, each stored once as the int (a * len + b) * n + l,
-    in increasing order (an edge inside component c gives (c, c)), which
-    ``component_pairs`` decodes; and the partition: every component's
-    sorted members, one after another, in ``components``' order.  Each
-    labelling is computed once per graph and stored on it, so every call
-    with the same levels and node set returns the same array; callers must
-    not mutate it.
+    the graph raises ValueError.  The label of a component is its smallest
+    node id, so partitions compare across calls.  Beside the labels, an
+    ``array('i')``, each labelling keeps the pairs of labels a <= b that
+    deleted-level edges join, with the edge's level l, each once as the int
+    (a * len + b) * n + l, in increasing order (an edge inside component c
+    gives (c, c)); and the partition: every component's sorted members, one
+    after another, in label order.  Each labelling is computed once per
+    graph and stored on it; callers must not mutate it.
 
     The half-turn maps the graph minus levels L, induced on W, onto the
-    graph minus {n-1-l}, induced on {len-1-v}.  When that twin is stored
-    already, the labelling is its image (``_mirrored_labelling``); else,
-    when a labelling of more levels on W is stored, the least of them is
-    merged (``_merged_labelling``); else one BFS labels the nodes
-    (``_bfs_labelling``).
+    graph minus {n-1-l}, induced on {len-1-v}.  A labelling is the image of
+    its stored twin (``_mirrored_labelling``), else is merged from the
+    stored labelling on W of the fewest levels L' > L (``_merged_labelling``).
+    Failing both, a request of one level l first stores its window
+    {l, l+1} ({l-1, l} at the top level n-2) on W, by the same rules, and
+    is merged from it, so a BFS (``_bfs_labelling``) labels windows only.
+    ``graph.labelling_work`` counts the labellings made each way.
     """
+    return _stored(graph, deleted_levels, within)[0]
+
+
+def _stored(graph: FlipGraph, deleted_levels: Iterable[int], within: Iterable[int] | None):
+    """Labels, pairs, members and starts of one labelling, computed on first use."""
     key = _labelling_key(deleted_levels, within)
     stored = graph.labellings.get(key)
     if stored is None:
         banned, within = key
         check_nodes(graph, within)
-        last = len(graph) - 1
+        n, last = graph.n, len(graph) - 1
         twin = graph.labellings.get(_labelling_key(
-            [graph.n - 1 - level for level in banned],
+            [n - 1 - level for level in banned],
             None if within is None else [last - v for v in within],
         ))
-        finer = min(
-            (levels for levels, nodes in graph.labellings if levels > banned and nodes == within),
-            key=len,
-            default=None,
-        )
+        finer = [levels for levels, nodes in graph.labellings if levels > banned and nodes == within]
+        finer = min(finer, key=len, default=None)
+        if twin is None and finer is None and len(banned) == 1 and banned < set(range(1, n - 1)):
+            (level,) = banned  # a flip level, with another above or below it
+            finer = frozenset({level, level + 1} if level < n - 2 else {level - 1, level})
+            _stored(graph, finer, within)
         if twin is not None:
-            stored = _mirrored_labelling(graph, twin)
+            stored, how = _mirrored_labelling(graph, twin), "mirrored"
         elif finer is not None:
             stored = _merged_labelling(graph, graph.labellings[finer, within], finer - banned)
+            how = "merged"
         else:
-            stored = _bfs_labelling(graph, banned, within)
+            stored, how = _bfs_labelling(graph, banned, within), "BFS"
         graph.labellings[key] = stored
-    return stored[0]
+        graph.labelling_work[how] += 1
+    return stored
 
 
 def _bfs_labelling(graph: FlipGraph, banned: frozenset[int], within: frozenset[int] | None):
@@ -567,13 +576,8 @@ def _mirrored_labelling(graph: FlipGraph, twin):
         members.extend(image[count - b : count - a])
         starts.append(len(members))
     labels = array("i", [relabel[label] for label in reversed(twin_labels)])
-    n = graph.n
-    pairs = []
-    for pair in twin_pairs:
-        pair, level = divmod(pair, n)
-        a, b = relabel[pair // size], relabel[pair % size]
-        pairs.append((a * size + b if a <= b else b * size + a) * n + n - 1 - level)
-    return labels, array("q", sorted(pairs)), members, starts
+    pairs = _relabelled(twin_pairs, relabel, size, range(graph.n - 1, -1, -1))
+    return labels, pairs, members, starts
 
 
 def _merged_labelling(graph: FlipGraph, finer, restored: frozenset[int]):
@@ -624,46 +628,31 @@ def _merged_labelling(graph: FlipGraph, finer, restored: frozenset[int]):
     for top, run in groups.items():
         members.extend(sorted(run) if top in merged else run)
         starts.append(len(members))
-    pairs = set()
-    for pair in kept:
+    return labels, _relabelled(kept, labels, size, range(n)), members, starts
+
+
+def _relabelled(pairs: Iterable[int], relabel: Sequence[int], size: int, levels: range) -> array:
+    """The pairs with their labels through ``relabel`` and levels through
+    ``levels``, each once, in increasing order."""
+    n = len(levels)
+    out = set()
+    for pair in pairs:
         ab, level = divmod(pair, n)
-        a, b = labels[ab // size], labels[ab % size]
-        pairs.add((a * size + b if a <= b else b * size + a) * n + level)
-    return labels, array("q", sorted(pairs)), members, starts
+        a, b = relabel[ab // size], relabel[ab % size]
+        out.add((a * size + b if a <= b else b * size + a) * n + levels[level])
+    return array("q", sorted(out))
 
 
 def _labelling_key(deleted_levels: Iterable[int], within: Iterable[int] | None):
     return frozenset(deleted_levels), None if within is None else frozenset(within)
 
 
-def _stored(graph: FlipGraph, deleted_levels: Iterable[int], within: Iterable[int] | None):
-    """The stored labelling of these levels and node set, computed on first use."""
-    key = _labelling_key(deleted_levels, within)
-    if key not in graph.labellings:
-        components_excluding_levels(graph, key[0], within)
-    return graph.labellings[key]
-
-
 def component_pairs(graph: FlipGraph, deleted_levels: Iterable[int]) -> Iterator[tuple[int, int]]:
     """The label pairs a <= b that deleted-level edges join in the whole graph's labelling, each once."""
     pairs = _stored(graph, deleted_levels, None)[1]
-    joined = dict.fromkeys(map(floordiv, pairs, repeat(graph.n)))  # drops the levels, each pair once
-    return map(divmod, joined, repeat(len(graph)))
-
-
-def components(
-    graph: FlipGraph,
-    deleted_levels: Iterable[int],
-    within: frozenset[int] | set[int] | None = None,
-) -> Iterator[array]:
-    """The components of ``components_excluding_levels``, each as an array of
-    its node ids in increasing order, ordered by smallest member (its label).
-
-    Read off the partition stored with the labelling, so no node is visited
-    again.
-    """
-    _, _, members, starts = _stored(graph, deleted_levels, within)
-    return (members[a:b] for a, b in zip(starts, starts[1:]))
+    # the pairs are sorted, so one pair's levels are neighbours
+    joined = groupby(map(floordiv, pairs, repeat(graph.n)))
+    return map(divmod, (ab for ab, _ in joined), repeat(len(graph)))
 
 
 # ---------------------------------------------------------------------------

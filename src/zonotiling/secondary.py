@@ -13,9 +13,10 @@ skeleton.  Four skeleton modes cover the experiments:
 
 Classes are always computed over the full flip graph first (connectivity
 through irregular tilings counts), then intersected with the regular node
-set where the mode asks for it, by filtering the partition each labelling
-stores beside its labels; class adjacency uses any qualifying flip between
-the underlying components, read off the pairs the labelling pass collects.
+set where the mode asks for it.  A skeleton holds no copy of them: its
+classes are a view of the partition the labelling stores (one filtered copy
+on the regular set), and its class adjacency, any qualifying flip between
+the underlying components, is read in one pass off the labelling's pairs.
 The level-k potential of a tiling against a reference is a signed
 symmetric-difference count over the sets of basis pairs sitting at offset
 size >= k (positive side) and <= k-2 (negative side); it moves by at most
@@ -38,17 +39,18 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
-from operator import getitem
+from itertools import chain, repeat
+from operator import eq, getitem
 from typing import Collection, Iterable, Sequence
 
 from .core import Finding, PointConfig, colex_pairs, integer_coords
 from .flipgraph import (
     FlipGraph,
+    _Rows,
+    _stored,
     check_node,
     check_nodes,
     component_pairs,
-    components,
     components_excluding_levels,
     graph_diameter,
 )
@@ -107,41 +109,50 @@ def _vert_k_ids(graph: FlipGraph, nodes: Iterable[int]) -> array:
 # ---------------------------------------------------------------------------
 # equivalence classes and quotient skeletons
 
-def _restricted_classes(
-    graph: FlipGraph, deleted: frozenset[int], keep: Collection[int] | None
-) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-    """The components of the whole graph minus the deleted levels' edges, each
-    intersected with ``keep`` (all of it when None), empty intersections
-    dropped, ordered by smallest member; and the class index of each
-    surviving component's label."""
-    if keep is None:
-        classes = tuple(map(tuple, components(graph, deleted)))
-        return classes, {members[0]: c for c, members in enumerate(classes)}
-    contains = keep.__contains__
-    kept = []  # (class, label of its component)
-    for members in components(graph, deleted):
-        restricted = tuple(filter(contains, members))
-        if restricted:
-            kept.append((restricted, members[0]))
-    # a component's smallest member may be dropped, which can move its class
-    kept.sort(key=lambda entry: entry[0][0])
-    return tuple(c for c, _ in kept), {label: c for c, (_, label) in enumerate(kept)}
+class Partition(_Rows):
+    """Classes as rows of one flat ``members`` array, with ``starts`` as offsets
+    (as a stored labelling holds them): each row is read as a tuple, and a
+    partition equals any sequence of equal rows, such as a tuple of tuples."""
+
+    __slots__ = ()
+
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return tuple(map(self.__getitem__, range(len(self))[c]))
+        return tuple(super().__getitem__(c))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Partition):
+            return self.values == other.values and self.offsets == other.offsets
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 def equivalence_classes(
     graph: FlipGraph,
     deleted_levels: Sequence[int] | frozenset[int],
-    regular_nodes: frozenset[int] | None = None,
-) -> tuple[tuple[int, ...], ...]:
+    regular_nodes: Collection[int] | None = None,
+) -> Partition:
     """Components of the flip graph minus edges at the deleted levels.
 
     Each class is a sorted tuple of node ids, and the classes are ordered by
     smallest member.  Connectivity always runs over all tilings; with
     regular_nodes given the resulting classes are intersected with that set
-    and empty intersections are dropped.
+    and empty intersections are dropped.  Without it they are the stored
+    partition itself, else one filtered copy of its members.
     """
     check_nodes(graph, regular_nodes)
-    return _restricted_classes(graph, frozenset(deleted_levels), regular_nodes)[0]
+    classes = Partition(*_stored(graph, deleted_levels, None)[2:])
+    if regular_nodes is None:
+        return classes
+    members, starts = classes.values, classes.offsets
+    contains = regular_nodes.__contains__
+    runs = [array("i", filter(contains, members[a:b])) for a, b in zip(starts, starts[1:])]
+    members, starts = array("i"), array("i", [0])
+    # a component's smallest member may be dropped, which can move its class
+    for run in sorted(filter(None, runs)):
+        members += run
+        starts.append(len(members))
+    return Partition(members, starts)
 
 
 _SKELETON_MODES = ("sigma_k", "sigma_k_plus_prev", "lifting_all", "reduced_all")
@@ -149,13 +160,18 @@ _SKELETON_MODES = ("sigma_k", "sigma_k_plus_prev", "lifting_all", "reduced_all")
 
 @dataclass(frozen=True)
 class QuotientSkeleton:
-    """Quotient flip graph: classes as nodes, class-crossing flips as edges."""
+    """Quotient flip graph: classes as nodes, class-crossing flips as edges.
+
+    ``classes`` views the labelling's members array (over all tilings) or
+    one filtered copy of it (on the regular ones); ``component_of`` maps a
+    node to its component's class, -1 where the component keeps no member.
+    """
 
     mode: str
     k: int
     deleted_levels: frozenset[int]
-    classes: tuple[tuple[int, ...], ...]
-    component_of: tuple[int | None, ...]  # node -> class via its component
+    classes: Partition
+    component_of: array  # typecode 'i'
     adj: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
@@ -189,37 +205,36 @@ def skeleton(
     if mode not in _SKELETON_MODES:
         raise ValueError(f"unknown skeleton mode {mode!r}")
     check_level(graph.n, k)
-    if mode in ("sigma_k", "reduced_all"):
-        deleted = frozenset({k})
-    else:
-        deleted = frozenset({k - 1, k}) - {0}
+    deleted = frozenset({k} if mode in ("sigma_k", "reduced_all") else {k - 1, k} - {0})
     restricted = mode in ("sigma_k", "sigma_k_plus_prev")
     if restricted and regular_nodes is None:
         raise ValueError(f"mode {mode!r} needs the regular node set")
     check_nodes(graph, regular_nodes)
 
     labels = components_excluding_levels(graph, deleted)
-    keep = regular_nodes if restricted else None
-    classes, comp_class = _restricted_classes(graph, deleted, keep)
-    # node -> class via its component (components whose intersection died map to None)
-    component_of = tuple(map(comp_class.get, labels))
+    classes = equivalence_classes(graph, deleted, regular_nodes if restricted else None)
+    # each class's component, by its label: the label of its first member
+    firsts = map(labels.__getitem__, map(classes.values.__getitem__, classes.offsets[:-1]))
+    comp_class = dict(zip(firsts, range(len(classes))))
+    component_of = array("i", map(comp_class.get, labels, repeat(-1)))
 
-    # the labelling recorded each pair of components a deleted-level edge joins
-    neighbours: list[set[int]] = [set() for _ in classes]
+    # the labelling recorded each pair of components a deleted-level edge
+    # joins, in increasing order: over all tilings, where class order is
+    # label order, each class's neighbours arrive in increasing order
+    rows: list[list[int]] = [[] for _ in range(len(classes))]
     for a, b in component_pairs(graph, deleted):
-        ca = comp_class.get(a)
-        cb = comp_class.get(b)
-        if ca is None or cb is None:
+        ca = comp_class.get(a, -1)
+        cb = comp_class.get(b, -1)
+        if ca < 0 or cb < 0:
             continue
         if ca == cb:
             raise Finding(
                 f"an edge at deleted levels {sorted(deleted)} inside component {a} "
                 "joins two members of one class"
             )
-        neighbours[ca].add(cb)
-        neighbours[cb].add(ca)
-
-    adj = tuple(tuple(sorted(nbrs)) for nbrs in neighbours)
+        rows[ca].append(cb)
+        rows[cb].append(ca)
+    adj = tuple(map(tuple, map(sorted, rows) if restricted else rows))
     return QuotientSkeleton(mode, k, deleted, classes, component_of, adj)
 
 
@@ -354,11 +369,11 @@ def _skeleton_iso_via_opposite(
     """Does the half-turn involution induce a graph isomorphism left -> right?"""
     if len(left) != len(right):
         return False
-    mapping: list[int | None] = [None] * len(left)
+    mapping = [-1] * len(left)
     last = len(graph) - 1  # the half-turn maps id v to last - v
     for idx, members in enumerate(left.classes):
         images = {right.component_of[last - v] for v in members}
-        if len(images) != 1 or None in images:
+        if len(images) != 1 or min(images) < 0:
             return False
         mapping[idx] = images.pop()
     if sorted(mapping) != list(range(len(right))):
@@ -458,7 +473,7 @@ def diameter_report(
     # sigma_k's classes, restricted to the regular nodes, against the classes
     # taken after deleting the irregular nodes; disagreement means some
     # k-class is glued together only through irregular tilings
-    via_regular = tuple(map(tuple, components(graph, {k}, within=regular_nodes)))
+    via_regular = Partition(*_stored(graph, {k}, regular_nodes)[2:])
 
     pot_def = potential_between(graph, graph.min_id, graph.max_id, k, "definition")
     pot_shift = potential_between(graph, graph.min_id, graph.max_id, k, "shifted")

@@ -712,9 +712,10 @@ class TestHalfTurnLabellings:
         assert stored[0] == fresh[0] and set(stored[1]) == set(fresh[1])
         assert stored[2:] == fresh[2:]
 
-    def test_skeleton_sweep_n7_labels_three_times(self, graphs, monkeypatch):
+    def test_skeleton_sweep_n7_labels_twice(self, graphs, monkeypatch):
         # {1}<->{5}, {2}<->{4}, {1,2}<->{4,5}, {2,3}<->{3,4}: 4 of 9 are
-        # images, and {2}, {3} are merged from the stored {1,2}, {2,3}
+        # images, and {1}, {2}, {3} are merged from the stored windows {1,2},
+        # {2,3}, the only level sets a BFS labels
         base = graphs(7)
         g = flipgraph.FlipGraph(base.config, base.keys, base.nbr_ids, base.nbr_levels, base.offsets)
         searched = []
@@ -728,8 +729,9 @@ class TestHalfTurnLabellings:
         for k in range(1, 6):
             for mode in ("lifting_all", "reduced_all"):
                 skeleton(g, k, mode)
-        assert searched == [[1], [1, 2], [2, 3]]
+        assert searched == [[1, 2], [2, 3]]
         assert len(g.labellings) == 9
+        assert g.labelling_work == {"BFS": 2, "merged": 3, "mirrored": 4}
 
 
 class TestMergedLabellings:
@@ -775,6 +777,60 @@ class TestMergedLabellings:
         with pytest.raises(Finding, match="joins two members of one class"):
             skeleton(g, 1, "reduced_all")
 
+    @pytest.mark.parametrize("n", [5, 6])
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_any_request_order(self, n, data):
+        # the level sets skeleton and diameter_report request, {l} and
+        # {l-1, l}, on the whole graph and on the regular set, in a drawn
+        # order: each stored labelling is the one a BFS of its key gives,
+        # and each skeleton the one the default order builds
+        base = enumerate_tilings(
+            data.draw(st.one_of(st.just(standard_config(n)), configurations(n)))
+        )
+        regs = regular_set(base).nodes
+
+        def fresh():
+            return flipgraph.FlipGraph(
+                base.config, base.keys, base.nbr_ids, base.nbr_levels, base.offsets
+            )
+
+        def skeletons(g):
+            return [
+                skeleton(g, k, mode, regs)
+                for k in range(1, n - 1)
+                for mode in ("sigma_k", "sigma_k_plus_prev", "lifting_all", "reduced_all")
+            ]
+
+        expected = skeletons(fresh())
+        requests = [
+            (levels, within)
+            for level in range(1, n - 1)
+            for levels in ({level}, {level - 1, level} - {0})
+            for within in (None, regs)
+        ]
+        g = fresh()
+        for levels, within in data.draw(st.permutations(requests)):
+            components_excluding_levels(g, levels, within)
+        for (levels, within), stored in g.labellings.items():
+            labels, pairs, members, starts = flipgraph._bfs_labelling(g, levels, within)
+            assert stored[0] == labels and stored[2] == members and stored[3] == starts
+            assert set(stored[1]) == set(pairs)
+        assert skeletons(g) == expected
+
+    @settings(max_examples=10)
+    @given(order=st.permutations([{1}, {2}, {1, 2}]))
+    def test_self_pairs_survive_any_request_order(self, order):
+        # the graph of test_self_pairs_survive_a_merge, labelled in a drawn order
+        g = flipgraph.FlipGraph(
+            standard_config(3), [0, 1, 2], array("i", [1, 2, 0, 2, 1, 0]),
+            bytes([2, 1, 2, 2, 2, 1]), array("i", [0, 2, 4, 6]),
+        )
+        for levels in order:
+            components_excluding_levels(g, levels)
+        with pytest.raises(Finding, match="joins two members of one class"):
+            skeleton(g, 1, "reduced_all")
+
     @staticmethod
     def searches(monkeypatch):
         searched = []
@@ -795,34 +851,46 @@ class TestMergedLabellings:
         components_excluding_levels(g, {1, 2})
         components_excluding_levels(g, {2})
         # a labelling within a node set is merged only from one on that set
+        # a labelling within a node set is merged only from one on that set:
+        # here from its window {2, 3}, labelled on that set
         components_excluding_levels(g, {2}, within=frozenset(range(0, len(g), 2)))
-        assert searched == [([1, 2, 3], False), ([2], True)]
+        assert searched == [([1, 2, 3], False), ([2, 3], True)]
 
     def test_skeleton_sweep_n6(self, graphs, monkeypatch):
-        # requests {1}, {1}, {1,2}, {2}, {2,3}, {3}, {3,4}, {4}: {2} and {3}
-        # are merged, and {3,4}, {4} are the images of {1,2}, {1}
+        # requests {1}, {1}, {1,2}, {2}, {2,3}, {3}, {3,4}, {4}: {1} is merged
+        # from its window {1,2}, {2} and {3} from {1,2} and {2,3}, and {3,4},
+        # {4} are the images of {1,2}, {1}
         base = graphs(6)
         g = flipgraph.FlipGraph(base.config, base.keys, base.nbr_ids, base.nbr_levels, base.offsets)
         searched = self.searches(monkeypatch)
         for k in range(1, 5):
             for mode in ("lifting_all", "reduced_all"):
                 skeleton(g, k, mode)
-        assert searched == [([1], False), ([1, 2], False), ([2, 3], False)]
+        assert searched == [([1, 2], False), ([2, 3], False)]
 
     def test_hypertri_n6_k3_runs_one_bfs(self, monkeypatch, capsys):
         # lifting {2,3} by BFS, reduced {3} merged from it
         searched = self.searches(monkeypatch)
         assert cli.main(["hypertri", "--n", "6", "--k", "3", "--strict"]) == 0
         assert searched == [([2, 3], False)]
+        assert "labellings: 1 BFS, 1 merged, 0 mirrored" in capsys.readouterr().out
 
-    def test_diameters_n6_runs_five_bfs(self, monkeypatch, capsys):
+    def test_diameters_n6_runs_three_bfs(self, monkeypatch, capsys):
         # per k: {k-1,k}, then {k} merged from it, the dual sigma_(5-k), and
-        # {k} within the regular set; the images of stored twins take no BFS
+        # {k} within the regular set; {1} is merged from its window {1,2} on
+        # each node set, and the images of stored twins take no BFS
         searched = self.searches(monkeypatch)
         assert cli.main(["diameters", "--n", "6", "--all", "--strict"]) == 0
-        assert searched == [
-            ([1], False), ([1], True), ([1, 2], False), ([2], True), ([2, 3], False)
-        ]
+        assert searched == [([1, 2], False), ([1, 2], True), ([2, 3], False)]
+        assert "labellings: 3 BFS, 4 merged, 5 mirrored" in capsys.readouterr().out
+
+    def test_diameters_n7_runs_four_bfs(self, monkeypatch, capsys):
+        # as at n = 6, but {3} within the regular set is its own twin, so the
+        # first request of it labels its window {3,4} on that set
+        searched = self.searches(monkeypatch)
+        assert cli.main(["diameters", "--n", "7", "--all", "--strict"]) == 0
+        assert searched == [([1, 2], False), ([1, 2], True), ([2, 3], False), ([3, 4], True)]
+        assert "labellings: 4 BFS, 6 merged, 6 mirrored" in capsys.readouterr().out
 
 
 class TestExports:

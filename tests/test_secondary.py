@@ -211,7 +211,32 @@ class TestSkeleton:
                 assert sk.classes == tuple(map(tuple, groups.values()))
                 assert equivalence_classes(g, sk.deleted_levels, keep) == sk.classes
                 index = {label: c for c, label in enumerate(groups)}
-                assert sk.component_of == tuple(index.get(label) for label in labels)
+                assert list(sk.component_of) == [index.get(label, -1) for label in labels]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_minus_one_marks_components_without_kept_members(self, graphs, seed):
+        # a node reads -1 exactly when no member of its component is kept
+        g = graphs(6)
+        keep = frozenset(random.Random(seed).sample(range(len(g)), len(g) // 8))
+        dropped = 0
+        for k in range(1, 5):
+            for mode in ("sigma_k", "sigma_k_plus_prev"):
+                sk = skeleton(g, k, mode, keep)
+                labels = components_excluding_levels(g, sk.deleted_levels)
+                kept = {labels[v] for v in keep}
+                missing = [v for v in range(len(g)) if sk.component_of[v] < 0]
+                assert missing == [v for v in range(len(g)) if labels[v] not in kept]
+                dropped += len(missing)
+        assert dropped
+
+    def test_unrestricted_classes_are_the_stored_partition(self, graphs):
+        # no copy: the classes view the labelling's own members and starts
+        g = graphs(5)
+        for k in range(1, 4):
+            for mode in ("lifting_all", "reduced_all"):
+                sk = skeleton(g, k, mode)
+                _, _, members, starts = g.labellings[sk.deleted_levels, None]
+                assert sk.classes.values is members and sk.classes.offsets is starts
 
     def test_flip_inside_a_class_is_a_finding(self):
         # edges 0-1 and 1-2 at level 2 make one 1-class, which the level-1
@@ -237,7 +262,7 @@ class TestSkeleton:
                 expected = [set() for _ in sk.classes]
                 for u, v, level in edges:
                     cu, cv = sk.component_of[u], sk.component_of[v]
-                    if level in sk.deleted_levels and None not in (cu, cv):
+                    if level in sk.deleted_levels and min(cu, cv) >= 0:
                         expected[cu].add(cv)
                         expected[cv].add(cu)
                 assert sk.adj == tuple(tuple(sorted(nbrs)) for nbrs in expected)
@@ -437,7 +462,7 @@ class TestDiameterReport:
         for v in range(len(g)):
             w = g.opposite_node(v)
             cv, cw = sk.component_of[v], sk.component_of[w]
-            if cv is not None and cw is not None and cv != cw and cw in sk.adj[cv]:
+            if min(cv, cw) >= 0 and cv != cw and cw in sk.adj[cv]:
                 hits.append((v, w))
         assert hits
 
