@@ -27,7 +27,6 @@ from .flipgraph import (
     EnumerationCapError,
     FlipGraph,
     diameter,
-    distance,
     enumerate_tilings,
     expected_level_census,
     graph_diameter,

@@ -19,12 +19,14 @@ encodes membership of the 1-based point m.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import comb, lcm
-from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import eq, or_
+from typing import Callable, Iterable, Iterator
 
 Rational = Fraction
 HeightVector = tuple[Fraction, ...]
@@ -120,7 +122,55 @@ def byte_tables(
 
 
 # ---------------------------------------------------------------------------
-# bit-sliced keys: one byte per key, one int per key bit
+# packed orientation keys, and bit-sliced columns of them
+
+class KeyStore(Sequence[int]):
+    """Orientation keys packed into one buffer of ``width``-byte little-endian words.
+
+    Reads as a read-only sequence of ints: an index gives key i, a slice
+    another store, and an id outside 0 .. len - 1 raises IndexError.  A
+    store equals any sequence of equal ints.
+    """
+
+    __slots__ = ("data", "width")
+
+    def __init__(self, data: bytes, width: int):
+        self.data = data
+        self.width = width
+
+    def __len__(self) -> int:
+        return len(self.data) // self.width
+
+    def __getitem__(self, i):
+        data, w = self.data, self.width
+        if isinstance(i, slice):
+            ids = range(len(self))[i]
+            if ids.step == 1:
+                return KeyStore(data[ids.start * w:ids.stop * w], w)
+            return KeyStore(b"".join([data[j * w:(j + 1) * w] for j in ids]), w)
+        start = i * w
+        if not 0 <= start < len(data):
+            raise IndexError(f"key id {i} is outside 0..{len(self) - 1}")
+        return int.from_bytes(data[start:start + w], "little")
+
+    def __iter__(self) -> Iterator[int]:
+        data, w = self.data, self.width
+        words = map(slice, range(0, len(data), w), range(w, len(data) + w, w))
+        return map(int.from_bytes, map(data.__getitem__, words), repeat("little"))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, KeyStore) and other.width == self.width:
+            return self.data == other.data
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
+def key_store(n: int, keys: Iterable[int]) -> KeyStore:
+    """Keys of n points in a store of ceil(C(n,3) / 8)-byte words (at least one byte)."""
+    width = max(1, (num_triples(n) + 7) // 8)
+    return KeyStore(b"".join([key.to_bytes(width, "little") for key in keys]), width)
+
 
 # Keys per chunk of ``key_columns``; each column of a chunk takes this many bytes.
 _KEY_CHUNK = 4096
@@ -129,8 +179,8 @@ _KEY_CHUNK = 4096
 _BIT_PLANES = tuple(bytes(byte >> t & 1 for byte in range(256)) for t in range(8))
 
 
-def key_columns(keys: Sequence[int], count: int) -> Iterator[tuple[int, int, list[int]]]:
-    """The low ``count`` bits of the keys, transposed a chunk of keys at a time.
+def key_columns(keys: KeyStore, count: int) -> Iterator[tuple[int, int, list[int]]]:
+    """The low ``count`` bits of the stored keys, transposed a chunk of keys at a time.
 
     Yields (size, ones, columns) per chunk of at most ``_KEY_CHUNK`` keys,
     in order.  Column c holds bit c of the chunk's j-th key in its byte j,
@@ -138,17 +188,21 @@ def key_columns(keys: Sequence[int], count: int) -> Iterator[tuple[int, int, lis
     ``ones ^ column`` is the byte-wise complement, and a sum of fewer than
     256 columns keeps every byte's count inside its byte.  A boolean
     formula on columns thus evaluates for every key of the chunk at once.
+    The columns come straight from the store's bytes: byte b of every key
+    of a chunk is one strided slice, and each of its bit planes one
+    ``translate``.
     """
-    width = (count + 7) // 8
-    for first in range(0, len(keys), _KEY_CHUNK):
-        chunk = keys[first:first + _KEY_CHUNK]
-        data = b"".join([key.to_bytes(width, "little") for key in chunk])
+    width = keys.width
+    step = _KEY_CHUNK * width
+    for first in range(0, len(keys.data), step):
+        data = keys.data[first:first + step]
+        size = len(data) // width
         rows = [data[byte::width] for byte in range(width)]  # byte b of every key
         columns = [
             int.from_bytes(rows[c >> 3].translate(_BIT_PLANES[c & 7]), "little")
             for c in range(count)
         ]
-        yield len(chunk), int.from_bytes(b"\1" * len(chunk), "little"), columns
+        yield size, int.from_bytes(b"\1" * size, "little"), columns
 
 
 def node_rows(columns: Sequence[int], size: int) -> bytes:

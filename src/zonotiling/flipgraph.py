@@ -3,24 +3,18 @@
 A node is stored only as its tiling's orientation bitvector, its key
 (tilings inject into orientation vectors, and a flip toggles exactly one
 bit, so neighbour keys come from a single XOR); ``tiling.key_offsets``
-decodes a key to its tile offsets where a report needs them.  Enumeration is
-breadth-first from the minimal tiling, key 0, with every layer processed in
-sorted key order, so node ids are sorted by (inversion count, key) and stable
-across runs.  The BFS stops at the middle layer: the half-turn (below) gives
-every later node's key, neighbours and levels from its mirror node's.
+decodes a key to its tile offsets where a report needs them.  The keys are
+one ``bytes`` of ceil(C(n,3) / 8)-byte words, read as ints through
+``core.KeyStore``.  Enumeration is breadth-first from the minimal tiling,
+key 0, with every layer processed in sorted key order, so node ids are
+sorted by (inversion count, key) and stable across runs.  A flip moves
+between neighbouring layers, so key-to-id maps are kept only for the layers
+before and after the one being read.  The BFS stops at the middle layer:
+the half-turn (below) gives every later node's key, neighbours and levels
+from its mirror node's, mirrored a block of nodes at a time.
 
-Enumeration never builds a tiling: ``column_flips`` reads the flips and
-their levels off a whole BFS layer of keys at once.  A key is a rank-3
-signotope, and a circuit flips exactly when toggling it keeps the signs of
-every 4-subset monotone (Felsner and Weil, "Sweeps, arrangements and
-signotopes", 2001).  With c12, c23, c34 the sign changes between the
-neighbouring triples abc, abd, acd, bcd of a 4-subset a < b < c < d, a flip
-at position 1 is blocked by ~c12 & (c23 | c34), at 2 by ~(c12 | c23), at 3
-by ~(c23 | c34) and at 4 by ~c34 & (c12 | c23).  The rules are the same
-for every node, so they run on columns (``core.key_columns``): one int per
-circuit holding that circuit's sign for a chunk of nodes, one byte each,
-and each 4-subset's test covers the whole chunk in a few big-int
-operations.
+Enumeration never builds a tiling: ``tiling.column_flips`` reads the flips
+and their levels off a whole BFS layer of keys at once.
 
 A raising edge adds one inversion (one circuit toggled from +1 to -1), so
 it runs toward the larger key and a later id, and maximal chains are the
@@ -43,7 +37,8 @@ probes and the potentials' edge audit) read the flat arrays directly.
 Quotient skeletons rest on ``components_excluding_levels``, which labels and
 stores each level set's components, their partition and the pairs
 deleted-level edges join, tagged with the edge's level, once per graph, and
-on ``graph_diameter``, a bit-parallel multi-source BFS.  A labelling is the
+on ``graph_diameter``, a bit-parallel multi-source BFS that holds two lists
+of source bitsets at a time.  A labelling is the
 half-turn image of its stored twin (levels n - 1 - l), else is merged from
 a stored one of more levels on the same node set; a BFS labels only the
 two-level windows {l, l+1} that one-level requests are merged from.
@@ -57,21 +52,19 @@ import sys
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, combinations, compress, groupby, repeat
+from itertools import chain, count, groupby, repeat
 from math import comb
 from operator import floordiv, sub
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import (
     Finding,
+    KeyStore,
     PointConfig,
-    colex_triples,
-    key_columns,
-    node_rows,
+    key_store,
     num_triples,
-    triple_rank,
 )
+from .tiling import column_flips
 
 
 class EnumerationCapError(ValueError):
@@ -80,10 +73,10 @@ class EnumerationCapError(ValueError):
 
 # Number of tilings for n = 1 .. 10 (OEIS A006245), and the bytes a graph
 # takes per node, measured at n = 8: the peak RSS of a fresh
-# ``enumerate --n 8 --out DIR``, 196.1 MiB, less 16.8 MiB for the interpreter
-# and imports, is about 188 MB for 1,232,944 nodes.
+# ``enumerate --n 8 --out DIR``, 136.3 MiB, less 17.1 MiB for the interpreter
+# and imports, is about 125 MB for 1,232,944 nodes.
 _TILING_COUNTS = (1, 1, 2, 8, 62, 908, 24_698, 1_232_944, 112_018_190, 18_410_581_880)
-_BYTES_PER_NODE = 188_000_000 / 1_232_944
+_BYTES_PER_NODE = 125_000_000 / 1_232_944
 
 
 def _physical_memory() -> int | None:
@@ -133,15 +126,16 @@ class _Rows:
 class FlipGraph:
     """The graph of all fine tilings with level-labelled flip edges.
 
-    Node ids are sorted by (inversion count, key).  Raising flips lead to
-    later ids, and the half-turn image of node v is len(graph) - 1 - v.
+    Node ids are sorted by (inversion count, key), and ``keys`` holds them
+    packed in one ``bytes``.  Raising flips lead to later ids, and the
+    half-turn image of node v is len(graph) - 1 - v.
     Node v's neighbours are ``nbr_ids[offsets[v]:offsets[v + 1]]``, in
     circuit order, with their flip levels at the same places of
     ``nbr_levels``; ``adj[v]`` and ``levels[v]`` are read-only views of them.
     """
 
     config: PointConfig
-    keys: list[int]  # orientation key of each node
+    keys: KeyStore  # orientation key of each node
     nbr_ids: array  # typecode 'i'
     nbr_levels: bytes
     offsets: array  # typecode 'i', len(keys) + 1 entries
@@ -196,88 +190,10 @@ class FlipGraph:
 
 
 # ---------------------------------------------------------------------------
-# flips read off the orientation key
+# enumeration
 
-@lru_cache(maxsize=None)
-def _flip_tables(n: int):
-    """The 4-subsets and per-circuit level terms of ``column_flips``, once per n.
-
-    Each 4-subset a < b < c < d is the colex ranks of its triples in the
-    order abc, abd, acd, bcd.  For the circuit (p, q, r), ``outer`` holds the
-    ranks of the triples {x, p, r} with x outside [p, r], and ``inner``
-    those of {p, x, r} with x strictly between p and r, other than q.
-    """
-    subsets = tuple(
-        (triple_rank(a, b, c), triple_rank(a, b, d), triple_rank(a, c, d), triple_rank(b, c, d))
-        for a, b, c, d in combinations(range(1, n + 1), 4)
-    )
-    circuits = []
-    for p, q, r in colex_triples(n):
-        outer = tuple(
-            triple_rank(*sorted((x, p, r))) for x in range(1, n + 1) if x < p or x > r
-        )
-        inner = tuple(triple_rank(p, x, r) for x in range(p + 1, r) if x != q)
-        circuits.append((outer, inner))
-    return subsets, tuple(circuits)
-
-
-def column_flips(n: int, keys: Sequence[int]) -> Iterator[tuple[list[int], bytes]]:
-    """The flips of the tilings with orientation keys ``keys``, from the keys alone.
-
-    Yields, per key in order, the key bit each flip toggles, in colex
-    circuit order, and the level of each.  A key is a rank-3 signotope: on
-    every 4-subset a < b < c < d its signs on abc, abd, acd, bcd change at
-    most once.  A circuit flips exactly when toggling it keeps every
-    4-subset monotone (Felsner and Weil, "Sweeps, arrangements and
-    signotopes", 2001).  With c12, c23, c34 the sign changes between
-    neighbouring positions of a monotone 4-subset, toggling position
-      1 (abc) is blocked by  ~c12 & (c23 | c34),
-      2 (abd) is blocked by  ~(c12 | c23),
-      3 (acd) is blocked by  ~(c23 | c34),
-      4 (bcd) is blocked by  ~c34 & (c12 | c23),
-    and a circuit flips when none of its positions is blocked.  The flip
-    along (p, q, r) has level |A| + 1 for the offset A of its {p, r} tile
-    without q: the x outside [p, r] with {x, p, r} oriented +1, and the x
-    strictly between p and r, other than q, with {p, x, r} oriented -1.
-    Every key must orient a tiling; for n < 4 every circuit flips.
-
-    The rules run on ``core.key_columns``, one byte per key: each 4-subset
-    is a few big-int operations for a whole chunk of keys, the blocked
-    positions are ORed per circuit, and a circuit's level column is a sum
-    of columns, which stays below n in every byte.  Each circuit's column
-    reads its level where it flips and 0 where it is blocked; turned into
-    one row per key (``core.node_rows``), the non-zero bytes of a row are
-    the key's levels, and their positions its flipped bits.
-    """
-    subsets, circuits = _flip_tables(n)
-    count = len(circuits)
-    bits = [1 << c for c in range(count)]
-    for size, ones, x in key_columns(keys, count):
-        blocked = [0] * count
-        for r1, r2, r3, r4 in subsets:
-            c12 = x[r1] ^ x[r2]
-            c23 = x[r2] ^ x[r3]
-            c34 = x[r3] ^ x[r4]
-            blocked[r1] |= (ones ^ c12) & (c23 | c34)
-            blocked[r2] |= ones ^ (c12 | c23)
-            blocked[r3] |= ones ^ (c23 | c34)
-            blocked[r4] |= (ones ^ c34) & (c12 | c23)
-        # 1 + |outer| - (outer triples oriented -1) + (inner ones oriented -1):
-        # no byte borrows, since the outer sum is at most |outer| in each byte
-        levels = [
-            ((1 + len(outer)) * ones + sum([x[i] for i in inner]) - sum([x[o] for o in outer]))
-            & ~(blocked[c] * 0xFF)
-            for c, (outer, inner) in enumerate(circuits)
-        ]
-        rows = node_rows(levels, size)
-        for j in range(size):
-            row = rows[j * count:(j + 1) * count]
-            yield list(compress(bits, row)), row.replace(b"\0", b"")
-
-
-def key_flips(n: int, key: int) -> tuple[list[int], bytes]:
-    """The flips of one key and their levels: ``column_flips`` on [key]."""
-    return next(column_flips(n, [key]))
+# Nodes the second half is mirrored from at a time.
+_MIRROR_BLOCK = 4096
 
 
 def enumerate_tilings(config: PointConfig) -> FlipGraph:
@@ -298,50 +214,68 @@ def enumerate_tilings(config: PointConfig) -> FlipGraph:
     n = config.n
     depth_max = num_triples(n)  # inversions of the maximal tiling
     full = (1 << depth_max) - 1  # its key: every circuit -1
-    keys = [0]  # the minimal tiling orients every circuit +1
-    index = {0: 0}
+    layer = [0]  # the minimal tiling orients every circuit +1
+    data = bytearray()  # every key so far, packed
+    below: dict[int, int] = {}  # key -> id on the layer before ``layer``
     nbr_ids = array("i")
     nbr_levels = bytearray()
     offsets = array("i", [0])
 
     # A flip moves the inversion count by one and every tiling but the
-    # minimal one has a lowering flip: a node's lowering neighbours are
-    # numbered already and its raising ones lie in the next layer.  Each
-    # layer's ids are consecutive, and its neighbours' ids are known once
-    # the next layer is numbered.
+    # minimal one has a lowering flip: a node's lowering neighbours lie in
+    # the layer before and its raising ones in the next.  Each layer's ids
+    # are consecutive, and its neighbours' ids are known once the next
+    # layer is numbered, so key -> id maps are kept for those two layers only.
     start = 0
     while True:
+        layer_keys = key_store(n, layer)
+        data += layer_keys.data
         pending: list[int] = []  # neighbour keys of the layer's nodes, one after another
-        layer = keys[start:]
-        for ukey, (bits, node_levels) in zip(layer, column_flips(n, layer)):
+        for ukey, (bits, node_levels) in zip(layer, column_flips(n, layer_keys)):
             pending += map(ukey.__xor__, bits)
             nbr_levels += node_levels
             offsets.append(len(nbr_levels))
-        if 2 * (keys[start].bit_count() + 1) > depth_max:
+        here = start + len(layer)  # the first id after the layer
+        if 2 * (layer[0].bit_count() + 1) > depth_max:
             break  # this is the middle layer
-        start = len(keys)
-        for vkey in sorted(set(pending).difference(index)):
-            index[vkey] = len(keys)
-            keys.append(vkey)
+        above = sorted(set(pending).difference(below))
+        index, below = below, dict(zip(layer, count(start)))
+        index.update(zip(above, count(here)))
         nbr_ids.extend(map(index.__getitem__, pending))
+        del index
+        layer, start = above, here
 
     # The layer after the middle one is the image of the middle layer when
     # C(n,3) is odd, and of the one before it when C(n,3) is even, so only
     # an even C(n,3) has a middle layer that is its own image.
-    half = len(keys)
+    half = here
     last = (half + start if depth_max % 2 == 0 else 2 * half) - 1
+    index = below
+    index.update(zip(layer, count(start)))
     nbr_ids.extend([index[vkey] if vkey in index else last - index[vkey ^ full] for vkey in pending])
-    del index, pending
-    # node v >= half is the image of u = last - v, block by block from u = last - half down
-    images = _mirror_ids(nbr_ids, last)
-    image_levels = nbr_levels.translate(bytes.maketrans(bytes(range(n)), bytes(range(n)[::-1])))
-    for u in range(last - half, -1, -1):
-        a, b = offsets[u], offsets[u + 1]
-        keys.append(keys[u] ^ full)
-        nbr_ids.extend(images[a:b])
-        nbr_levels += image_levels[a:b]
-        offsets.append(len(nbr_levels))
-    return FlipGraph(config, keys, nbr_ids, bytes(nbr_levels), offsets)
+    del index, below, pending
+    # node v >= half is the image of u = last - v, a block of nodes at a
+    # time, from u = last - half down
+    width = layer_keys.width
+    # complement[b] maps byte b of a key to byte b of its complement
+    complement = [bytes(byte ^ (full >> 8 * b & 0xFF) for byte in range(256)) for b in range(width)]
+    mirror_levels = bytes.maketrans(bytes(range(n)), bytes(range(n)[::-1]))
+    for top in range(last - half, -1, -_MIRROR_BLOCK):
+        low = max(top - _MIRROR_BLOCK + 1, 0)
+        block = data[low * width:(top + 1) * width]
+        image = bytearray(len(block))  # the block's keys complemented, last first
+        for b in range(width):
+            image[b::width] = block[b::width][::-1].translate(complement[b])
+        data += image
+        a = offsets[low]
+        images = _mirror_ids(nbr_ids[a:offsets[top + 1]], last)
+        image_levels = nbr_levels[a:offsets[top + 1]].translate(mirror_levels)
+        for u in range(top, low - 1, -1):
+            i, j = offsets[u] - a, offsets[u + 1] - a
+            nbr_ids.extend(images[i:j])
+            nbr_levels += image_levels[i:j]
+            offsets.append(len(nbr_levels))
+    return FlipGraph(config, KeyStore(bytes(data), width), nbr_ids, bytes(nbr_levels), offsets)
 
 
 def _mirror_ids(ids: array, last: int) -> array:
@@ -384,16 +318,6 @@ def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
     return dist
 
 
-def distance(graph: FlipGraph, u: int, v: int) -> int:
-    """Edge distance in the unlabelled flip graph."""
-    check_node(graph, u)
-    check_node(graph, v)
-    dist = bfs_distances(graph.adj, u)
-    if dist[v] < 0:
-        raise ValueError("nodes are not connected")
-    return dist[v]
-
-
 # Sources per sweep; each per-node bitset array stays within V * _SOURCE_BATCH bits.
 _SOURCE_BATCH = 4096
 
@@ -401,14 +325,22 @@ _SOURCE_BATCH = 4096
 def graph_diameter(adj: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
     """All-pairs BFS diameter with a deterministic witness pair.
 
-    Multi-source BFS (Then et al., "The More the Merrier", VLDB 2014): each
-    node holds a Python-int bitset of the batch's sources that have reached
-    it.  The witness is the smallest source of maximum eccentricity, then the
-    smallest node at that distance from it.
+    Multi-source BFS (Then et al., "The More the Merrier", VLDB 2014) on
+    two lists per batch of sources: seen_d holds, per node, the Python-int
+    bitset of the sources within distance d of it, and seen_(d+1)[v] is
+    seen_d[v] ORed with seen_d[u] over v's neighbours u.  A node every
+    source has reached is skipped, and holds the one int ``full``.  The
+    batch's greatest eccentricity is the first d at which every node is
+    full, and its sources of that eccentricity are those still missing at
+    some node of seen_(d-1), the last list with a node still missing
+    sources.  The witness is the smallest source of maximum eccentricity,
+    then the smallest node at that distance from it.
     """
     size = len(adj)
     if not size:
         raise ValueError("empty graph has no diameter")
+    if size == 1:
+        return 0, (0, 0)
     best = (-1, -1, -1)  # (eccentricity, source, farthest node)
     for first in range(0, size, _SOURCE_BATCH):
         width = min(_SOURCE_BATCH, size - first)
@@ -416,30 +348,28 @@ def graph_diameter(adj: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
         seen = [0] * size
         for i in range(width):
             seen[first + i] = 1 << i
-        frontier = seen[:]
         depth = 0
-        while True:
-            # each node not yet reached by every source pulls from its neighbours
-            reached = [0] * size
+        missing = True
+        while missing:
+            grown = []
+            missing = False
             for v, bits in enumerate(seen):
                 if bits != full:
-                    new = 0
                     for u in adj[v]:
-                        new |= frontier[u]
-                    new &= ~bits
-                    if new:
-                        reached[v] = new
-                        seen[v] = bits | new
-            if not any(reached):
-                break
-            frontier = reached
+                        bits |= seen[u]
+                    if bits == full:
+                        bits = full
+                    else:
+                        missing = True
+                grown.append(bits)
+            if grown == seen:
+                raise ValueError("graph is disconnected")
             depth += 1
-        if any(bits != full for bits in seen):
-            raise ValueError("graph is disconnected")
+            if missing:
+                seen = grown
         if depth > best[0]:
-            # the last frontier holds exactly the sources of eccentricity depth
-            low = min(bits & -bits for bits in frontier if bits)
-            far = next(v for v, bits in enumerate(frontier) if bits & low)
+            low = min(bits & -bits for bits in map(full.__xor__, seen) if bits)
+            far = next(v for v, bits in enumerate(seen) if not bits & low)
             best = (depth, first + low.bit_length() - 1, far)
     return best[0], (best[1], best[2])
 

@@ -35,9 +35,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Finding,
+    KeyStore,
     colex_triples,
     full_mask,
     key_columns,
+    key_store,
     mask_from,
     mask_points,
     node_rows,
@@ -159,7 +161,7 @@ def _slice_tables(n: int, k: int):
     return rules, subsets
 
 
-def column_slices(n: int, keys: Sequence[int], k: int) -> Iterator[int]:
+def column_slices(n: int, keys: KeyStore, k: int) -> Iterator[int]:
     """The level-k and level-(k+1) slices of the tilings with orientation keys ``keys``.
 
     Yields one word per key, in order, over the k- and (k+1)-subsets of
@@ -212,7 +214,7 @@ def column_slices(n: int, keys: Sequence[int], k: int) -> Iterator[int]:
 
 def key_slices(n: int, key: int, k: int) -> int:
     """The slice word of one key: ``column_slices`` on [key]."""
-    return next(column_slices(n, [key], k))
+    return next(column_slices(n, key_store(n, [key]), k))
 
 
 def slice_masks(n: int, k: int, word: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -254,7 +256,8 @@ def reduced_cross_section(graph: FlipGraph, members: Sequence[int], k: int) -> M
     if not members:
         raise ValueError("a k-class has at least one member")
     check_nodes(graph, members)
-    meet = reduce(int.__and__, column_slices(n, [graph.keys[v] for v in members], k))
+    keys = key_store(n, map(graph.keys.__getitem__, members))
+    meet = reduce(int.__and__, column_slices(n, keys, k))
     return _reduced_path(slice_masks(n, k, meet)[1], k, n)
 
 

@@ -1,4 +1,4 @@
-"""Orientation keys decoded to tile offsets, and SVG.
+"""Orientation keys decoded to tile offsets and to flips, and SVG.
 
 A fine tiling of the zonotope of n lifted vectors uses exactly one
 parallelogram tile per basis pair B = {i, j}: the tile with offset set A is
@@ -22,6 +22,14 @@ tiling's XOR that toggle for every set bit of the key.  Every offset size
 the package reads, in the potentials' census and in ``vert_k``, is a
 popcount of these decoded offsets.
 
+The flips need no offsets either: a key is a rank-3 signotope, and a
+circuit flips exactly when toggling it keeps the signs of every 4-subset
+monotone (Felsner and Weil, "Sweeps, arrangements and signotopes", 2001).
+``column_flips`` runs these rules on columns of a chunk of keys at once
+(``core.key_columns``): one int per circuit holding that circuit's sign for
+each key, one byte each, so each 4-subset's test covers the whole chunk in
+a few big-int operations.
+
 ``tests/tile_oracle.py`` keeps the tile route, a ``Tiling`` of offsets with
 its flips, heights, orientations and audit, as the reference for the key
 route.
@@ -30,17 +38,22 @@ route.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from itertools import combinations, compress
+from typing import Iterator, Sequence
 
 from .core import (
+    KeyStore,
     PointConfig,
     byte_tables,
     colex_pairs,
     colex_triples,
     full_mask,
+    key_columns,
     mask_points,
+    node_rows,
     num_pairs,
     pair_rank,
+    triple_rank,
 )
 
 
@@ -140,3 +153,83 @@ def tiling_to_svg(config: PointConfig, offsets: Sequence[int], scale: float = 40
         )
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# flips read off the orientation key
+
+@lru_cache(maxsize=None)
+def _flip_tables(n: int):
+    """The 4-subsets and per-circuit level terms of ``column_flips``, once per n.
+
+    Each 4-subset a < b < c < d is the colex ranks of its triples in the
+    order abc, abd, acd, bcd.  For the circuit (p, q, r), ``outer`` holds the
+    ranks of the triples {x, p, r} with x outside [p, r], and ``inner``
+    those of {p, x, r} with x strictly between p and r, other than q.
+    """
+    subsets = tuple(
+        (triple_rank(a, b, c), triple_rank(a, b, d), triple_rank(a, c, d), triple_rank(b, c, d))
+        for a, b, c, d in combinations(range(1, n + 1), 4)
+    )
+    circuits = []
+    for p, q, r in colex_triples(n):
+        outer = tuple(
+            triple_rank(*sorted((x, p, r))) for x in range(1, n + 1) if x < p or x > r
+        )
+        inner = tuple(triple_rank(p, x, r) for x in range(p + 1, r) if x != q)
+        circuits.append((outer, inner))
+    return subsets, tuple(circuits)
+
+
+def column_flips(n: int, keys: KeyStore) -> Iterator[tuple[list[int], bytes]]:
+    """The flips of the tilings with orientation keys ``keys``, from the keys alone.
+
+    Yields, per key in order, the key bit each flip toggles, in colex
+    circuit order, and the level of each.  A key is a rank-3 signotope: on
+    every 4-subset a < b < c < d its signs on abc, abd, acd, bcd change at
+    most once.  A circuit flips exactly when toggling it keeps every
+    4-subset monotone (Felsner and Weil, "Sweeps, arrangements and
+    signotopes", 2001).  With c12, c23, c34 the sign changes between
+    neighbouring positions of a monotone 4-subset, toggling position
+      1 (abc) is blocked by  ~c12 & (c23 | c34),
+      2 (abd) is blocked by  ~(c12 | c23),
+      3 (acd) is blocked by  ~(c23 | c34),
+      4 (bcd) is blocked by  ~c34 & (c12 | c23),
+    and a circuit flips when none of its positions is blocked.  The flip
+    along (p, q, r) has level |A| + 1 for the offset A of its {p, r} tile
+    without q: the x outside [p, r] with {x, p, r} oriented +1, and the x
+    strictly between p and r, other than q, with {p, x, r} oriented -1.
+    Every key must orient a tiling; for n < 4 every circuit flips.
+
+    The rules run on ``core.key_columns``, one byte per key: each 4-subset
+    is a few big-int operations for a whole chunk of keys, the blocked
+    positions are ORed per circuit, and a circuit's level column is a sum
+    of columns, which stays below n in every byte.  Each circuit's column
+    reads its level where it flips and 0 where it is blocked; turned into
+    one row per key (``core.node_rows``), the non-zero bytes of a row are
+    the key's levels, and their positions its flipped bits.
+    """
+    subsets, circuits = _flip_tables(n)
+    count = len(circuits)
+    bits = [1 << c for c in range(count)]
+    for size, ones, x in key_columns(keys, count):
+        blocked = [0] * count
+        for r1, r2, r3, r4 in subsets:
+            c12 = x[r1] ^ x[r2]
+            c23 = x[r2] ^ x[r3]
+            c34 = x[r3] ^ x[r4]
+            blocked[r1] |= (ones ^ c12) & (c23 | c34)
+            blocked[r2] |= ones ^ (c12 | c23)
+            blocked[r3] |= ones ^ (c23 | c34)
+            blocked[r4] |= (ones ^ c34) & (c12 | c23)
+        # 1 + |outer| - (outer triples oriented -1) + (inner ones oriented -1):
+        # no byte borrows, since the outer sum is at most |outer| in each byte
+        levels = [
+            ((1 + len(outer)) * ones + sum([x[i] for i in inner]) - sum([x[o] for o in outer]))
+            & ~(blocked[c] * 0xFF)
+            for c, (outer, inner) in enumerate(circuits)
+        ]
+        rows = node_rows(levels, size)
+        for j in range(size):
+            row = rows[j * count:(j + 1) * count]
+            yield list(compress(bits, row)), row.replace(b"\0", b"")

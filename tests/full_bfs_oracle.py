@@ -10,7 +10,7 @@ The production graph must have the same keys, adjacency and levels; see
 tests/test_flipgraph.py::TestHalfTurnEnumeration.
 """
 
-from zonotiling.core import PointConfig
+from zonotiling.core import PointConfig, key_store
 from zonotiling.flipgraph import column_flips
 
 
@@ -26,7 +26,7 @@ def full_bfs_graph(config: PointConfig) -> tuple[list[int], list[list[int]], lis
         pending = []  # neighbour keys of each node in the layer
         discovered = set()
         layer = keys[start:]
-        for ukey, (bits, node_levels) in zip(layer, column_flips(n, layer)):
+        for ukey, (bits, node_levels) in zip(layer, column_flips(n, key_store(n, layer))):
             vkeys = [ukey ^ bit for bit in bits]
             discovered.update(vkey for vkey in vkeys if vkey > ukey)
             pending.append(vkeys)

@@ -407,6 +407,15 @@ def test_classify_n6_matches_recorded_digest(tmp_path):
     assert digest == _recorded_digests(6)["classify_n6.json"]
 
 
+@pytest.mark.slow
+def test_graph_n7_matches_pinned_digest(tmp_path):
+    # perfbench/reference.json records no n = 7 graph digest, so the bytes
+    # of the graph artifact are pinned here (and in CI)
+    assert run(["enumerate", "--n", "7", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "graph_n7.json").read_bytes()).hexdigest()
+    assert digest == "e0cdd4d857c6c457384b2120ffbf9c72078d8dbb8f58a6fda4fa49e7f8805e8a"
+
+
 def test_classify_builds_no_tiling(decoded_keys, capsys):
     # every verdict is decided and checked on the orientation key alone
     assert run(["classify", "--n", "6"]) == 0

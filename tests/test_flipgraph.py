@@ -1,7 +1,8 @@
 import random
 from array import array
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from tile_oracle import (
 )
 from zonotiling import (
     diameter,
-    distance,
     enumerate_tilings,
     expected_level_census,
     graph_diameter,
@@ -38,16 +38,31 @@ from zonotiling import (
     standard_config,
 )
 from zonotiling import cli, core, flipgraph
-from zonotiling.core import Finding, colex_triples, triple_rank
+from zonotiling.core import Finding, KeyStore, colex_triples, key_columns, key_store, triple_rank
 from zonotiling.flipgraph import (
     EnumerationCapError,
     bfs_distances,
+    check_node,
     component_pairs,
     column_flips,
     components_excluding_levels,
-    key_flips,
 )
 from zonotiling.secondary import potential_between
+
+
+def key_flips(n, key):
+    """The flips of one key and their levels: ``column_flips`` on [key]."""
+    return next(column_flips(n, key_store(n, [key])))
+
+
+def distance(graph, u, v):
+    """Edge distance in the unlabelled flip graph."""
+    check_node(graph, u)
+    check_node(graph, v)
+    dist = bfs_distances(graph.adj, u)
+    if dist[v] < 0:
+        raise ValueError("nodes are not connected")
+    return dist[v]
 
 
 def reference_diameter(adj):
@@ -61,6 +76,25 @@ def reference_diameter(adj):
         if best is None or ecc > best[0]:
             best = (ecc, s, far)
     return best[0], (best[1], best[2])
+
+
+@st.composite
+def adjacency_lists(draw, connected):
+    """Symmetric adjacency lists on up to 24 nodes: a random spanning tree
+    plus extra edges, or (not connected) sparse random edges, which mostly
+    leave the graph in pieces."""
+    size = draw(st.integers(1, 24))
+    edges = set()
+    if connected:
+        edges |= {(draw(st.integers(0, v - 1)), v) for v in range(1, size)}
+    pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    edges |= {(u, v) for u, v in draw(st.lists(pairs, max_size=size)) if u != v}
+    perm = draw(st.permutations(range(size)))
+    adj = [set() for _ in range(size)]
+    for u, v in edges:
+        adj[perm[u]].add(perm[v])
+        adj[perm[v]].add(perm[u])
+    return [sorted(nbrs) for nbrs in adj]
 
 
 def random_connected_graph(rng, size):
@@ -96,7 +130,7 @@ class TestMemoryRefusal:
 
     def test_n9_refused_on_a_7gb_machine(self, monkeypatch):
         monkeypatch.setattr(flipgraph, "_physical_memory", lambda: 7 * 10**9)
-        with pytest.raises(EnumerationCapError, match=r"17\.1 GB.*7\.0 GB"):
+        with pytest.raises(EnumerationCapError, match=r"11\.4 GB.*7\.0 GB"):
             enumerate_tilings(standard_config(9))
 
     def test_n8_fits_a_7gb_machine(self, monkeypatch):
@@ -276,7 +310,7 @@ def test_full_enumeration_n8():
     last = len(g) - 1
     half = g.keys[: (len(g) + 1) // 2]
     flips = column_flips(8, half)
-    image_flips = column_flips(8, [key ^ full for key in half])
+    image_flips = column_flips(8, key_store(8, [key ^ full for key in half]))
     for u, key in enumerate(half):
         bits, levels = next(flips)
         assert [g.keys[w] for w in g.adj[u]] == [key ^ bit for bit in bits]
@@ -340,6 +374,76 @@ class TestHalfTurnEnumeration:
         if len(g.nbr_ids):
             with pytest.raises(TypeError):
                 g.adj[len(g) - 1][0] = 0
+
+
+class TestKeyStore:
+    """The graph's keys: one bytes of ceil(C(n,3) / 8)-byte words, read as ints."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_one_packed_buffer(self, graphs, n):
+        g = graphs(n)
+        width = max(1, (comb(n, 3) + 7) // 8)
+        assert type(g.keys.data) is bytes and g.keys.width == width
+        assert len(g.keys.data) == len(g) * width
+        assert g.keys == key_store(n, list(g.keys))
+
+    def test_indexes_slices_and_iteration(self, graphs):
+        g = graphs(5)
+        keys = [int.from_bytes(g.keys.data[2 * v:2 * v + 2], "little") for v in range(len(g))]
+        assert len(g.keys) == len(keys) == 62
+        assert list(g.keys) == [g.keys[v] for v in range(len(g))] == keys
+        for part in (slice(None), slice(3, 9), slice(9, 3), slice(-5, None), slice(50, 100),
+                     slice(None, None, 3), slice(None, None, -2), slice(40, 10, -7)):
+            view = g.keys[part]
+            assert isinstance(view, KeyStore)
+            assert list(view) == keys[part]
+        assert list(g.keys[10:20][2:5]) == keys[12:15]
+        assert list(reversed(g.keys)) == keys[::-1]
+        assert keys[7] in g.keys and g.keys.index(keys[7]) == 7
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_ids_outside_the_store_raise_index_error(self, graphs, n):
+        g = graphs(n)
+        for v in (-1, len(g), len(g) + 5):
+            with pytest.raises(IndexError, match=rf"key id {v} is outside"):
+                g.keys[v]
+        with pytest.raises(TypeError):
+            g.keys[0] = 1
+
+    def test_equals_any_sequence_of_equal_ints(self, graphs):
+        g = graphs(5)
+        keys = list(g.keys)
+        assert g.keys == keys and keys == g.keys and g.keys == tuple(keys)
+        assert g.keys[2:9] == keys[2:9] and g.keys[2:9] != keys[2:10]
+        assert g.keys != keys[:-1] + [keys[-1] ^ 1]
+        assert g.keys != 0 and g.keys == key_store(6, keys)  # wider words, equal ints
+
+    def test_random_sample_reads_it_as_a_sequence(self, graphs):
+        g = graphs(6)
+        sample = random.Random(6).sample(g.keys, 50)
+        assert len(set(sample)) == 50 and set(sample) <= set(g.keys)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 9, 10])
+    def test_key_columns_transpose_the_stored_words(self, monkeypatch, n, graphs):
+        # chunks of 5 keys; at n = 9 and 10 a key has 84 and 120 bits
+        monkeypatch.setattr(core, "_KEY_CHUNK", 5)
+        bits = comb(n, 3)
+        if n <= 6:
+            keys = list(graphs(n).keys)
+            assert list(key_columns(key_store(n, keys), bits)) == list(key_columns(graphs(n).keys, bits))
+        else:
+            rng = random.Random(n)
+            keys = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(11)]
+        store = key_store(n, keys)
+        assert list(store) == keys
+        chunks = list(key_columns(store, bits))
+        assert [size for size, _, _ in chunks] == [len(keys[i:i + 5]) for i in range(0, len(keys), 5)]
+        for first, (size, ones, columns) in zip(count(0, 5), chunks):
+            chunk = keys[first:first + size]
+            assert ones == sum(1 << 8 * j for j in range(size))
+            assert columns == [
+                sum((key >> c & 1) << 8 * j for j, key in enumerate(chunk)) for c in range(bits)
+            ]
 
 
 class TestDistance:
@@ -449,6 +553,32 @@ class TestDiameter:
         monkeypatch.setattr(flipgraph, "_SOURCE_BATCH", 2)
         with pytest.raises(ValueError, match="disconnected"):
             graph_diameter([[1], [0, 2], [1], []])
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, flipgraph._SOURCE_BATCH])
+    @given(adj=st.one_of(adjacency_lists(True), adjacency_lists(False)))
+    def test_drawn_graphs_match_reference(self, batch, adj):
+        with mock.patch.object(flipgraph, "_SOURCE_BATCH", batch):
+            if min(bfs_distances(adj, 0)) < 0:
+                with pytest.raises(ValueError, match="disconnected"):
+                    graph_diameter(adj)
+            else:
+                assert graph_diameter(adj) == reference_diameter(adj)
+
+    def test_disconnection_only_a_later_batch_sees(self, monkeypatch):
+        # node v pulls the sources of the nodes in its list, which need not
+        # be symmetric: sources 0 and 1 reach every node, but no node lists
+        # 2 or 3, so only the second batch has sources that miss nodes
+        monkeypatch.setattr(flipgraph, "_SOURCE_BATCH", 2)
+        with pytest.raises(ValueError, match="disconnected"):
+            graph_diameter([[1], [0], [1], [2]])
+
+    def test_eccentricity_tie_across_batches_keeps_the_earlier_source(self, monkeypatch):
+        # the path 1 - 0 - 2 - 4 - 3: ends 1 (first batch) and 3 (second
+        # batch) both have eccentricity 4, and 1 keeps the witness
+        adj = [[1, 2], [0], [0, 4], [4], [2, 3]]
+        for batch in (2, 3, flipgraph._SOURCE_BATCH):
+            monkeypatch.setattr(flipgraph, "_SOURCE_BATCH", batch)
+            assert graph_diameter(adj) == reference_diameter(adj) == (4, (1, 3))
 
     @pytest.mark.slow
     def test_full_graph_n7(self):

@@ -25,7 +25,7 @@ from zonotiling import (
     skeleton,
     standard_config,
 )
-from zonotiling.core import Finding, integer_coords
+from zonotiling.core import Finding, integer_coords, key_store
 from zonotiling.flipgraph import FlipGraph, components_excluding_levels
 from zonotiling.secondary import _vert_k_distinct, _vert_k_ids, potential_between
 
@@ -241,7 +241,7 @@ class TestSkeleton:
     def test_flip_inside_a_class_is_a_finding(self):
         # edges 0-1 and 1-2 at level 2 make one 1-class, which the level-1
         # edge 0-2 would join to itself
-        g = FlipGraph(standard_config(3), [0, 1, 2], array("i", [1, 2, 0, 2, 1, 0]),
+        g = FlipGraph(standard_config(3), key_store(3, [0, 1, 2]), array("i", [1, 2, 0, 2, 1, 0]),
                       bytes([2, 1, 2, 2, 2, 1]), array("i", [0, 2, 4, 6]))
         with pytest.raises(Finding, match="joins two members of one class"):
             skeleton(g, 1, "reduced_all")

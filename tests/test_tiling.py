@@ -31,7 +31,7 @@ from zonotiling import (
     standard_config,
     tiling_to_svg,
 )
-from zonotiling.core import circuit_for, colex_pairs, colex_triples, num_triples
+from zonotiling.core import circuit_for, colex_pairs, colex_triples, key_store, num_triples
 from zonotiling.flipgraph import FlipGraph
 from zonotiling.secondary import _census
 from zonotiling.tiling import key_offsets
@@ -172,7 +172,9 @@ class TestOrientation:
             assert tiling_of_orientation(n, keys[-1]) == t
         # the census of the walk's keys alone, as a graph without edges
         self.assert_census_matches(
-            FlipGraph(standard_config(n), keys, array("i"), b"", array("i", [0] * (len(keys) + 1)))
+            FlipGraph(
+                standard_config(n), key_store(n, keys), array("i"), b"", array("i", [0] * (len(keys) + 1))
+            )
         )
 
     @pytest.mark.parametrize("n", [3, 4, 8, 9])

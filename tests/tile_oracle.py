@@ -2,7 +2,7 @@
 validation and slices read off tiles.
 
 Test-only reference for the key route in ``zonotiling``, which holds a
-tiling only as its orientation key and reads flips (``flipgraph.column_flips``),
+tiling only as its orientation key and reads flips (``tiling.column_flips``),
 slices (``hypertri.column_slices``), offset sizes and ``vert_k`` off keys.  Here
 a ``Tiling`` is its pair-indexed offsets, and every function works on those
 offsets or on the vertex set they span.  It imports nothing but
