@@ -260,7 +260,7 @@ def cmd_hypertri(run: RunConfig, ns: argparse.Namespace) -> None:
     if n == 4 or (n == 5 and ns.k == 1):
         # each node's level-2 slice, read off its key
         slices = (slice_masks(n, 2, word)[0] for word in column_slices(n, graph.keys, 2))
-        paths = [_ordered_path(s, 2, n, reduced=False).vertices for s in slices]
+        paths = [_ordered_path(s, 2, n).vertices for s in slices]
     if n == 4:
         fixtures["nonlifting_path_absent"] = (
             (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)
@@ -353,8 +353,11 @@ def cmd_render(run: RunConfig, ns: argparse.Namespace) -> None:
     elif ns.tiling == "max":
         key = (1 << num_triples(n)) - 1
     else:
+        try:
+            node = int(ns.tiling)
+        except ValueError:
+            raise ValueError(f"--tiling {ns.tiling!r} is not a node id, 'min' or 'max'") from None
         graph = _graph(run.config)
-        node = int(ns.tiling)
         check_node(graph, node)
         key = graph.keys[node]
     svg = tiling_to_svg(run.config, key_offsets(n, key))

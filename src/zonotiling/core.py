@@ -1,4 +1,4 @@
-"""Exact rational point configurations, circuits, and orientation maps.
+"""Exact rational point configurations, orientation keys, and index tables.
 
 The engine works over n distinct rational points a_1 < ... < a_n on a line,
 lifted to the plane vectors v_i = (a_i, 1).  Because the points are distinct,
@@ -7,10 +7,10 @@ three of them: for p < q < r the coefficients
 
     alpha = (a_r - a_q,  a_p - a_r,  a_q - a_p)      at positions p, q, r
 
-are (+, -, +), sum to zero, and satisfy sum(alpha_i * a_i) = 0.  A circuit
-stores this normalized dependence, so circuits compare and serialize
-identically across runs.  Downstream code identifies a tiling by the vector
-of its circuit orientation signs.
+are (+, -, +), sum to zero, and satisfy sum(alpha_i * a_i) = 0.  The
+circuits are the triples p < q < r in colex order, and a tiling is
+identified by the vector of its circuit orientation signs, packed into an
+int key (``KeyStore`` holds a graph's keys).
 
 All arithmetic is exact (fractions.Fraction); no floats appear anywhere in
 the combinatorial layer.  Subsets of [n] travel as bitmasks where bit m-1
@@ -27,9 +27,6 @@ from itertools import repeat
 from math import comb, lcm
 from operator import eq, or_
 from typing import Callable, Iterable, Iterator
-
-Rational = Fraction
-HeightVector = tuple[Fraction, ...]
 
 
 class Finding(RuntimeError):
@@ -70,11 +67,6 @@ def to_rational(value: int | str | Fraction) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"coordinate {text!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a rational as 'p/q', or plain 'p' for integers."""
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +277,13 @@ class PointConfig:
     def n(self) -> int:
         return len(self.coords)
 
-    @property
-    def lift(self) -> tuple[tuple[Fraction, int], ...]:
-        """Lifted vectors v_i = (a_i, 1)."""
-        return tuple((a, 1) for a in self.coords)
-
     def coord(self, i: int) -> Fraction:
         """Coordinate of the 1-based point i."""
         return self.coords[i - 1]
 
     def to_json(self) -> dict:
         """The header every JSON artifact but the oracle's carries."""
-        return {"n": self.n, "points": [format_rational(a) for a in self.coords]}
+        return {"n": self.n, "points": [str(a) for a in self.coords]}
 
 
 def make_config(coords: Iterable[int | str | Fraction]) -> PointConfig:
@@ -317,59 +304,6 @@ def integer_coords(config: PointConfig) -> tuple[int, tuple[int, ...]]:
     """
     scale = lcm(*(a.denominator for a in config.coords))
     return scale, tuple(a.numerator * (scale // a.denominator) for a in config.coords)
-
-
-# ---------------------------------------------------------------------------
-# circuits
-
-@dataclass(frozen=True)
-class Circuit:
-    """Signed minimal dependence on the lifted vectors v_p, v_q, v_r.
-
-    The positive part is {p, r}, the negative part {q}, and alpha holds the
-    dependence coefficients at positions (p, q, r).
-    """
-
-    p: int
-    q: int
-    r: int
-    alpha: tuple[Fraction, Fraction, Fraction]
-
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        return (self.p, self.q, self.r)
-
-    @property
-    def positive(self) -> tuple[int, int]:
-        return (self.p, self.r)
-
-    @property
-    def negative(self) -> tuple[int]:
-        return (self.q,)
-
-    @property
-    def rank(self) -> int:
-        return triple_rank(self.p, self.q, self.r)
-
-    def dot(self, heights: Sequence[Fraction]) -> Fraction:
-        """<h, alpha(C)> for a full-length height vector."""
-        ap, aq, ar = self.alpha
-        return ap * heights[self.p - 1] + aq * heights[self.q - 1] + ar * heights[self.r - 1]
-
-
-@lru_cache(maxsize=None)
-def circuits(config: PointConfig) -> tuple[Circuit, ...]:
-    """All circuits of the configuration in colexicographic triple order."""
-    out = []
-    for p, q, r in colex_triples(config.n):
-        out.append(circuit_for(config, p, q, r))
-    return tuple(out)
-
-
-def circuit_for(config: PointConfig, p: int, q: int, r: int) -> Circuit:
-    a = config.coords
-    alpha = (a[r - 1] - a[q - 1], a[p - 1] - a[r - 1], a[q - 1] - a[p - 1])
-    return Circuit(p, q, r, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +364,25 @@ class OrientationVector:
 def sigma_h(config: PointConfig, heights: Sequence[int | str | Fraction]) -> OrientationVector:
     """Orientation sign of every circuit under a generic height vector.
 
-    The sign on circuit C is the sign of <h, alpha(C)>.  Raises
-    NonGenericHeightError naming the offending circuit if some dot product
-    vanishes.
+    The sign on circuit p < q < r is the sign of <h, alpha> for its
+    dependence alpha.  Raises NonGenericHeightError naming the offending
+    circuit if some dot product vanishes.
     """
     h = as_heights(config, heights)
+    a = config.coords
     signs = []
-    for c in circuits(config):
-        d = c.dot(h)
+    for p, q, r in colex_triples(config.n):
+        ap, aq, ar = a[p - 1], a[q - 1], a[r - 1]
+        d = (ar - aq) * h[p - 1] + (ap - ar) * h[q - 1] + (aq - ap) * h[r - 1]
         if d == 0:
-            raise NonGenericHeightError(c.triple)
+            raise NonGenericHeightError((p, q, r))
         signs.append(1 if d > 0 else -1)
     return OrientationVector.from_signs(signs)
 
 
-def as_heights(config: PointConfig, heights: Sequence[int | str | Fraction]) -> HeightVector:
+def as_heights(
+    config: PointConfig, heights: Sequence[int | str | Fraction]
+) -> tuple[Fraction, ...]:
     if len(heights) != config.n:
         raise ValueError(f"expected {config.n} heights, got {len(heights)}")
     return tuple(to_rational(x) for x in heights)

@@ -1,4 +1,4 @@
-"""Exhaustive flip-graph enumeration, distances, diameters, and chains.
+"""Exhaustive flip-graph enumeration, diameters, and chains.
 
 A node is stored only as its tiling's orientation bitvector, its key
 (tilings inject into orientation vectors, and a flip toggles exactly one
@@ -18,13 +18,12 @@ and their levels off a whole BFS layer of keys at once.
 
 A raising edge adds one inversion (one circuit toggled from +1 to -1), so
 it runs toward the larger key and a later id, and maximal chains are the
-length-C(n,3) raising walks from the minimal to the maximal tiling;
-``max_chain_through`` finds one through a node from two ``bfs_distances``
-sweeps, from the minimum and from the maximum.  The half-turn complements
-the key, which reverses both the inversion count and the key order, so the
-image of node v is node len(graph) - 1 - v and no key-to-id map outlives
-enumeration.  It is a graph automorphism that keeps the flipped circuit and
-sends flip level l to n - 1 - l.
+length-C(n,3) raising walks from the minimal to the maximal tiling, which
+``sample_chain`` draws.  The half-turn complements the key, which reverses
+both the inversion count and the key order, so the image of node v is node
+len(graph) - 1 - v and no key-to-id map outlives enumeration.  It is a
+graph automorphism that keeps the flipped circuit and sends flip level l to
+n - 1 - l.
 
 The graph is held in compressed sparse row (CSR) form: one ``array('i')``
 of neighbour ids, one ``bytes`` of their flip levels aligned with it, and
@@ -35,13 +34,13 @@ labelling BFS, ``undirected_edges``, ``sample_chain``, ``regular_set``'s
 probes and the potentials' edge audit) read the flat arrays directly.
 
 Quotient skeletons rest on ``components_excluding_levels``, which labels and
-stores each level set's components, their partition and the pairs
-deleted-level edges join, tagged with the edge's level, once per graph, and
-on ``graph_diameter``, a bit-parallel multi-source BFS that holds two lists
-of source bitsets at a time.  A labelling is the
-half-turn image of its stored twin (levels n - 1 - l), else is merged from
-a stored one of more levels on the same node set; a BFS labels only the
-two-level windows {l, l+1} that one-level requests are merged from.
+stores each level set's components over all tilings, their partition and
+the pairs deleted-level edges join, tagged with the edge's level, once per
+graph, and on ``graph_diameter``, a bit-parallel multi-source BFS that
+holds two lists of source bitsets at a time.  A labelling is the half-turn
+image of its stored twin (levels n - 1 - l), else is merged from a stored
+one of more levels; a BFS labels only the two-level windows {l, l+1} that
+one-level requests are merged from.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import os
 import random
 import sys
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, count, groupby, repeat
 from math import comb
@@ -302,21 +301,7 @@ def check_nodes(graph: FlipGraph, nodes: Collection[int] | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# BFS distances and diameters
-
-def bfs_distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
-
+# diameters
 
 # Sources per sweep; each per-node bitset array stays within V * _SOURCE_BATCH bits.
 _SOURCE_BATCH = 4096
@@ -374,74 +359,59 @@ def graph_diameter(adj: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
     return best[0], (best[1], best[2])
 
 
-def diameter(graph: FlipGraph) -> tuple[int, tuple[int, int]]:
-    return graph_diameter(graph.adj)
-
-
 # ---------------------------------------------------------------------------
 # components after deleting flip levels (k-equivalence machinery)
 
-def components_excluding_levels(
-    graph: FlipGraph,
-    deleted_levels: Iterable[int],
-    within: frozenset[int] | set[int] | None = None,
-) -> array:
+def components_excluding_levels(graph: FlipGraph, deleted_levels: Iterable[int]) -> array:
     """Component label per node of the graph minus edges at deleted levels.
 
-    With ``within`` given, only the subgraph induced on those nodes is
-    labelled, and every other node reads -1; a node id in ``within`` outside
-    the graph raises ValueError.  The label of a component is its smallest
-    node id, so partitions compare across calls.  Beside the labels, an
-    ``array('i')``, each labelling keeps the pairs of labels a <= b that
-    deleted-level edges join, with the edge's level l, each once as the int
-    (a * len + b) * n + l, in increasing order (an edge inside component c
-    gives (c, c)); and the partition: every component's sorted members, one
-    after another, in label order.  Each labelling is computed once per
-    graph and stored on it; callers must not mutate it.
+    The label of a component is its smallest node id, so partitions compare
+    across calls.  Beside the labels, an ``array('i')``, each labelling
+    keeps the pairs of labels a <= b that deleted-level edges join, with the
+    edge's level l, each once as the int (a * len + b) * n + l, in
+    increasing order (an edge inside component c gives (c, c)); and the
+    partition: every component's sorted members, one after another, in
+    label order.  Each labelling is computed once per graph and stored on
+    it, keyed by its level set; callers must not mutate it.
 
-    The half-turn maps the graph minus levels L, induced on W, onto the
-    graph minus {n-1-l}, induced on {len-1-v}.  A labelling is the image of
-    its stored twin (``_mirrored_labelling``), else is merged from the
-    stored labelling on W of the fewest levels L' > L (``_merged_labelling``).
-    Failing both, a request of one level l first stores its window
-    {l, l+1} ({l-1, l} at the top level n-2) on W, by the same rules, and
-    is merged from it, so a BFS (``_bfs_labelling``) labels windows only.
-    ``graph.labelling_work`` counts the labellings made each way.
+    The half-turn maps the graph minus levels L onto the graph minus
+    {n-1-l}.  A labelling is the image of its stored twin
+    (``_mirrored_labelling``), else is merged from the stored labelling of
+    the fewest levels L' > L (``_merged_labelling``).  Failing both, a
+    request of one level l first stores its window {l, l+1} ({l-1, l} at
+    the top level n-2), by the same rules, and is merged from it, so a BFS
+    (``_bfs_labelling``) labels windows only.  ``graph.labelling_work``
+    counts the labellings made each way.
     """
-    return _stored(graph, deleted_levels, within)[0]
+    return _stored(graph, deleted_levels)[0]
 
 
-def _stored(graph: FlipGraph, deleted_levels: Iterable[int], within: Iterable[int] | None):
+def _stored(graph: FlipGraph, deleted_levels: Iterable[int]):
     """Labels, pairs, members and starts of one labelling, computed on first use."""
-    key = _labelling_key(deleted_levels, within)
-    stored = graph.labellings.get(key)
+    banned = frozenset(deleted_levels)
+    stored = graph.labellings.get(banned)
     if stored is None:
-        banned, within = key
-        check_nodes(graph, within)
-        n, last = graph.n, len(graph) - 1
-        twin = graph.labellings.get(_labelling_key(
-            [n - 1 - level for level in banned],
-            None if within is None else [last - v for v in within],
-        ))
-        finer = [levels for levels, nodes in graph.labellings if levels > banned and nodes == within]
+        n = graph.n
+        twin = graph.labellings.get(frozenset(n - 1 - level for level in banned))
+        finer = [levels for levels in graph.labellings if levels > banned]
         finer = min(finer, key=len, default=None)
         if twin is None and finer is None and len(banned) == 1 and banned < set(range(1, n - 1)):
             (level,) = banned  # a flip level, with another above or below it
             finer = frozenset({level, level + 1} if level < n - 2 else {level - 1, level})
-            _stored(graph, finer, within)
+            _stored(graph, finer)
         if twin is not None:
             stored, how = _mirrored_labelling(graph, twin), "mirrored"
         elif finer is not None:
-            stored = _merged_labelling(graph, graph.labellings[finer, within], finer - banned)
+            stored = _merged_labelling(graph, graph.labellings[finer], finer - banned)
             how = "merged"
         else:
-            stored, how = _bfs_labelling(graph, banned, within), "BFS"
-        graph.labellings[key] = stored
+            stored, how = _bfs_labelling(graph, banned), "BFS"
+        graph.labellings[banned] = stored
         graph.labelling_work[how] += 1
     return stored
 
 
-def _bfs_labelling(graph: FlipGraph, banned: frozenset[int], within: frozenset[int] | None):
+def _bfs_labelling(graph: FlipGraph, banned: frozenset[int]):
     """Labels, pairs, members and starts of one labelling, by one BFS pass.
 
     The BFS records each deleted-level edge whose other end is already
@@ -449,16 +419,12 @@ def _bfs_labelling(graph: FlipGraph, banned: frozenset[int], within: frozenset[i
     """
     ids, levels, offsets = graph.nbr_ids, graph.nbr_levels, graph.offsets
     size, n = len(graph), graph.n
-    # nodes outside ``within`` read -2 until the BFS over the -1 nodes ends
-    labels = [-1 if within is None else -2] * size
-    if within:
-        for v in within:
-            labels[v] = -1
+    labels = [-1] * size
     pairs: set[int] = set()
     members = array("i")
     starts = array("i", [0])
     for start in range(size):
-        if labels[start] != -1:
+        if labels[start] >= 0:
             continue
         labels[start] = start
         component = [start]
@@ -468,14 +434,12 @@ def _bfs_labelling(graph: FlipGraph, banned: frozenset[int], within: frozenset[i
                 if level in banned:
                     if labels[v] >= 0:  # in this component or an earlier one
                         pairs.add((labels[v] * size + start) * n + level)
-                elif labels[v] == -1:
+                elif labels[v] < 0:
                     labels[v] = start
                     component.append(v)
         component.sort()
         members.extend(component)
         starts.append(len(members))
-    if within is not None:
-        labels = [max(label, -1) for label in labels]
     pairs = array("q", sorted(pairs))  # frees the set before the labels are packed
     return array("i", labels), pairs, members, starts
 
@@ -498,7 +462,7 @@ def _mirrored_labelling(graph: FlipGraph, twin):
     image = _mirror_ids(image, last)
     bounds = list(zip(twin_starts, twin_starts[1:]))
     bounds.sort(key=lambda bound: twin_members[bound[1] - 1], reverse=True)
-    relabel = [-1] * (size + 1)  # its last entry keeps label -1 at -1
+    relabel = [0] * size
     members = array("i")
     starts = array("i", [0])
     for a, b in bounds:
@@ -573,13 +537,9 @@ def _relabelled(pairs: Iterable[int], relabel: Sequence[int], size: int, levels:
     return array("q", sorted(out))
 
 
-def _labelling_key(deleted_levels: Iterable[int], within: Iterable[int] | None):
-    return frozenset(deleted_levels), None if within is None else frozenset(within)
-
-
 def component_pairs(graph: FlipGraph, deleted_levels: Iterable[int]) -> Iterator[tuple[int, int]]:
     """The label pairs a <= b that deleted-level edges join in the whole graph's labelling, each once."""
-    pairs = _stored(graph, deleted_levels, None)[1]
+    pairs = _stored(graph, deleted_levels)[1]
     # the pairs are sorted, so one pair's levels are neighbours
     joined = groupby(map(floordiv, pairs, repeat(graph.n)))
     return map(divmod, (ab for ab, _ in joined), repeat(len(graph)))
@@ -639,52 +599,6 @@ def sample_chain(graph: FlipGraph, seed: int) -> Chain:
     if node != graph.max_id:
         raise Finding("raising walk of full length did not end at the maximum")
     return Chain(tuple(nodes), tuple(levels))
-
-
-def max_chain_through(
-    graph: FlipGraph,
-    node: int,
-    regular_nodes: frozenset[int] | set[int] | None = None,
-) -> Chain:
-    """A maximal chain from minimum to maximum passing through the node.
-
-    With regular_nodes given, every chain node must belong to that set, and
-    distances run on the subgraph it induces.  A flip moves the inversion
-    count by one, so a node lies on a chain exactly when its distances from
-    the minimum and from the maximum sum to C(n,3); from the node, the chain
-    steps each way to the first neighbour, in ``adj`` order, one closer to
-    that end.  Absence of a chain raises a Finding.
-    """
-    check_node(graph, node)
-    adj = graph.adj
-    if regular_nodes is not None:
-        if node not in regular_nodes:
-            raise ValueError(f"node {node} is outside the allowed node set")
-        inside = regular_nodes.__contains__
-        adj = [list(filter(inside, nbrs)) if inside(v) else [] for v, nbrs in enumerate(adj)]
-    ends = (graph.min_id, graph.max_id)
-    down, up = (bfs_distances(adj, end) for end in ends)
-    if min(down[node], up[node]) < 0 or down[node] + up[node] != num_triples(graph.n):
-        raise Finding(f"no monotone chain through node {node} within the allowed set")
-
-    halves = []
-    for dist, end in zip((down, up), ends):
-        nodes = []
-        levels = []
-        v = node
-        while v != end:
-            v, level = next(
-                (w, level)
-                for w, level in zip(graph.adj[v], graph.levels[v])
-                if dist[w] == dist[v] - 1
-            )
-            nodes.append(v)
-            levels.append(level)
-        halves.append((nodes, levels))
-    (down_nodes, down_levels), (up_nodes, up_levels) = halves
-    nodes = tuple(reversed(down_nodes)) + (node,) + tuple(up_nodes)
-    levels = tuple(reversed(down_levels)) + tuple(up_levels)
-    return Chain(nodes, levels)
 
 
 # ---------------------------------------------------------------------------

@@ -58,17 +58,6 @@ class StrongSeparationError(ValueError):
     """Two same-size sets that the separation order cannot compare."""
 
 
-def strongly_separated(s1: Iterable[int] | int, s2: Iterable[int] | int) -> bool:
-    """max(S1 \\ S2) < min(S2 \\ S1), or symmetrically; empty differences pass."""
-    m1 = s1 if isinstance(s1, int) else mask_from(s1)
-    m2 = s2 if isinstance(s2, int) else mask_from(s2)
-    d1 = m1 & ~m2
-    d2 = m2 & ~m1
-    if d1 == 0 or d2 == 0:
-        return True
-    return d1.bit_length() < (d2 & -d2).bit_length() or d2.bit_length() < (d1 & -d1).bit_length()
-
-
 def _separation_cmp(a: int, b: int) -> int:
     if a == b:
         return 0
@@ -89,7 +78,6 @@ class MonotonePath:
 
     k: int
     vertices: tuple[tuple[int, ...], ...]
-    reduced: bool = False
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -97,16 +85,9 @@ class MonotonePath:
     def vertex_masks(self) -> tuple[int, ...]:
         return tuple(mask_from(v) for v in self.vertices)
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "vertices": [list(v) for v in self.vertices],
-            "reduced": self.reduced,
-        }
 
-
-def _ordered_path(masks: Iterable[int], k: int, n: int, reduced: bool) -> MonotonePath:
-    return MonotonePath(k, tuple(map(mask_points, _checked_order(masks, k, n))), reduced)
+def _ordered_path(masks: Iterable[int], k: int, n: int) -> MonotonePath:
+    return MonotonePath(k, tuple(map(mask_points, _checked_order(masks, k, n))))
 
 
 def _checked_order(masks: Iterable[int], k: int, n: int) -> list[int]:
@@ -212,11 +193,6 @@ def column_slices(n: int, keys: KeyStore, k: int) -> Iterator[int]:
             yield int.from_bytes(rows[first:first + width], "little")
 
 
-def key_slices(n: int, key: int, k: int) -> int:
-    """The slice word of one key: ``column_slices`` on [key]."""
-    return next(column_slices(n, key_store(n, [key]), k))
-
-
 def slice_masks(n: int, k: int, word: int) -> tuple[frozenset[int], frozenset[int]]:
     """The level-k and level-(k+1) vertex masks marked in a ``column_slices`` word."""
     subsets = _slice_tables(n, k)[1]
@@ -264,7 +240,7 @@ def reduced_cross_section(graph: FlipGraph, members: Sequence[int], k: int) -> M
 def _reduced_path(common: Iterable[int], k: int, n: int) -> MonotonePath:
     """The level-(k+1) meet of a k-class as a checked reduced path."""
     try:
-        path = _ordered_path(common, k + 1, n, reduced=True)
+        path = _ordered_path(common, k + 1, n)
     except (StrongSeparationError, ValueError) as exc:
         raise Finding(f"reduced path at level {k + 1} is malformed: {exc}") from exc
     if not satisfies_triple_condition(path):

@@ -103,27 +103,18 @@ pass counts in an ``LpWork`` the LPs it solved, those it read back, and the
 solved ones' simplex pivots.  ``graph_certificates`` formats each node's
 JSON entry straight from the stored integers as the artifact is written,
 every rational as the gcd-reduced p/q (or p) that ``str(Fraction)``
-gives, with no ``Fraction`` per node; only ``classify_orientation`` turns
-a verdict into a ``RegularityCertificate``.
+gives, with no ``Fraction`` anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import (
-    HeightVector,
-    PointConfig,
-    byte_tables,
-    colex_triples,
-    format_rational,
-    integer_coords,
-)
+from .core import PointConfig, byte_tables, colex_triples, integer_coords
 
 
 class SimplexError(RuntimeError):
@@ -236,23 +227,6 @@ def _maximize(
 # ---------------------------------------------------------------------------
 # regularity certificates
 
-@dataclass(frozen=True)
-class RegularityCertificate:
-    regular: bool
-    witness: HeightVector | None
-    slack: Fraction
-
-    def to_json(self) -> dict:
-        out: dict = {"regular": self.regular}
-        if self.witness is not None:
-            out["h"] = [format_rational(h) for h in self.witness]
-            out["slack"] = format_rational(self.slack)
-        return out
-
-
-_IRREGULAR = RegularityCertificate(False, None, Fraction(0))
-
-
 @lru_cache(maxsize=None)
 def _integer_circuits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int], ...]:
     """(p, q, r, alpha) of every circuit in rank order: points 0-based, alpha
@@ -355,7 +329,9 @@ def _slack_lp(config: PointConfig) -> _SlackLP:
 def _certify(config: PointConfig, key: int) -> tuple[tuple[int, ...] | None, int, int, int]:
     """The slack LP of key, solved: (h, det, value, pivots).  The slack is
     value / det, det > 0, and the witness h / det, once ``_realizes`` accepts
-    the integer heights h; h is None when the slack is not positive."""
+    the integer heights h; h is None when the slack is not positive.  Bit c
+    of key is set iff the circuit of rank c is oriented -1; a key outside
+    0 .. 2**C(n,3) - 1 raises ValueError."""
     table = _integer_circuits(config)
     if key < 0 or key >> len(table):
         raise ValueError(f"key {key:#x} does not fit {len(table)} circuits")
@@ -373,21 +349,6 @@ def _certify(config: PointConfig, key: int) -> tuple[tuple[int, ...] | None, int
     if not _realizes(h, key, table):
         raise AssertionError(f"regularity witness does not realize key {key:#x}")
     return h, det, value, pivots
-
-
-def classify_orientation(config: PointConfig, key: int) -> RegularityCertificate:
-    """The regularity certificate of the tiling with orientation key ``key``.
-
-    ``key`` is a ``FlipGraph`` key: bit c is set iff the circuit of rank c
-    is oriented -1.  A positive slack optimum is returned only after
-    ``_realizes`` accepts its integer heights, taken before the division by
-    det > 0, which moves no sign.  Raises ValueError for a key outside
-    0 .. 2**C(n,3) - 1, and AssertionError for a witness that fails.
-    """
-    h, det, value, _ = _certify(config, key)
-    if h is None:
-        return _IRREGULAR
-    return RegularityCertificate(True, tuple(Fraction(x, det) for x in h), Fraction(value, det))
 
 
 def _mirror(h: Sequence[int], image_key: int, table) -> tuple[int, ...]:
@@ -435,7 +396,7 @@ def _rational(x: int, det: int) -> str:
 
 def _entry(h, det: int, value: int, sign: int = 1) -> dict:
     """The JSON entry of an LP verdict, with witness sign * h / det and slack
-    value / det, as ``RegularityCertificate.to_json`` gives it."""
+    value / det."""
     if h is None:
         return {"regular": False}
     return {

@@ -141,7 +141,7 @@ def equivalence_classes(
     partition itself, else one filtered copy of its members.
     """
     check_nodes(graph, regular_nodes)
-    classes = Partition(*_stored(graph, deleted_levels, None)[2:])
+    classes = Partition(*_stored(graph, deleted_levels)[2:])
     if regular_nodes is None:
         return classes
     members, starts = classes.values, classes.offsets
@@ -402,15 +402,6 @@ def _duality(
     }
 
 
-def duality_check(
-    graph: FlipGraph, k: int, regular_nodes: frozenset[int]
-) -> dict:
-    """Compare the sigma_k skeleton with sigma_(n-1-k) under the involution."""
-    left = skeleton(graph, k, "sigma_k", regular_nodes)
-    diam_left, _ = graph_diameter(left.adj)
-    return _duality(graph, left, diam_left, regular_nodes)
-
-
 def sigma_k_diameter_formula(n: int, k: int) -> int:
     return k * (n - k - 1)
 
@@ -452,6 +443,32 @@ def _vert_k_distinct(
     return len(values) == len(classes)
 
 
+def _restriction_agrees(
+    graph: FlipGraph, classes: Partition, k: int, regular_nodes: Collection[int]
+) -> bool:
+    """Does every sigma_k class stay connected without its irregular tilings?
+
+    The components of the regular tilings under flips off level k refine
+    the k-classes restricted to them, so the two partitions agree exactly
+    when one BFS per class, from its first member, over regular tilings and
+    along flips off level k, reaches every member.  Disagreement means some
+    k-class is glued together only through irregular tilings.
+    """
+    ids, levels, offsets = graph.nbr_ids, graph.nbr_levels, graph.offsets
+    for members in classes:
+        reached = {members[0]}
+        queue = [members[0]]
+        for u in queue:  # the list grows into the BFS queue
+            a, b = offsets[u], offsets[u + 1]
+            for v, level in zip(ids[a:b], levels[a:b]):
+                if level != k and v not in reached and v in regular_nodes:
+                    reached.add(v)
+                    queue.append(v)
+        if len(queue) != len(members):
+            return False
+    return True
+
+
 def diameter_report(
     graph: FlipGraph, k: int, regular_nodes: frozenset[int] | set[int]
 ) -> dict:
@@ -470,11 +487,6 @@ def diameter_report(
 
     distinct_ok = _vert_k_distinct(graph, sk.classes, k)
 
-    # sigma_k's classes, restricted to the regular nodes, against the classes
-    # taken after deleting the irregular nodes; disagreement means some
-    # k-class is glued together only through irregular tilings
-    via_regular = Partition(*_stored(graph, {k}, regular_nodes)[2:])
-
     pot_def = potential_between(graph, graph.min_id, graph.max_id, k, "definition")
     pot_shift = potential_between(graph, graph.min_id, graph.max_id, k, "shifted")
 
@@ -485,7 +497,7 @@ def diameter_report(
         "duality_ok": all(duality.values()),
         "duality": duality,
         "vertk_distinct_ok": distinct_ok,
-        "restriction_agreement": via_regular == sk.classes,
+        "restriction_agreement": _restriction_agrees(graph, sk.classes, k, regular_nodes),
         "potential_min_to_max": {
             "definition": abs(pot_def),
             "shifted": abs(pot_shift),

@@ -4,10 +4,10 @@ import hypothesis
 import pytest
 
 from zonotiling import (
-    classify_orientation,
     cli,
     enumerate_tilings,
     equivalence_classes,
+    regularity,
     standard_config,
     tiling,
 )
@@ -56,13 +56,14 @@ def graphs():
 
 @pytest.fixture(scope="session")
 def certificates(graphs):
-    """Memoized per-node regularity certificates keyed by n."""
+    """Memoized per-node slack-LP verdicts (h, det, value, pivots) keyed by n,
+    one ``regularity._certify`` call per node; h is None when irregular."""
     cache = {}
 
     def get(n):
         if n not in cache:
             cfg = standard_config(n)
-            cache[n] = tuple(classify_orientation(cfg, key) for key in graphs(n).keys)
+            cache[n] = tuple(regularity._certify(cfg, key) for key in graphs(n).keys)
         return cache[n]
 
     return get
@@ -74,7 +75,7 @@ def regulars(certificates):
 
     def get(n):
         if n not in cache:
-            cache[n] = frozenset(v for v, c in enumerate(certificates(n)) if c.regular)
+            cache[n] = frozenset(v for v, c in enumerate(certificates(n)) if c[0] is not None)
         return cache[n]
 
     return get

@@ -134,7 +134,7 @@ def slack_lp(config, orientation):
     Variables are w+_i, w-_i for i = 3..n (h_i = w+_i - w-_i in [-1, 1]),
     then the slack t; returns (objective, lhs, rhs) for maximizing t.
     """
-    from zonotiling import circuits
+    from tile_oracle import circuits
 
     k = config.n - 2
     nv = 2 * k + 1

@@ -12,36 +12,35 @@ import time
 from fractions import Fraction
 from math import comb
 
+from full_bfs_oracle import bfs_distances, max_chain_through
 from tile_oracle import (
     cross_section,
     extremal_tiling,
     orientation_of,
+    strongly_separated,
     tiling_from_heights,
     tiling_of_orientation,
     vert_k,
 )
 from zonotiling import (
-    classify_orientation,
-    duality_check,
+    diameter_report,
     enumerate_tilings,
     expected_level_census,
     graph_diameter,
     hypertri_diameters,
     level_census,
     make_config,
-    max_chain_through,
-    MonotonePath,
     potential,
     reduced_cross_section,
     sample_chain,
     sigma_k_diameter_formula,
     skeleton,
     standard_config,
-    strongly_separated,
     sum_skeleton_diameter_formula,
 )
-from zonotiling.flipgraph import bfs_distances
+from zonotiling.hypertri import MonotonePath
 from zonotiling.oracle import commutation_census
+from zonotiling.regularity import _certify
 
 
 def report(num, name, ok, detail=""):
@@ -178,14 +177,14 @@ def test_c08_regularity_soundness():
         cfg = standard_config(n)
         for _ in range(100):
             _h, tiling = random_generic_heights(cfg, rng)
-            cert = classify_orientation(cfg, orientation_of(tiling).bits)
-            ok = ok and cert.regular
-            ok = ok and tiling_from_heights(cfg, cert.witness) == tiling
+            # the integer witness, before the division by det > 0
+            h = _certify(cfg, orientation_of(tiling).bits)[0]
+            ok = ok and h is not None and tiling_from_heights(cfg, h) == tiling
     for n in range(2, 8):
         cfg = standard_config(n)
         for which in ("min", "max"):
             key = orientation_of(extremal_tiling(cfg, which)).bits
-            ok = ok and classify_orientation(cfg, key).regular
+            ok = ok and _certify(cfg, key)[0] is not None
     report(8, "random regular tilings certified with reproducing witnesses", ok)
 
 
@@ -221,7 +220,6 @@ def test_c09_strong_separation_and_lifting_fixtures(graphs, k_class):
         return MonotonePath(
             2,
             tuple(tuple(sorted(points - set(s))) for s in reversed(image.vertices)),
-            reduced=True,
         )
 
     reductions = [level_2_reduction(v) for v in nodes]
@@ -249,8 +247,7 @@ def test_c10_duality_involution(graphs, regulars):
         g = graphs(n)
         regs = regulars(n)
         for k in range(1, n - 1):
-            result = duality_check(g, k, regs)
-            ok = ok and all(result.values())
+            ok = ok and all(diameter_report(g, k, regs)["duality"].values())
     report(10, "opposite involution matches sigma_k with sigma_(n-1-k)", ok)
 
 

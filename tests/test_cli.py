@@ -216,6 +216,17 @@ def test_render_extremes_match_the_height_route(tmp_path, monkeypatch, points):
     assert (tmp_path / f"tiling_n{config.n}_{last}.svg").read_text() == svg
 
 
+@pytest.mark.parametrize("tiling", ["foo", "1.5", "0x7"])
+def test_render_refuses_a_non_id_before_enumerating(monkeypatch, capsys, tiling):
+    from zonotiling import cli
+
+    enumerated = []
+    monkeypatch.setattr(cli, "enumerate_tilings", lambda cfg: enumerated.append(cfg))
+    assert run(["render", "--n", "5", "--tiling", tiling]) == 2
+    assert f"error: --tiling {tiling!r} is not a node id, 'min' or 'max'" in capsys.readouterr().err
+    assert enumerated == []
+
+
 def test_oracle_count(capsys):
     assert run(["oracle-count", "--n", "4"]) == 0
     assert "8 commutation classes" in capsys.readouterr().out

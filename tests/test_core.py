@@ -4,19 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zonotiling import (
+from tile_oracle import circuits
+from zonotiling import make_config, sigma_h, standard_config
+from zonotiling.core import (
     NonGenericHeightError,
     OrientationVector,
-    circuits,
-    make_config,
-    sigma_h,
-    standard_config,
-    to_rational,
-)
-from zonotiling.core import (
     colex_pairs,
     colex_triples,
     pair_rank,
+    to_rational,
     triple_rank,
 )
 
@@ -42,7 +38,7 @@ class TestMakeConfig:
     def test_basic(self):
         cfg = make_config([-1, 0, 1, 2])
         assert cfg.n == 4
-        assert cfg.lift[0] == (Fraction(-1), 1)
+        assert cfg.coords[0] == Fraction(-1)
 
     def test_two_points_no_circuits(self):
         cfg = make_config([0, 1])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from full_bfs_oracle import full_bfs_graph
+from full_bfs_oracle import bfs_distances, full_bfs_graph, max_chain_through
 from strategies import configurations
 from tile_oracle import (
     FlipMove,
@@ -21,7 +21,6 @@ from tile_oracle import (
     tiling_of_orientation,
 )
 from zonotiling import (
-    diameter,
     enumerate_tilings,
     expected_level_census,
     graph_diameter,
@@ -29,7 +28,6 @@ from zonotiling import (
     graph_to_json,
     level_census,
     make_config,
-    max_chain_through,
     modified_potential,
     potential,
     regular_set,
@@ -37,17 +35,16 @@ from zonotiling import (
     skeleton,
     standard_config,
 )
-from zonotiling import cli, core, flipgraph
+from zonotiling import cli, core, flipgraph, secondary
 from zonotiling.core import Finding, KeyStore, colex_triples, key_columns, key_store, triple_rank
 from zonotiling.flipgraph import (
     EnumerationCapError,
-    bfs_distances,
     check_node,
     component_pairs,
     column_flips,
     components_excluding_levels,
 )
-from zonotiling.secondary import potential_between
+from zonotiling.secondary import equivalence_classes, potential_between
 
 
 def key_flips(n, key):
@@ -582,7 +579,7 @@ class TestDiameter:
 
     @pytest.mark.slow
     def test_full_graph_n7(self):
-        value, _ = diameter(enumerate_tilings(standard_config(7)))
+        value, _ = graph_diameter(enumerate_tilings(standard_config(7)).adj)
         assert value == comb(7, 3) == 35
 
 
@@ -710,15 +707,17 @@ class TestComponents:
         labels = components_excluding_levels(graphs(4), {1, 2})
         assert list(labels) == list(range(8))
 
-    def test_labelling_is_stored_once(self, graphs, regulars):
+    def test_labelling_is_stored_once(self, graphs):
         g = graphs(5)
         labels = components_excluding_levels(g, [2])
         assert components_excluding_levels(g, {2}) is labels
-        within = components_excluding_levels(g, {2}, within=regulars(5))
-        assert components_excluding_levels(g, (2,), frozenset(set(regulars(5)))) is within
+        assert components_excluding_levels(g, (2,)) is labels
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_within_matches_induced_subgraph(self, graphs, regulars, k):
+        # the components of the regular set's induced subgraph minus level-k
+        # edges, by an independent BFS, refine the k-classes restricted to
+        # the set, and the restriction check says whether they are equal
         g, allowed = graphs(6), regulars(6)
         assert len(g) - len(allowed) == 20
         expected = [-1] * len(g)
@@ -734,10 +733,16 @@ class TestComponents:
                         expected[v] = start
                         stack.append(v)
         plain = components_excluding_levels(g, {k})
-        labels = components_excluding_levels(g, {k}, within=allowed)
-        assert list(labels) == expected
         assert -1 not in plain
-        assert all(labels[v] == -1 for v in range(len(g)) if v not in allowed)
+        assert all(expected[v] == -1 for v in range(len(g)) if v not in allowed)
+        assert all(plain[v] == plain[expected[v]] for v in allowed)
+        classes = equivalence_classes(g, {k}, allowed)
+        assert sorted(v for members in classes for v in members) == sorted(allowed)
+        induced = {}
+        for v in sorted(allowed):
+            induced.setdefault(expected[v], []).append(v)
+        same = list(classes) == [tuple(part) for part in induced.values()]
+        assert secondary._restriction_agrees(g, classes, k, allowed) == same
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_labels_and_pairs_match_union_find(self, graphs, n):
@@ -767,12 +772,6 @@ class TestComponents:
                 assert list(components_excluding_levels(g, deleted)) == expected
                 assert sorted(component_pairs(g, deleted)) == sorted(crossings)
 
-    @pytest.mark.parametrize("stray", [-1, 62])
-    def test_within_outside_the_graph_refused(self, graphs, stray):
-        # -1 would wrap to the last node, and 62 is past the end of n = 5
-        with pytest.raises(ValueError, match=r"node id .* is outside 0\.\.61"):
-            components_excluding_levels(graphs(5), {1}, within={0, stray})
-
 
 class TestHalfTurnLabellings:
     """Labellings built from their stored half-turn twin against a fresh BFS."""
@@ -780,44 +779,29 @@ class TestHalfTurnLabellings:
     RATIONAL = ["0", "1/2", "2", "7/3", "5", "11/2", "10969/1994"]
 
     @staticmethod
-    def assert_derived_equals_bfs(g, deleted, within):
+    def assert_derived_equals_bfs(g, deleted):
         banned = frozenset(deleted)
-        twin_levels = frozenset(g.n - 1 - level for level in banned)
-        twin_within = None if within is None else frozenset(len(g) - 1 - v for v in within)
-        twin = flipgraph._bfs_labelling(g, twin_levels, twin_within)
+        twin = flipgraph._bfs_labelling(g, frozenset(g.n - 1 - level for level in banned))
         derived = flipgraph._mirrored_labelling(g, twin)
-        labels, pairs, members, starts = flipgraph._bfs_labelling(g, banned, within)
+        labels, pairs, members, starts = flipgraph._bfs_labelling(g, banned)
         assert derived[0] == labels and derived[0].typecode == "i"
         assert set(derived[1]) == set(pairs)
         assert derived[2] == members
         assert derived[3] == starts
 
-    @staticmethod
-    def withins(g, config):
-        # None, the regular set (closed under the half-turn), and a drawn set
-        # that is not closed under it
-        drawn = frozenset(random.Random(len(g)).sample(range(len(g)), (len(g) + 1) // 2))
-        if len(g) > 1:
-            assert {len(g) - 1 - v for v in drawn} != drawn
-        return [None, regular_set(enumerate_tilings(config)).nodes, drawn]
-
     @pytest.mark.parametrize("points", [None, RATIONAL], ids=["standard", "rational"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_every_level_set_and_node_set(self, graphs, points, n):
-        g = graphs(n)
-        config = standard_config(n) if points is None else make_config(points[:n])
-        for within in self.withins(g, config):
-            for size in range(n - 1):
-                for deleted in combinations(range(1, n - 1), size):
-                    self.assert_derived_equals_bfs(g, deleted, within)
+    def test_every_level_set_and_node_set(self, points, n):
+        # the graph enumerated on standard and on rational points
+        g = enumerate_tilings(standard_config(n) if points is None else make_config(points[:n]))
+        for size in range(n - 1):
+            for deleted in combinations(range(1, n - 1), size):
+                self.assert_derived_equals_bfs(g, deleted)
 
     def test_skeleton_level_sets_n7(self, graphs):
-        g = graphs(7)
-        drawn = frozenset(random.Random(7).sample(range(len(g)), len(g) // 2))
-        for within in (None, drawn):
-            for k in range(1, 6):
-                for deleted in ({k}, {k - 1, k} - {0}):
-                    self.assert_derived_equals_bfs(g, deleted, within)
+        for k in range(1, 6):
+            for deleted in ({k}, {k - 1, k} - {0}):
+                self.assert_derived_equals_bfs(graphs(7), deleted)
 
     def test_stored_twin_is_read_not_searched(self, graphs, monkeypatch):
         # through the public call: the second of a twin pair takes no BFS
@@ -826,18 +810,16 @@ class TestHalfTurnLabellings:
         searched = []
         real = flipgraph._bfs_labelling
 
-        def counted(graph, banned, within):
+        def counted(graph, banned):
             searched.append(banned)
-            return real(graph, banned, within)
+            return real(graph, banned)
 
         monkeypatch.setattr(flipgraph, "_bfs_labelling", counted)
-        drawn = frozenset(range(0, len(g), 3))
-        image = frozenset(len(g) - 1 - v for v in drawn)
-        components_excluding_levels(g, {1, 2}, within=drawn)
-        second = components_excluding_levels(g, {3, 4}, within=image)
+        components_excluding_levels(g, {1, 2})
+        second = components_excluding_levels(g, {3, 4})
         assert searched == [frozenset({1, 2})]
-        stored = g.labellings[(frozenset({3, 4}), image)]
-        fresh = real(g, frozenset({3, 4}), image)
+        stored = g.labellings[frozenset({3, 4})]
+        fresh = real(g, frozenset({3, 4}))
         assert second is stored[0]
         assert stored[0] == fresh[0] and set(stored[1]) == set(fresh[1])
         assert stored[2:] == fresh[2:]
@@ -851,9 +833,9 @@ class TestHalfTurnLabellings:
         searched = []
         real = flipgraph._bfs_labelling
 
-        def counted(graph, banned, within):
+        def counted(graph, banned):
             searched.append(sorted(banned))
-            return real(graph, banned, within)
+            return real(graph, banned)
 
         monkeypatch.setattr(flipgraph, "_bfs_labelling", counted)
         for k in range(1, 6):
@@ -868,10 +850,10 @@ class TestMergedLabellings:
     """Labellings merged from a stored one of more deleted levels, against a fresh BFS."""
 
     @staticmethod
-    def assert_every_merge_equals_bfs(g, within):
+    def assert_every_merge_equals_bfs(g):
         levels = sorted(set(g.nbr_levels))
         bfs = {
-            frozenset(deleted): flipgraph._bfs_labelling(g, frozenset(deleted), within)
+            frozenset(deleted): flipgraph._bfs_labelling(g, frozenset(deleted))
             for size in range(len(levels) + 1)
             for deleted in combinations(levels, size)
         }
@@ -888,10 +870,9 @@ class TestMergedLabellings:
     @settings(max_examples=5)
     @given(data=st.data())
     def test_every_finer_level_set(self, n, data):
-        # a_i = i or a drawn configuration: the graph is the same, the regular set moves
+        # the graph enumerated on a_i = i or on a drawn configuration
         g = enumerate_tilings(data.draw(st.one_of(st.just(standard_config(n)), configurations(n))))
-        for within in (None, regular_set(g).nodes):
-            self.assert_every_merge_equals_bfs(g, within)
+        self.assert_every_merge_equals_bfs(g)
 
     def test_self_pairs_survive_a_merge(self):
         # edges 0-1 and 1-2 at level 2 join one {1}-class, which the level-1
@@ -901,7 +882,7 @@ class TestMergedLabellings:
             standard_config(3), [0, 1, 2], array("i", [1, 2, 0, 2, 1, 0]),
             bytes([2, 1, 2, 2, 2, 1]), array("i", [0, 2, 4, 6]),
         )
-        self.assert_every_merge_equals_bfs(g, None)
+        self.assert_every_merge_equals_bfs(g)
         components_excluding_levels(g, {1, 2})
         assert set(component_pairs(g, {1})) == {(0, 0)}
         with pytest.raises(Finding, match="joins two members of one class"):
@@ -912,9 +893,9 @@ class TestMergedLabellings:
     @given(data=st.data())
     def test_any_request_order(self, n, data):
         # the level sets skeleton and diameter_report request, {l} and
-        # {l-1, l}, on the whole graph and on the regular set, in a drawn
-        # order: each stored labelling is the one a BFS of its key gives,
-        # and each skeleton the one the default order builds
+        # {l-1, l}, in a drawn order: each stored labelling is the one a BFS
+        # of its level set gives, and each skeleton the one the default
+        # order builds
         base = enumerate_tilings(
             data.draw(st.one_of(st.just(standard_config(n)), configurations(n)))
         )
@@ -934,16 +915,13 @@ class TestMergedLabellings:
 
         expected = skeletons(fresh())
         requests = [
-            (levels, within)
-            for level in range(1, n - 1)
-            for levels in ({level}, {level - 1, level} - {0})
-            for within in (None, regs)
+            levels for level in range(1, n - 1) for levels in ({level}, {level - 1, level} - {0})
         ]
         g = fresh()
-        for levels, within in data.draw(st.permutations(requests)):
-            components_excluding_levels(g, levels, within)
-        for (levels, within), stored in g.labellings.items():
-            labels, pairs, members, starts = flipgraph._bfs_labelling(g, levels, within)
+        for levels in data.draw(st.permutations(requests)):
+            components_excluding_levels(g, levels)
+        for levels, stored in g.labellings.items():
+            labels, pairs, members, starts = flipgraph._bfs_labelling(g, levels)
             assert stored[0] == labels and stored[2] == members and stored[3] == starts
             assert set(stored[1]) == set(pairs)
         assert skeletons(g) == expected
@@ -966,9 +944,9 @@ class TestMergedLabellings:
         searched = []
         real = flipgraph._bfs_labelling
 
-        def counted(graph, banned, within):
-            searched.append((sorted(banned), within is not None))
-            return real(graph, banned, within)
+        def counted(graph, banned):
+            searched.append(sorted(banned))
+            return real(graph, banned)
 
         monkeypatch.setattr(flipgraph, "_bfs_labelling", counted)
         return searched
@@ -980,11 +958,7 @@ class TestMergedLabellings:
         components_excluding_levels(g, {1, 2, 3})
         components_excluding_levels(g, {1, 2})
         components_excluding_levels(g, {2})
-        # a labelling within a node set is merged only from one on that set
-        # a labelling within a node set is merged only from one on that set:
-        # here from its window {2, 3}, labelled on that set
-        components_excluding_levels(g, {2}, within=frozenset(range(0, len(g), 2)))
-        assert searched == [([1, 2, 3], False), ([2, 3], True)]
+        assert searched == [[1, 2, 3]]
 
     def test_skeleton_sweep_n6(self, graphs, monkeypatch):
         # requests {1}, {1}, {1,2}, {2}, {2,3}, {3}, {3,4}, {4}: {1} is merged
@@ -996,31 +970,30 @@ class TestMergedLabellings:
         for k in range(1, 5):
             for mode in ("lifting_all", "reduced_all"):
                 skeleton(g, k, mode)
-        assert searched == [([1, 2], False), ([2, 3], False)]
+        assert searched == [[1, 2], [2, 3]]
 
     def test_hypertri_n6_k3_runs_one_bfs(self, monkeypatch, capsys):
         # lifting {2,3} by BFS, reduced {3} merged from it
         searched = self.searches(monkeypatch)
         assert cli.main(["hypertri", "--n", "6", "--k", "3", "--strict"]) == 0
-        assert searched == [([2, 3], False)]
+        assert searched == [[2, 3]]
         assert "labellings: 1 BFS, 1 merged, 0 mirrored" in capsys.readouterr().out
 
-    def test_diameters_n6_runs_three_bfs(self, monkeypatch, capsys):
-        # per k: {k-1,k}, then {k} merged from it, the dual sigma_(5-k), and
-        # {k} within the regular set; {1} is merged from its window {1,2} on
-        # each node set, and the images of stored twins take no BFS
+    def test_diameters_n6_runs_two_bfs(self, monkeypatch, capsys):
+        # per k: {k-1,k}, then {k} merged from it, and the dual sigma_(5-k);
+        # {1} is merged from its window {1,2}, and the images of stored twins
+        # take no BFS
         searched = self.searches(monkeypatch)
         assert cli.main(["diameters", "--n", "6", "--all", "--strict"]) == 0
-        assert searched == [([1, 2], False), ([1, 2], True), ([2, 3], False)]
-        assert "labellings: 3 BFS, 4 merged, 5 mirrored" in capsys.readouterr().out
+        assert searched == [[1, 2], [2, 3]]
+        assert "labellings: 2 BFS, 2 merged, 3 mirrored" in capsys.readouterr().out
 
-    def test_diameters_n7_runs_four_bfs(self, monkeypatch, capsys):
-        # as at n = 6, but {3} within the regular set is its own twin, so the
-        # first request of it labels its window {3,4} on that set
+    def test_diameters_n7_runs_two_bfs(self, monkeypatch, capsys):
+        # as at n = 6: {3} is merged from {2,3}, and {4,5}, {3,4} are images
         searched = self.searches(monkeypatch)
         assert cli.main(["diameters", "--n", "7", "--all", "--strict"]) == 0
-        assert searched == [([1, 2], False), ([1, 2], True), ([2, 3], False), ([3, 4], True)]
-        assert "labellings: 4 BFS, 6 merged, 6 mirrored" in capsys.readouterr().out
+        assert searched == [[1, 2], [2, 3]]
+        assert "labellings: 2 BFS, 3 merged, 4 mirrored" in capsys.readouterr().out
 
 
 class TestExports:

@@ -13,26 +13,25 @@ from tile_oracle import (
     extremal_tiling,
     level_vertex_masks,
     orientation_of,
+    strongly_separated,
     tiling_of_orientation,
 )
-from zonotiling import (
-    enumerate_tilings,
-    hypertri_diameters,
-    make_config,
-    reduced_cross_section,
-    strongly_separated,
-)
+from zonotiling import enumerate_tilings, hypertri_diameters, make_config, reduced_cross_section
 from zonotiling import core, flipgraph, hypertri, secondary
 from zonotiling.core import full_mask, mask_from, standard_config
 from zonotiling.hypertri import (
     StrongSeparationError,
     column_slices,
-    key_slices,
     satisfies_triple_condition,
     slice_masks,
 )
 from zonotiling.flipgraph import components_excluding_levels
 from zonotiling.secondary import equivalence_classes, skeleton
+
+
+def key_slices(n, key, k):
+    """The slice word of one key: ``column_slices`` on [key]."""
+    return next(column_slices(n, core.key_store(n, [key]), k))
 
 
 def node_tiling(g, v):
@@ -147,7 +146,6 @@ class TestReducedPaths:
         for v in nodes:
             reduced = reduced_cross_section(g, k_class(g, v, 1), 1)
             assert reduced.vertices == ((1, 2), (1, 3), (3, 5), (4, 5))
-            assert reduced.reduced
 
     def test_already_reduced_slice_unchanged(self, graphs, k_class):
         for n in (4, 5):
@@ -261,11 +259,6 @@ class TestReducedPaths:
     def test_bad_input_refused(self, graphs, members, k, message):
         with pytest.raises(ValueError, match=message):
             reduced_cross_section(graphs(5), members, k)
-
-    def test_json_flags_reduced(self, graphs, k_class):
-        data = reduced_cross_section(graphs(4), k_class(graphs(4), 0, 1), 1).to_json()
-        assert data["reduced"] is True
-        assert data["k"] == 2
 
 
 class TestHypertriDiameters:

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 import full_tableau_oracle
 from fm_oracle import strictly_feasible
 from strategies import configurations
-from tile_oracle import extremal_tiling, orientation_of, tiling_from_heights, tiling_of_orientation
-from zonotiling import (
+from tile_oracle import (
     circuits,
-    classify_orientation,
+    extremal_tiling,
+    orientation_of,
+    tiling_from_heights,
+    tiling_of_orientation,
+)
+from zonotiling import (
     enumerate_tilings,
     make_config,
     regular_set,
@@ -21,6 +25,21 @@ from zonotiling import (
     standard_config,
 )
 from zonotiling import regularity
+
+
+def certificate(h, det, value, pivots=None):
+    """(regular, witness, slack) of a ``regularity._certify`` verdict, as Fractions."""
+    if h is None:
+        return False, None, Fraction(0)
+    return True, tuple(Fraction(x, det) for x in h), Fraction(value, det)
+
+
+def certificate_json(h, det, value, pivots=None):
+    """A verdict's certificate entry, formatted from its Fractions by ``str``."""
+    regular, witness, slack = certificate(h, det, value)
+    if not regular:
+        return {"regular": False}
+    return {"h": [str(x) for x in witness], "regular": True, "slack": str(slack)}
 
 
 def _field_width(rows, nv):
@@ -145,18 +164,20 @@ class TestClassify:
     def test_extremal_tilings_regular(self, n):
         cfg = standard_config(n)
         for which in ("min", "max"):
-            cert = classify_orientation(cfg, orientation_of(extremal_tiling(cfg, which)).bits)
-            assert cert.regular
+            key = orientation_of(extremal_tiling(cfg, which)).bits
+            regular, _, slack = certificate(*regularity._certify(cfg, key))
+            assert regular
             if n > 2:
-                assert cert.slack > 0
+                assert slack > 0
 
     def test_witness_reproduces_tiling(self):
         cfg = standard_config(5)
         t = tiling_from_heights(cfg, (4, 0, 1, -3, 9))
-        cert = classify_orientation(cfg, orientation_of(t).bits)
-        assert cert.regular
-        assert tiling_from_heights(cfg, cert.witness) == t
-        assert sigma_h(cfg, cert.witness) == orientation_of(t)
+        # the integer heights, before the division by det > 0, which moves no sign
+        h = regularity._certify(cfg, orientation_of(t).bits)[0]
+        assert h is not None
+        assert tiling_from_heights(cfg, h) == t
+        assert sigma_h(cfg, h) == orientation_of(t)
 
     def test_random_heights_always_regular(self):
         rng = random.Random(5)
@@ -170,9 +191,9 @@ class TestClassify:
                 except ValueError:
                     continue
                 done += 1
-                cert = classify_orientation(cfg, orientation_of(t).bits)
-                assert cert.regular
-                assert tiling_from_heights(cfg, cert.witness) == t
+                h = regularity._certify(cfg, orientation_of(t).bits)[0]
+                assert h is not None
+                assert tiling_from_heights(cfg, h) == t
 
     def test_gauge_invariance(self):
         # re-heighting by c*1 + d*a builds the same tiling, hence the same verdict
@@ -184,21 +205,21 @@ class TestClassify:
 
     def test_irregular_tilings_exist_at_n6(self, graphs, certificates):
         certs = certificates(6)
-        irregular = [i for i, c in enumerate(certs) if not c.regular]
+        irregular = [i for i, c in enumerate(certs) if c[0] is None]
         assert len(irregular) == 20
         for i in irregular:
-            assert certs[i].witness is None and certs[i].slack == 0
+            assert certs[i][2] <= 0
 
     def test_all_regular_below_n6(self, certificates):
         for n in (3, 4, 5):
-            assert all(c.regular for c in certificates(n))
+            assert all(c[0] is not None for c in certificates(n))
 
     @pytest.mark.parametrize("key", [1 << 10, -1])
     def test_key_range_checked(self, key):
         # n = 5 has 10 circuits; a key with bit 10 set, or a negative one, is
         # refused up front instead of having its high bits ignored
         with pytest.raises(ValueError, match=rf"key {key:#x} does not fit 10 circuits"):
-            classify_orientation(standard_config(5), key)
+            regularity._certify(standard_config(5), key)
 
     def test_witness_sign_check_is_live(self, monkeypatch):
         # swapping w+_3 and w-_3 in a regular optimum negates h_3, which flips
@@ -213,15 +234,15 @@ class TestClassify:
                 x[0], x[k] = x[k], x[0]
             return x, value, det, pivots
 
-        assert classify_orientation(cfg, 0).witness[2] != 0
+        assert regularity._certify(cfg, 0)[0][2] != 0
         monkeypatch.setattr(regularity, "_maximize", corrupted)
         with pytest.raises(AssertionError, match="does not realize"):
-            classify_orientation(cfg, 0)
+            regularity._certify(cfg, 0)
 
     def test_certificate_json(self):
         cfg = standard_config(3)
         key = orientation_of(extremal_tiling(cfg, "min")).bits
-        data = classify_orientation(cfg, key).to_json()
+        data = regularity._entry(*regularity._certify(cfg, key)[:3])
         assert data["regular"] is True
         assert len(data["h"]) == 3
         assert all(isinstance(s, str) for s in data["h"])
@@ -252,8 +273,7 @@ class TestFullTableauDifferential:
                 orientation = orientation_of(tiling)
                 lp = full_tableau_oracle.slack_lp(cfg, orientation)
                 assert simplex_max_canonical(*lp) == full_tableau_oracle.simplex_max_canonical(*lp)
-                cert = classify_orientation(cfg, orientation_of(tiling).bits)
-                assert (cert.regular, cert.witness, cert.slack) == (
+                assert certificate(*regularity._certify(cfg, orientation.bits)) == (
                     full_tableau_oracle.reference_certificate(cfg, orientation)
                 )
 
@@ -261,15 +281,14 @@ class TestFullTableauDifferential:
         cfg = standard_config(6)
         g = graphs(6)
         for v, cert in enumerate(certificates(6)):
-            if not cert.regular:
+            if cert[0] is None:
                 tiling = tiling_of_orientation(6, g.keys[v])
                 expected = full_tableau_oracle.reference_certificate(cfg, orientation_of(tiling))
-                assert (cert.regular, cert.witness, cert.slack) == expected
+                assert certificate(*cert) == expected
 
     @staticmethod
     def check_certificate(cfg, tiling):
-        cert = classify_orientation(cfg, orientation_of(tiling).bits)
-        assert (cert.regular, cert.witness, cert.slack) == (
+        assert certificate(*regularity._certify(cfg, orientation_of(tiling).bits)) == (
             full_tableau_oracle.reference_certificate(cfg, orientation_of(tiling))
         )
 
@@ -492,7 +511,7 @@ class TestFourierMotzkinCrossCheck:
         for v, cert in enumerate(certificates(n)):
             tiling = tiling_of_orientation(n, g.keys[v])
             fm = strictly_feasible(self.rows_for(cfg, orientation_of(tiling)))
-            assert fm == cert.regular
+            assert fm == (cert[0] is not None)
 
     def test_all_n6(self, graphs, certificates):
         cfg = standard_config(6)
@@ -500,7 +519,7 @@ class TestFourierMotzkinCrossCheck:
         for v, cert in enumerate(certificates(6)):
             tiling = tiling_of_orientation(6, g.keys[v])
             fm = strictly_feasible(self.rows_for(cfg, orientation_of(tiling)))
-            assert fm == cert.regular
+            assert fm == (cert[0] is not None)
 
 
 class TestRegularSet:
@@ -513,7 +532,7 @@ class TestRegularSet:
     @staticmethod
     def check_against_lps(cfg):
         g = enumerate_tilings(cfg)
-        lp = {v for v, key in enumerate(g.keys) if classify_orientation(cfg, key).regular}
+        lp = {v for v, key in enumerate(g.keys) if regularity._certify(cfg, key)[0] is not None}
         assert {g.opposite_node(v) for v in lp} == lp  # the half-turn keeps the LP census
         assert regular_set(g).nodes == lp
 
@@ -619,8 +638,8 @@ class TestGraphCertificates:
         entries, regular, work = regularity.graph_certificates(g)
         # one verdict by LP per half-turn pair, the middle id included
         assert work.solved + work.reused == (len(g) + 1) // 2
-        assert list(entries) == [c.to_json() for c in expected]
-        assert regular == sum(c.regular for c in expected)
+        assert list(entries) == [certificate_json(*c) for c in expected]
+        assert regular == sum(c[0] is not None for c in expected)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_equals_one_lp_per_node(self, graphs, certificates, n):
@@ -630,7 +649,7 @@ class TestGraphCertificates:
     def check_drawn(cfg):
         g = enumerate_tilings(cfg)
         TestGraphCertificates.check_against_lps(
-            g, [classify_orientation(cfg, key) for key in g.keys]
+            g, [regularity._certify(cfg, key) for key in g.keys]
         )
 
     @settings(max_examples=10)
@@ -684,7 +703,7 @@ def test_completeness_10k_random_heights_n6(graphs, certificates):
     # every height-built tiling must land in the classified-regular set
     g = graphs(6)
     regular_keys = {
-        g.keys[v] for v, cert in enumerate(certificates(6)) if cert.regular
+        g.keys[v] for v, cert in enumerate(certificates(6)) if cert[0] is not None
     }
     cfg = standard_config(6)
     rng = random.Random(123)

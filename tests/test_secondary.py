@@ -15,7 +15,6 @@ from zonotiling import cli, secondary
 from zonotiling import (
     enumerate_tilings,
     diameter_report,
-    duality_check,
     equivalence_classes,
     graph_diameter,
     make_config,
@@ -235,7 +234,7 @@ class TestSkeleton:
         for k in range(1, 4):
             for mode in ("lifting_all", "reduced_all"):
                 sk = skeleton(g, k, mode)
-                _, _, members, starts = g.labellings[sk.deleted_levels, None]
+                _, _, members, starts = g.labellings[sk.deleted_levels]
                 assert sk.classes.values is members and sk.classes.offsets is starts
 
     def test_flip_inside_a_class_is_a_finding(self):
@@ -421,14 +420,14 @@ class TestDiameterReport:
         assert rep["sigma_k_plus_prev"]["diameter"] == 10
 
     def test_plain_set_of_regular_nodes(self, graphs, regulars):
-        # a fresh graph, so the set-keyed labellings are computed, not reused
+        # a fresh graph, so the labellings are computed, not reused
         g = enumerate_tilings(standard_config(6))
         regs = regulars(6)
         for k in range(1, 5):
             assert diameter_report(g, k, set(regs)) == diameter_report(graphs(6), k, regs)
 
     def test_duality_explicit(self, graphs, regulars):
-        result = duality_check(graphs(5), 1, regulars(5))
+        result = diameter_report(graphs(5), 1, regulars(5))["duality"]
         assert result == {
             "classes_equal": True,
             "degrees_equal": True,
@@ -439,7 +438,9 @@ class TestDiameterReport:
         for n in (5, 6):
             for k in range(1, n - 1):
                 rep = diameter_report(graphs(n), k, regulars(n))
-                assert rep["duality"] == duality_check(graphs(n), k, regulars(n))
+                sk = skeleton(graphs(n), k, "sigma_k", regulars(n))
+                diam, _ = graph_diameter(sk.adj)
+                assert rep["duality"] == secondary._duality(graphs(n), sk, diam, regulars(n))
 
     @pytest.mark.parametrize("k", [-1, 0, 4, 5])
     def test_level_out_of_range(self, graphs, regulars, k):
@@ -465,6 +466,55 @@ class TestDiameterReport:
             if min(cv, cw) >= 0 and cv != cw and cw in sk.adj[cv]:
                 hits.append((v, w))
         assert hits
+
+
+def induced_partition(g, nodes, k):
+    """The components of the subgraph induced on the nodes, its level-k edges
+    removed, by a plain BFS: sorted tuples in order of smallest member."""
+    seen = set()
+    parts = []
+    for start in sorted(nodes):
+        if start not in seen:
+            seen.add(start)
+            part = [start]
+            for u in part:
+                for v, level in zip(g.adj[u], g.levels[u]):
+                    if level != k and v in nodes and v not in seen:
+                        seen.add(v)
+                        part.append(v)
+            parts.append(tuple(sorted(part)))
+    return parts
+
+
+class TestRestrictionAgreement:
+    """``_restriction_agrees`` against the induced subgraph's partition."""
+
+    @staticmethod
+    def verdict(g, nodes, k):
+        """The check's verdict, asserted to be whether the k-classes restricted
+        to the nodes are the induced subgraph's components."""
+        classes = equivalence_classes(g, {k}, nodes)
+        agrees = secondary._restriction_agrees(g, classes, k, nodes)
+        assert agrees == (list(classes) == induced_partition(g, nodes, k))
+        return agrees
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_matches_the_induced_partition(self, graphs, n, data):
+        g = graphs(n)
+        k = data.draw(st.integers(1, n - 2))
+        keep = data.draw(st.floats(0.3, 1.0))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        self.verdict(g, frozenset(v for v in range(len(g)) if rng.random() < keep), k)
+
+    def test_both_verdicts_occur(self, graphs, regulars):
+        verdicts = {self.verdict(graphs(6), regulars(6), k) for k in range(1, 5)}
+        rng = random.Random(6)
+        for _ in range(10):
+            nodes = frozenset(v for v in range(len(graphs(5))) if rng.random() < 0.6)
+            verdicts |= {self.verdict(graphs(5), nodes, k) for k in range(1, 4)}
+        assert verdicts == {True, False}
 
 
 @pytest.mark.slow

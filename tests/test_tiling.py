@@ -14,6 +14,7 @@ from tile_oracle import (
     FlipUnavailableError,
     apply_flip,
     available_flips,
+    circuit_for,
     extremal_tiling,
     opposite,
     orientation_by_vertices,
@@ -24,14 +25,14 @@ from tile_oracle import (
     tiling_of_orientation,
     validate,
 )
-from zonotiling import (
+from zonotiling import make_config, sigma_h, standard_config, tiling_to_svg
+from zonotiling.core import (
     NonGenericHeightError,
-    make_config,
-    sigma_h,
-    standard_config,
-    tiling_to_svg,
+    colex_pairs,
+    colex_triples,
+    key_store,
+    num_triples,
 )
-from zonotiling.core import circuit_for, colex_pairs, colex_triples, key_store, num_triples
 from zonotiling.flipgraph import FlipGraph
 from zonotiling.secondary import _census
 from zonotiling.tiling import key_offsets

@@ -1,13 +1,15 @@
 """The tile route: tilings as offsets, and flips, orientations, heights,
-validation and slices read off tiles.
+validation and slices read off tiles; circuits as Fraction dependences.
 
 Test-only reference for the key route in ``zonotiling``, which holds a
 tiling only as its orientation key and reads flips (``tiling.column_flips``),
 slices (``hypertri.column_slices``), offset sizes and ``vert_k`` off keys.  Here
 a ``Tiling`` is its pair-indexed offsets, and every function works on those
-offsets or on the vertex set they span.  It imports nothing but
-``zonotiling.core`` and ``zonotiling.tiling``'s key decoder, so the tests
-compare two routes that share no code past the offsets of a key.
+offsets or on the vertex set they span.  A ``Circuit`` holds the
+dependence alpha of its triple as Fractions, the reference for the integer
+circuit tables of ``regularity``.  It imports nothing but ``zonotiling.core``
+and ``zonotiling.tiling``'s key decoder, so the tests compare two routes
+that share no code past the offsets of a key.
 """
 
 from collections import Counter, namedtuple
@@ -25,6 +27,7 @@ from zonotiling.core import (
     mask_points,
     num_pairs,
     pair_rank,
+    triple_rank,
 )
 from zonotiling.tiling import key_offsets
 
@@ -115,6 +118,51 @@ def extremal_tiling(config, which):
         raise ValueError("which must be 'min' or 'max'")
     sign = 1 if which == "min" else -1
     return tiling_from_heights(config, [sign * a * a for a in config.coords])
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """Signed minimal dependence on the lifted vectors v_p, v_q, v_r.
+
+    The positive part is {p, r}, the negative part {q}, and alpha holds the
+    dependence coefficients at positions (p, q, r).
+    """
+
+    p: int
+    q: int
+    r: int
+    alpha: tuple[Fraction, Fraction, Fraction]
+
+    @property
+    def triple(self):
+        return (self.p, self.q, self.r)
+
+    @property
+    def positive(self):
+        return (self.p, self.r)
+
+    @property
+    def negative(self):
+        return (self.q,)
+
+    @property
+    def rank(self):
+        return triple_rank(self.p, self.q, self.r)
+
+    def dot(self, heights):
+        """<h, alpha(C)> for a full-length height vector."""
+        ap, aq, ar = self.alpha
+        return ap * heights[self.p - 1] + aq * heights[self.q - 1] + ar * heights[self.r - 1]
+
+
+def circuit_for(config, p, q, r):
+    a = config.coords
+    return Circuit(p, q, r, (a[r - 1] - a[q - 1], a[p - 1] - a[r - 1], a[q - 1] - a[p - 1]))
+
+
+def circuits(config):
+    """All circuits of the configuration in colexicographic triple order."""
+    return tuple(circuit_for(config, p, q, r) for p, q, r in colex_triples(config.n))
 
 
 def orientation_of(tiling):
@@ -352,6 +400,17 @@ def validate(config, tiling) -> ValidationReport:
             if bad_circuits else "every circuit oriented one way",
         ),
     ))
+
+
+def strongly_separated(s1, s2):
+    """max(S1 \\ S2) < min(S2 \\ S1), or symmetrically; empty differences pass."""
+    m1 = s1 if isinstance(s1, int) else mask_from(s1)
+    m2 = s2 if isinstance(s2, int) else mask_from(s2)
+    d1 = m1 & ~m2
+    d2 = m2 & ~m1
+    if d1 == 0 or d2 == 0:
+        return True
+    return d1.bit_length() < (d2 & -d2).bit_length() or d2.bit_length() < (d1 & -d1).bit_length()
 
 
 def level_vertex_masks(tiling: Tiling, k: int) -> frozenset[int]:
