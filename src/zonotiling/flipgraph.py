@@ -34,13 +34,14 @@ labelling BFS, ``undirected_edges``, ``sample_chain``, ``regular_set``'s
 probes and the potentials' edge audit) read the flat arrays directly.
 
 Quotient skeletons rest on ``components_excluding_levels``, which labels and
-stores each level set's components over all tilings, their partition and
-the pairs deleted-level edges join, tagged with the edge's level, once per
-graph, and on ``graph_diameter``, a bit-parallel multi-source BFS that
-holds two lists of source bitsets at a time.  A labelling is the half-turn
-image of its stored twin (levels n - 1 - l), else is merged from a stored
-one of more levels; a BFS labels only the two-level windows {l, l+1} that
-one-level requests are merged from.
+stores each level set's components over all tilings once per graph, as
+their partition and the pairs deleted-level edges join, tagged with the
+edge's level, with no per-node label array; and on ``graph_diameter``, a
+bit-parallel multi-source BFS that holds two lists of source bitsets at a
+time.  A labelling is the half-turn image of its stored twin (levels
+n - 1 - l), else is merged from a stored one of more levels, each through
+a map with one entry per class; a BFS labels only the two-level windows
+{l, l+1} that one-level requests are merged from.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from itertools import chain, count, groupby, repeat
 from math import comb
 from operator import floordiv, sub
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .core import (
     Finding,
@@ -362,17 +363,18 @@ def graph_diameter(adj: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # components after deleting flip levels (k-equivalence machinery)
 
-def components_excluding_levels(graph: FlipGraph, deleted_levels: Iterable[int]) -> array:
-    """Component label per node of the graph minus edges at deleted levels.
+def components_excluding_levels(graph: FlipGraph, deleted_levels: Iterable[int]):
+    """The stored labelling of the graph minus edges at deleted levels.
 
-    The label of a component is its smallest node id, so partitions compare
-    across calls.  Beside the labels, an ``array('i')``, each labelling
-    keeps the pairs of labels a <= b that deleted-level edges join, with the
-    edge's level l, each once as the int (a * len + b) * n + l, in
-    increasing order (an edge inside component c gives (c, c)); and the
-    partition: every component's sorted members, one after another, in
-    label order.  Each labelling is computed once per graph and stored on
-    it, keyed by its level set; callers must not mutate it.
+    A labelling is held as (pairs, members, starts), computed once per graph
+    and stored on it, keyed by its level set; callers must not mutate it.
+    ``members`` lists every component's sorted members, one after another,
+    and ``starts`` their offsets.  A component's label is its smallest node
+    id, members[starts[c]], so partitions compare across calls, and the
+    components run in label order.  ``pairs`` holds the pairs of labels
+    a <= b that deleted-level edges join, with the edge's level l, each once
+    as the int (a * len + b) * n + l, in increasing order (an edge inside
+    component c gives (c, c)).  No per-node label array is kept.
 
     The half-turn maps the graph minus levels L onto the graph minus
     {n-1-l}.  A labelling is the image of its stored twin
@@ -383,11 +385,13 @@ def components_excluding_levels(graph: FlipGraph, deleted_levels: Iterable[int])
     (``_bfs_labelling``) labels windows only.  ``graph.labelling_work``
     counts the labellings made each way.
     """
-    return _stored(graph, deleted_levels)[0]
+    return _stored(graph, deleted_levels)
 
 
 def _stored(graph: FlipGraph, deleted_levels: Iterable[int]):
-    """Labels, pairs, members and starts of one labelling, computed on first use."""
+    """Pairs, members and starts of one labelling, computed on first use;
+    ``components_excluding_levels`` is this read under the public name that
+    perfbench's tracer times, once per skeleton."""
     banned = frozenset(deleted_levels)
     stored = graph.labellings.get(banned)
     if stored is None:
@@ -412,10 +416,11 @@ def _stored(graph: FlipGraph, deleted_levels: Iterable[int]):
 
 
 def _bfs_labelling(graph: FlipGraph, banned: frozenset[int]):
-    """Labels, pairs, members and starts of one labelling, by one BFS pass.
+    """Pairs, members and starts of one labelling, by one BFS pass.
 
     The BFS records each deleted-level edge whose other end is already
-    labelled, in this component or an earlier one, as a pair.
+    labelled, in this component or an earlier one, as a pair; its per-node
+    labels are dropped on return.
     """
     ids, levels, offsets = graph.nbr_ids, graph.nbr_levels, graph.offsets
     size, n = len(graph), graph.n
@@ -440,21 +445,19 @@ def _bfs_labelling(graph: FlipGraph, banned: frozenset[int]):
         component.sort()
         members.extend(component)
         starts.append(len(members))
-    pairs = array("q", sorted(pairs))  # frees the set before the labels are packed
-    return array("i", labels), pairs, members, starts
+    return array("q", sorted(pairs)), members, starts
 
 
 def _mirrored_labelling(graph: FlipGraph, twin):
-    """The half-turn image of a stored labelling, in the same four parts.
+    """The half-turn image of a stored labelling, in the same three parts.
 
     Twin component C becomes {size-1-v : v in C}, labelled size-1-max(C):
     its members reversed and mirrored, with the components re-sorted by
     label, that is by descending max(C); a pair at level l moves to level
-    n-1-l.
+    n-1-l, and its labels through a map with one entry per component.
     """
-    twin_labels, twin_pairs, twin_members, twin_starts = twin
-    size = len(graph)
-    last = size - 1
+    twin_pairs, twin_members, twin_starts = twin
+    last = len(graph) - 1
     count = len(twin_members)
     # twin members from a to b become image[count - b : count - a], in order
     image = array("i", twin_members)
@@ -462,29 +465,29 @@ def _mirrored_labelling(graph: FlipGraph, twin):
     image = _mirror_ids(image, last)
     bounds = list(zip(twin_starts, twin_starts[1:]))
     bounds.sort(key=lambda bound: twin_members[bound[1] - 1], reverse=True)
-    relabel = [0] * size
+    relabel = {}
     members = array("i")
     starts = array("i", [0])
     for a, b in bounds:
         relabel[twin_members[a]] = last - twin_members[b - 1]
         members.extend(image[count - b : count - a])
         starts.append(len(members))
-    labels = array("i", [relabel[label] for label in reversed(twin_labels)])
-    pairs = _relabelled(twin_pairs, relabel, size, range(graph.n - 1, -1, -1))
-    return labels, pairs, members, starts
+    levels = range(graph.n - 1, -1, -1)
+    return _relabelled(twin_pairs, relabel.__getitem__, len(graph), levels), members, starts
 
 
 def _merged_labelling(graph: FlipGraph, finer, restored: frozenset[int]):
     """A stored labelling with its edges at the levels ``restored`` put back,
-    in the same four parts, without a BFS.
+    in the same three parts, without a BFS.
 
     Those edges join the classes that the finer labelling's pairs at their
-    levels name; a union-find merges each group into one class, labelled by
-    its smallest label, whose members are the sorted merge of the group's.
-    A label is a member node, so the new labels relabel the pairs at the
-    levels still deleted.
+    levels name; a union-find over class labels merges each group into one
+    class, labelled by its smallest label, whose members are the sorted
+    merge of the group's.  The pairs at the levels still deleted take their
+    classes' new labels from the union-find's roots, so no step reads or
+    writes a per-node label.
     """
-    finer_labels, finer_pairs, finer_members, finer_starts = finer
+    finer_pairs, finer_members, finer_starts = finer
     size, n = len(graph), graph.n
     up: dict[int, int] = {}  # a label -> a smaller one of its group
 
@@ -502,7 +505,6 @@ def _merged_labelling(graph: FlipGraph, finer, restored: frozenset[int]):
                 up[max(a, b)] = min(a, b)
         else:
             kept.append(pair)
-    labels = array("i", finer_labels)
     # each class's members by its label, in label order: a group's first
     # class holds its smallest label, its root
     groups: dict[int, array] = {}
@@ -513,8 +515,6 @@ def _merged_labelling(graph: FlipGraph, finer, restored: frozenset[int]):
         if top in groups:
             groups[top] += run
             merged.add(top)
-            for v in run:
-                labels[v] = top
         else:
             groups[top] = run
     members = array("i")
@@ -522,24 +522,26 @@ def _merged_labelling(graph: FlipGraph, finer, restored: frozenset[int]):
     for top, run in groups.items():
         members.extend(sorted(run) if top in merged else run)
         starts.append(len(members))
-    return labels, _relabelled(kept, labels, size, range(n)), members, starts
+    return _relabelled(kept, root, size, range(n)), members, starts
 
 
-def _relabelled(pairs: Iterable[int], relabel: Sequence[int], size: int, levels: range) -> array:
+def _relabelled(
+    pairs: Iterable[int], relabel: Callable[[int], int], size: int, levels: range
+) -> array:
     """The pairs with their labels through ``relabel`` and levels through
     ``levels``, each once, in increasing order."""
     n = len(levels)
     out = set()
     for pair in pairs:
         ab, level = divmod(pair, n)
-        a, b = relabel[ab // size], relabel[ab % size]
+        a, b = relabel(ab // size), relabel(ab % size)
         out.add((a * size + b if a <= b else b * size + a) * n + levels[level])
     return array("q", sorted(out))
 
 
 def component_pairs(graph: FlipGraph, deleted_levels: Iterable[int]) -> Iterator[tuple[int, int]]:
     """The label pairs a <= b that deleted-level edges join in the whole graph's labelling, each once."""
-    pairs = _stored(graph, deleted_levels)[1]
+    pairs = _stored(graph, deleted_levels)[0]
     # the pairs are sorted, so one pair's levels are neighbours
     joined = groupby(map(floordiv, pairs, repeat(graph.n)))
     return map(divmod, (ab for ab, _ in joined), repeat(len(graph)))

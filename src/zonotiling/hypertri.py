@@ -28,7 +28,7 @@ edge, when the slices are constant on the classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -58,18 +58,13 @@ class StrongSeparationError(ValueError):
     """Two same-size sets that the separation order cannot compare."""
 
 
-def _separation_cmp(a: int, b: int) -> int:
-    if a == b:
-        return 0
-    d1 = a & ~b
-    d2 = b & ~a
-    if d1 and d1.bit_length() < (d2 & -d2).bit_length():
-        return -1
-    if d2 and d2.bit_length() < (d1 & -d1).bit_length():
-        return 1
-    raise StrongSeparationError(
-        f"sets {mask_points(a)} and {mask_points(b)} are not strongly separated"
-    )
+def _check_separated(a: int, b: int) -> None:
+    """Refuse sets unless every element of a - b lies below every one of b - a."""
+    gone, new = a & ~b, b & ~a
+    if not gone or gone.bit_length() >= (new & -new).bit_length():
+        raise StrongSeparationError(
+            f"sets {mask_points(a)} and {mask_points(b)} are not strongly separated"
+        )
 
 
 @dataclass(frozen=True)
@@ -93,8 +88,16 @@ def _ordered_path(masks: Iterable[int], k: int, n: int) -> MonotonePath:
 def _checked_order(masks: Iterable[int], k: int, n: int) -> list[int]:
     """The masks in the separation order, checked to step from {1..k} to the
     top k-set by single increasing exchanges; raises StrongSeparationError
-    or ValueError otherwise."""
-    ordered = sorted(masks, key=cmp_to_key(_separation_cmp))
+    or ValueError otherwise.
+
+    If a and b are strongly separated, a before b, the largest element of
+    their symmetric difference lies in b, so b's mask is the larger int: the
+    separation order is the integer order, and separation is checked on
+    consecutive masks, before the ends and the steps.
+    """
+    ordered = sorted(masks)
+    for a, b in zip(ordered, ordered[1:]):
+        _check_separated(a, b)
     if ordered:
         start = mask_from(range(1, k + 1))
         end = mask_from(range(n - k + 1, n + 1))
@@ -106,7 +109,7 @@ def _checked_order(masks: Iterable[int], k: int, n: int) -> list[int]:
         for a, b in zip(ordered, ordered[1:]):
             gone = a & ~b
             new = b & ~a
-            if gone.bit_count() != 1 or new.bit_count() != 1 or gone > new:
+            if gone.bit_count() != 1 or new.bit_count() != 1:  # separated, so gone < new
                 raise ValueError(
                     f"step {mask_points(a)} -> {mask_points(b)} is not a "
                     "single increasing exchange"

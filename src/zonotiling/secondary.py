@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count
 from operator import eq, getitem
 from typing import Collection, Iterable, Sequence
 
@@ -141,7 +141,7 @@ def equivalence_classes(
     partition itself, else one filtered copy of its members.
     """
     check_nodes(graph, regular_nodes)
-    classes = Partition(*_stored(graph, deleted_levels)[2:])
+    classes = Partition(*_stored(graph, deleted_levels)[1:])
     if regular_nodes is None:
         return classes
     members, starts = classes.values, classes.offsets
@@ -165,6 +165,8 @@ class QuotientSkeleton:
     ``classes`` views the labelling's members array (over all tilings) or
     one filtered copy of it (on the regular ones); ``component_of`` maps a
     node to its component's class, -1 where the component keeps no member.
+    It is built by walking the labelling's partition, which holds no
+    per-node label.
     """
 
     mode: str
@@ -211,20 +213,27 @@ def skeleton(
         raise ValueError(f"mode {mode!r} needs the regular node set")
     check_nodes(graph, regular_nodes)
 
-    labels = components_excluding_levels(graph, deleted)
+    _, members, starts = components_excluding_levels(graph, deleted)
     classes = equivalence_classes(graph, deleted, regular_nodes if restricted else None)
-    # each class's component, by its label: the label of its first member
-    firsts = map(labels.__getitem__, map(classes.values.__getitem__, classes.offsets[:-1]))
-    comp_class = dict(zip(firsts, range(len(classes))))
-    component_of = array("i", map(comp_class.get, labels, repeat(-1)))
+    # each node's component, walking the partition; over the regular
+    # tilings, a component's class is the one of its first regular member
+    component_of = array("i", [0]) * len(graph)
+    for c, a, b in zip(count(), starts, starts[1:]):
+        for v in members[a:b]:
+            component_of[v] = c
+    if restricted:
+        class_of = array("i", [-1]) * (len(starts) - 1)
+        for c, first in enumerate(map(classes.values.__getitem__, classes.offsets[:-1])):
+            class_of[component_of[first]] = c
+        component_of = array("i", map(class_of.__getitem__, component_of))
 
     # the labelling recorded each pair of components a deleted-level edge
-    # joins, in increasing order: over all tilings, where class order is
-    # label order, each class's neighbours arrive in increasing order
+    # joins, by their labels, which are member nodes, in increasing order:
+    # over all tilings, where class order is label order, each class's
+    # neighbours arrive in increasing order
     rows: list[list[int]] = [[] for _ in range(len(classes))]
     for a, b in component_pairs(graph, deleted):
-        ca = comp_class.get(a, -1)
-        cb = comp_class.get(b, -1)
+        ca, cb = component_of[a], component_of[b]
         if ca < 0 or cb < 0:
             continue
         if ca == cb:

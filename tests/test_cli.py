@@ -566,6 +566,29 @@ def test_diameters_then_classify_matches_fresh_runs(tmp_path, capsys, points):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "points", ["1,2,3,4,5", "1,2,3,4,5,6", "0,1/2,2,7/3,5", "0,1/2,2,7/3,5,11/2"]
+)
+def test_each_stored_labelling_holds_one_per_node_sequence(capsys, points):
+    # diameters, then hypertri at every k, through one graph slot: labellings
+    # made by BFS, by merge and by mirror each keep one sequence of a length
+    # per node, the members of their partition, and no label array
+    from zonotiling import cli, make_config
+
+    base = [f"--points={points}"]
+    n = len(points.split(","))
+    assert run(["diameters", "--all", *base]) == 0
+    for k in range(1, n - 1):
+        assert run(["hypertri", "--k", str(k), *base]) == 0
+    graph = cli._graph(make_config(points.split(",")))
+    assert set(graph.labelling_work) == {"BFS", "merged", "mirrored"}
+    assert len(graph.labellings) == 2 * n - 5
+    for stored in graph.labellings.values():
+        per_node = [part for part in stored if len(part) == len(graph)]
+        assert len(per_node) == 1
+        assert per_node[0] is stored[1]  # the members, in (pairs, members, starts)
+
+
 def test_slot_lets_the_last_graph_go_before_enumerating(monkeypatch, capsys):
     # a new configuration never holds two graphs, and their stored work, at once
     import weakref

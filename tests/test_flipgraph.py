@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from component_labels import component_labels
 from full_bfs_oracle import bfs_distances, full_bfs_graph, max_chain_through
 from strategies import configurations
 from tile_oracle import (
@@ -700,18 +701,23 @@ class TestMaxChainThrough:
 
 class TestComponents:
     def test_no_deletion_is_connected(self, graphs):
-        labels = components_excluding_levels(graphs(5), ())
+        labels = component_labels(graphs(5), ())
         assert set(labels) == {0}
 
     def test_deleting_every_level_isolates(self, graphs):
-        labels = components_excluding_levels(graphs(4), {1, 2})
-        assert list(labels) == list(range(8))
+        labels = component_labels(graphs(4), {1, 2})
+        assert labels == list(range(8))
 
     def test_labelling_is_stored_once(self, graphs):
+        # one stored partition, whatever the level set's spelling, and the
+        # classes view it
         g = graphs(5)
-        labels = components_excluding_levels(g, [2])
-        assert components_excluding_levels(g, {2}) is labels
-        assert components_excluding_levels(g, (2,)) is labels
+        _, members, starts = components_excluding_levels(g, [2])
+        for deleted in ({2}, (2,)):
+            stored = components_excluding_levels(g, deleted)
+            assert stored[1] is members and stored[2] is starts
+        classes = equivalence_classes(g, {2})
+        assert classes.values is members and classes.offsets is starts
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_within_matches_induced_subgraph(self, graphs, regulars, k):
@@ -732,7 +738,7 @@ class TestComponents:
                     if level != k and v in allowed and expected[v] < 0:
                         expected[v] = start
                         stack.append(v)
-        plain = components_excluding_levels(g, {k})
+        plain = component_labels(g, {k})
         assert -1 not in plain
         assert all(expected[v] == -1 for v in range(len(g)) if v not in allowed)
         assert all(plain[v] == plain[expected[v]] for v in allowed)
@@ -769,7 +775,7 @@ class TestComponents:
                     for u, v, level in edges
                     if level in deleted
                 }
-                assert list(components_excluding_levels(g, deleted)) == expected
+                assert component_labels(g, deleted) == expected
                 assert sorted(component_pairs(g, deleted)) == sorted(crossings)
 
 
@@ -783,11 +789,10 @@ class TestHalfTurnLabellings:
         banned = frozenset(deleted)
         twin = flipgraph._bfs_labelling(g, frozenset(g.n - 1 - level for level in banned))
         derived = flipgraph._mirrored_labelling(g, twin)
-        labels, pairs, members, starts = flipgraph._bfs_labelling(g, banned)
-        assert derived[0] == labels and derived[0].typecode == "i"
-        assert set(derived[1]) == set(pairs)
-        assert derived[2] == members
-        assert derived[3] == starts
+        pairs, members, starts = flipgraph._bfs_labelling(g, banned)
+        assert set(derived[0]) == set(pairs)
+        assert derived[1] == members and derived[1].typecode == "i"
+        assert derived[2] == starts
 
     @pytest.mark.parametrize("points", [None, RATIONAL], ids=["standard", "rational"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -820,9 +825,9 @@ class TestHalfTurnLabellings:
         assert searched == [frozenset({1, 2})]
         stored = g.labellings[frozenset({3, 4})]
         fresh = real(g, frozenset({3, 4}))
-        assert second is stored[0]
-        assert stored[0] == fresh[0] and set(stored[1]) == set(fresh[1])
-        assert stored[2:] == fresh[2:]
+        assert second is stored
+        assert set(stored[0]) == set(fresh[0])
+        assert stored[1:] == fresh[1:]
 
     def test_skeleton_sweep_n7_labels_twice(self, graphs, monkeypatch):
         # {1}<->{5}, {2}<->{4}, {1,2}<->{4,5}, {2,3}<->{3,4}: 4 of 9 are
@@ -861,10 +866,10 @@ class TestMergedLabellings:
             for banned, fresh in bfs.items():
                 if banned < finer:
                     merged = flipgraph._merged_labelling(g, stored, finer - banned)
-                    assert merged[0] == fresh[0] and merged[0].typecode == "i"
-                    assert merged[2] == fresh[2] and merged[3] == fresh[3]
+                    assert merged[1] == fresh[1] and merged[1].typecode == "i"
+                    assert merged[2] == fresh[2]
                     # each pair with its level, self-pairs (c, c) included
-                    assert set(merged[1]) == set(fresh[1])
+                    assert set(merged[0]) == set(fresh[0])
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     @settings(max_examples=5)
@@ -921,9 +926,9 @@ class TestMergedLabellings:
         for levels in data.draw(st.permutations(requests)):
             components_excluding_levels(g, levels)
         for levels, stored in g.labellings.items():
-            labels, pairs, members, starts = flipgraph._bfs_labelling(g, levels)
-            assert stored[0] == labels and stored[2] == members and stored[3] == starts
-            assert set(stored[1]) == set(pairs)
+            pairs, members, starts = flipgraph._bfs_labelling(g, levels)
+            assert stored[1] == members and stored[2] == starts
+            assert set(stored[0]) == set(pairs)
         assert skeletons(g) == expected
 
     @settings(max_examples=10)

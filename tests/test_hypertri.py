@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from component_labels import component_labels
 from tile_oracle import (
     Tiling,
     apply_flip,
@@ -25,7 +26,6 @@ from zonotiling.hypertri import (
     satisfies_triple_condition,
     slice_masks,
 )
-from zonotiling.flipgraph import components_excluding_levels
 from zonotiling.secondary import equivalence_classes, skeleton
 
 
@@ -163,7 +163,7 @@ class TestReducedPaths:
     def test_constant_on_classes_and_injective(self, graphs, k_class, n):
         g = graphs(n)
         for k in range(1, n - 1):
-            labels = components_excluding_levels(g, {k})
+            labels = component_labels(g, {k})
             by_class = {}
             for v in range(len(g)):
                 path = reduced_cross_section(g, k_class(g, v, k), k)
@@ -186,7 +186,7 @@ class TestReducedPaths:
         n = g.n
         full = (1 << n) - 1
         for k in range(1, n - 1):
-            labels = components_excluding_levels(g, {k})
+            labels = component_labels(g, {k})
             seen, toggled, level_k_meet = {}, {}, {}
             for u in range(len(g)):
                 c = labels[u]

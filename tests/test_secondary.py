@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from component_labels import component_labels
 from strategies import configurations
 from tile_oracle import tiling_from_tiles, tiling_of_orientation, vert_k
 from zonotiling import cli, secondary
@@ -25,7 +26,7 @@ from zonotiling import (
     standard_config,
 )
 from zonotiling.core import Finding, integer_coords, key_store
-from zonotiling.flipgraph import FlipGraph, components_excluding_levels
+from zonotiling.flipgraph import FlipGraph
 from zonotiling.secondary import _vert_k_distinct, _vert_k_ids, potential_between
 
 
@@ -203,7 +204,7 @@ class TestSkeleton:
         for k in range(1, 5):
             for mode in ("sigma_k", "sigma_k_plus_prev"):
                 sk = skeleton(g, k, mode, keep)
-                labels = components_excluding_levels(g, sk.deleted_levels)
+                labels = component_labels(g, sk.deleted_levels)
                 groups = {}
                 for v in sorted(keep):
                     groups.setdefault(labels[v], []).append(v)
@@ -221,7 +222,7 @@ class TestSkeleton:
         for k in range(1, 5):
             for mode in ("sigma_k", "sigma_k_plus_prev"):
                 sk = skeleton(g, k, mode, keep)
-                labels = components_excluding_levels(g, sk.deleted_levels)
+                labels = component_labels(g, sk.deleted_levels)
                 kept = {labels[v] for v in keep}
                 missing = [v for v in range(len(g)) if sk.component_of[v] < 0]
                 assert missing == [v for v in range(len(g)) if labels[v] not in kept]
@@ -234,7 +235,7 @@ class TestSkeleton:
         for k in range(1, 4):
             for mode in ("lifting_all", "reduced_all"):
                 sk = skeleton(g, k, mode)
-                _, _, members, starts = g.labellings[sk.deleted_levels]
+                _, members, starts = g.labellings[sk.deleted_levels]
                 assert sk.classes.values is members and sk.classes.offsets is starts
 
     def test_flip_inside_a_class_is_a_finding(self):
@@ -315,7 +316,7 @@ class TestPotential:
     def test_modified_constant_on_k_classes(self, graphs):
         g = graphs(5)
         for k in (1, 2, 3):
-            labels = components_excluding_levels(g, {k})
+            labels = component_labels(g, {k})
             rep = modified_potential(g, 0, k)
             by_class = {}
             for v, lab in enumerate(labels):
